@@ -15,10 +15,10 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from tricontact import perturb, planar
+from tricontact.core import Representation
 from tricontact.geometry import Tri, frac, inside_neg
 from tricontact.solver import (
     NotStackedError,
-    Representation,
     SolverParams,
     canvas_with_roles,
     exactify,

@@ -8,10 +8,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from tricontact import assemble, perturb, planar, render, solver, verify
+from tricontact.core import Representation
 from tricontact.geometry import frac
 
 EXIT_OK = 0
@@ -21,7 +21,17 @@ EXIT_SOLVER = 4
 EXIT_VERIFY = 5
 EXIT_PIPELINE = 6
 
-CONFIG_ENV = "TRICONTACT_CONFIG"
+# (exception types, exit code, message prefix), checked in order: GraphError
+# and CanvasError subclass ValueError, so they precede the input-error row.
+EXIT_CODES = (
+    ((planar.GraphError,), EXIT_VALIDATE, "invalid graph"),
+    ((solver.SolveFailure, solver.RobustifyError), EXIT_SOLVER, "solver failure"),
+    ((verify.DrawingError,), EXIT_VERIFY, "drawing failure"),
+    ((assemble.PipelineError, perturb.PerturbError, perturb.GapError, solver.CanvasError),
+     EXIT_PIPELINE, "pipeline failure"),
+    ((OSError, json.JSONDecodeError, KeyError, ValueError), EXIT_INPUT, "input error"),
+)
+_HANDLED = tuple(t for types, _code, _label in EXIT_CODES for t in types)
 
 
 def _dump(obj: dict, path: str | None) -> None:
@@ -73,11 +83,7 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_validate(args) -> int:
-    try:
-        T = planar.from_json(_load_json(args.input))
-    except planar.GraphError as e:
-        print(f"invalid: {e}", file=sys.stderr)
-        return EXIT_VALIDATE
+    T = planar.from_json(_load_json(args.input))
     out = {"valid": True, "n": T.n, "edges": len(T.edges), "faces": len(T.faces),
            "separating_triangles": [list(t) for t in planar.separating_triangles(T)]}
     _dump(out, args.output)
@@ -97,54 +103,28 @@ def cmd_gen(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    """Piece-level solve: the input graph must have no separating triangle
-    (it is processed as one piece, without decomposition)."""
+    """Piece-level solve: the input graph must have no separating triangle,
+    so it is a single piece; writes what `run` writes for the same flags."""
     T = planar.from_json(_load_json(args.input))
     if planar.separating_triangles(T):
         print("graph has separating triangles; use `run`", file=sys.stderr)
         return EXIT_INPUT
-    config = _config(args)
-    piece = planar.as_piece(T)
-    outer_map = {v: t for v, t in zip(T.outer, config.outer)}
-    eps = config.epsilon
-    try:
-        rep = solver.solve_stacked(piece, outer_map, epsilon=eps)
-    except solver.NotStackedError:
-        try:
-            res = solver.solve_contacts(piece, outer_map, config.solver)
-            rep = solver.robustify(solver.exactify(res, eps), piece, config.solver, eps)
-        except (solver.SolveFailure, solver.RobustifyError) as e:
-            print(f"solver failure: {e}", file=sys.stderr)
-            return EXIT_SOLVER
-    rep = perturb.remove_all(rep)
-    _dump(rep.to_json(), args.output)
+    _dump(assemble.represent(T, _config(args)).to_json(), args.output)
     return EXIT_OK
 
 
 def cmd_run(args) -> int:
-    try:
-        T = planar.from_json(_load_json(args.input))
-    except planar.GraphError as e:
-        print(f"invalid graph: {e}", file=sys.stderr)
-        return EXIT_VALIDATE
-    config = _config(args)
-    try:
-        rep = assemble.represent(T, config)
-    except (solver.SolveFailure, solver.RobustifyError) as e:
-        print(f"solver failure: {e}", file=sys.stderr)
-        return EXIT_SOLVER
-    except (assemble.PipelineError, perturb.PerturbError, solver.CanvasError) as e:
-        print(f"pipeline failure: {e}", file=sys.stderr)
-        return EXIT_PIPELINE
+    T = planar.from_json(_load_json(args.input))
+    rep = assemble.represent(T, _config(args))
     _dump(rep.to_json(), args.output)
     report = verify.full_report(rep, T, audit=args.audit, with_faces=True,
-                                with_drawing=args.drawing)
+                                with_drawing=args.drawing or bool(args.drawing_out))
     if args.report:
         _dump(report.to_json(), args.report)
-    if args.drawing_out and report.graph_match and report.simple:
-        _dump(verify.extract_drawing(rep, T).to_json(), args.drawing_out)
+    if args.drawing_out and report.drawing is not None:
+        _dump(report.drawing.to_json(), args.drawing_out)
     if args.svg:
-        d = verify.extract_drawing(rep, T) if args.drawing else None
+        d = report.drawing if args.drawing else None
         _write_text(render.render_svg(rep, drawing=d), args.svg)
     if not report.passed:
         print("verification failed", file=sys.stderr)
@@ -153,7 +133,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    rep = solver.Representation.from_json(_load_json(args.input))
+    rep = Representation.from_json(_load_json(args.input))
     T = planar.from_json(_load_json(args.graph))
     eps = frac(args.epsilon) if args.epsilon else None
     report = verify.full_report(rep, T, epsilon=eps, audit=args.audit,
@@ -163,7 +143,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_render(args) -> int:
-    rep = solver.Representation.from_json(_load_json(args.input))
+    rep = Representation.from_json(_load_json(args.input))
     d = None
     if args.graph:
         T = planar.from_json(_load_json(args.graph))
@@ -227,14 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--precision", type=int, default=6)
     pd.add_argument("--output", default=None)
     pd.set_defaults(fn=cmd_render)
-
-    config_path = os.environ.get(CONFIG_ENV)
-    if config_path and os.path.exists(config_path):
-        try:
-            with open(config_path) as f:
-                p.set_defaults(**json.load(f))
-        except (OSError, json.JSONDecodeError):
-            pass
     return p
 
 
@@ -242,9 +214,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return EXIT_INPUT
+    except _HANDLED as e:
+        code, label = next((c, lab) for types, c, lab in EXIT_CODES if isinstance(e, types))
+        print(f"{label}: {e}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
+from tricontact.core import Representation, intersection_graph
 from tricontact.geometry import (
     NegTri,
     Overlap,
@@ -31,7 +32,7 @@ from tricontact.geometry import (
     signed_height,
     translate,
 )
-from tricontact.solver import Representation
+from tricontact.planar import adjacency_of, triangles_of
 
 
 class PerturbError(RuntimeError):
@@ -96,31 +97,9 @@ class EpsilonBudget:
         assert self.clearance > 0
 
 
-def rep_edges(rep: Representation) -> set[tuple[int, int]]:
-    """Intersection graph of the representation: uv iff signed height >= 0."""
-    vs = sorted(rep.triangles)
-    out = set()
-    for i, u in enumerate(vs):
-        tu = rep.tri(u)
-        for v in vs[i + 1:]:
-            if signed_height(tu, rep.tri(v)) >= 0:
-                out.add((u, v))
-    return out
-
-
-def _graph_triangles(rep: Representation, edges: set[tuple[int, int]]) -> list[tuple[int, int, int]]:
-    adj: dict[int, set[int]] = {v: set() for v in rep.triangles}
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    out = []
-    for u in sorted(adj):
-        nu = sorted(w for w in adj[u] if w > u)
-        for i, v in enumerate(nu):
-            for w in nu[i + 1:]:
-                if w in adj[v]:
-                    out.append((u, v, w))
-    return out
+def _intersection_triangles(rep: Representation) -> list[tuple[int, int, int]]:
+    """Triangles of the intersection graph of `rep`, in lexicographic order."""
+    return triangles_of(adjacency_of(rep.triangles, intersection_graph(rep)))
 
 
 def _assign_roles(ids: Sequence[int], tris: Sequence[Tri]) -> tuple[int, int, int]:
@@ -167,10 +146,9 @@ def find_bad_triples(rep: Representation) -> list[BadTriple]:
     pair forces an empty common intersection).  Errors out if any four
     triangles share a point.
     """
-    edges = rep_edges(rep)
     out = []
     all_ids = sorted(rep.triangles)
-    for a, b, c in _graph_triangles(rep, edges):
+    for a, b, c in _intersection_triangles(rep):
         ts = [rep.tri(a), rep.tri(b), rep.tri(c)]
         ov = common_intersection(ts)
         if ov.is_empty:
@@ -321,12 +299,6 @@ def _safe_epsilon_full(rep: Representation, move: Move,
     events: list[Fraction] = []
 
     vs = sorted(rep.triangles)
-    edges = set()
-    for i, a in enumerate(vs):
-        for b in vs[i + 1:]:
-            if signed_height(rep.tri(a), rep.tri(b)) >= 0:
-                edges.add((a, b))
-
     eps = rep.epsilon
     for a, b in combinations(vs, 2):
         if a not in moved and b not in moved:
@@ -344,25 +316,16 @@ def _safe_epsilon_full(rep: Representation, move: Move,
         if ev is not None:
             events.append(ev)
 
-    adj: dict[int, set[int]] = {v: set() for v in vs}
-    for a, b in edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    for a in vs:
-        na = sorted(x for x in adj[a] if x > a)
-        for i, b in enumerate(na):
-            for c in na[i + 1:]:
-                if c not in adj[b]:
-                    continue
-                if not ({a, b, c} & moved):
-                    continue
-                if exclude_triple is not None and frozenset((a, b, c)) == exclude_triple:
-                    continue
-                groups = _lines_for(rep, move, (a, b, c))
-                if _eval_signed(groups, Fraction(0)) < 0:
-                    ev = _first_reach(groups, _breakpoints(groups), Fraction(0), upward=True)
-                    if ev is not None:
-                        events.append(ev)
+    for a, b, c in _intersection_triangles(rep):
+        if not ({a, b, c} & moved):
+            continue
+        if exclude_triple is not None and frozenset((a, b, c)) == exclude_triple:
+            continue
+        groups = _lines_for(rep, move, (a, b, c))
+        if _eval_signed(groups, Fraction(0)) < 0:
+            ev = _first_reach(groups, _breakpoints(groups), Fraction(0), upward=True)
+            if ev is not None:
+                events.append(ev)
 
     for o in outer:
         for corner in rep.tri(o).corners:

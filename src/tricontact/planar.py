@@ -12,7 +12,7 @@ import json
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import networkx as nx
 
@@ -26,6 +26,15 @@ Edge = tuple[int, int]
 
 def _edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
+
+
+def adjacency_of(vertices: Iterable[int], edges: Iterable[Edge]) -> dict[int, set[int]]:
+    """Neighbour sets of a graph given by its vertices and edges."""
+    adj: dict[int, set[int]] = {v: set() for v in vertices}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
 
 
 @dataclass(frozen=True)
@@ -44,11 +53,7 @@ class Triangulation:
         return tuple(f for f in self.faces if f != self.outer_set)
 
     def adjacency(self) -> dict[int, set[int]]:
-        adj: dict[int, set[int]] = {v: set() for v in range(self.n)}
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
+        return adjacency_of(self.vertices(), self.edges)
 
     def vertices(self) -> range:
         return range(self.n)
@@ -142,9 +147,13 @@ def load_graph(path: str) -> Triangulation:
 # Separating triangles and decomposition
 # ---------------------------------------------------------------------------
 
-def triangles_of(T: Triangulation) -> list[tuple[int, int, int]]:
-    """All 3-cliques, enumerated deterministically."""
-    adj = T.adjacency()
+def triangles_of(adj: Mapping[int, set[int]]) -> list[tuple[int, int, int]]:
+    """All 3-cliques (u, v, w), u < v < w, of the graph with neighbour sets
+    `adj`, in lexicographic order.
+
+    Edge-based listing (after Chiba and Nishizeki, 1985): each edge uv,
+    u < v, is closed by the neighbours w > v of u that are adjacent to v.
+    """
     out = []
     for u in sorted(adj):
         nu = sorted(w for w in adj[u] if w > u)
@@ -159,7 +168,7 @@ def separating_triangles(T: Triangulation) -> list[tuple[int, int, int]]:
     """3-cycles that are not faces; empty iff the piece is 4-connected
     in the sense used here (K4 qualifies)."""
     face_sets = set(T.faces)
-    return [t for t in triangles_of(T) if frozenset(t) not in face_sets]
+    return [t for t in triangles_of(T.adjacency()) if frozenset(t) not in face_sets]
 
 
 def _face_edge_map(T: Triangulation) -> dict[Edge, list[frozenset[int]]]:
@@ -181,13 +190,6 @@ class _RelabeledPiece(Triangulation):
 
     def vertices(self):  # type: ignore[override]
         return self.vertex_ids
-
-    def adjacency(self) -> dict[int, set[int]]:
-        adj: dict[int, set[int]] = {v: set() for v in self.vertex_ids}
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
 
 
 def as_piece(T: Triangulation) -> _RelabeledPiece:
@@ -267,36 +269,13 @@ class SeparationTree:
         return [(c, t) for p, c, t in self.links if p == i]
 
 
-def _decompose_recursive(T: Triangulation) -> list[_RelabeledPiece]:
-    """Reference decomposition: repeatedly split at a separating triangle
-    minimizing |T_in| (ties broken by sorted vertex triple)."""
-    final: list[_RelabeledPiece] = []
-    pending = [as_piece(T)]
-    while pending:
-        piece = pending.pop()
-        seps = separating_triangles(piece)
-        if not seps:
-            final.append(piece)
-            continue
-        best = None
-        for t in seps:
-            t_out, t_in = split(piece, t)
-            key = (piece_size(t_in), tuple(sorted(t)))
-            if best is None or key < best[0]:
-                best = (key, t_out, t_in)
-        _, t_out, t_in = best
-        pending.append(t_out)
-        pending.append(t_in)
-    return final
-
-
-def _decompose_laminar(T: Triangulation) -> list[_RelabeledPiece] | None:
+def _decompose_laminar(T: Triangulation) -> list[_RelabeledPiece]:
     """One-pass decomposition via the nesting forest of separating triangles.
 
     Computes each separating triangle's inside-face-set once (as a bitmask
-    over faces); when the family is laminar, pieces are read off directly.
-    Returns None if laminarity fails (exotic input; caller falls back to the
-    splitting reference, which handles any case).
+    over faces) and reads the pieces off the nesting forest.  The family is
+    always laminar: an edge cannot join the inside of a 3-cycle of a plane
+    triangulation to its outside, so two 3-cycles are nested or disjoint.
     """
     piece0 = as_piece(T)
     seps = separating_triangles(piece0)
@@ -323,14 +302,6 @@ def _decompose_laminar(T: Triangulation) -> list[_RelabeledPiece] | None:
                         seen |= bit
                         stack.append(g)
         inside[t] = all_mask & ~seen
-
-    masks = list(inside.items())
-    for (ta, ma), (tb, mb) in combinations(masks, 2):
-        inter = ma & mb
-        if inter and inter != ma and inter != mb:
-            return None  # not laminar
-        if ma == mb:
-            return None  # pragma: no cover - distinct triangles, same interior
 
     by_size = sorted(seps, key=lambda t: (bin(inside[t]).count("1"), t))
     parent: dict[tuple[int, int, int], tuple[int, int, int] | None] = {}
@@ -376,8 +347,6 @@ def decompose(T: Triangulation) -> SeparationTree:
     children ordered by sorted vertex triple.
     """
     final = _decompose_laminar(T)
-    if final is None:
-        final = _decompose_recursive(T)  # pragma: no cover - exotic fallback
 
     root = next(p for p in final if p.outer_set == frozenset(T.outer) and
                 frozenset(T.outer) in set(p.faces))

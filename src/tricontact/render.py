@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+from tricontact.core import Representation, intersection_graph
 from tricontact.geometry import intersect
-from tricontact.solver import Representation
 from tricontact.verify import Drawing
 
 
@@ -57,16 +57,11 @@ def render_svg(rep: Representation, drawing: Drawing | None = None,
                    f'<title>vertex {v}</title></polygon>')
 
     if show_contacts:
-        vs = sorted(tris)
-        for i, u in enumerate(vs):
-            for v in vs[i + 1:]:
-                ov = intersect(tris[u], tris[v])
-                if ov.is_empty:
-                    continue
-                c = ov.right_corner
-                out.append(
-                    f'<circle cx="{_fmt(sx(float(c.x)), precision)}" '
-                    f'cy="{_fmt(sy(float(c.y)), precision)}" r="2.5" fill="red"/>')
+        for u, v in sorted(intersection_graph(rep)):
+            c = intersect(tris[u], tris[v]).right_corner
+            out.append(
+                f'<circle cx="{_fmt(sx(float(c.x)), precision)}" '
+                f'cy="{_fmt(sy(float(c.y)), precision)}" r="2.5" fill="red"/>')
 
     if drawing is not None:
         for u, v, path in drawing.polylines:

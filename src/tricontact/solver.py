@@ -21,15 +21,14 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from tricontact import planar
+from tricontact.core import Representation
 from tricontact.geometry import (
     NegTri,
     Tri,
     common_intersection,
     frac,
-    frac_str,
     gap_candidates,
     inflate,
-    intersect,
     signed_height,
 )
 
@@ -76,45 +75,6 @@ class SolverParams:
             raise ValueError("scale must be positive")
         return replace(self, delta=self.delta * lam, margin=self.margin * lam,
                        h_min=self.h_min * lam)
-
-
-@dataclass(frozen=True)
-class Representation:
-    """Map vertex -> triangle, the boundary vertices, and the overlap budget."""
-
-    triangles: dict[int, Tri]
-    outer: tuple[int, ...]
-    epsilon: Fraction
-
-    def inner_ids(self) -> list[int]:
-        out = set(self.outer)
-        return sorted(v for v in self.triangles if v not in out)
-
-    def tri(self, v: int) -> Tri:
-        return self.triangles[v]
-
-    def with_triangle(self, v: int, t: Tri) -> "Representation":
-        d = dict(self.triangles)
-        d[v] = t
-        return Representation(d, self.outer, self.epsilon)
-
-    def to_json(self) -> dict:
-        return {
-            "epsilon": frac_str(self.epsilon),
-            "outer": list(self.outer),
-            "triangles": {
-                str(v): [frac_str(t.x), frac_str(t.y), frac_str(t.h)]
-                for v, t in sorted(self.triangles.items())
-            },
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "Representation":
-        tris = {
-            int(v): Tri(frac(x), frac(y), frac(h))
-            for v, (x, y, h) in data["triangles"].items()
-        }
-        return Representation(tris, tuple(data["outer"]), frac(data["epsilon"]))
 
 
 def check_outer_hypothesis(ts: Sequence[Tri]) -> None:

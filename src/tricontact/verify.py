@@ -15,18 +15,17 @@ from itertools import combinations
 from typing import Sequence
 
 from tricontact import planar
+from tricontact.core import Representation, intersection_graph
 from tricontact.geometry import (
     Point,
     Tri,
     common_signed_height,
-    frac,
     frac_str,
     intersect,
     segment_intersection_kind,
     signed_height,
 )
 from tricontact.perturb import GapError, face_gap
-from tricontact.solver import Representation
 
 
 class DrawingError(RuntimeError):
@@ -34,66 +33,23 @@ class DrawingError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Intersection graph
-# ---------------------------------------------------------------------------
-
-def intersection_graph(rep: Representation) -> set[tuple[int, int]]:
-    """Edge uv iff the triangles of u and v intersect (signed height >= 0).
-
-    A conservative float screen skips pairs that are far apart; every
-    undecided pair is settled exactly.
-    """
-    vs = sorted(rep.triangles)
-    fl = {}
-    scale = 1.0
-    for v in vs:
-        t = rep.tri(v)
-        fl[v] = (float(t.x), float(t.y), float(t.s))
-        scale = max(scale, abs(fl[v][0]), abs(fl[v][1]), abs(fl[v][2]))
-    screen = -1e-9 * scale
-    out = set()
-    for i, u in enumerate(vs):
-        xu, yu, su = fl[u]
-        tu = rep.tri(u)
-        for v in vs[i + 1:]:
-            xv, yv, sv = fl[v]
-            if min(su, sv) - max(xu, xv) - max(yu, yv) < screen:
-                continue
-            if signed_height(tu, rep.tri(v)) >= 0:
-                out.add((u, v))
-    return out
-
-
-def _graph_triangles(vs: Sequence[int], edges: set[tuple[int, int]]) -> list[tuple[int, int, int]]:
-    adj: dict[int, set[int]] = {v: set() for v in vs}
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    out = []
-    for u in sorted(adj):
-        nu = sorted(w for w in adj[u] if w > u)
-        for i, v in enumerate(nu):
-            for w in nu[i + 1:]:
-                if w in adj[v]:
-                    out.append((u, v, w))
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Condition checks
 # ---------------------------------------------------------------------------
 
-def check_simple(rep: Representation, audit: bool = False) -> tuple[bool, list[tuple[int, int, int]]]:
+def check_simple(rep: Representation, edges: set[tuple[int, int]] | None = None,
+                 audit: bool = False) -> tuple[bool, list[tuple[int, int, int]]]:
     """No three triangles may share a point.
 
-    Scans the triangles of the intersection graph (a triple with a disjoint
-    pair has an empty common intersection); with audit=True additionally runs
-    the full cubic scan, which must agree.
+    Scans the triangles of the intersection graph `edges`, built from `rep`
+    when None (a triple with a disjoint pair has an empty common
+    intersection); with audit=True additionally runs the full cubic scan,
+    which must agree.
     """
-    edges = intersection_graph(rep)
+    if edges is None:
+        edges = intersection_graph(rep)
     vs = sorted(rep.triangles)
     offending = []
-    for a, b, c in _graph_triangles(vs, edges):
+    for a, b, c in planar.triangles_of(planar.adjacency_of(vs, edges)):
         if common_signed_height([rep.tri(a), rep.tri(b), rep.tri(c)]) >= 0:
             offending.append((a, b, c))
     if audit:
@@ -184,11 +140,6 @@ def _near_ids(rep: Representation, u: int) -> list[int]:
             continue
         out.append(v)
     return out
-
-
-def _clearance(p: Point, t: Tri) -> Fraction:
-    """Largest violated constraint of t at p; positive iff p is outside t."""
-    return max(t.x - p.x, t.y - p.y, p.x + p.y - t.s)
 
 
 def _segment_hits_region(ax, ay, bx, by, region) -> bool:
@@ -385,8 +336,9 @@ def extract_drawing(rep: Representation, T: planar.Triangulation,
     waypoints are pulled (with geometrically deepening weights) toward a
     cycled sequence of interior bend targets of their hosting triangles,
     which steers the legs around overlap regions near foreign contacts.  Only
-    routes involved in a violation are modified.  Exhausting the retries
-    raises.
+    routes involved in a violation are modified.  A drawing is returned only
+    after an exact scan of all its segments finds no violation, so it is
+    crossing-free; exhausting the retries raises.
     """
     adj = T.adjacency()
     contacts: dict[tuple[int, int], Point] = {}
@@ -464,6 +416,7 @@ class VerificationReport:
     drawing_planar: bool | None = None
     crossings: int | None = None
     drawing_note: str | None = None
+    drawing: Drawing | None = field(default=None, repr=False)  # not serialized
 
     @property
     def passed(self) -> bool:
@@ -498,13 +451,14 @@ def full_report(rep: Representation, T: planar.Triangulation,
                 epsilon: Fraction | None = None, audit: bool = False,
                 with_faces: bool = True, with_drawing: bool = False) -> VerificationReport:
     """Aggregate certification: graph equality, simpleness, boundary budget,
-    corner condition, optionally the face-gap condition and a drawing."""
+    corner condition, optionally the face-gap condition and a drawing (kept
+    on the report as `drawing`)."""
     found = intersection_graph(rep)
     want = {tuple(sorted(e)) for e in T.edges}
     missing = sorted(want - found)
     extra = sorted(found - want)
 
-    simple, triples = check_simple(rep, audit=audit)
+    simple, triples = check_simple(rep, found, audit=audit)
     boundary_ok, bad_pairs, corner_ok, bad_corners = check_boundary(rep, epsilon)
 
     report = VerificationReport(
@@ -529,12 +483,15 @@ def full_report(rep: Representation, T: planar.Triangulation,
     if with_drawing:
         if report.graph_match and report.simple:
             try:
-                d = extract_drawing(rep, T)
-                report.crossings = count_crossings(d.polylines)
-                report.drawing_planar = report.crossings == 0
+                report.drawing = extract_drawing(rep, T)
             except DrawingError as e:
                 report.drawing_planar = False
                 report.drawing_note = str(e)
+            else:
+                # extract_drawing returns only drawings its final exact scan
+                # found crossing-free
+                report.drawing_planar = True
+                report.crossings = 0
         else:
             report.drawing_planar = False
             report.drawing_note = "skipped: graph or simpleness failed"

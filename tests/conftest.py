@@ -5,7 +5,7 @@ import pytest
 
 from tricontact import planar
 from tricontact.geometry import Tri, tri
-from tricontact.solver import Representation
+from tricontact.core import Representation
 
 
 @pytest.fixture

@@ -12,9 +12,9 @@ from fractions import Fraction
 from tricontact import planar
 from tricontact.assemble import represent
 from tricontact.geometry import Tri, intersect, signed_height, tri
-from tricontact.perturb import find_bad_triples, remove_all, rep_edges, select_bad, step1_widen, step3_separate
+from tricontact.core import Representation, intersection_graph
+from tricontact.perturb import find_bad_triples, remove_all, select_bad, step1_widen, step3_separate
 from tricontact.solver import (
-    Representation,
     SolverParams,
     exactify,
     robustify,
@@ -195,18 +195,18 @@ def test_criterion_3_bad_point_removal(octahedron, k222_triple_rep):
     assert stepped.tri(sel.v) == tri("7/4", 2, "9/4")
     assert stepped.tri(sel.w) == tri(2, 0, 2)
     assert find_bad_triples(stepped) == []
-    assert rep_edges(stepped) == rep_edges(fixture)
+    assert intersection_graph(stepped) == intersection_graph(fixture)
 
     cleaned = remove_all(fixture)
     assert find_bad_triples(cleaned) == []
-    assert rep_edges(cleaned) == rep_edges(fixture)
+    assert intersection_graph(cleaned) == intersection_graph(fixture)
 
     # K_{2,2,2}: every contact representation has a point in three triangles;
     # this hand-built one has it at (7/3, 7/3)
     assert len(find_bad_triples(k222_triple_rep)) == 1
     k_clean = remove_all(k222_triple_rep)
     assert find_bad_triples(k_clean) == []
-    assert rep_edges(k_clean) == rep_edges(k222_triple_rep)
+    assert intersection_graph(k_clean) == intersection_graph(k222_triple_rep)
     r = full_report(k_clean, octahedron, audit=True)
     assert r.passed
     _cache["k222_clean"] = (octahedron, k_clean)

@@ -2,10 +2,12 @@ import itertools
 import json
 from fractions import Fraction
 
-from tricontact import planar
+from tricontact import planar, verify
+from tricontact.assemble import represent
 from tricontact.cli import main
 from tricontact.geometry import tri
-from tricontact.solver import Representation, solve_stacked
+from tricontact.core import Representation
+from tricontact.solver import solve_stacked
 
 
 def run(argv):
@@ -78,6 +80,25 @@ class TestRun:
         text = svg.read_text()
         assert text.startswith("<svg") and "<polygon" in text and "polyline" in text
 
+    def test_drawing_extracted_once(self, tmp_path, k4, monkeypatch):
+        calls = []
+        extract = verify.extract_drawing
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return extract(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "extract_drawing", counted)
+        g = tmp_path / "g.json"
+        g.write_text(json.dumps(k4.to_json()))
+        drawing_f = tmp_path / "d.json"
+        svg = tmp_path / "out.svg"
+        assert run(["run", "--input", g, "--output", tmp_path / "r.json", "--drawing",
+                    "--drawing-out", drawing_f, "--svg", svg]) == 0
+        assert len(calls) == 1
+        assert len(json.loads(drawing_f.read_text())["polylines"]) == len(k4.edges)
+        assert "polyline" in svg.read_text()
+
 
 class TestVerify:
     def test_corrupted_rep_nonzero_exit(self, tmp_path, k4, outer_map):
@@ -100,6 +121,15 @@ class TestVerify:
         r = tmp_path / "rep.json"
         r.write_text(json.dumps(rep.to_json()))
         assert run(["verify", "--input", r, "--graph", g, "--audit", "--drawing"]) == 0
+
+    def test_invalid_graph_exit_code(self, tmp_path, k4, outer_map):
+        r = tmp_path / "rep.json"
+        r.write_text(json.dumps(solve_stacked(planar.as_piece(k4), outer_map).to_json()))
+        g = tmp_path / "bad.json"
+        g.write_text(json.dumps({"n": 5, "outer": [0, 1, 2],
+                                 "edges": [list(e) for e in
+                                           itertools.combinations(range(5), 2)]}))
+        assert run(["verify", "--input", r, "--graph", g]) == 3
 
 
 class TestSolveCommand:
@@ -126,6 +156,16 @@ class TestSolveCommand:
         g.write_text(json.dumps(T.to_json()))
         assert run(["solve", "--input", g, "--output", tmp_path / "r.json"]) == 2
 
+    def test_scaled_solve_matches_run(self, tmp_path):
+        g = tmp_path / "g.json"
+        g.write_text(json.dumps(planar.double_wheel(6).to_json()))
+        outs = []
+        for cmd in ("solve", "run"):
+            rep_f = tmp_path / f"{cmd}.json"
+            assert run([cmd, "--input", g, "--output", rep_f, "--scale", "1/1000"]) == 0
+            outs.append(rep_f.read_bytes())
+        assert outs[0] == outs[1]
+
 
 class TestRender:
     def test_render_rep(self, tmp_path, k4, outer_map):
@@ -135,6 +175,13 @@ class TestRender:
         svg = tmp_path / "o.svg"
         assert run(["render", "--input", r, "--contacts", "--output", svg]) == 0
         assert "<circle" in svg.read_text()
+
+    def test_mismatched_graph_exit_code(self, tmp_path):
+        r = tmp_path / "rep.json"
+        r.write_text(json.dumps(represent(planar.gen_stacked(12, 0)).to_json()))
+        g = tmp_path / "g.json"
+        g.write_text(json.dumps(planar.gen_stacked(12, 5).to_json()))
+        assert run(["render", "--input", r, "--graph", g, "--output", tmp_path / "o.svg"]) == 5
 
 
 class TestJsonRoundtrip:

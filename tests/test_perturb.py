@@ -23,14 +23,14 @@ from tricontact.perturb import (
     face_gap,
     find_bad_triples,
     remove_all,
-    rep_edges,
     safe_epsilon,
     select_bad,
     step1_widen,
     step2_clear,
     step3_separate,
 )
-from tricontact.solver import Representation, solve_stacked
+from tricontact.core import Representation, intersection_graph
+from tricontact.solver import solve_stacked
 
 F = Fraction
 
@@ -140,7 +140,7 @@ class TestSteps:
         out = step1_widen(rep, sel, F(1, 4))
         assert out.tri(0) == tri("-1/4", 2, "9/4")
         assert out.tri(0).east_corner == point(2, 2)
-        assert rep_edges(out) == rep_edges(rep)
+        assert intersection_graph(out) == intersection_graph(rep)
         q = out.tri(0).top_corner
         assert q == point("-1/4", "17/4")
         assert not out.tri(1).contains(q) and not out.tri(2).contains(q)
@@ -159,7 +159,7 @@ class TestSteps:
         r2 = step2_clear(r1, sel, F(1, 16))
         assert r2.tri(5) == tri(1, "47/16", "17/16")
         assert intersect(r2.tri(5), r2.tri(0)).kind == "region"
-        assert rep_edges(r2) == rep_edges(rep)
+        assert intersection_graph(r2) == intersection_graph(rep)
 
     def test_step2_two_tangents(self):
         rep = fixture_rep({5: tri(1, 3, 1), 6: tri("1/2", "7/2", "1/2")})
@@ -167,7 +167,7 @@ class TestSteps:
         r1 = step1_widen(rep, sel, F(1, 4))
         r2 = step2_clear(r1, sel, F(1, 16))
         assert r2.tri(5) != rep.tri(5) and r2.tri(6) != rep.tri(6)
-        assert rep_edges(r2) == rep_edges(rep)
+        assert intersection_graph(r2) == intersection_graph(rep)
 
     def test_step3_exact_values(self):
         rep = fixture_rep()
@@ -181,7 +181,7 @@ class TestSteps:
         assert intersect(r3.tri(0), r3.tri(2)).point == point(2, "7/4")
         assert intersect(r3.tri(1), r3.tri(2)).point == point(2, 2)
         assert common_signed_height([r3.tri(0), r3.tri(1), r3.tri(2)]) == F(-1, 4)
-        assert rep_edges(r3) == rep_edges(rep)
+        assert intersection_graph(r3) == intersection_graph(rep)
         # the old shared point is now outside t(u): its hypotenuse level dropped
         assert r3.tri(0).s == F(15, 4)
         assert not r3.tri(0).contains(point(2, 2))
@@ -192,7 +192,7 @@ class TestRemoveAll:
         rep = fixture_rep()
         out = remove_all(rep)
         assert find_bad_triples(out) == []
-        assert rep_edges(out) == rep_edges(rep)
+        assert intersection_graph(out) == intersection_graph(rep)
 
     def test_identity_when_clean(self, k4, outer_map):
         rep = solve_stacked(planar.as_piece(k4), outer_map)
@@ -207,14 +207,14 @@ class TestRemoveAll:
         assert sorted(select_bad(bad).ids) == [10, 11, 12]
         out = remove_all(rep)
         assert find_bad_triples(out) == []
-        assert rep_edges(out) == rep_edges(rep)
+        assert intersection_graph(out) == intersection_graph(rep)
 
     def test_k222(self, octahedron, k222_triple_rep):
         bad = find_bad_triples(k222_triple_rep)
         assert len(bad) == 1 and sorted(bad[0].ids) == [3, 4, 5]
         out = remove_all(k222_triple_rep)
         assert find_bad_triples(out) == []
-        assert rep_edges(out) == rep_edges(k222_triple_rep)
+        assert intersection_graph(out) == intersection_graph(k222_triple_rep)
         adj = octahedron.adjacency()
         for u, v in itertools.combinations(range(6), 2):
             assert (v in adj[u]) == (signed_height(out.tri(u), out.tri(v)) >= 0)
@@ -282,7 +282,7 @@ class TestSharedVertexTriples:
         assert sorted(tuple(sorted(t.ids)) for t in bad) == [(0, 1, 2), (1, 5, 6)]
         out = remove_all(rep)
         assert find_bad_triples(out) == []
-        assert rep_edges(out) == rep_edges(rep)
+        assert intersection_graph(out) == intersection_graph(rep)
 
 
 class TestShallowHazards:
@@ -302,7 +302,7 @@ class TestShallowHazards:
         assert len(bad) == 1 and sorted(bad[0].ids) == [0, 1, 2]
         out = remove_all(rep)
         assert find_bad_triples(out) == []
-        assert rep_edges(out) == rep_edges(rep)   # the shallow edge survives
+        assert intersection_graph(out) == intersection_graph(rep)   # the shallow edge survives
 
 
 class TestBoundaryRoles:

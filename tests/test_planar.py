@@ -23,6 +23,29 @@ from tricontact.planar import (
 )
 
 
+def decompose_by_splitting(T):
+    """Reference decomposition: repeatedly split at a separating triangle
+    minimizing |T_in| (ties broken by sorted vertex triple)."""
+    final = []
+    pending = [planar.as_piece(T)]
+    while pending:
+        piece = pending.pop()
+        seps = separating_triangles(piece)
+        if not seps:
+            final.append(piece)
+            continue
+        best = None
+        for t in seps:
+            t_out, t_in = split(piece, t)
+            key = (piece_size(t_in), tuple(sorted(t)))
+            if best is None or key < best[0]:
+                best = (key, t_out, t_in)
+        _, t_out, t_in = best
+        pending.append(t_out)
+        pending.append(t_in)
+    return final
+
+
 def brute_force_separating(T):
     """Independent oracle: all 3-cliques classified by face membership."""
     adj = T.adjacency()
@@ -164,7 +187,7 @@ class TestDecompose:
         # pieces of the repeated min-|T_in| splitter
         T = gen(n, seed)
         fast = planar._decompose_laminar(T)
-        slow = planar._decompose_recursive(T)
+        slow = decompose_by_splitting(T)
         key = lambda ps: sorted((tuple(sorted(p.vertices())), p.outer_set) for p in ps)
         assert key(fast) == key(slow)
 

@@ -6,10 +6,10 @@ import pytest
 
 from tricontact import planar
 from tricontact.geometry import Tri, intersect, ntri, point, signed_height, tri
+from tricontact.core import Representation
 from tricontact.solver import (
     CanvasError,
     NotStackedError,
-    Representation,
     RobustifyError,
     SolveFailure,
     SolverParams,

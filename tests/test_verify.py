@@ -3,8 +3,8 @@ from fractions import Fraction
 from tricontact import planar
 from tricontact.geometry import point, tri
 from tricontact.perturb import remove_all
+from tricontact.core import Representation
 from tricontact.solver import (
-    Representation,
     SolverParams,
     exactify,
     robustify,
