@@ -5,6 +5,9 @@ triangles, checks the boundary-overlap budget and corner condition, checks
 the per-face gap condition, and realizes a planar drawing with an exact
 crossing count.  Everything is decided with rational predicates; floats are
 used only as conservative prefilters whose misses fall back to exact tests.
+The module imports nothing from the constructor (`solver`, `perturb`,
+`assemble`): the face condition is derived here from its definition, with
+the geometry kernel alone.
 """
 
 from __future__ import annotations
@@ -17,15 +20,32 @@ from typing import Sequence
 from tricontact import planar
 from tricontact.core import Representation, intersection_graph
 from tricontact.geometry import (
+    NegTri,
     Point,
     Tri,
     common_signed_height,
     frac_str,
+    gap_candidates,
     intersect,
+    neg_interior_hits,
     segment_intersection_kind,
     signed_height,
 )
-from tricontact.perturb import GapError, face_gap
+
+# (x, y, s, x + h, y + h) of one triangle, each the double nearest the exact value
+FloatRow = tuple[float, float, float, float, float]
+
+_U = 2.0 ** -53     # unit roundoff of IEEE doubles (round to nearest)
+_TINY = 2.0 ** -1000  # exceeds the sum of any few underflow errors (2^-1075 each)
+
+
+def float_table(rep: Representation) -> dict[int, FloatRow]:
+    """Every triangle of `rep` in floats, converted once: `full_report`
+    builds one table and hands it to the checks that screen with floats."""
+    out = {}
+    for v, t in rep.triangles.items():
+        out[v] = (float(t.x), float(t.y), float(t.s), float(t.x + t.h), float(t.y + t.h))
+    return out
 
 
 class DrawingError(RuntimeError):
@@ -90,17 +110,94 @@ def check_boundary(rep: Representation, epsilon: Fraction | None = None
     return (not bad_pairs), bad_pairs, (not bad_corners), bad_corners
 
 
-def check_face_condition(rep: Representation, T: planar.Triangulation
-                         ) -> tuple[bool, list]:
-    """Every inner face must have a valid gap with a positive recursion budget."""
+def _face_fault(rep: Representation, ids: tuple[int, int, int],
+                table: dict[int, FloatRow], pad: float) -> str | None:
+    """Why the face `ids` fails the gap condition, or None if it passes.
+
+    A gap candidate is a negative homothet bounded by one side line of each
+    face triangle (`gap_candidates`); it is valid when its interior meets no
+    other triangle.  The face passes iff exactly one candidate is valid and
+    every triangle outside the face that meets one of the gap's three strips
+    (the positive homothets of the gap's height mirrored across its sides)
+    stays strictly off that side's line, so that a probe of positive height
+    fits against every gap side.
+    """
+    cands = [gap for gap, _roles in gap_candidates([rep.tri(v) for v in ids])]
+    if not cands:
+        return f"no gap candidate for face {list(ids)}"
+    # The candidate gaps and their strips lie in [X - H, X + H] x [Y - H, Y + H]
+    # for their (X, Y, H); a triangle whose bounding box misses the union of
+    # these boxes by more than `pad` meets none of them.
+    fc = [(float(g.x), float(g.y), float(g.h)) for g in cands]
+    qx0 = min(x - h for x, _y, h in fc) - pad
+    qy0 = min(y - h for _x, y, h in fc) - pad
+    qx1 = max(x + h for x, _y, h in fc) + pad
+    qy1 = max(y + h for _x, y, h in fc) + pad
+    near = [(v, row) for v, row in table.items()
+            if row[3] >= qx0 and row[0] <= qx1 and row[4] >= qy0 and row[1] <= qy1
+            and v not in ids]
+
+    def blocked(gap: NegTri, gf: tuple[float, float, float]) -> bool:
+        gx, gy, gh = gf
+        level = gx + gy - gh
+        for v, (x, y, s, _xh, _yh) in near:
+            # interiors meet only if x < X, y < Y and s > X + Y - H
+            if x > gx + pad or y > gy + pad or s < level - pad:
+                continue
+            if neg_interior_hits(gap, rep.tri(v)):
+                return True
+        return False
+
+    valid = [(g, gf) for g, gf in zip(cands, fc) if not blocked(g, gf)]
+    if not valid:
+        return f"no valid gap for face {list(ids)}"
+    if len(valid) > 1:
+        return f"gap for face {list(ids)} is not unique"
+    gap, (gx, gy, gh) = valid[0]
+    X, Y, H = gap.x, gap.y, gap.h
+    level = gx + gy - gh
+    # (strip, its floats (x, y, s), how far a triangle (x, y, s) stays beyond
+    # the gap side: exactly, and in floats)
+    strips = (
+        (Tri(X - H, Y - H, H), (gx - gh, gy - gh, level),
+         lambda x, y, s: gap.hyp_level - s, lambda x, y, s: level - s),
+        (Tri(X, Y - H, H), (gx, gy - gh, gx + gy),
+         lambda x, y, s: x - X, lambda x, y, s: x - gx),
+        (Tri(X - H, Y, H), (gx - gh, gy, gx + gy),
+         lambda x, y, s: y - Y, lambda x, y, s: y - gy),
+    )
+    for strip, (px, py, ps), depth, depth_f in strips:
+        for v, (x, y, s, _xh, _yh) in near:
+            if depth_f(x, y, s) > pad or min(ps, s) - max(px, x) - max(py, y) < -pad:
+                continue  # certainly beyond the side, or certainly off the strip
+            t = rep.tri(v)
+            if signed_height(strip, t) >= 0 and depth(t.x, t.y, t.s) <= 0:
+                return f"triangle {v} touches a gap side of face {list(ids)}"
+    return None
+
+
+def check_face_condition(rep: Representation, T: planar.Triangulation,
+                         table: dict[int, FloatRow] | None = None) -> tuple[bool, list]:
+    """Every inner face must have exactly one valid gap that no other
+    triangle reaches (see `_face_fault`); returns (ok, [(face, reason)]).
+
+    `table` is `float_table(rep)`, built here when not given.  Float screens
+    only skip triangles that certainly miss a gap or strip: `pad` = 2^-40 * M,
+    with M = max(1, largest magnitude in the table), exceeds by far the few dozen
+    u * M that the conversions and the handful of float operations behind
+    each screened quantity can add up to; every other triangle is tested
+    exactly.
+    """
+    if table is None:
+        table = float_table(rep)
+    scale = max((abs(c) for row in table.values() for c in row), default=1.0)
+    pad = 2.0 ** -40 * max(scale, 1.0)
     failures = []
     for f in T.inner_faces:
-        try:
-            _, eps_prime = face_gap(rep, f)
-            if eps_prime <= 0:
-                failures.append((tuple(sorted(f)), "zero budget"))
-        except GapError as e:
-            failures.append((tuple(sorted(f)), str(e)))
+        ids = tuple(sorted(f))
+        why = _face_fault(rep, ids, table, pad)
+        if why is not None:
+            failures.append((ids, why))
     return (not failures), failures
 
 
@@ -125,21 +222,13 @@ class Drawing:
         }
 
 
-def _near_ids(rep: Representation, u: int) -> list[int]:
+def _near_ids(u: int, table: dict[int, FloatRow]) -> list[int]:
     """Triangles whose bounding box meets t(u)'s, padded conservatively."""
-    tu = rep.tri(u)
-    xlo, ylo, xhi, yhi = (float(tu.x), float(tu.y), float(tu.x + tu.h), float(tu.y + tu.h))
+    xlo, ylo, _s, xhi, yhi = table[u]
     pad = 1e-9 * (1.0 + max(abs(xlo), abs(ylo), abs(xhi), abs(yhi)))
-    out = []
-    for v in rep.triangles:
-        if v == u:
-            continue
-        t = rep.tri(v)
-        ax, ay, bx, by = (float(t.x), float(t.y), float(t.x + t.h), float(t.y + t.h))
-        if bx < xlo - pad or ax > xhi + pad or by < ylo - pad or ay > yhi + pad:
-            continue
-        out.append(v)
-    return out
+    return [v for v, (ax, ay, _s, bx, by) in table.items()
+            if v != u and not (bx < xlo - pad or ax > xhi + pad
+                               or by < ylo - pad or ay > yhi + pad)]
 
 
 def _segment_hits_region(ax, ay, bx, by, region) -> bool:
@@ -163,7 +252,8 @@ def _segment_hits_region(ax, ay, bx, by, region) -> bool:
 
 
 def free_point(rep: Representation, u: int,
-               ray_targets: Sequence[tuple[Point, Sequence]] = ()) -> Point:
+               ray_targets: Sequence[tuple[Point, Sequence]] = (),
+               table: dict[int, FloatRow] | None = None) -> Point:
     """A point of t(u) covered by no other triangle, chosen from an interior
     grid; the winner's non-membership in every other triangle is verified
     exactly.
@@ -172,14 +262,21 @@ def free_point(rep: Representation, u: int,
     ranked first by how many straight rays to the targets pass through the
     paired foreign overlap regions (used to keep edge routes out of lenses
     they do not own), then by clearance.  Refines the grid a few times before
-    giving up.
+    giving up.  `table` is `float_table(rep)`, built here when not given.
     """
+    if table is None:
+        table = float_table(rep)
     tu = rep.tri(u)
-    near = [rep.tri(v) for v in _near_ids(rep, u)]
-    nearf = [(float(t.x), float(t.y), float(t.s)) for t in near]
+    ids = _near_ids(u, table)
+    near = [rep.tri(v) for v in ids]
+    nearf = [table[v][:3] for v in ids]
     xf, yf, hf = float(tu.x), float(tu.y), float(tu.h)
-    rays = [((float(g.x), float(g.y)), [(float(r.x), float(r.y), float(r.s))
-                                        for r in regions])
+    regionf: dict[int, tuple[float, float, float]] = {}  # a region recurs in many rays
+    for _g, regions in ray_targets:
+        for r in regions:
+            if id(r) not in regionf:
+                regionf[id(r)] = (float(r.x), float(r.y), float(r.s))
+    rays = [((float(g.x), float(g.y)), [regionf[id(r)] for r in regions])
             for g, regions in ray_targets]
     for denom in (8, 16, 32, 64):
         scored = []
@@ -217,21 +314,84 @@ def _route(pu: Point, c: Point, pv: Point) -> list[Point]:
     return [pu, _midpoint(pu, c), c, _midpoint(c, pv), pv]
 
 
-def _far_apart(a: Point, b: Point, c: Point, d: Point, fl: dict, tau: float) -> bool:
-    """Conservative float screen: True only if the segments certainly miss."""
+def _err(size: float, delta: float) -> float:
+    """Bound on the error of a float cross or dot product of two difference
+    vectors whose float components sum in magnitude to `size`, given each
+    component within `delta` of the exact one (derived in
+    `_meet_only_at_shared_end`)."""
+    return 2.0 * (delta * size + 2.0 * delta * delta + _U * size * size) + _TINY
+
+
+def _far_apart(a: Point, b: Point, c: Point, d: Point, fl: dict, delta: float) -> bool:
+    """Conservative float screen: True only if the segments certainly miss,
+    because both ends of one lie strictly on one side of the other's line
+    (each orientation beyond its error bound `_err`)."""
     ax, ay = fl[id(a)]
     bx, by = fl[id(b)]
     cx, cy = fl[id(c)]
     dx, dy = fl[id(d)]
     abx, aby = bx - ax, by - ay
-    o1 = abx * (cy - ay) - aby * (cx - ax)
-    o2 = abx * (dy - ay) - aby * (dx - ax)
-    if (o1 > tau and o2 > tau) or (o1 < -tau and o2 < -tau):
+    acx, acy, adx, ady = cx - ax, cy - ay, dx - ax, dy - ay
+    o1 = abx * acy - aby * acx
+    o2 = abx * ady - aby * adx
+    ab = abs(abx) + abs(aby)
+    e1 = _err(ab + abs(acx) + abs(acy), delta)
+    e2 = _err(ab + abs(adx) + abs(ady), delta)
+    if (o1 > e1 and o2 > e2) or (o1 < -e1 and o2 < -e2):
         return True
     cdx, cdy = dx - cx, dy - cy
-    o3 = cdx * (ay - cy) - cdy * (ax - cx)
-    o4 = cdx * (by - cy) - cdy * (bx - cx)
-    return (o3 > tau and o4 > tau) or (o3 < -tau and o4 < -tau)
+    cax, cay, cbx, cby = ax - cx, ay - cy, bx - cx, by - cy
+    o3 = cdx * cay - cdy * cax
+    o4 = cdx * cby - cdy * cbx
+    cd = abs(cdx) + abs(cdy)
+    e3 = _err(cd + abs(cax) + abs(cay), delta)
+    e4 = _err(cd + abs(cbx) + abs(cby), delta)
+    return (o3 > e3 and o4 > e4) or (o3 < -e3 and o4 < -e4)
+
+
+def _meet_only_at_shared_end(a: Point, b: Point, c: Point, d: Point,
+                             fl: dict, delta: float) -> bool:
+    """Float screen for segments ab and cd that share an endpoint object o:
+    True only if they certainly meet in o alone.
+
+    With p and q their other ends, the segments meet elsewhere only if p - o
+    and q - o are parallel and point the same way, so the pair is settled
+    when the float cross product of P = p - o and Q = q - o is clearly
+    nonzero or their dot product is clearly negative.
+
+    Error bound.  Let u = 2^-53 and M bound every coordinate (the largest
+    float magnitude over all points of the scan will do, up to a factor
+    1 + 2u).  Converting a coordinate z to a float errs by at most u|z| <= uM
+    (underflow adds at most 2^-1075).  So a component P~ = fl(p~ - o~) of the
+    float difference differs from the exact P by at most 2uM for the two
+    conversions plus u|p~ - o~| <= 2uM(1 + u) for the subtraction: at most
+    `delta` = 5uM (+ a tiny absolute term for underflow).  For one product,
+    |P~x Q~y - Px Qy| <= |P~x| delta + |Qy| delta <= delta (|P~x| + |Q~y|)
+    + delta^2, so with S = |P~x| + |P~y| + |Q~x| + |Q~y| the inputs move the
+    cross or dot product by at most delta S + 2 delta^2; the product of two
+    conversion errors gives the additive term, of order u^2 M^2.  The two
+    product roundings and the final add or subtract cost at most
+    (2u + u^2)(|P~x Q~y| + |P~y Q~x|) <= u S^2.  Doubling the sum,
+    E = 2 (delta S + 2 delta^2 + u S^2) + _TINY also covers the rounding of E
+    itself and every underflow, so |cross~| > E proves the exact cross
+    product nonzero and dot~ < -E proves the exact dot product negative.
+    Legs shorter than a few dozen u M (about 1e-14 at M = 3), or nearly
+    parallel ones, leave |cross~| under E, and the pair goes to the exact
+    test.
+    """
+    if a is c or a is d:
+        o, p = a, b
+    elif b is c or b is d:
+        o, p = b, a
+    else:
+        return False
+    q = d if o is c else c
+    ox, oy = fl[id(o)]
+    px, py = fl[id(p)]
+    qx, qy = fl[id(q)]
+    px, py, qx, qy = px - ox, py - oy, qx - ox, qy - oy
+    err = _err(abs(px) + abs(py) + abs(qx) + abs(qy), delta)
+    return abs(px * qy - py * qx) > err or px * qx + py * qy < -err
 
 
 def _violations(polylines: Sequence[tuple[int, int, list[Point]]]) -> list[tuple[int, int]]:
@@ -240,8 +400,10 @@ def _violations(polylines: Sequence[tuple[int, int, list[Point]]]) -> list[tuple
     Allowed: consecutive segments of one polyline sharing their joint, and
     two routes of edges sharing a vertex meeting exactly at that vertex's
     point.  Everything else (proper crossings, touches, collinear overlaps)
-    is a violation.  A conservative float screen skips pairs that certainly
-    miss; survivors are decided exactly.
+    is a violation.  Conservative float screens skip pairs that certainly
+    miss and settle pairs that certainly meet only at a shared endpoint
+    (`_meet_only_at_shared_end`, not applied to two non-consecutive segments
+    of one polyline); the rest is decided exactly.
     """
     segs = []
     fl: dict[int, tuple[float, float]] = {}
@@ -250,36 +412,40 @@ def _violations(polylines: Sequence[tuple[int, int, list[Point]]]) -> list[tuple
             fl[id(p)] = (float(p.x), float(p.y))
         for k in range(len(path) - 1):
             segs.append((pid, k, path[k], path[k + 1], u, v))
-    order = sorted(range(len(segs)),
-                   key=lambda i: min(float(segs[i][2].x), float(segs[i][3].x)))
-    xhi = [max(float(s[2].x), float(s[3].x)) for s in segs]
-    ylo = [min(float(s[2].y), float(s[3].y)) for s in segs]
-    yhi = [max(float(s[2].y), float(s[3].y)) for s in segs]
+    ends = [(fl[id(s[2])], fl[id(s[3])]) for s in segs]
+    xlo = [min(a[0], b[0]) for a, b in ends]
+    xhi = [max(a[0], b[0]) for a, b in ends]
+    ylo = [min(a[1], b[1]) for a, b in ends]
+    yhi = [max(a[1], b[1]) for a, b in ends]
+    order = sorted(range(len(segs)), key=xlo.__getitem__)
     scale = 1.0 + max((abs(x) for x in xhi), default=1.0)
     pad = 1e-9 * scale
-    tau = 1e-9 * scale * scale
+    delta = 5.0 * _U * max((max(abs(x), abs(y)) for x, y in fl.values()), default=0.0) + _TINY
 
     out: list[tuple[int, int]] = []
     active: list[int] = []
     for idx in order:
         pid, k, a, b, u, v = segs[idx]
-        x_lo_i = min(float(a.x), float(b.x))
-        active = [j for j in active if xhi[j] >= x_lo_i - pad]
+        active = [j for j in active if xhi[j] >= xlo[idx] - pad]
         for j in active:
             qid, l, c, d, u2, v2 = segs[j]
             if ylo[idx] > yhi[j] + pad or ylo[j] > yhi[idx] + pad:
                 continue
-            if _far_apart(a, b, c, d, fl, tau):
+            if ((pid != qid or abs(k - l) == 1)
+                    and _meet_only_at_shared_end(a, b, c, d, fl, delta)):
+                kind = "endpoint"
+            elif _far_apart(a, b, c, d, fl, delta):
                 continue
+            else:
+                kind = segment_intersection_kind(a, b, c, d)
             if pid == qid:
                 if abs(k - l) == 1:
-                    if segment_intersection_kind(a, b, c, d) == "cross":
+                    if kind == "cross":
                         out.append((pid, qid))
                     continue
-                if segment_intersection_kind(a, b, c, d) != "none":
+                if kind != "none":
                     out.append((pid, qid))
                 continue
-            kind = segment_intersection_kind(a, b, c, d)
             if kind == "none":
                 continue
             if kind == "endpoint":
@@ -328,7 +494,8 @@ _PULLS = (Fraction(1, 2), Fraction(3, 4), Fraction(15, 16))
 
 
 def extract_drawing(rep: Representation, T: planar.Triangulation,
-                    max_reroute_rounds: int = 24) -> Drawing:
+                    max_reroute_rounds: int = 24,
+                    table: dict[int, FloatRow] | None = None) -> Drawing:
     """Planar drawing witness: a free point per vertex, and one 4-segment
     polyline per edge through a point of the pairwise intersection.
 
@@ -338,8 +505,11 @@ def extract_drawing(rep: Representation, T: planar.Triangulation,
     which steers the legs around overlap regions near foreign contacts.  Only
     routes involved in a violation are modified.  A drawing is returned only
     after an exact scan of all its segments finds no violation, so it is
-    crossing-free; exhausting the retries raises.
+    crossing-free; exhausting the retries raises.  `table` is
+    `float_table(rep)`, built here when not given.
     """
+    if table is None:
+        table = float_table(rep)
     adj = T.adjacency()
     contacts: dict[tuple[int, int], Point] = {}
     lenses: dict[tuple[int, int], Tri] = {}
@@ -364,7 +534,7 @@ def extract_drawing(rep: Representation, T: planar.Triangulation,
             out.append((contacts[key], foreign))
         return out
 
-    points = {v: free_point(rep, v, ray_targets=targets_for(v))
+    points = {v: free_point(rep, v, ray_targets=targets_for(v), table=table)
               for v in sorted(T.vertices())}
     edge_list = sorted(T.edges)
     base = []
@@ -472,18 +642,20 @@ def full_report(rep: Representation, T: planar.Triangulation,
         corner_ok=corner_ok,
         offending_corners=[list(c) for c in bad_corners],
     )
+    certifiable = report.graph_match and report.simple
+    table = float_table(rep) if certifiable and (with_faces or with_drawing) else None
     if with_faces:
-        if report.graph_match and report.simple:
-            ok, fails = check_face_condition(rep, T)
+        if certifiable:
+            ok, fails = check_face_condition(rep, T, table)
             report.face_condition_ok = ok
             report.offending_faces = [list(f) for f, _ in fails] if fails else []
         else:
             report.face_condition_ok = False
             report.offending_faces = [["skipped: graph or simpleness failed"]]
     if with_drawing:
-        if report.graph_match and report.simple:
+        if certifiable:
             try:
-                report.drawing = extract_drawing(rep, T)
+                report.drawing = extract_drawing(rep, T, table=table)
             except DrawingError as e:
                 report.drawing_planar = False
                 report.drawing_note = str(e)

@@ -26,3 +26,15 @@ def test_representation_not_taken_from_solver():
                 assert "Representation" not in {a.name for a in node.names}, name
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
                 assert (node.value.id, node.attr) != ("solver", "Representation"), name
+
+
+def test_verifier_imports_nothing_from_the_constructor():
+    # certification must not share code, or faults, with what it certifies
+    constructor = {"tricontact.perturb", "tricontact.solver", "tricontact.assemble"}
+    for node in ast.walk(_tree("verify")):
+        if isinstance(node, ast.ImportFrom):
+            assert node.module not in constructor, node.module
+            if node.module == "tricontact":
+                assert not {f"tricontact.{a.name}" for a in node.names} & constructor
+        elif isinstance(node, ast.Import):
+            assert not {a.name for a in node.names} & constructor

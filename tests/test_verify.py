@@ -1,8 +1,11 @@
 from fractions import Fraction
 
-from tricontact import planar
-from tricontact.geometry import point, tri
-from tricontact.perturb import remove_all
+import pytest
+
+from tricontact import planar, verify
+from tricontact.assemble import represent
+from tricontact.geometry import Point, point, tri
+from tricontact.perturb import GapError, face_gap, remove_all
 from tricontact.core import Representation
 from tricontact.solver import (
     SolverParams,
@@ -12,6 +15,7 @@ from tricontact.solver import (
     solve_stacked,
 )
 from tricontact.verify import (
+    _route,
     check_boundary,
     check_face_condition,
     check_simple,
@@ -23,6 +27,35 @@ from tricontact.verify import (
 )
 
 F = Fraction
+
+
+def _newest_face(T):
+    return sorted(sorted(f) for f in T.inner_faces if T.n - 1 in f)[0]
+
+
+def _chain(depth):
+    """gen_stacked(20, 5) with an octahedron in its first inner face, then
+    `depth` rounds of stack_vertex + implant_octahedron into the first face
+    holding the newest vertex."""
+    host = planar.gen_stacked(20, 5)
+    T = planar.implant_octahedron(host, sorted(sorted(f) for f in host.inner_faces)[0])
+    for _ in range(depth):
+        T = planar.stack_vertex(T, _newest_face(T))
+        T = planar.implant_octahedron(T, _newest_face(T))
+    return T
+
+
+def _implanted():
+    T = planar.gen_stacked(30, 1)
+    for k in (0, 7):
+        T = planar.implant_octahedron(T, sorted(sorted(f) for f in T.inner_faces)[k])
+    return T
+
+
+def _depth_zero_rogue(gap):
+    """Outside the gap, in the strip beyond its hypotenuse side, touching that
+    side along a segment (depth 0)."""
+    return tri(gap.x - gap.h * 3 / 4, gap.y - gap.h * 3 / 4, gap.h / 2)
 
 
 def octa_pipeline_rep(octahedron, outer_map):
@@ -115,6 +148,48 @@ class TestCheckFaces:
         assert not ok
         assert (0, 1, 3) in [f for f, _ in [(tuple(f), m) for f, m in fails]]
 
+    def test_gap_side_touch_fails(self, k4, outer_map):
+        rep = solve_stacked(planar.as_piece(k4), outer_map)
+        gap, _ = face_gap(rep, (0, 1, 3))
+        rogue = _depth_zero_rogue(gap)
+        assert rogue.s == gap.hyp_level
+        touched = Representation({**rep.triangles, 99: rogue}, rep.outer, rep.epsilon)
+        ok, fails = check_face_condition(touched, k4)
+        assert not ok
+        assert (0, 1, 3) in [f for f, _ in fails]
+
+    @pytest.mark.parametrize("make", [
+        lambda: planar.gen_stacked(40, 2), _implanted, lambda: _chain(3),
+        lambda: planar.double_wheel(6)], ids=["stacked40", "implanted", "chain3", "dw6"])
+    def test_agrees_with_constructor_face_gap(self, make):
+        # the verifier derives the face condition on its own; it must accept
+        # exactly the faces for which the constructor's face_gap gives a
+        # positive budget, on certified outputs and on copies with a
+        # triangle blocking one gap, touching another gap's side and
+        # keeping clear of a third gap's side
+        T = make()
+        rep = represent(T)
+        faces = sorted(tuple(sorted(f)) for f in T.inner_faces)
+        g0, g1, g2 = (face_gap(rep, f)[0] for f in faces[:3])
+        extra = {
+            -1: tri(g0.x - g0.h / 2, g0.y - g0.h / 2, g0.h / 2),
+            -2: _depth_zero_rogue(g1),
+            -3: tri(g2.x - g2.h * 3 / 4, g2.y - g2.h * 3 / 4, g2.h / 4),
+        }
+        damaged = Representation({**rep.triangles, **extra}, rep.outer, rep.epsilon)
+        for r, expect_fail in ((rep, set()), (damaged, {faces[0], faces[1]})):
+            want = set()
+            for f in faces:
+                try:
+                    if face_gap(r, f)[1] <= 0:
+                        want.add(f)
+                except GapError:
+                    want.add(f)
+            ok, fails = check_face_condition(r, T)
+            assert {f for f, _ in fails} == want
+            assert ok == (not want)
+            assert expect_fail <= want
+
 
 class TestDrawing:
     def test_k4(self, k4, outer_map):
@@ -155,6 +230,49 @@ class TestDrawing:
         # collinear overlap is forbidden
         d = (4, 5, [point(1, 1), point(3, 3)])
         assert count_crossings([a, d]) == 1
+
+    @staticmethod
+    def _mapped(points, offset, scale):
+        """Each named point moved to offset + scale * point, exactly; one new
+        object per name, so shared endpoints stay shared."""
+        ox, oy = offset
+        return {k: Point(ox + scale * p.x, oy + scale * p.y) for k, p in points.items()}
+
+    @pytest.mark.parametrize("offset, scale", [((0, 0), F(1)), ((3, 1), F(1, 2 ** 60))],
+                             ids=["unit", "tiny"])
+    def test_degenerate_meetings_flagged(self, offset, scale):
+        # at the tiny scale every point rounds to the same float, so no float
+        # orientation can decide these pairs
+        P = self._mapped({"o": point(0, 0), "far": point(2, 2), "mid": point(1, 1)},
+                         offset, scale)
+        # two routes leave one Point object, collinear and pointing the same way
+        a = (0, 1, [P["o"], P["far"]])
+        b = (0, 2, [P["o"], P["mid"]])
+        assert a[2][0] is b[2][0]
+        assert count_crossings([a, b]) == 1
+        # consecutive legs of one route fold back on each other at their joint
+        fold = (0, 1, [P["o"], P["far"], P["mid"]])
+        assert count_crossings([fold]) == 1
+
+    @pytest.mark.parametrize("offset, scale", [((0, 0), F(1)), ((3, 1), F(1, 2 ** 60))],
+                             ids=["unit", "tiny"])
+    def test_collinear_route_legs_allowed(self, offset, scale):
+        P = self._mapped({"pu": point(0, 0), "c": point(2, 2), "pv": point(4, 1)}, offset, scale)
+        route = _route(P["pu"], P["c"], P["pv"])
+        assert count_crossings([(0, 1, route)]) == 0
+
+    def test_few_exact_segment_tests(self, monkeypatch):
+        # the float screens settle almost every segment pair of a stacked
+        # drawing, shared endpoints included; only the rest is tested exactly
+        T = planar.gen_stacked(60, 1)
+        rep = represent(T)
+        calls = []
+        exact = verify.segment_intersection_kind
+        monkeypatch.setattr(verify, "segment_intersection_kind",
+                            lambda *args: calls.append(args) or exact(*args))
+        d = extract_drawing(rep, T)
+        assert len(d.polylines) == len(T.edges)
+        assert len(calls) < len(T.edges) // 10
 
     def test_json(self, k4, outer_map):
         rep = solve_stacked(planar.as_piece(k4), outer_map)
