@@ -5,9 +5,10 @@ triangles, checks the boundary-overlap budget and corner condition, checks
 the per-face gap condition, and realizes a planar drawing with an exact
 crossing count.  Everything is decided with rational predicates; floats are
 used only as conservative prefilters whose misses fall back to exact tests.
-The module imports nothing from the constructor (`solver`, `perturb`,
-`assemble`): the face condition is derived here from its definition, with
-the geometry kernel alone.
+The module imports nothing from the constructor modules (`solver`,
+`perturb`, `assemble`); the face check is written here, but the gap
+candidates it tests come from `geometry.gap_candidates`, which the
+constructor uses too.
 """
 
 from __future__ import annotations
@@ -40,12 +41,34 @@ _TINY = 2.0 ** -1000  # exceeds the sum of any few underflow errors (2^-1075 eac
 
 
 def float_table(rep: Representation) -> dict[int, FloatRow]:
-    """Every triangle of `rep` in floats, converted once: `full_report`
-    builds one table and hands it to the checks that screen with floats."""
+    """Every triangle of `rep` in floats; each check that screens with floats
+    builds it once per call."""
     out = {}
     for v, t in rep.triangles.items():
         out[v] = (float(t.x), float(t.y), float(t.s), float(t.x + t.h), float(t.y + t.h))
     return out
+
+
+def _pad(m: float) -> float:
+    """Slack of every linear float screen (bounding boxes, gap and strip
+    tests) over floats whose magnitudes are at most `m`.
+
+    Let u = 2^-53.  Each screened quantity is built from at most six
+    converted values, each within u*m of its exact value when the exact
+    magnitude is at most m (2u*m for a gap height, which is at most 2m), and
+    at most five float additions or subtractions, each rounding by at most
+    u times a result of magnitude at most 3m.  The worst case, the strip test
+    in `_face_fault`, stays within 20u*m of its exact value; the bounding-box
+    comparisons within 3u*m.  So 2^7 u*m covers every screen with room for
+    the second-order terms, and `_TINY` covers underflow.  The quadratic
+    cross and dot products have their own bound, `_err`.
+    """
+    return 2.0 ** 7 * _U * m + _TINY
+
+
+def _table_pad(table: dict[int, FloatRow]) -> float:
+    """`_pad` for screens over the floats of `table`."""
+    return _pad(max((abs(c) for row in table.values() for c in row), default=0.0))
 
 
 class DrawingError(RuntimeError):
@@ -176,22 +199,17 @@ def _face_fault(rep: Representation, ids: tuple[int, int, int],
     return None
 
 
-def check_face_condition(rep: Representation, T: planar.Triangulation,
-                         table: dict[int, FloatRow] | None = None) -> tuple[bool, list]:
+def check_face_condition(rep: Representation, T: planar.Triangulation) -> tuple[bool, list]:
     """Every inner face must have exactly one valid gap that no other
     triangle reaches (see `_face_fault`); returns (ok, [(face, reason)]).
 
-    `table` is `float_table(rep)`, built here when not given.  Float screens
-    only skip triangles that certainly miss a gap or strip: `pad` = 2^-40 * M,
-    with M = max(1, largest magnitude in the table), exceeds by far the few dozen
-    u * M that the conversions and the handful of float operations behind
-    each screened quantity can add up to; every other triangle is tested
-    exactly.
+    Float screens, padded by `_pad`, only skip triangles that certainly miss
+    a gap or strip; every other triangle is tested exactly.  Every gap
+    coordinate (X, Y, X - H, Y - H, X + Y - H) is a side of a face triangle,
+    so the table's largest magnitude bounds them too, and H is at most twice it.
     """
-    if table is None:
-        table = float_table(rep)
-    scale = max((abs(c) for row in table.values() for c in row), default=1.0)
-    pad = 2.0 ** -40 * max(scale, 1.0)
+    table = float_table(rep)
+    pad = _table_pad(table)
     failures = []
     for f in T.inner_faces:
         ids = tuple(sorted(f))
@@ -222,10 +240,9 @@ class Drawing:
         }
 
 
-def _near_ids(u: int, table: dict[int, FloatRow]) -> list[int]:
-    """Triangles whose bounding box meets t(u)'s, padded conservatively."""
+def _near_ids(u: int, table: dict[int, FloatRow], pad: float) -> list[int]:
+    """Triangles whose bounding box meets t(u)'s, padded by `pad`."""
     xlo, ylo, _s, xhi, yhi = table[u]
-    pad = 1e-9 * (1.0 + max(abs(xlo), abs(ylo), abs(xhi), abs(yhi)))
     return [v for v, (ax, ay, _s, bx, by) in table.items()
             if v != u and not (bx < xlo - pad or ax > xhi + pad
                                or by < ylo - pad or ay > yhi + pad)]
@@ -252,8 +269,7 @@ def _segment_hits_region(ax, ay, bx, by, region) -> bool:
 
 
 def free_point(rep: Representation, u: int,
-               ray_targets: Sequence[tuple[Point, Sequence]] = (),
-               table: dict[int, FloatRow] | None = None) -> Point:
+               ray_targets: Sequence[tuple[Point, Sequence]] = ()) -> Point:
     """A point of t(u) covered by no other triangle, chosen from an interior
     grid; the winner's non-membership in every other triangle is verified
     exactly.
@@ -262,21 +278,23 @@ def free_point(rep: Representation, u: int,
     ranked first by how many straight rays to the targets pass through the
     paired foreign overlap regions (used to keep edge routes out of lenses
     they do not own), then by clearance.  Refines the grid a few times before
-    giving up.  `table` is `float_table(rep)`, built here when not given.
+    giving up.
     """
-    if table is None:
-        table = float_table(rep)
+    table = float_table(rep)
+    return _free_point(rep, u, ray_targets, table, _table_pad(table))
+
+
+def _free_point(rep: Representation, u: int, ray_targets: Sequence[tuple[Point, Sequence]],
+                table: dict[int, FloatRow], pad: float) -> Point:
+    """`free_point` with the float table of `rep` and its `_pad` given, so
+    that `extract_drawing` converts the triangles once for all vertices."""
     tu = rep.tri(u)
-    ids = _near_ids(u, table)
+    ids = _near_ids(u, table, pad)
     near = [rep.tri(v) for v in ids]
     nearf = [table[v][:3] for v in ids]
     xf, yf, hf = float(tu.x), float(tu.y), float(tu.h)
-    regionf: dict[int, tuple[float, float, float]] = {}  # a region recurs in many rays
-    for _g, regions in ray_targets:
-        for r in regions:
-            if id(r) not in regionf:
-                regionf[id(r)] = (float(r.x), float(r.y), float(r.s))
-    rays = [((float(g.x), float(g.y)), [regionf[id(r)] for r in regions])
+    rays = [((float(g.x), float(g.y)), [(float(r.x), float(r.y), float(r.s))
+                                        for r in regions])
             for g, regions in ray_targets]
     for denom in (8, 16, 32, 64):
         scored = []
@@ -418,9 +436,9 @@ def _violations(polylines: Sequence[tuple[int, int, list[Point]]]) -> list[tuple
     ylo = [min(a[1], b[1]) for a, b in ends]
     yhi = [max(a[1], b[1]) for a, b in ends]
     order = sorted(range(len(segs)), key=xlo.__getitem__)
-    scale = 1.0 + max((abs(x) for x in xhi), default=1.0)
-    pad = 1e-9 * scale
-    delta = 5.0 * _U * max((max(abs(x), abs(y)) for x, y in fl.values()), default=0.0) + _TINY
+    m = max((max(abs(x), abs(y)) for x, y in fl.values()), default=0.0)
+    pad = _pad(m)
+    delta = 5.0 * _U * m + _TINY
 
     out: list[tuple[int, int]] = []
     active: list[int] = []
@@ -494,8 +512,7 @@ _PULLS = (Fraction(1, 2), Fraction(3, 4), Fraction(15, 16))
 
 
 def extract_drawing(rep: Representation, T: planar.Triangulation,
-                    max_reroute_rounds: int = 24,
-                    table: dict[int, FloatRow] | None = None) -> Drawing:
+                    max_reroute_rounds: int = 24) -> Drawing:
     """Planar drawing witness: a free point per vertex, and one 4-segment
     polyline per edge through a point of the pairwise intersection.
 
@@ -505,11 +522,10 @@ def extract_drawing(rep: Representation, T: planar.Triangulation,
     which steers the legs around overlap regions near foreign contacts.  Only
     routes involved in a violation are modified.  A drawing is returned only
     after an exact scan of all its segments finds no violation, so it is
-    crossing-free; exhausting the retries raises.  `table` is
-    `float_table(rep)`, built here when not given.
+    crossing-free; exhausting the retries raises.
     """
-    if table is None:
-        table = float_table(rep)
+    table = float_table(rep)
+    pad = _table_pad(table)
     adj = T.adjacency()
     contacts: dict[tuple[int, int], Point] = {}
     lenses: dict[tuple[int, int], Tri] = {}
@@ -534,7 +550,7 @@ def extract_drawing(rep: Representation, T: planar.Triangulation,
             out.append((contacts[key], foreign))
         return out
 
-    points = {v: free_point(rep, v, ray_targets=targets_for(v), table=table)
+    points = {v: _free_point(rep, v, targets_for(v), table, pad)
               for v in sorted(T.vertices())}
     edge_list = sorted(T.edges)
     base = []
@@ -642,20 +658,18 @@ def full_report(rep: Representation, T: planar.Triangulation,
         corner_ok=corner_ok,
         offending_corners=[list(c) for c in bad_corners],
     )
-    certifiable = report.graph_match and report.simple
-    table = float_table(rep) if certifiable and (with_faces or with_drawing) else None
     if with_faces:
-        if certifiable:
-            ok, fails = check_face_condition(rep, T, table)
+        if report.graph_match and report.simple:
+            ok, fails = check_face_condition(rep, T)
             report.face_condition_ok = ok
             report.offending_faces = [list(f) for f, _ in fails] if fails else []
         else:
             report.face_condition_ok = False
             report.offending_faces = [["skipped: graph or simpleness failed"]]
     if with_drawing:
-        if certifiable:
+        if report.graph_match and report.simple:
             try:
-                report.drawing = extract_drawing(rep, T, table=table)
+                report.drawing = extract_drawing(rep, T)
             except DrawingError as e:
                 report.drawing_planar = False
                 report.drawing_note = str(e)
