@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import permutations
 from typing import ClassVar, Sequence, Union
 
@@ -59,9 +60,12 @@ class Tri:
         if self.h <= 0:
             raise ValueError(f"triangle height must be positive, got {self.h}")
 
-    @property
+    @cached_property
     def s(self) -> Fraction:
-        """Hypotenuse level x + y + h: the set is {a+b <= s} within the corner cone."""
+        """Hypotenuse level x + y + h: the set is {a+b <= s} within the corner cone.
+
+        Computed once per triangle; the cache sits outside the dataclass
+        fields, so equality and hashing ignore it."""
         return self.x + self.y + self.h
 
     @property

@@ -247,146 +247,142 @@ def _tutte_positions(piece: planar.Triangulation, anchors: dict[int, tuple[float
 
 
 class _Objective:
-    """Piecewise-linear least-squares residual with selector freezing."""
+    """Piecewise-linear least-squares residual with selector freezing.
 
-    def __init__(self, piece, outer_f, inner_ids, pairs, canvas_f, params):
-        self.outer_f = outer_f                  # vertex -> (x, y, h) floats, boundary
-        self.inner_ids = inner_ids
-        self.index = {v: 3 * i for i, v in enumerate(inner_ids)}
-        self.pairs = pairs
-        self.Xc, self.Yc, self.hyp = canvas_f   # canvas: a <= Xc, b <= Yc, a+b >= hyp
+    Every term is evaluated for all pairs, vertices and inner edges at once
+    through index arrays built here, with the float operations of a
+    term-by-term loop in the same order, so the values are reproducible bit
+    for bit.  The coordinate table stacks the inner triangles (row i holds
+    z[3i:3i+3], vertex inner_ids[i]) above the three boundary triangles.
+    """
+
+    def __init__(self, outer_f, inner_ids, pairs, canvas_f, params):
+        m = len(inner_ids)
+        self.m = m
         self.p = params
-        self.inner_edges = [(u, v) for u, v, e in pairs if e
-                            and u in self.index and v in self.index]
+        self.Xc, self.Yc, self.hyp = canvas_f   # canvas: a <= Xc, b <= Yc, a+b >= hyp
+        row = {v: i for i, v in enumerate(inner_ids)}
+        row.update((v, m + j) for j, v in enumerate(outer_f))
+        self.outer = np.array(list(outer_f.values()), dtype=float).reshape(-1, 3)
+        # per table row: its first column in the linear system (the boundary
+        # rows share a spare block past the last one), and what it adds to a
+        # pair row's constant as the pair's a_s, a_x or a_y: for a boundary
+        # row ((0 + x) + y) + h, x and y, for an inner row 0.0
+        self.col = 3 * np.minimum(np.arange(m + 3), m)
+        self.const = np.zeros((m + 3, 3))
+        self.const[m:] = [(sum(t), t[0], t[1]) for t in outer_f.values()]
+        self.pair_ids = [(u, v) for u, v, _ in pairs]
+        self.pu = np.array([row[u] for u, _, _ in pairs], dtype=np.intp)
+        self.pv = np.array([row[v] for _, v, _ in pairs], dtype=np.intp)
+        self.edge = np.array([e for _, _, e in pairs], dtype=bool)
+        inner_edge = self.edge & (self.pu < m) & (self.pv < m)
+        self.eu, self.ev = self.pu[inner_edge], self.pv[inner_edge]
+        # the per-vertex hinge rows (x, y, hyp, h_min), flattened vertex by
+        # vertex: two unit columns (the spare one for none) and the
+        # right-hand side
+        i3 = 3 * np.arange(m, dtype=np.intp)[:, None]
+        self.vcol1 = (i3 + [0, 1, 0, 2]).ravel()
+        self.vcol2 = (i3 + [2, 2, 1, 0]).ravel()
+        self.vcol2[3::4] = 3 * m
+        # right-hand sides of the inner-edge corner hinges (x, y, hyp), and
+        # of all hinge rows in order
+        mg = params.margin
+        self.erhs = np.array([self.Xc - mg, self.Yc - mg, self.hyp + mg])
+        self.hinge_rhs = np.concatenate(([self.Xc, self.Yc, self.hyp, params.h_min] * m,
+                                         np.tile(self.erhs, len(self.eu))))
 
-    def vals(self, z, v):
-        if v in self.index:
-            i = self.index[v]
-            return z[i], z[i + 1], z[i + 2]
-        return self.outer_f[v]
+    def _coords(self, z):
+        T = np.concatenate((z.reshape(-1, 3), self.outer))
+        X, Y, H = T[:, 0], T[:, 1], T[:, 2]
+        return X, Y, H, (X + Y) + H
 
-    def signed(self, z, u, v):
-        xu, yu, hu = self.vals(z, u)
-        xv, yv, hv = self.vals(z, v)
-        return min(xu + yu + hu, xv + yv + hv) - max(xu, xv) - max(yu, yv)
+    def _signed(self, X, Y, S):
+        """Signed height of every pair."""
+        pu, pv = self.pu, self.pv
+        return (np.minimum(S[pu], S[pv]) - np.maximum(X[pu], X[pv])) - np.maximum(Y[pu], Y[pv])
+
+    def _vertex_hinges(self, X, Y, H):
+        """(m, 4) residuals of each inner vertex's x, y, hyp and h_min hinges."""
+        m = self.m
+        x, y, h = X[:m], Y[:m], H[:m]
+        g = np.empty((m, 4))
+        g[:, 0] = (x + h) - self.Xc
+        g[:, 1] = (y + h) - self.Yc
+        g[:, 2] = (self.hyp - x) - y
+        g[:, 3] = self.p.h_min - h
+        return g
+
+    def _edge_hinges(self, X, Y):
+        """(k, 3) residuals of each inner edge's corner hinges."""
+        ca = np.maximum(X[self.eu], X[self.ev])
+        cb = np.maximum(Y[self.eu], Y[self.ev])
+        g = np.empty((len(ca), 3))
+        g[:, 0] = ca - self.erhs[0]
+        g[:, 1] = cb - self.erhs[1]
+        g[:, 2] = (self.erhs[2] - ca) - cb
+        return g
 
     def value(self, z) -> float:
-        E = 0.0
-        for u, v, edge in self.pairs:
-            s = self.signed(z, u, v)
-            if edge:
-                E += s * s
-            else:
-                r = s + self.p.margin
-                if r > 0:
-                    E += r * r
-        for v in self.inner_ids:
-            x, y, h = self.vals(z, v)
-            for g in (x + h - self.Xc, y + h - self.Yc, self.hyp - x - y):
-                if g > 0:
-                    E += g * g
-            r = self.p.h_min - h
-            if r > 0:
-                E += r * r
-        for u, v in self.inner_edges:
-            xu, yu, _ = self.vals(z, u)
-            xv, yv, _ = self.vals(z, v)
-            ca, cb = max(xu, xv), max(yu, yv)
-            for g in (ca - (self.Xc - self.p.margin),
-                      cb - (self.Yc - self.p.margin),
-                      (self.hyp + self.p.margin) - ca - cb):
-                if g > 0:
-                    E += g * g
-        return E
+        X, Y, H, S = self._coords(z)
+        s = self._signed(X, Y, S)
+        r = np.where(self.edge, s, s + self.p.margin)
+        g = np.concatenate((self._vertex_hinges(X, Y, H).ravel(), self._edge_hinges(X, Y).ravel()))
+        terms = np.concatenate(([0.0], np.where(self.edge | (r > 0), r * r, 0.0),
+                                np.where(g > 0, g * g, 0.0)))
+        # summed one term after the other; an inactive term is 0.0 and changes nothing
+        return np.add.accumulate(terms)[-1]
 
-    def _pair_row(self, z, u, v):
-        """Linear row for the frozen signed height of pair (u, v): coef, const."""
-        xu, yu, hu = self.vals(z, u)
-        xv, yv, hv = self.vals(z, v)
-        coef = {}
-        const = 0.0
-        a_s = u if xu + yu + hu <= xv + yv + hv else v
-        a_x = u if xu >= xv else v
-        a_y = u if yu >= yv else v
-        if a_s in self.index:
-            i = self.index[a_s]
-            coef[i] = coef.get(i, 0.0) + 1.0
-            coef[i + 1] = coef.get(i + 1, 0.0) + 1.0
-            coef[i + 2] = coef.get(i + 2, 0.0) + 1.0
-        else:
-            const += sum(self.vals(z, a_s))
-        if a_x in self.index:
-            i = self.index[a_x]
-            coef[i] = coef.get(i, 0.0) - 1.0
-        else:
-            const -= self.vals(z, a_x)[0]
-        if a_y in self.index:
-            i = self.index[a_y] + 1
-            coef[i] = coef.get(i, 0.0) - 1.0
-        else:
-            const -= self.vals(z, a_y)[1]
-        return coef, const
+    def system(self, z):
+        """The active linear system (M, b) at z: a row per adjacent pair and
+        per non-adjacent pair inside its margin, then the active hinge rows
+        of each inner vertex, then those of each inner edge."""
+        m = self.m
+        X, Y, H, S = self._coords(z)
+        keep = self.edge | (self._signed(X, Y, S) + self.p.margin > 0)
+        ku, kv = self.pu[keep], self.pv[keep]
+        a_s = np.where(S[ku] <= S[kv], ku, kv)
+        a_x = np.where(X[ku] >= X[kv], ku, kv)
+        a_y = np.where(Y[ku] >= Y[kv], ku, kv)
+        const = (self.const[a_s, 0] - self.const[a_x, 1]) - self.const[a_y, 2]
+        b_pair = np.where(self.edge[keep], -const, -self.p.margin - const)
 
-    def rows(self, z):
-        """Active linear system rows (coef dict, rhs) at the current point."""
-        rows = []
-        for u, v, edge in self.pairs:
-            coef, const = self._pair_row(z, u, v)
-            if edge:
-                rows.append((coef, -const))
-            else:
-                s = self.signed(z, u, v)
-                if s + self.p.margin > 0:
-                    rows.append((coef, -self.p.margin - const))
-        for v in self.inner_ids:
-            x, y, h = self.vals(z, v)
-            i = self.index[v]
-            if x + h - self.Xc > 0:
-                rows.append(({i: 1.0, i + 2: 1.0}, self.Xc))
-            if y + h - self.Yc > 0:
-                rows.append(({i + 1: 1.0, i + 2: 1.0}, self.Yc))
-            if self.hyp - x - y > 0:
-                rows.append(({i: 1.0, i + 1: 1.0}, self.hyp))
-            if self.p.h_min - h > 0:
-                rows.append(({i + 2: 1.0}, self.p.h_min))
-        for u, v in self.inner_edges:
-            xu, yu, _ = self.vals(z, u)
-            xv, yv, _ = self.vals(z, v)
-            ax = u if xu >= xv else v
-            ay = u if yu >= yv else v
-            ca, cb = max(xu, xv), max(yu, yv)
-            ix, iy = self.index[ax], self.index[ay] + 1
-            if ca - (self.Xc - self.p.margin) > 0:
-                rows.append(({ix: 1.0}, self.Xc - self.p.margin))
-            if cb - (self.Yc - self.p.margin) > 0:
-                rows.append(({iy: 1.0}, self.Yc - self.p.margin))
-            if (self.hyp + self.p.margin) - ca - cb > 0:
-                rows.append(({ix: 1.0, iy: 1.0} if ix != iy else {ix: 2.0},
-                             self.hyp + self.p.margin))
-        return rows
+        eu, ev = self.eu, self.ev
+        ix = self.col[np.where(X[eu] >= X[ev], eu, ev)]
+        iy = self.col[np.where(Y[eu] >= Y[ev], eu, ev)] + 1
+        spare = np.full_like(ix, 3 * m)
+        active = np.concatenate((self._vertex_hinges(X, Y, H).ravel() > 0,
+                                 self._edge_hinges(X, Y).ravel() > 0))
+        col1 = np.concatenate((self.vcol1, np.stack([ix, iy, ix], axis=1).ravel()))[active]
+        col2 = np.concatenate((self.vcol2, np.stack([spare, spare, iy], axis=1).ravel()))[active]
+
+        # boundary coefficients and absent second columns land in a spare
+        # block past the last column, which is cut off
+        M = np.zeros((len(ku) + len(col1), 3 * m + 3))
+        rows = np.arange(len(ku))
+        c = self.col[a_s]
+        M[rows, c] = M[rows, c + 1] = M[rows, c + 2] = 1.0
+        M[rows, self.col[a_x]] -= 1.0
+        M[rows, self.col[a_y] + 1] -= 1.0
+        hrows = np.arange(len(ku), len(M))
+        M[hrows, col1] = 1.0
+        M[hrows, col2] = 1.0
+        return np.ascontiguousarray(M[:, :3 * m]), np.concatenate((b_pair, self.hinge_rhs[active]))
 
     def check_success(self, z):
         """(ok, max |edge residual|, worst pair)."""
-        worst = 0.0
-        worst_pair = (-1, -1)
-        ok = True
-        for u, v, edge in self.pairs:
-            s = self.signed(z, u, v)
-            if edge:
-                if abs(s) > worst:
-                    worst, worst_pair = abs(s), (u, v)
-                if abs(s) > 0.5 * self.p.delta:
-                    ok = False
-            else:
-                if s > -(self.p.margin + self.p.delta):
-                    ok = False
-        for v in self.inner_ids:
-            x, y, h = self.vals(z, v)
-            if (x + h - self.Xc > 0.5 * self.p.delta
-                    or y + h - self.Yc > 0.5 * self.p.delta
-                    or self.hyp - x - y > 0.5 * self.p.delta
-                    or h < self.p.h_min - self.p.delta):
-                ok = False
+        p = self.p
+        X, Y, H, S = self._coords(z)
+        s = self._signed(X, Y, S)
+        res = np.abs(s[self.edge])
+        worst, worst_pair = 0.0, (-1, -1)
+        if res.size and res.max() > 0:
+            k = int(np.argmax(res))
+            worst = res[k]
+            worst_pair = self.pair_ids[int(np.flatnonzero(self.edge)[k])]
+        ok = not (np.any(res > 0.5 * p.delta)
+                  or np.any(s[~self.edge] > -(p.margin + p.delta))
+                  or np.any(self._vertex_hinges(X, Y, H)[:, :3] > 0.5 * p.delta)
+                  or np.any(H[:self.m] < p.h_min - p.delta))
         return ok, worst, worst_pair
 
 
@@ -427,7 +423,7 @@ def solve_contacts(piece: planar.Triangulation, outer_tris: Mapping[int, Tri],
     pairs = _pairs(piece)
     outer_f = {v: (float(t.x), float(t.y), float(t.h)) for v, t in outer_tris.items()}
     canvas_f = (float(canvas.x), float(canvas.y), float(canvas.hyp_level))
-    obj = _Objective(piece, outer_f, inner_ids, pairs, canvas_f, params)
+    obj = _Objective(outer_f, inner_ids, pairs, canvas_f, params)
 
     anchors = _anchor_points(canvas, roles)
     base_pos = _tutte_positions(piece, anchors)
@@ -439,34 +435,27 @@ def solve_contacts(piece: planar.Triangulation, outer_tris: Mapping[int, Tri],
         rng = random.Random((params.seed << 8) ^ attempt)
         h0 = Hf / (2 * n_all)
         z = np.zeros(3 * len(inner_ids))
-        for v in inner_ids:
+        for k, v in enumerate(inner_ids):
             px, py = base_pos[v]
             if attempt > 0:
                 px += rng.uniform(-Hf / 20, Hf / 20)
                 py += rng.uniform(-Hf / 20, Hf / 20)
             hv = h0 * (1.0 if attempt == 0 else rng.uniform(0.6, 1.6))
-            i = obj.index[v]
+            i = 3 * k
             z[i] = px - hv / 3
             z[i + 1] = py - hv / 3
             z[i + 2] = hv
 
         E = obj.value(z)
         trace = [E]
-        converged = False
+        ok = False
         iters = 0
         for it in range(params.max_iters):
             iters = it + 1
             ok, worst, worst_pair = obj.check_success(z)
             if ok:
-                converged = True
                 break
-            rows = obj.rows(z)
-            M = np.zeros((len(rows), len(z)))
-            b = np.zeros(len(rows))
-            for r, (coef, rhs) in enumerate(rows):
-                for i, c in coef.items():
-                    M[r, i] = c
-                b[r] = rhs
+            M, b = obj.system(z)
             z_ls = np.linalg.lstsq(M, b, rcond=None)[0]
             d = z_ls - z
             stepped = False
@@ -486,7 +475,7 @@ def solve_contacts(piece: planar.Triangulation, outer_tris: Mapping[int, Tri],
                 gn = float(np.dot(g, g))
                 if gn == 0.0:
                     break
-                beta = E / gn if gn > 0 else 0.0
+                beta = E / gn
                 while beta >= 1e-18:
                     cand = z - beta * g
                     Ec = obj.value(cand)
@@ -498,10 +487,11 @@ def solve_contacts(piece: planar.Triangulation, outer_tris: Mapping[int, Tri],
                     beta *= 0.5
             if not stepped:
                 break
-        ok, worst, worst_pair = obj.check_success(z)
+        if not ok:
+            ok, worst, worst_pair = obj.check_success(z)
         if ok:
-            inner = {v: (float(z[obj.index[v]]), float(z[obj.index[v] + 1]),
-                         float(z[obj.index[v] + 2])) for v in inner_ids}
+            inner = {v: (float(z[3 * k]), float(z[3 * k + 1]), float(z[3 * k + 2]))
+                     for k, v in enumerate(inner_ids)}
             return SolveResult(piece=piece, outer_tris=dict(outer_tris), inner=inner,
                                canvas=canvas, params=params, converged=True,
                                iterations=iters, restarts_used=attempt,
@@ -565,10 +555,10 @@ def robustify(rep: Representation, piece: planar.Triangulation,
     separated; all postconditions are re-verified exactly."""
     delta = frac(params.delta)
     margin = frac(params.margin)
-    outer = set(rep.outer)
+    pairs = _pairs(piece)
 
     # preconditions from the solver contract
-    for u, v, edge in _pairs(piece):
+    for u, v, edge in pairs:
         s = signed_height(rep.tri(u), rep.tri(v))
         if edge and abs(s) > delta:
             raise RobustifyError(f"adjacency residual for ({u},{v}) exceeds delta: {float(s):.3e}")
@@ -581,7 +571,7 @@ def robustify(rep: Representation, piece: planar.Triangulation,
         tris[v] = inflate(tris[v], iota)
     out = Representation(tris, rep.outer, epsilon)
 
-    for u, v, edge in _pairs(piece):
+    for u, v, edge in pairs:
         s = signed_height(out.tri(u), out.tri(v))
         if edge and s <= 0:
             raise RobustifyError(f"inflation failed to open overlap for edge ({u},{v})")

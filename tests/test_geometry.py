@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -221,6 +222,29 @@ class TestNegTri:
             ntri(0, 0, 0)
         with pytest.raises(ValueError):
             tri(0, 0, 0)
+
+
+class TestTriS:
+    def test_value(self):
+        rng = random.Random(5)
+        for _ in range(50):
+            t = rand_tri(rng, span=4)
+            assert t.s == t.x + t.y + t.h
+            assert t.s == t.x + t.y + t.h  # second read from the cache
+
+    def test_cache_ignored_by_eq_and_hash(self):
+        a, b = tri(F(1, 3), F(2, 5), F(3, 7)), tri(F(1, 3), F(2, 5), F(3, 7))
+        assert a.s == F(1, 3) + F(2, 5) + F(3, 7)
+        assert "s" in vars(a) and "s" not in vars(b)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_replace_recomputes(self):
+        t = tri(0, 0, 2)
+        assert t.s == 2
+        u = dataclasses.replace(t, h=F(5))
+        assert "s" not in vars(u)
+        assert u.s == 5 and t.s == 2
 
 
 class TestGapCandidates:

@@ -2,9 +2,10 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from tricontact import planar
+from tricontact import planar, solver
 from tricontact.geometry import Tri, intersect, ntri, point, signed_height, tri
 from tricontact.core import Representation
 from tricontact.solver import (
@@ -24,6 +25,161 @@ from tricontact.solver import (
 )
 
 F = Fraction
+
+
+class ReferenceObjective:
+    """Reference objective: the solver's terms evaluated one pair, vertex and
+    inner edge at a time, in plain Python floats.  The vectorised
+    `solver._Objective` must agree with it bit for bit."""
+
+    def __init__(self, outer_f, inner_ids, pairs, canvas_f, params):
+        self.outer_f = outer_f                  # vertex -> (x, y, h) floats, boundary
+        self.inner_ids = inner_ids
+        self.index = {v: 3 * i for i, v in enumerate(inner_ids)}
+        self.pairs = pairs
+        self.Xc, self.Yc, self.hyp = canvas_f   # canvas: a <= Xc, b <= Yc, a+b >= hyp
+        self.p = params
+        self.inner_edges = [(u, v) for u, v, e in pairs if e
+                            and u in self.index and v in self.index]
+
+    def vals(self, z, v):
+        if v in self.index:
+            i = self.index[v]
+            return z[i], z[i + 1], z[i + 2]
+        return self.outer_f[v]
+
+    def signed(self, z, u, v):
+        xu, yu, hu = self.vals(z, u)
+        xv, yv, hv = self.vals(z, v)
+        return min(xu + yu + hu, xv + yv + hv) - max(xu, xv) - max(yu, yv)
+
+    def value(self, z) -> float:
+        E = 0.0
+        for u, v, edge in self.pairs:
+            s = self.signed(z, u, v)
+            if edge:
+                E += s * s
+            else:
+                r = s + self.p.margin
+                if r > 0:
+                    E += r * r
+        for v in self.inner_ids:
+            x, y, h = self.vals(z, v)
+            for g in (x + h - self.Xc, y + h - self.Yc, self.hyp - x - y):
+                if g > 0:
+                    E += g * g
+            r = self.p.h_min - h
+            if r > 0:
+                E += r * r
+        for u, v in self.inner_edges:
+            xu, yu, _ = self.vals(z, u)
+            xv, yv, _ = self.vals(z, v)
+            ca, cb = max(xu, xv), max(yu, yv)
+            for g in (ca - (self.Xc - self.p.margin),
+                      cb - (self.Yc - self.p.margin),
+                      (self.hyp + self.p.margin) - ca - cb):
+                if g > 0:
+                    E += g * g
+        return E
+
+    def _pair_row(self, z, u, v):
+        """Linear row for the frozen signed height of pair (u, v): coef, const."""
+        xu, yu, hu = self.vals(z, u)
+        xv, yv, hv = self.vals(z, v)
+        coef = {}
+        const = 0.0
+        a_s = u if xu + yu + hu <= xv + yv + hv else v
+        a_x = u if xu >= xv else v
+        a_y = u if yu >= yv else v
+        if a_s in self.index:
+            i = self.index[a_s]
+            coef[i] = coef.get(i, 0.0) + 1.0
+            coef[i + 1] = coef.get(i + 1, 0.0) + 1.0
+            coef[i + 2] = coef.get(i + 2, 0.0) + 1.0
+        else:
+            const += sum(self.vals(z, a_s))
+        if a_x in self.index:
+            i = self.index[a_x]
+            coef[i] = coef.get(i, 0.0) - 1.0
+        else:
+            const -= self.vals(z, a_x)[0]
+        if a_y in self.index:
+            i = self.index[a_y] + 1
+            coef[i] = coef.get(i, 0.0) - 1.0
+        else:
+            const -= self.vals(z, a_y)[1]
+        return coef, const
+
+    def rows(self, z):
+        """Active linear system rows (coef dict, rhs) at the current point."""
+        rows = []
+        for u, v, edge in self.pairs:
+            coef, const = self._pair_row(z, u, v)
+            if edge:
+                rows.append((coef, -const))
+            else:
+                s = self.signed(z, u, v)
+                if s + self.p.margin > 0:
+                    rows.append((coef, -self.p.margin - const))
+        for v in self.inner_ids:
+            x, y, h = self.vals(z, v)
+            i = self.index[v]
+            if x + h - self.Xc > 0:
+                rows.append(({i: 1.0, i + 2: 1.0}, self.Xc))
+            if y + h - self.Yc > 0:
+                rows.append(({i + 1: 1.0, i + 2: 1.0}, self.Yc))
+            if self.hyp - x - y > 0:
+                rows.append(({i: 1.0, i + 1: 1.0}, self.hyp))
+            if self.p.h_min - h > 0:
+                rows.append(({i + 2: 1.0}, self.p.h_min))
+        for u, v in self.inner_edges:
+            xu, yu, _ = self.vals(z, u)
+            xv, yv, _ = self.vals(z, v)
+            ax = u if xu >= xv else v
+            ay = u if yu >= yv else v
+            ca, cb = max(xu, xv), max(yu, yv)
+            ix, iy = self.index[ax], self.index[ay] + 1
+            if ca - (self.Xc - self.p.margin) > 0:
+                rows.append(({ix: 1.0}, self.Xc - self.p.margin))
+            if cb - (self.Yc - self.p.margin) > 0:
+                rows.append(({iy: 1.0}, self.Yc - self.p.margin))
+            if (self.hyp + self.p.margin) - ca - cb > 0:
+                rows.append(({ix: 1.0, iy: 1.0}, self.hyp + self.p.margin))
+        return rows
+
+    def system(self, z):
+        rows = self.rows(z)
+        M = np.zeros((len(rows), len(z)))
+        b = np.zeros(len(rows))
+        for r, (coef, rhs) in enumerate(rows):
+            for i, c in coef.items():
+                M[r, i] = c
+            b[r] = rhs
+        return M, b
+
+    def check_success(self, z):
+        """(ok, max |edge residual|, worst pair)."""
+        worst = 0.0
+        worst_pair = (-1, -1)
+        ok = True
+        for u, v, edge in self.pairs:
+            s = self.signed(z, u, v)
+            if edge:
+                if abs(s) > worst:
+                    worst, worst_pair = abs(s), (u, v)
+                if abs(s) > 0.5 * self.p.delta:
+                    ok = False
+            else:
+                if s > -(self.p.margin + self.p.delta):
+                    ok = False
+        for v in self.inner_ids:
+            x, y, h = self.vals(z, v)
+            if (x + h - self.Xc > 0.5 * self.p.delta
+                    or y + h - self.Yc > 0.5 * self.p.delta
+                    or self.hyp - x - y > 0.5 * self.p.delta
+                    or h < self.p.h_min - self.p.delta):
+                ok = False
+        return ok, worst, worst_pair
 
 
 class TestParams:
@@ -187,6 +343,89 @@ class TestSolveContacts:
         rep = remove_all(robustify(exactify(res), planar.as_piece(T), params, F(1)))
         assert full_report(rep, T).passed
         assert min(t.h for t in rep.triangles.values()) < F(1e-3)
+
+
+def _objective_setup(T, outer_map, params):
+    """The objective's arguments for T as `solve_contacts` builds them, and
+    its first (Tutte) start point."""
+    piece = planar.as_piece(T)
+    om = {v: outer_map[i] for i, v in enumerate(piece.outer)}
+    canvas, role_idx = canvas_with_roles([om[v] for v in piece.outer])
+    roles = {r: piece.outer[i] for r, i in role_idx.items()}
+    inner_ids = sorted(set(piece.vertices()) - set(piece.outer))
+    args = ({v: (float(t.x), float(t.y), float(t.h)) for v, t in om.items()}, inner_ids,
+            solver._pairs(piece), (float(canvas.x), float(canvas.y), float(canvas.hyp_level)),
+            params)
+    pos = solver._tutte_positions(piece, solver._anchor_points(canvas, roles))
+    h0 = float(canvas.h) / (2 * T.n)
+    z0 = np.array([c for v in inner_ids for c in (pos[v][0] - h0 / 3, pos[v][1] - h0 / 3, h0)])
+    return args, z0, float(canvas.h)
+
+
+def _same_float(a, b) -> bool:
+    return type(a) is type(b) and float(a).hex() == float(b).hex()
+
+
+class TestObjectiveOracle:
+    """The vectorised objective against the term-by-term reference."""
+
+    @staticmethod
+    def _points(z0, H):
+        """The Tutte start, seeded random points around it at four spreads,
+        and a point where all inner triangles coincide (ties everywhere)."""
+        rng = np.random.default_rng(20261018)
+        points = [z0, np.tile(z0[:3], len(z0) // 3)]
+        for spread in (H / 200, H / 20, H / 4, 2 * H):
+            points += [z0 + rng.normal(scale=spread, size=z0.shape) for _ in range(25)]
+        return points
+
+    @pytest.mark.parametrize("T", [planar.double_wheel(8), planar.gen_four_connected(14, 0)],
+                             ids=["dw8", "g4_14_0"])
+    @pytest.mark.parametrize("scale, offset", [(F(1), (0, 0)), (F(5, 7), (F(1, 3), F(-2, 9)))],
+                             ids=["unit", "skewed"])
+    def test_bit_identical_to_reference(self, T, scale, offset, outer_map):
+        # the skewed boundary has coordinates that are not dyadic, so
+        # reassociated float expressions round differently
+        om = {v: tri(t.x * scale + offset[0], t.y * scale + offset[1], t.h * scale)
+              for v, t in outer_map.items()}
+        args, z0, H = _objective_setup(T, om, SolverParams().scaled(float(scale)))
+        new, ref = solver._Objective(*args), ReferenceObjective(*args)
+        for z in self._points(z0, H):
+            assert _same_float(new.value(z), ref.value(z))
+            (M, b), (M_ref, b_ref) = new.system(z), ref.system(z)
+            assert M.shape == M_ref.shape and M.tobytes() == M_ref.tobytes()
+            assert b.shape == b_ref.shape and b.tobytes() == b_ref.tobytes()
+            ok, worst, pair = new.check_success(z)
+            ok_ref, worst_ref, pair_ref = ref.check_success(z)
+            assert (ok, pair) == (ok_ref, pair_ref)
+            assert _same_float(worst, worst_ref)
+
+    def test_points_reach_every_hinge_row(self, outer_map):
+        T = planar.double_wheel(8)
+        params = SolverParams()
+        args, z0, H = _objective_setup(T, outer_map, params)
+        ref = ReferenceObjective(*args)
+        Xc, Yc, hyp = args[3]
+        mg = params.margin
+        hinge_rhs = {Xc, Yc, hyp, params.h_min, Xc - mg, Yc - mg, hyp + mg}
+        seen = set()
+        for z in self._points(z0, H):
+            seen |= {rhs for _, rhs in ref.rows(z)} & hinge_rhs
+        assert seen == hinge_rhs
+
+    def test_solver_run_matches_reference(self, outer_map, monkeypatch):
+        T = planar.gen_four_connected(14, 0)
+        piece = planar.as_piece(T)
+        om = {v: outer_map[i] for i, v in enumerate(piece.outer)}
+        params = SolverParams(restarts=1)
+        new = solve_contacts(piece, om, params)
+        monkeypatch.setattr(solver, "_Objective", ReferenceObjective)
+        ref = solve_contacts(piece, om, params)
+        assert new.inner == ref.inner
+        assert (new.iterations, new.restarts_used) == (ref.iterations, ref.restarts_used)
+        assert new.restarts_used == 1  # the run covers a restart
+        assert [float(e).hex() for e in new.objective_trace] == \
+            [float(e).hex() for e in ref.objective_trace]
 
 
 class TestExactify:
