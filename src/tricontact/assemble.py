@@ -89,10 +89,16 @@ def represent(T: planar.Triangulation, config: PipelineConfig | None = None,
     if config is None:
         config = PipelineConfig()
     tree = planar.decompose(T)
+    children: dict[int, list[tuple[int, tuple[int, int, int]]]] = {}
+    for parent_idx, child_idx, label in tree.links:
+        children.setdefault(parent_idx, []).append((child_idx, label))
     triangles: dict[int, Tri] = {}
+    # pieces still to place, each with its parent's representation and budget;
+    # popped in preorder, so solves and trace entries keep the tree's order
+    pending: list[tuple[Representation, Fraction, int, tuple[int, int, int]]] = []
 
-    def process(piece_idx: int, outer_map: dict[int, Tri], epsilon: Fraction,
-                canvas_roles) -> None:
+    def place(piece_idx: int, outer_map: dict[int, Tri], epsilon: Fraction,
+              canvas_roles) -> None:
         piece = tree.pieces[piece_idx]
         entry = {"piece": piece_idx, "n": planar.piece_size(piece),
                  "epsilon": epsilon, "canvas": canvas_roles[0]}
@@ -103,21 +109,8 @@ def represent(T: planar.Triangulation, config: PipelineConfig | None = None,
             if v in triangles:
                 raise PipelineError(f"vertex {v} placed twice")
             triangles[v] = rep.tri(v)
-        for child_idx, label in tree.children(piece_idx):
-            gap, roles_by_vertex, eps_prime = perturb.face_gap_with_roles(rep, label)
-            if eps_prime <= 0:
-                raise PipelineError(f"face {label} has no recursion budget")
-            eps_child = min(epsilon, eps_prime)
-            child_outer = {v: rep.tri(v) for v in label}
-            process(child_idx, child_outer, eps_child, (gap, roles_by_vertex))
-            child_piece = tree.pieces[child_idx]
-            allowed = gap.expand(eps_child)
-            for v in child_piece.vertices():
-                if v in label:
-                    continue
-                if not inside_neg(triangles[v], allowed):
-                    raise PipelineError(
-                        f"triangle of vertex {v} escapes the face gap of {label}")
+        pending.extend((rep, epsilon, c, label)
+                       for c, label in reversed(children.get(piece_idx, [])))
 
     root = tree.pieces[0]
     outer_map = {v: t for v, t in zip(root.outer, config.outer)}
@@ -125,7 +118,22 @@ def represent(T: planar.Triangulation, config: PipelineConfig | None = None,
     roles_by_vertex = {r: root.outer[i] for r, i in role_idx.items()}
     for v, t in outer_map.items():
         triangles[v] = t
-    process(0, outer_map, config.epsilon, (canvas, roles_by_vertex))
+    place(0, outer_map, config.epsilon, (canvas, roles_by_vertex))
+    while pending:
+        rep, epsilon, child_idx, label = pending.pop()
+        gap, roles_by_vertex, eps_prime = perturb.face_gap_with_roles(rep, label)
+        if eps_prime <= 0:
+            raise PipelineError(f"face {label} has no recursion budget")
+        eps_child = min(epsilon, eps_prime)
+        place(child_idx, {v: rep.tri(v) for v in label}, eps_child, (gap, roles_by_vertex))
+        # only the child's own solve placed its inner vertices
+        allowed = gap.expand(eps_child)
+        for v in tree.pieces[child_idx].vertices():
+            if v in label:
+                continue
+            if not inside_neg(triangles[v], allowed):
+                raise PipelineError(
+                    f"triangle of vertex {v} escapes the face gap of {label}")
 
     missing = set(T.vertices()) - set(triangles)
     if missing:

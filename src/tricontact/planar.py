@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from functools import cmp_to_key
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
@@ -171,15 +172,6 @@ def separating_triangles(T: Triangulation) -> list[tuple[int, int, int]]:
     return [t for t in triangles_of(T.adjacency()) if frozenset(t) not in face_sets]
 
 
-def _face_edge_map(T: Triangulation) -> dict[Edge, list[frozenset[int]]]:
-    m: dict[Edge, list[frozenset[int]]] = {}
-    for f in T.faces:
-        a, b, c = sorted(f)
-        for e in ((a, b), (a, c), (b, c)):
-            m.setdefault(e, []).append(f)
-    return m
-
-
 @dataclass(frozen=True)
 class _RelabeledPiece(Triangulation):
     """A triangulation piece keeping the parent's vertex labels.
@@ -218,42 +210,6 @@ def _make_piece(faces: set[frozenset[int]], outer3: tuple[int, int, int]) -> _Re
     )
 
 
-def split(T: Triangulation, tri: Sequence[int]) -> tuple[Triangulation, Triangulation]:
-    """Split at a separating triangle: (T_out, T_in).
-
-    T_in has outer face tri; tri is an inner face of T_out; the vertex sets
-    overlap exactly in tri.  Faces are partitioned by flooding from the outer
-    face without crossing the three cycle edges.
-    """
-    tset = frozenset(int(v) for v in tri)
-    if len(tset) != 3:
-        raise GraphError(f"not a vertex triple: {tri!r}")
-    if tset in set(T.faces) or not all(T.has_edge(u, v) for u, v in combinations(tset, 2)):
-        raise GraphError(f"{tuple(sorted(tset))} is not a separating triangle")
-
-    walls = {_edge(u, v) for u, v in combinations(sorted(tset), 2)}
-    edge_faces = _face_edge_map(T)
-    out_faces = {T.outer_set}
-    stack = [T.outer_set]
-    while stack:
-        f = stack.pop()
-        a, b, c = sorted(f)
-        for e in ((a, b), (a, c), (b, c)):
-            if e in walls:
-                continue
-            for g in edge_faces[e]:
-                if g not in out_faces:
-                    out_faces.add(g)
-                    stack.append(g)
-    in_faces = {f for f in T.faces if f not in out_faces}
-    if not in_faces:
-        raise GraphError(f"{tuple(sorted(tset))} is not a separating triangle")
-
-    piece_out = _make_piece(out_faces | {tset}, T.outer)
-    piece_in = _make_piece(in_faces | {tset}, tuple(sorted(tset)))
-    return piece_out, piece_in
-
-
 @dataclass(frozen=True)
 class SeparationTree:
     """Decomposition into pieces without separating triangles.
@@ -265,124 +221,135 @@ class SeparationTree:
     pieces: tuple[_RelabeledPiece, ...]
     links: tuple[tuple[int, int, tuple[int, int, int]], ...]
 
-    def children(self, i: int) -> list[tuple[int, tuple[int, int, int]]]:
-        return [(c, t) for p, c, t in self.links if p == i]
-
 
 def _decompose_laminar(T: Triangulation) -> list[_RelabeledPiece]:
-    """One-pass decomposition via the nesting forest of separating triangles.
+    """Pieces of T, the root piece first, then one per separating triangle
+    in `separating_triangles` order, read off one traversal of the dual graph.
 
-    Computes each separating triangle's inside-face-set once (as a bitmask
-    over faces) and reads the pieces off the nesting forest.  The family is
-    always laminar: an edge cannot join the inside of a 3-cycle of a plane
-    triangulation to its outside, so two 3-cycles are nested or disjoint.
+    The family of separating triangles is laminar: an edge cannot join the
+    inside of a 3-cycle of a plane triangulation to its outside, so two
+    3-cycles are nested or disjoint.  A DFS tree of the dual graph, rooted at
+    the outer face, decides in O(1) whether a face lies inside a 3-cycle t:
+    the tree path from the root crosses t once per edge of t that is a tree
+    edge above the face (Jordan curve theorem), so the face is inside iff
+    that count is odd.  Walking the faces in preorder then gives each face
+    its innermost separating triangle: across the tree edge e, the triangles
+    through e that hold the parent face are exactly the innermost entries of
+    its nesting chain (pop them), and those that hold the child face are
+    pushed outermost first.  A triangle's nesting parent is the chain entry
+    below it.  After the triangle listing, time is O(F + S log S) for F faces
+    and S separating triangles.
     """
     piece0 = as_piece(T)
     seps = separating_triangles(piece0)
     if not seps:
         return [piece0]
-    face_idx = {f: i for i, f in enumerate(T.faces)}
-    edge_faces = _face_edge_map(T)
-    all_mask = (1 << len(T.faces)) - 1
+    faces = T.faces
+    face_edges: list[tuple[Edge, Edge, Edge]] = []
+    edge_faces: dict[Edge, list[int]] = {}
+    face_at: dict[int, int] = {}
+    for i, f in enumerate(faces):
+        a, b, c = sorted(f)
+        face_edges.append(((a, b), (a, c), (b, c)))
+        for e in face_edges[i]:
+            edge_faces.setdefault(e, []).append(i)
+        for v in f:
+            face_at[v] = i
 
-    inside: dict[tuple[int, int, int], int] = {}
+    # DFS tree of the dual graph: visit order is the preorder; below[e] is the
+    # face a tree edge crossing primal edge e leads to
+    pre = [-1] * len(faces)
+    order: list[int] = []
+    tree_parent: dict[int, int] = {}
+    via: dict[int, Edge] = {}
+    stack: list[tuple[int, int, Edge | None]] = [(faces.index(T.outer_set), -1, None)]
+    while stack:
+        f, p, e = stack.pop()
+        if pre[f] >= 0:
+            continue
+        pre[f] = len(order)
+        order.append(f)
+        if e is not None:
+            tree_parent[f], via[f] = p, e
+        for e2 in face_edges[f]:
+            for g in edge_faces[e2]:
+                if pre[g] < 0:
+                    stack.append((g, f, e2))
+    size = [1] * len(faces)
+    for f in reversed(order[1:]):
+        size[tree_parent[f]] += size[f]
+    below = {e: f for f, e in via.items()}
+
+    def inside(g: int, t: tuple[int, int, int]) -> bool:
+        a, b, c = t
+        crossings = 0
+        for e in ((a, b), (a, c), (b, c)):
+            h = below.get(e)
+            if h is not None and pre[h] <= pre[g] < pre[h] + size[h]:
+                crossings += 1
+        return crossings % 2 == 1
+
+    def nesting(s: tuple[int, int, int], t: tuple[int, int, int]) -> int:
+        # s and t share an edge; s is outer iff t's third vertex is inside s
+        (v,) = set(t) - set(s)
+        return -1 if inside(face_at[v], s) else 1
+
+    through: dict[Edge, list[tuple[int, int, int]]] = {}
     for t in seps:
-        walls = {_edge(u, v) for u, v in combinations(sorted(t), 2)}
-        seen = 1 << face_idx[T.outer_set]
-        stack = [T.outer_set]
-        while stack:
-            f = stack.pop()
-            a, b, c = sorted(f)
-            for e in ((a, b), (a, c), (b, c)):
-                if e in walls:
-                    continue
-                for g in edge_faces[e]:
-                    bit = 1 << face_idx[g]
-                    if not seen & bit:
-                        seen |= bit
-                        stack.append(g)
-        inside[t] = all_mask & ~seen
+        a, b, c = t
+        for e in ((a, b), (a, c), (b, c)):
+            through.setdefault(e, []).append(t)
 
-    by_size = sorted(seps, key=lambda t: (bin(inside[t]).count("1"), t))
-    parent: dict[tuple[int, int, int], tuple[int, int, int] | None] = {}
-    for i, t in enumerate(by_size):
-        parent[t] = None
-        for t2 in by_size[i + 1:]:
-            if inside[t] & inside[t2] == inside[t]:
-                parent[t] = t2
-                break
+    innermost: list[tuple[int, int, int] | None] = [None] * len(faces)
+    nest_parent: dict[tuple[int, int, int], tuple[int, int, int] | None] = {}
+    for g in order[1:]:
+        crossing = through.get(via[g], ())
+        t = innermost[tree_parent[g]]
+        entering = [s for s in crossing if inside(g, s)]
+        for _ in range(len(crossing) - len(entering)):
+            t = nest_parent[t]
+        for s in sorted(entering, key=cmp_to_key(nesting)):
+            nest_parent[s] = t
+            t = s
+        innermost[g] = t
 
-    children: dict[tuple[int, int, int] | None, list] = {}
+    members: dict[tuple[int, int, int] | None, set[frozenset[int]]] = {}
+    for f, t in zip(faces, innermost):
+        members.setdefault(t, set()).add(f)
     for t in seps:
-        children.setdefault(parent[t], []).append(t)
-
-    faces_by_bit = list(T.faces)
-
-    def faces_of(mask: int, extra: list[frozenset[int]]) -> set[frozenset[int]]:
-        out = {faces_by_bit[i] for i in range(len(faces_by_bit)) if mask >> i & 1}
-        out.update(extra)
-        return out
-
-    pieces: list[_RelabeledPiece] = []
-    root_mask = all_mask
-    for t in children.get(None, []):
-        root_mask &= ~inside[t]
-    pieces.append(_make_piece(
-        faces_of(root_mask, [frozenset(t) for t in children.get(None, [])]), T.outer))
-    for t in seps:
-        mask = inside[t]
-        for c in children.get(t, []):
-            mask &= ~inside[c]
-        pieces.append(_make_piece(
-            faces_of(mask, [frozenset(t)] + [frozenset(c) for c in children.get(t, [])]),
-            tuple(sorted(t))))
-    return pieces
+        members.setdefault(nest_parent[t], set()).add(frozenset(t))
+        members.setdefault(t, set()).add(frozenset(t))
+    return [_make_piece(members[None], T.outer)] + [_make_piece(members[t], t) for t in seps]
 
 
 def decompose(T: Triangulation) -> SeparationTree:
     """Decompose into pieces without separating triangles.
 
     The piece set is canonical (independent of split order); the tree links
-    each piece to the piece holding its outer triangle as an inner face,
-    children ordered by sorted vertex triple.
+    each piece to the piece holding its outer triangle as an inner face.
+    Pieces are numbered in preorder, children ordered by sorted vertex triple.
     """
-    final = _decompose_laminar(T)
-
-    root = next(p for p in final if p.outer_set == frozenset(T.outer) and
-                frozenset(T.outer) in set(p.faces))
-    by_label: dict[frozenset[int], _RelabeledPiece] = {}
-    for p in final:
-        if p is not root:
-            by_label[p.outer_set] = p
+    root, *rest = _decompose_laminar(T)
+    by_label = {p.outer_set: p for p in rest}
 
     pieces: list[_RelabeledPiece] = []
     links: list[tuple[int, int, tuple[int, int, int]]] = []
-
-    def add(piece: _RelabeledPiece, parent: int | None, label) -> None:
+    stack: list[tuple[_RelabeledPiece, int | None, tuple[int, int, int] | None]] = [
+        (root, None, None)]
+    while stack:
+        piece, parent, label = stack.pop()
         idx = len(pieces)
         pieces.append(piece)
         if parent is not None:
             links.append((parent, idx, label))
         child_labels = sorted(
             (f for f in piece.faces if f != piece.outer_set and f in by_label),
-            key=sorted,
+            key=sorted, reverse=True,
         )
-        for lab in child_labels:
-            add(by_label.pop(lab), idx, tuple(sorted(lab)))
-
-    add(root, None, None)
+        stack.extend((by_label.pop(lab), idx, tuple(sorted(lab))) for lab in child_labels)
     if by_label:
         raise GraphError("decomposition produced unlinked pieces")  # pragma: no cover
     return SeparationTree(pieces=tuple(pieces), links=tuple(links))
-
-
-def glued_edges(tree: SeparationTree) -> frozenset[Edge]:
-    """Union of all piece edge sets (labels are preserved, so this must
-    reproduce the input edge set exactly)."""
-    out: set[Edge] = set()
-    for p in tree.pieces:
-        out |= p.edges
-    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------

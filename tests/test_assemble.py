@@ -87,6 +87,26 @@ class TestRepresent:
         eps_of = {e["piece"]: e["epsilon"] for e in trace}
         for parent, child, _ in tree.links:
             assert 0 < eps_of[child] <= eps_of[parent]
+        # pieces are numbered in preorder, and the trace keeps that order
+        assert [e["piece"] for e in trace] == list(range(len(tree.pieces)))
+
+    def test_stacking_chain_deeper_than_recursion_limit(self):
+        # each new vertex goes into the first inner face holding the previous
+        # one, so the separation tree is one path of n - 3 pieces
+        n = 1100
+        edges = set(itertools.combinations(range(4), 2))
+        newest = [(0, 1, 3), (0, 2, 3), (1, 2, 3)]
+        for v in range(4, n):
+            a, b, c = min(newest)
+            edges |= {(a, v), (b, v), (c, v)}
+            newest = [(a, b, v), (a, c, v), (b, c, v)]
+        T = planar.validate(n, sorted(edges), (0, 1, 2))
+        tree = planar.decompose(T)
+        assert tree.links == tuple((i, i + 1, (0, 1, i + 3)) for i in range(n - 4))
+        trace = []
+        rep = represent(T, trace=trace)
+        assert sorted(rep.triangles) == list(range(n))
+        assert [e["piece"] for e in trace] == list(range(n - 3))
 
     def test_deterministic(self, octahedron):
         cfg = PipelineConfig(solver=SolverParams(seed=11))

@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 
 import pytest
 
@@ -12,12 +13,10 @@ from tricontact.planar import (
     gen_four_connected,
     gen_stacked,
     gen_triangulation,
-    glued_edges,
     implant_octahedron,
     octahedron,
     piece_size,
     separating_triangles,
-    split,
     stack_vertex,
     validate,
 )
@@ -44,6 +43,128 @@ def decompose_by_splitting(T):
         pending.append(t_out)
         pending.append(t_in)
     return final
+
+
+def split(T, tri):
+    """Split at a separating triangle: (T_out, T_in).
+
+    T_in has outer face tri; tri is an inner face of T_out; the vertex sets
+    overlap exactly in tri.  Faces are partitioned by flooding from the outer
+    face without crossing the three cycle edges.
+    """
+    tset = frozenset(int(v) for v in tri)
+    if len(tset) != 3:
+        raise GraphError(f"not a vertex triple: {tri!r}")
+    if tset in set(T.faces) or not all(T.has_edge(u, v) for u, v in itertools.combinations(tset, 2)):
+        raise GraphError(f"{tuple(sorted(tset))} is not a separating triangle")
+    out_faces = _flood_outside(T, tset)
+    in_faces = {f for f in T.faces if f not in out_faces}
+    if not in_faces:
+        raise GraphError(f"{tuple(sorted(tset))} is not a separating triangle")
+    piece_out = planar._make_piece(out_faces | {tset}, T.outer)
+    piece_in = planar._make_piece(in_faces | {tset}, tuple(sorted(tset)))
+    return piece_out, piece_in
+
+
+def _flood_outside(T, tri):
+    """Faces reached from the outer face without crossing an edge of tri."""
+    walls = {tuple(sorted(e)) for e in itertools.combinations(tri, 2)}
+    edge_faces = {}
+    for f in T.faces:
+        for e in itertools.combinations(sorted(f), 2):
+            edge_faces.setdefault(e, []).append(f)
+    seen = {T.outer_set}
+    stack = [T.outer_set]
+    while stack:
+        f = stack.pop()
+        for e in itertools.combinations(sorted(f), 2):
+            if e in walls:
+                continue
+            for g in edge_faces[e]:
+                if g not in seen:
+                    seen.add(g)
+                    stack.append(g)
+    return seen
+
+
+def glued_edges(tree):
+    """Union of all piece edge sets (labels are preserved, so this must
+    reproduce the input edge set exactly)."""
+    out = set()
+    for p in tree.pieces:
+        out |= p.edges
+    return frozenset(out)
+
+
+def decompose_by_flooding(T):
+    """Reference separation tree: flood the outside of every separating
+    triangle, take as its nesting parent the smallest triangle whose inside
+    contains its inside, and link the pieces by a recursive preorder walk
+    with children ordered by sorted vertex triple."""
+    piece0 = planar.as_piece(T)
+    seps = separating_triangles(piece0)
+    if not seps:
+        return planar.SeparationTree(pieces=(piece0,), links=())
+    all_faces = frozenset(T.faces)
+    inside = {t: all_faces - _flood_outside(T, t) for t in seps}
+    by_size = sorted(seps, key=lambda t: (len(inside[t]), t))
+    parent = {}
+    for i, t in enumerate(by_size):
+        parent[t] = next((t2 for t2 in by_size[i + 1:] if inside[t] <= inside[t2]), None)
+    children = {}
+    for t in seps:
+        children.setdefault(parent[t], []).append(t)
+    final = []
+    for t in [None] + seps:
+        faces = set(inside[t] if t is not None else all_faces)
+        for c in children.get(t, []):
+            faces -= inside[c]
+            faces.add(frozenset(c))
+        if t is not None:
+            faces.add(frozenset(t))
+        final.append(planar._make_piece(faces, T.outer if t is None else t))
+
+    root = final[0]
+    by_label = {p.outer_set: p for p in final[1:]}
+    pieces, links = [], []
+
+    def add(piece, parent_idx, label):
+        idx = len(pieces)
+        pieces.append(piece)
+        if parent_idx is not None:
+            links.append((parent_idx, idx, label))
+        child_labels = sorted(
+            (f for f in piece.faces if f != piece.outer_set and f in by_label), key=sorted)
+        for lab in child_labels:
+            add(by_label.pop(lab), idx, tuple(sorted(lab)))
+
+    add(root, None, None)
+    assert not by_label
+    return planar.SeparationTree(pieces=tuple(pieces), links=tuple(links))
+
+
+def nested_chain(n, seed, depth):
+    """gen_stacked(n, seed) with an octahedron in its first inner face, then
+    `depth` rounds of stack_vertex + implant_octahedron, each into the first
+    face that holds the newest vertex."""
+    def newest_face(G):
+        return sorted(sorted(f) for f in G.inner_faces if G.n - 1 in f)[0]
+
+    host = gen_stacked(n, seed)
+    T = implant_octahedron(host, sorted(sorted(f) for f in host.inner_faces)[0])
+    for _ in range(depth):
+        T = stack_vertex(T, newest_face(T))
+        T = implant_octahedron(T, newest_face(T))
+    return T
+
+
+def implanted(n, seed, implants):
+    """gen_stacked(n, seed) with octahedra implanted in seeded inner faces."""
+    T = gen_stacked(n, seed)
+    faces = random.Random(seed).sample(sorted(sorted(f) for f in T.inner_faces), implants)
+    for f in faces:
+        T = implant_octahedron(T, f)
+    return T
 
 
 def brute_force_separating(T):
@@ -190,6 +311,38 @@ class TestDecompose:
         slow = decompose_by_splitting(T)
         key = lambda ps: sorted((tuple(sorted(p.vertices())), p.outer_set) for p in ps)
         assert key(fast) == key(slow)
+
+
+class TestDecomposeOracle:
+    """decompose must equal the flood-based reference: the same pieces and
+    links in the same order."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_generated(self, seed):
+        for T in (gen_stacked(40 + seed, seed), gen_triangulation(18, seed),
+                  gen_triangulation(40, seed), implanted(30, seed, 4)):
+            assert decompose(T) == decompose_by_flooding(T)
+
+    @pytest.mark.parametrize("seed", (5, 6, 7))
+    def test_nested_chains(self, seed):
+        for depth in (2, 4, 6):
+            T = nested_chain(20, seed, depth)
+            assert decompose(T) == decompose_by_flooding(T)
+
+    def test_benchmark_hosts(self):
+        for T in (gen_stacked(300, 1), implanted(100, 3, 20)):
+            assert decompose(T) == decompose_by_flooding(T)
+
+    def test_nested_triangles_sharing_edges(self):
+        # (0,1,5) > (0,3,5) > (0,3,4): each shares an edge with its parent,
+        # so one dual tree edge enters two of them at once
+        T = gen_triangulation(7, 5)
+        tree = decompose(T)
+        assert tree == decompose_by_flooding(T)
+        assert tree.links == ((0, 1, (0, 1, 5)), (1, 2, (0, 3, 5)), (2, 3, (0, 3, 4)))
+
+    def test_four_connected(self, octahedron):
+        assert decompose(octahedron) == decompose_by_flooding(octahedron)
 
 
 class TestGenerators:
