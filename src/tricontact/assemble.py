@@ -1,9 +1,11 @@
 """End-to-end construction: decompose, solve each piece inside its gap,
 thread boundary triangles and overlap budgets through the separation tree.
 
-Each piece is solved with its three boundary triangles fixed: exactly when it
-is stacked, numerically (then exactified, inflated, and cleared of triple
-overlaps) otherwise.  For every child separating triangle the parent piece
+Each piece is solved with its three boundary triangles fixed.  A stacked
+piece is a K4 (pieces have no separating triangle), and its inner vertex
+gets the medial child of the gap, exactly; every larger piece goes to the
+numeric solver and is exactified and inflated.  Every piece is then cleared
+of triple overlaps.  For every child separating triangle the parent piece
 supplies the face gap and the safe recursion budget; the child budget is the
 minimum of the parent budget and that gap budget, so budgets only shrink on
 the way down.
@@ -18,7 +20,6 @@ from tricontact import perturb, planar
 from tricontact.core import Representation
 from tricontact.geometry import Tri, frac, inside_neg
 from tricontact.solver import (
-    NotStackedError,
     SolverParams,
     canvas_with_roles,
     exactify,
@@ -62,11 +63,11 @@ class PipelineConfig:
 def _solve_piece(piece: planar.Triangulation, outer_map: dict[int, Tri],
                  canvas_roles, epsilon: Fraction, params: SolverParams,
                  trace_entry: dict) -> Representation:
-    try:
-        rep = solve_stacked(piece, outer_map, epsilon=epsilon, canvas_roles=canvas_roles)
+    canvas = canvas_roles[0]
+    if planar.piece_size(piece) == 4:
+        rep = solve_stacked(piece, outer_map, epsilon, canvas)
         trace_entry["path"] = "stacked"
-    except NotStackedError:
-        canvas = canvas_roles[0]
+    else:
         lam = float(canvas.h) / REFERENCE_CANVAS_HEIGHT
         piece_params = params.scaled(lam)
         result = solve_contacts(piece, outer_map, piece_params, canvas_roles=canvas_roles)

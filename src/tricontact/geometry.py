@@ -146,10 +146,6 @@ class NegTri:
         return f"NegTri({self.x}, {self.y}, {self.h})"
 
 
-def ntri(x: RationalLike, y: RationalLike, h: RationalLike) -> NegTri:
-    return NegTri(frac(x), frac(y), frac(h))
-
-
 # ---------------------------------------------------------------------------
 # Intersections
 # ---------------------------------------------------------------------------
@@ -251,13 +247,6 @@ def push_horizontal(t: Tri, eps: Fraction) -> Tri:
     return Tri(t.x, t.y - eps, t.h + eps)
 
 
-def push_hypotenuse(t: Tri, eps: Fraction) -> Tri:
-    """Move only the hypotenuse outward by eps; right corner stays."""
-    if eps <= 0:
-        raise ValueError("push requires eps > 0")
-    return Tri(t.x, t.y, t.h + eps)
-
-
 def translate(t: Tri, dx: Fraction, dy: Fraction) -> Tri:
     """Rigid shift of the right corner."""
     return Tri(t.x + dx, t.y + dy, t.h)
@@ -298,9 +287,6 @@ def neg_interior_hits(n: NegTri, t: Tri) -> bool:
 # ---------------------------------------------------------------------------
 # Gap triangles between three mutually intersecting homothets
 # ---------------------------------------------------------------------------
-
-GAP_ROLES = ("hyp", "vertical", "horizontal")
-
 
 def gap_candidates(ts: Sequence[Tri]) -> list[tuple[NegTri, dict[str, int]]]:
     """All ways to bound a negative homothet by one side line of each of three

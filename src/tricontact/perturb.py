@@ -274,8 +274,10 @@ def _corner_entry(corner: Point, t: Tri, kind: str) -> Fraction | None:
 
 
 def safe_epsilon(rep: Representation, move: Move,
-                 exclude_triple: frozenset[int] | None = None) -> Fraction:
-    """Half the earliest forbidden-event time for the move.
+                 exclude_triple: frozenset[int] | None = None) -> tuple[Fraction, Fraction]:
+    """(step budget, clearance) for the move: the clearance is the earliest
+    forbidden-event time, capped by the moved heights, and the budget is
+    half of it.
 
     Events: a currently-disjoint pair reaching contact, a currently-intersecting
     pair separating, a currently-empty triple of mutually intersecting
@@ -283,14 +285,6 @@ def safe_epsilon(rep: Representation, move: Move,
     budget, and a boundary corner entering a moved triangle.  Raises
     ZeroClearance when an event already sits at zero.
     """
-    return _safe_epsilon_full(rep, move, exclude_triple)[0]
-
-
-def _safe_epsilon_full(rep: Representation, move: Move,
-                       exclude_triple: frozenset[int] | None = None
-                       ) -> tuple[Fraction, Fraction]:
-    """(step budget, clearance): the budget is half the clearance, which is
-    the earliest forbidden-event time (capped by the moved heights)."""
     outer = set(rep.outer)
     for i in move:
         if i in outer:
@@ -505,7 +499,7 @@ def remove_all(rep: Representation, max_step_retries: int = 20,
         for _attempt in range(max_step_retries):
             try:
                 work = rep
-                e1, c1 = _safe_epsilon_full(work, {sel.u: PUSH_VERTICAL}, exclude_triple=sel.ids)
+                e1, c1 = safe_epsilon(work, {sel.u: PUSH_VERTICAL}, exclude_triple=sel.ids)
                 e1 *= shrink
                 work = step1_widen(work, sel, e1)
                 sig1 = max(common_signed_height([work.tri(i) for i in sorted(sel.ids)]),
@@ -514,11 +508,11 @@ def remove_all(rep: Representation, max_step_retries: int = 20,
                 e2 = c2 = None
                 if zs:
                     move2 = {z: PUSH_HORIZONTAL for z in zs}
-                    e2, c2 = _safe_epsilon_full(work, move2, exclude_triple=sel.ids)
+                    e2, c2 = safe_epsilon(work, move2, exclude_triple=sel.ids)
                     e2 *= shrink
                     work = step2_clear(work, sel, e2)
                 move3 = {sel.u: TRANSLATE_DOWN, sel.v: PUSH_VERTICAL}
-                e3, c3 = _safe_epsilon_full(work, move3, exclude_triple=sel.ids)
+                e3, c3 = safe_epsilon(work, move3, exclude_triple=sel.ids)
                 e3 *= shrink
                 sig = common_signed_height([work.tri(i) for i in sorted(sel.ids)])
                 if e3 <= sig:
@@ -550,16 +544,11 @@ def remove_all(rep: Representation, max_step_retries: int = 20,
 # Face gaps and the recursion budget
 # ---------------------------------------------------------------------------
 
-def face_gap(rep: Representation, face: Iterable[int]) -> tuple[NegTri, Fraction]:
-    """The negative triangle nestled between the three triangles of an inner
-    face, with the safe probe budget for recursing into it."""
-    gap, _, eps_prime = face_gap_with_roles(rep, face)
-    return gap, eps_prime
-
-
 def face_gap_with_roles(rep: Representation, face: Iterable[int]
                         ) -> tuple[NegTri, dict[str, int], Fraction]:
-    """face_gap plus the role map (which face vertex supplies which gap side).
+    """The negative triangle nestled between the three triangles of an inner
+    face, the role map (which face vertex supplies which gap side), and the
+    safe probe budget for recursing into the gap.
 
     The budget is half the smallest exact clearance from any gap side to a
     non-face triangle (capped by the gap height): a probe homothet of that

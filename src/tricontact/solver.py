@@ -37,10 +37,6 @@ class CanvasError(ValueError):
     """The three boundary triangles do not bound a usable gap."""
 
 
-class NotStackedError(ValueError):
-    """No degree-3 elimination order exists for the piece."""
-
-
 class SolveFailure(RuntimeError):
     """Numeric solver did not converge; carries best-effort diagnostics."""
 
@@ -88,12 +84,6 @@ def check_outer_hypothesis(ts: Sequence[Tri]) -> None:
         raise CanvasError("boundary triangles must not have a common point")
 
 
-def canvas_of(ts: Sequence[Tri]) -> NegTri:
-    """The negative triangle bounded by one side line of each boundary triangle
-    whose interior is disjoint from all three."""
-    return canvas_with_roles(ts)[0]
-
-
 def canvas_with_roles(ts: Sequence[Tri]) -> tuple[NegTri, dict[str, int]]:
     check_outer_hypothesis(ts)
     cands = gap_candidates(ts)
@@ -108,81 +98,33 @@ def canvas_with_roles(ts: Sequence[Tri]) -> tuple[NegTri, dict[str, int]]:
 # Exact path for stacked pieces
 # ---------------------------------------------------------------------------
 
-def _peel_order(piece: planar.Triangulation) -> list[tuple[int, frozenset[int]]]:
-    """Degree-3 elimination order of the inner vertices (smallest id first at
-    each step), with each vertex's neighbor triple at removal time."""
-    adj = {v: set(nbrs) for v, nbrs in piece.adjacency().items()}
-    inner = set(piece.vertices()) - set(piece.outer)
-    order = []
-    while inner:
-        pick = None
-        for v in sorted(inner):
-            if len(adj[v]) == 3:
-                pick = v
-                break
-        if pick is None:
-            raise NotStackedError("piece has no degree-3 inner vertex; not stacked")
-        nbrs = frozenset(adj[pick])
-        order.append((pick, nbrs))
-        for u in adj[pick]:
-            adj[u].discard(pick)
-        del adj[pick]
-        inner.remove(pick)
-    return order
-
-
 def _medial_child(gap: NegTri) -> Tri:
     """The inscribed homothet tangent to all three gap sides."""
     half = gap.h / 2
     return Tri(gap.x - half, gap.y - half, half)
 
 
-def _subgaps(gap: NegTri, roles: dict[str, int], v: int) -> list[tuple[frozenset[int], NegTri, dict[str, int]]]:
-    """The three gaps left after placing the medial child of `gap` for vertex v."""
-    half = gap.h / 2
-    vh, vv, vz = roles["hyp"], roles["vertical"], roles["horizontal"]
-    return [
-        (frozenset((v, vv, vz)), NegTri(gap.x, gap.y, half),
-         {"hyp": v, "vertical": vv, "horizontal": vz}),
-        (frozenset((vh, vv, v)), NegTri(gap.x, gap.y - half, half),
-         {"hyp": vh, "vertical": vv, "horizontal": v}),
-        (frozenset((vh, v, vz)), NegTri(gap.x - half, gap.y, half),
-         {"hyp": vh, "vertical": v, "horizontal": vz}),
-    ]
-
-
 def solve_stacked(piece: planar.Triangulation, outer_tris: Mapping[int, Tri],
-                  epsilon: Fraction = Fraction(1),
-                  canvas_roles: tuple[NegTri, dict[str, int]] | None = None) -> Representation:
+                  epsilon: Fraction = Fraction(1), canvas: NegTri | None = None) -> Representation:
     """Exact contact representation of a stacked piece.
 
-    Each stacked vertex receives the medial inscribed homothet of its face
-    gap; every adjacent pair ends with signed height exactly 0 and every
-    non-adjacent pair strictly below 0, all in rational arithmetic.
+    A piece has no separating triangle, so a stacked piece is a K4: in a
+    stacked triangulation with five or more vertices, the three neighbours
+    of an inner degree-3 vertex form a separating triangle.  Its one inner
+    vertex receives the medial inscribed homothet of the canvas; every
+    adjacent pair ends with signed height exactly 0, in rational arithmetic.
+    Raises ValueError on any other piece.
     """
     outer_ids = tuple(piece.outer)
     if set(outer_tris) != set(outer_ids):
         raise ValueError("outer triangle keys must match the piece's outer vertices")
-    order = _peel_order(piece)
-
-    ts = [outer_tris[v] for v in outer_ids]
-    if canvas_roles is None:
-        canvas, role_idx = canvas_with_roles(ts)
-        roles = {r: outer_ids[i] for r, i in role_idx.items()}
-    else:
-        canvas, roles = canvas_roles
-
-    gaps: dict[frozenset[int], tuple[NegTri, dict[str, int]]] = {
-        frozenset(outer_ids): (canvas, roles)
-    }
+    inner = [v for v in piece.vertices() if v not in outer_tris]
+    if len(inner) != 1:
+        raise ValueError(f"a stacked piece is a K4; this one has {len(inner)} inner vertices")
+    if canvas is None:
+        canvas = canvas_with_roles([outer_tris[v] for v in outer_ids])[0]
     triangles: dict[int, Tri] = dict(outer_tris)
-    for v, face in reversed(order):
-        if face not in gaps:
-            raise NotStackedError(f"vertex {v} was stacked into {sorted(face)}, which is not a gap face")
-        gap, gap_roles = gaps.pop(face)
-        triangles[v] = _medial_child(gap)
-        for key, sub, sub_roles in _subgaps(gap, gap_roles, v):
-            gaps[key] = (sub, sub_roles)
+    triangles[inner[0]] = _medial_child(canvas)
     return Representation(triangles, outer_ids, epsilon)
 
 
@@ -197,7 +139,6 @@ class SolveResult:
     inner: dict[int, tuple[float, float, float]]
     canvas: NegTri
     params: SolverParams
-    converged: bool
     iterations: int
     restarts_used: int
     max_edge_residual: float
@@ -493,7 +434,7 @@ def solve_contacts(piece: planar.Triangulation, outer_tris: Mapping[int, Tri],
             inner = {v: (float(z[3 * k]), float(z[3 * k + 1]), float(z[3 * k + 2]))
                      for k, v in enumerate(inner_ids)}
             return SolveResult(piece=piece, outer_tris=dict(outer_tris), inner=inner,
-                               canvas=canvas, params=params, converged=True,
+                               canvas=canvas, params=params,
                                iterations=iters, restarts_used=attempt,
                                max_edge_residual=worst, worst_pair=worst_pair,
                                objective_trace=trace)
@@ -513,13 +454,9 @@ def solve_contacts(piece: planar.Triangulation, outer_tris: Mapping[int, Tri],
 # Float -> exact
 # ---------------------------------------------------------------------------
 
-def exactify(result: SolveResult | Representation,
-             epsilon: Fraction = Fraction(1)) -> Representation:
+def exactify(result: SolveResult, epsilon: Fraction = Fraction(1)) -> Representation:
     """Convert solver floats to exact rationals (no rounding; doubles are
-    dyadic).  Boundary triangles keep their exact values; idempotent on
-    already-exact representations."""
-    if isinstance(result, Representation):
-        return result
+    dyadic).  Boundary triangles keep their exact values."""
     tris: dict[int, Tri] = dict(result.outer_tris)
     for v, (x, y, h) in result.inner.items():
         if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(h)):

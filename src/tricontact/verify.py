@@ -268,8 +268,8 @@ def _segment_hits_region(ax, ay, bx, by, region) -> bool:
     return True
 
 
-def free_point(rep: Representation, u: int,
-               ray_targets: Sequence[tuple[Point, Sequence]] = ()) -> Point:
+def _free_point(rep: Representation, u: int, ray_targets: Sequence[tuple[Point, Sequence]],
+                table: dict[int, FloatRow], pad: float) -> Point:
     """A point of t(u) covered by no other triangle, chosen from an interior
     grid; the winner's non-membership in every other triangle is verified
     exactly.
@@ -278,16 +278,9 @@ def free_point(rep: Representation, u: int,
     ranked first by how many straight rays to the targets pass through the
     paired foreign overlap regions (used to keep edge routes out of lenses
     they do not own), then by clearance.  Refines the grid a few times before
-    giving up.
+    giving up.  `table` is the float table of `rep` and `pad` its `_pad`, so
+    that `extract_drawing` converts the triangles once for all vertices.
     """
-    table = float_table(rep)
-    return _free_point(rep, u, ray_targets, table, _table_pad(table))
-
-
-def _free_point(rep: Representation, u: int, ray_targets: Sequence[tuple[Point, Sequence]],
-                table: dict[int, FloatRow], pad: float) -> Point:
-    """`free_point` with the float table of `rep` and its `_pad` given, so
-    that `extract_drawing` converts the triangles once for all vertices."""
     tu = rep.tri(u)
     ids = _near_ids(u, table, pad)
     near = [rep.tri(v) for v in ids]
@@ -315,13 +308,6 @@ def _free_point(rep: Representation, u: int, ray_targets: Sequence[tuple[Point, 
             if not any(t.contains(p) for t in near):
                 return p
     raise DrawingError(f"no free interior point in triangle of vertex {u} (representation invalid)")
-
-
-def _contact_anchor(rep: Representation, u: int, v: int) -> Point:
-    ov = intersect(rep.tri(u), rep.tri(v))
-    if ov.is_empty:
-        raise DrawingError(f"edge ({u},{v}) has disjoint triangles")
-    return ov.right_corner
 
 
 def _midpoint(a: Point, b: Point) -> Point:

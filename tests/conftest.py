@@ -4,8 +4,62 @@ from fractions import Fraction
 import pytest
 
 from tricontact import planar
-from tricontact.geometry import Tri, tri
+from tricontact.geometry import NegTri, Tri, frac, tri
 from tricontact.core import Representation
+from tricontact.solver import canvas_with_roles
+
+
+def ntri(x, y, h) -> NegTri:
+    return NegTri(frac(x), frac(y), frac(h))
+
+
+def octahedron_graph() -> planar.Triangulation:
+    """K_{2,2,2} with outer face (0, 1, 2); antipodal pairs (0,3), (1,4), (2,5)."""
+    edges = [
+        (0, 1), (0, 2), (1, 2),
+        (0, 4), (0, 5), (1, 3), (1, 5), (2, 3), (2, 4),
+        (3, 4), (3, 5), (4, 5),
+    ]
+    return planar.validate(6, edges, (0, 1, 2))
+
+
+def stacked_by_peeling(T: planar.Triangulation, outer) -> dict[int, Tri]:
+    """Reference construction of a whole stacked triangulation, with `outer`
+    mapping T's boundary vertices to their triangles.
+
+    Peels inner degree-3 vertices (smallest id first), then puts them back in
+    reverse order, each as the medial inscribed homothet of its face's gap,
+    which leaves three subgaps.  Raises ValueError when T is not stacked.
+    """
+    adj = {v: set(nbrs) for v, nbrs in T.adjacency().items()}
+    inner = set(T.vertices()) - set(T.outer)
+    order = []
+    while inner:
+        v = min((u for u in inner if len(adj[u]) == 3), default=None)
+        if v is None:
+            raise ValueError("no inner vertex of degree 3; not stacked")
+        order.append((v, frozenset(adj[v])))
+        for u in adj.pop(v):
+            adj[u].discard(v)
+        inner.remove(v)
+
+    canvas, role_idx = canvas_with_roles([outer[v] for v in T.outer])
+    gaps = {frozenset(T.outer): (canvas, {r: T.outer[i] for r, i in role_idx.items()})}
+    triangles = dict(outer)
+    for v, face in reversed(order):
+        if face not in gaps:
+            raise ValueError(f"vertex {v} was stacked into {sorted(face)}, not a gap face")
+        gap, roles = gaps.pop(face)
+        half = gap.h / 2
+        triangles[v] = Tri(gap.x - half, gap.y - half, half)
+        vh, vv, vz = roles["hyp"], roles["vertical"], roles["horizontal"]
+        gaps[frozenset((v, vv, vz))] = (NegTri(gap.x, gap.y, half),
+                                        {"hyp": v, "vertical": vv, "horizontal": vz})
+        gaps[frozenset((vh, vv, v))] = (NegTri(gap.x, gap.y - half, half),
+                                        {"hyp": vh, "vertical": vv, "horizontal": v})
+        gaps[frozenset((vh, v, vz))] = (NegTri(gap.x - half, gap.y, half),
+                                        {"hyp": vh, "vertical": v, "horizontal": vz})
+    return triangles
 
 
 @pytest.fixture
@@ -20,7 +74,7 @@ def k4():
 
 @pytest.fixture
 def octahedron():
-    return planar.octahedron()
+    return octahedron_graph()
 
 
 @pytest.fixture

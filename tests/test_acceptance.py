@@ -22,7 +22,7 @@ from tricontact.solver import (
     solve_stacked,
 )
 from tricontact.verify import count_crossings, extract_drawing, full_report
-from conftest import grid_points, in_triangle
+from conftest import grid_points, in_triangle, octahedron_graph, stacked_by_peeling
 
 F = Fraction
 
@@ -36,15 +36,15 @@ def outer_for(T):
 
 
 def stacked_corpus():
-    """100 random stacked triangulations with n up to 200, solved exactly."""
+    """100 random stacked triangulations with n up to 200, each with the
+    representation `represent` builds (the path `tricontact run` takes)."""
     if "stacked" not in _cache:
         rng = random.Random(20240817)
         sizes = [10 + round(190 * (i % 25) / 24) for i in range(100)]
         corpus = []
         for i, n in enumerate(sizes):
             T = planar.gen_stacked(n, rng.randrange(2 ** 32))
-            rep = solve_stacked(planar.as_piece(T), outer_for(T))
-            corpus.append((T, rep))
+            corpus.append((T, represent(T)))
         _cache["stacked"] = corpus
     return _cache["stacked"]
 
@@ -58,7 +58,7 @@ def four_connected_corpus():
     """
     if "fourconn" not in _cache:
         default = SolverParams(delta=1e-7, restarts=10)
-        instances = [("octahedron", planar.octahedron(), default)]
+        instances = [("octahedron", octahedron_graph(), default)]
         for k in range(5, 13):
             instances.append((f"double_wheel_{k}", planar.double_wheel(k), default))
         for n, seed in [(8, 1), (9, 2), (10, 3), (11, 4), (12, 5)]:
@@ -74,7 +74,7 @@ def four_connected_corpus():
 def composed_corpus():
     """Mixed instances with >= 2 levels of separating triangles, n <= 60."""
     if "composed" not in _cache:
-        oc = planar.octahedron()
+        oc = octahedron_graph()
         out = []
         # stacked into 4-connected, two levels
         T = planar.stack_vertex(oc, sorted(oc.inner_faces[0]))
@@ -180,6 +180,16 @@ def test_criterion_2_exact_stacked_pipeline():
     print(f"\n[criterion 2] PASS: 100 stacked instances (n up to {max_n}) verified "
           f"exactly in {elapsed:.1f}s; deepest nesting {deepest[1]} levels with "
           f"max denominator bit-length {deepest[2]} (n={deepest[0]})")
+
+
+def test_stacked_pipeline_matches_peeling_oracle():
+    """On stacked inputs the separation tree path (every piece a K4, its
+    vertex the medial child of its gap) gives exactly the triangles of the
+    whole-graph degree-3 peel."""
+    for T, rep in stacked_corpus():
+        assert rep.triangles == stacked_by_peeling(T, outer_for(T)), f"stacked n={T.n}"
+    T = planar.gen_stacked(1000, 1)
+    assert represent(T).triangles == stacked_by_peeling(T, outer_for(T))
 
 
 def test_criterion_3_bad_point_removal(octahedron, k222_triple_rep):
@@ -323,7 +333,7 @@ def test_criterion_7_negative_controls(k4, octahedron, k222_triple_rep):
 
     # (iii) boundary corner swallowed by an inner triangle
     T5 = planar.stack_vertex(k4, (0, 1, 3))
-    rep5 = solve_stacked(planar.as_piece(T5), OUTER)
+    rep5 = represent(T5)
     cover = rep5.with_triangle(4, tri(F(3, 4), F(11, 4), F(1, 2)))
     r = full_report(cover, T5, with_faces=False)
     assert not r.passed and not r.corner_ok

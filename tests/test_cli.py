@@ -27,7 +27,7 @@ class TestGen:
         out = tmp_path / "g.json"
         assert run(["gen", "random", "--n", 10, "--seed", 2,
                     "--four-connected", "--output", out]) == 0
-        T = planar.load_graph(str(out))
+        T = planar.from_json(json.loads(out.read_text()))
         assert planar.separating_triangles(T) == []
 
 
@@ -185,9 +185,9 @@ class TestRender:
 
 
 class TestJsonRoundtrip:
-    def test_representation_exact(self, tmp_path, outer_map):
+    def test_representation_exact(self, tmp_path):
         T = planar.gen_stacked(20, 6)
-        rep = solve_stacked(planar.as_piece(T), outer_map)
+        rep = represent(T)
         text = json.dumps(rep.to_json(), sort_keys=True)
         again = Representation.from_json(json.loads(text))
         assert again == rep

@@ -17,20 +17,26 @@ from tricontact.geometry import (
     inflate,
     inside_neg,
     intersect,
-    ntri,
     orientation,
     point,
     push_horizontal,
-    push_hypotenuse,
     push_vertical,
     segment_intersection_kind,
     signed_height,
     translate,
     tri,
 )
-from conftest import grid_points, in_triangle
+from conftest import grid_points, in_triangle, ntri
 
 F = Fraction
+
+
+def push_hypotenuse(t: Tri, eps: Fraction) -> Tri:
+    """Move only the hypotenuse outward by eps; right corner stays.  The
+    third side push, which the removal steps never make."""
+    if eps <= 0:
+        raise ValueError("push requires eps > 0")
+    return Tri(t.x, t.y, t.h + eps)
 
 
 def rand_tri(rng, span=10, den=8):

@@ -7,7 +7,6 @@ from tricontact import planar
 from tricontact.geometry import (
     common_signed_height,
     intersect,
-    ntri,
     point,
     signed_height,
     tri,
@@ -20,7 +19,7 @@ from tricontact.perturb import (
     PerturbError,
     QuadrupleIntersection,
     ZeroClearance,
-    face_gap,
+    face_gap_with_roles,
     find_bad_triples,
     remove_all,
     safe_epsilon,
@@ -30,7 +29,8 @@ from tricontact.perturb import (
     step3_separate,
 )
 from tricontact.core import Representation, intersection_graph
-from tricontact.solver import solve_stacked
+from tricontact.solver import canvas_with_roles, solve_stacked
+from conftest import ntri
 
 F = Fraction
 
@@ -107,12 +107,12 @@ class TestSafeEpsilon:
         rep = fixture_rep({9: tri(-4, 2, 3)})
         assert signed_height(rep.tri(0), rep.tri(9)) == -1
         sel = select_bad(find_bad_triples(rep))
-        e = safe_epsilon(rep, {sel.u: PUSH_VERTICAL}, exclude_triple=sel.ids)
-        assert 0 < e <= F(1, 2)
+        e, clearance = safe_epsilon(rep, {sel.u: PUSH_VERTICAL}, exclude_triple=sel.ids)
+        assert 0 < e <= F(1, 2) and e == clearance / 2
 
     def test_bare_fixture_positive(self):
         sel = select_bad(find_bad_triples(fixture_rep()))
-        e = safe_epsilon(fixture_rep(), {sel.u: PUSH_VERTICAL}, exclude_triple=sel.ids)
+        e, _ = safe_epsilon(fixture_rep(), {sel.u: PUSH_VERTICAL}, exclude_triple=sel.ids)
         assert e > 0
 
     def test_zero_clearance_before_step2(self):
@@ -317,7 +317,7 @@ class TestBoundaryRoles:
 class TestFaceGap:
     def test_k4_faces(self, k4, outer_map):
         rep = solve_stacked(planar.as_piece(k4), outer_map)
-        gap, eps = face_gap(rep, (0, 1, 3))
+        gap, _, eps = face_gap_with_roles(rep, (0, 1, 3))
         assert gap == ntri(2, 3, 1)
         assert eps > 0
         # gap sides touch the three triangles of the face
@@ -326,10 +326,9 @@ class TestFaceGap:
         assert rep.tri(0).s == gap.hyp_level         # hypotenuse on t(0)
 
     def test_three_tangent_alone(self, outer_map):
-        from tricontact.solver import canvas_of
         rep = Representation(dict(outer_map), (0, 1, 2), F(1))
-        gap, eps = face_gap(rep, (0, 1, 2))
-        assert gap == canvas_of([outer_map[0], outer_map[1], outer_map[2]])
+        gap, _, eps = face_gap_with_roles(rep, (0, 1, 2))
+        assert gap == canvas_with_roles([outer_map[0], outer_map[1], outer_map[2]])[0]
         assert eps == gap.h / 2                      # limited only by gap size
 
     def test_homothety(self, k4, outer_map):
@@ -339,15 +338,15 @@ class TestFaceGap:
         rep2 = Representation(
             {v: Tri(t.x * lam, t.y * lam, t.h * lam) for v, t in rep.triangles.items()},
             rep.outer, rep.epsilon)
-        g1, e1 = face_gap(rep, (0, 1, 3))
-        g2, e2 = face_gap(rep2, (0, 1, 3))
+        g1, _, e1 = face_gap_with_roles(rep, (0, 1, 3))
+        g2, _, e2 = face_gap_with_roles(rep2, (0, 1, 3))
         assert (g2.x, g2.y, g2.h) == (g1.x * lam, g1.y * lam, g1.h * lam)
         assert e2 == e1 * lam
 
     def test_blocked_gap(self, k4, outer_map):
         rep = solve_stacked(planar.as_piece(k4), outer_map)
-        gap, _ = face_gap(rep, (0, 1, 3))
+        gap, _, _ = face_gap_with_roles(rep, (0, 1, 3))
         rogue = tri(gap.x - gap.h / 2, gap.y - gap.h / 2, gap.h / 2)
         blocked = Representation({**rep.triangles, 99: rogue}, rep.outer, rep.epsilon)
         with pytest.raises(GapError):
-            face_gap(blocked, (0, 1, 3))
+            face_gap_with_roles(blocked, (0, 1, 3))

@@ -14,12 +14,12 @@ from tricontact.planar import (
     gen_stacked,
     gen_triangulation,
     implant_octahedron,
-    octahedron,
     piece_size,
     separating_triangles,
     stack_vertex,
     validate,
 )
+from conftest import octahedron_graph
 
 
 def decompose_by_splitting(T):
@@ -167,6 +167,52 @@ def implanted(n, seed, implants):
     return T
 
 
+def triangles_by_pairs(adj):
+    """Reference triangle lister: every pair of higher-labelled neighbours of
+    each vertex, O(sum of squared out-degrees)."""
+    out = []
+    for u in sorted(adj):
+        nu = sorted(w for w in adj[u] if w > u)
+        for i, v in enumerate(nu):
+            for w in nu[i + 1:]:
+                if w in adj[v]:
+                    out.append((u, v, w))
+    return out
+
+
+def stacking_chain_adjacency(n):
+    """Neighbour sets of the stacking chain where each new vertex goes into
+    the first inner face holding the previous one (vertices 0 and 1 reach
+    degree n - 1)."""
+    edges = set(itertools.combinations(range(4), 2))
+    newest = [(0, 1, 3), (0, 2, 3), (1, 2, 3)]
+    for v in range(4, n):
+        a, b, c = min(newest)
+        edges |= {(a, v), (b, v), (c, v)}
+        newest = [(a, b, v), (a, c, v), (b, c, v)]
+    return planar.adjacency_of(range(n), edges)
+
+
+def gen_stacked_by_face_scan(n, seed):
+    """Reference stacked generator: rebuilds the list of inner faces and
+    removes the chosen face from the face list at every insertion."""
+    rng = random.Random(seed)
+    cnt = 4
+    edges = set(itertools.combinations(range(4), 2))
+    faces = [frozenset(f) for f in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))]
+    outer = frozenset((0, 1, 2))
+    while cnt < n:
+        inner = [f for f in faces if f != outer]
+        f = inner[rng.randrange(len(inner))]
+        v = cnt
+        cnt += 1
+        for u in f:
+            edges.add((u, v))
+        faces.remove(f)
+        faces.extend(frozenset((a, b, v)) for a, b in itertools.combinations(sorted(f), 2))
+    return validate(cnt, sorted(edges), (0, 1, 2))
+
+
 def brute_force_separating(T):
     """Independent oracle: all 3-cliques classified by face membership."""
     adj = T.adjacency()
@@ -220,6 +266,14 @@ class TestEuler:
             T = gen(25, seed)
             assert len(T.edges) == 3 * T.n - 6
             assert len(T.faces) == 2 * T.n - 4
+
+
+class TestTrianglesOf:
+    def test_matches_pairwise_lister(self, k4):
+        adjs = [T.adjacency() for T in (k4, gen_four_connected(16, 1), gen_stacked(300, 1))]
+        adjs.append(stacking_chain_adjacency(2000))
+        for adj in adjs:
+            assert planar.triangles_of(adj) == triangles_by_pairs(adj)
 
 
 class TestSeparatingTriangles:
@@ -355,6 +409,12 @@ class TestGenerators:
             T = gen_stacked(37, seed)
             assert len(T.edges) == 3 * 37 - 6
 
+    def test_gen_stacked_matches_face_scan(self):
+        # includes every stacked host and warm-up instance of the benchmark corpora
+        for n, seed in ((4, 0), (5, 1), (8, 0), (12, 0), (20, 5), (20, 6), (20, 7),
+                        (100, 3), (300, 1), (1000, 7)):
+            assert gen_stacked(n, seed) == gen_stacked_by_face_scan(n, seed), (n, seed)
+
     def test_gen_stacked_rejects_small(self):
         with pytest.raises(GraphError):
             gen_stacked(3, 0)
@@ -383,7 +443,7 @@ def octahedron_relabel_check():
     # the k=4 double wheel is the octahedron up to relabeling; compare degree
     # sequences and edge count as a light isomorphism proxy
     T = double_wheel(4)
-    oc = octahedron()
+    oc = octahedron_graph()
     assert sorted(len(v) for v in T.adjacency().values()) == \
         sorted(len(v) for v in oc.adjacency().values())
     return T.edges

@@ -5,7 +5,7 @@ import pytest
 from tricontact import planar, verify
 from tricontact.assemble import represent
 from tricontact.geometry import Point, point, tri
-from tricontact.perturb import GapError, face_gap, remove_all
+from tricontact.perturb import GapError, face_gap_with_roles, remove_all
 from tricontact.core import Representation
 from tricontact.solver import (
     SolverParams,
@@ -21,12 +21,17 @@ from tricontact.verify import (
     check_simple,
     count_crossings,
     extract_drawing,
-    free_point,
     full_report,
     intersection_graph,
 )
 
 F = Fraction
+
+
+def free_point(rep, u):
+    """`verify._free_point` with no ray targets, over a fresh float table."""
+    table = verify.float_table(rep)
+    return verify._free_point(rep, u, (), table, verify._table_pad(table))
 
 
 def _newest_face(T):
@@ -77,7 +82,7 @@ class TestIntersectionGraph:
     def test_robustify_preserves_graph_of_exact_contacts(self, k4, outer_map):
         # exact contact input: all adjacencies at signed height 0
         T = planar.stack_vertex(k4, (0, 1, 3))
-        pre = solve_stacked(planar.as_piece(T), outer_map)
+        pre = represent(T)
         post = robustify(pre, planar.as_piece(T), SolverParams(), F(1))
         assert intersection_graph(pre) == intersection_graph(post)
 
@@ -120,7 +125,7 @@ class TestCheckBoundary:
 
     def test_corner_violation_reported(self, k4, outer_map):
         T = planar.stack_vertex(k4, (0, 1, 3))
-        rep = solve_stacked(planar.as_piece(T), outer_map)
+        rep = represent(T)
         bad = rep.with_triangle(4, tri(F(3, 4), F(11, 4), F(1, 2)))
         ok, _, cok, offenders = check_boundary(bad)
         assert not cok
@@ -139,9 +144,8 @@ class TestCheckFaces:
         assert ok
 
     def test_blocked_gap_fails(self, k4, outer_map):
-        from tricontact.perturb import face_gap
         rep = solve_stacked(planar.as_piece(k4), outer_map)
-        gap, _ = face_gap(rep, (0, 1, 3))
+        gap, _, _ = face_gap_with_roles(rep, (0, 1, 3))
         rogue = tri(gap.x - gap.h / 2, gap.y - gap.h / 2, gap.h / 2)
         blocked = Representation({**rep.triangles, 99: rogue}, rep.outer, rep.epsilon)
         ok, fails = check_face_condition(blocked, k4)
@@ -150,7 +154,7 @@ class TestCheckFaces:
 
     def test_gap_side_touch_fails(self, k4, outer_map):
         rep = solve_stacked(planar.as_piece(k4), outer_map)
-        gap, _ = face_gap(rep, (0, 1, 3))
+        gap, _, _ = face_gap_with_roles(rep, (0, 1, 3))
         rogue = _depth_zero_rogue(gap)
         assert rogue.s == gap.hyp_level
         touched = Representation({**rep.triangles, 99: rogue}, rep.outer, rep.epsilon)
@@ -163,14 +167,14 @@ class TestCheckFaces:
         lambda: planar.double_wheel(6)], ids=["stacked40", "implanted", "chain3", "dw6"])
     def test_agrees_with_constructor_face_gap(self, make):
         # the verifier derives the face condition on its own; it must accept
-        # exactly the faces for which the constructor's face_gap gives a
+        # exactly the faces for which the constructor's face gap gives a
         # positive budget, on certified outputs and on copies with a
         # triangle blocking one gap, touching another gap's side and
         # keeping clear of a third gap's side
         T = make()
         rep = represent(T)
         faces = sorted(tuple(sorted(f)) for f in T.inner_faces)
-        g0, g1, g2 = (face_gap(rep, f)[0] for f in faces[:3])
+        g0, g1, g2 = (face_gap_with_roles(rep, f)[0] for f in faces[:3])
         extra = {
             -1: tri(g0.x - g0.h / 2, g0.y - g0.h / 2, g0.h / 2),
             -2: _depth_zero_rogue(g1),
@@ -181,7 +185,7 @@ class TestCheckFaces:
             want = set()
             for f in faces:
                 try:
-                    if face_gap(r, f)[1] <= 0:
+                    if face_gap_with_roles(r, f)[2] <= 0:
                         want.add(f)
                 except GapError:
                     want.add(f)
