@@ -8,6 +8,27 @@ from fractions import Fraction
 
 from tricontact.geometry import Tri, frac, frac_str, signed_height
 
+ROUNDOFF = 2.0 ** -53  # unit roundoff of IEEE doubles (round to nearest)
+TINY = 2.0 ** -1000    # exceeds the sum of any few underflow errors (2^-1075 each)
+
+
+def float_pad(m: float) -> float:
+    """Slack of every linear float screen (bounding boxes, gap and strip
+    tests) over floats whose magnitudes are at most `m`.
+
+    Let u = 2^-53.  Each screened quantity is built from at most six
+    converted values, each within u*m of its exact value when the exact
+    magnitude is at most m (2u*m for a gap height, which is at most 2m), and
+    at most five float additions or subtractions, each rounding by at most
+    u times a result of magnitude at most 3m.  The worst case, the strip test
+    in `verify._face_fault`, stays within 20u*m of its exact value; the
+    bounding-box comparisons within 3u*m.  So 2^7 u*m covers every screen
+    with room for the second-order terms, and `TINY` covers underflow.  The
+    pad scales with the coordinates, so a deep piece, whose coordinates are
+    tiny, is screened as sharply as a shallow one.
+    """
+    return 2.0 ** 7 * ROUNDOFF * m + TINY
+
 
 @dataclass(frozen=True)
 class Representation:
@@ -51,17 +72,15 @@ class Representation:
 def intersection_graph(rep: Representation) -> set[tuple[int, int]]:
     """Edge uv (u < v) iff the triangles of u and v intersect (signed height >= 0).
 
-    A conservative float screen skips pairs that are far apart; every
-    undecided pair is settled exactly.
+    A conservative float screen, padded by `float_pad`, skips pairs that are
+    certainly apart; every undecided pair is settled exactly.
     """
     vs = sorted(rep.triangles)
     fl = {}
-    scale = 1.0
     for v in vs:
         t = rep.tri(v)
         fl[v] = (float(t.x), float(t.y), float(t.s))
-        scale = max(scale, abs(fl[v][0]), abs(fl[v][1]), abs(fl[v][2]))
-    screen = -1e-9 * scale
+    screen = -float_pad(max((abs(c) for row in fl.values() for c in row), default=0.0))
     out = set()
     for i, u in enumerate(vs):
         xu, yu, su = fl[u]

@@ -6,7 +6,8 @@ pair starting to touch, an intersecting pair separating, a third triangle
 joining an intersection, a boundary-overlap budget being exhausted, a boundary
 corner being swallowed) is located exactly as the first sign change of a
 piecewise-linear function of the step size; the step uses half the earliest
-event time.  After each move the full invariant set is re-verified.
+event time.  The analysis runs in integers, on coordinates scaled by their
+common denominator.  After each move the full invariant set is re-verified.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
-from tricontact.core import Representation, intersection_graph
+from tricontact.core import Representation, float_pad, intersection_graph
 from tricontact.geometry import (
     NegTri,
     Overlap,
@@ -139,16 +141,20 @@ def _assign_roles(ids: Sequence[int], tris: Sequence[Tri]) -> tuple[int, int, in
     return u, v, w
 
 
-def find_bad_triples(rep: Representation) -> list[BadTriple]:
+def find_bad_triples(rep: Representation,
+                     triangles: Sequence[tuple[int, int, int]] | None = None
+                     ) -> list[BadTriple]:
     """All vertex triples whose triangles share a common point or region.
 
     Only triangles of the intersection graph can qualify (a pairwise-empty
-    pair forces an empty common intersection).  Errors out if any four
-    triangles share a point.
+    pair forces an empty common intersection); `triangles` lists them, and
+    is built when None.  Errors out if any four triangles share a point.
     """
+    if triangles is None:
+        triangles = _intersection_triangles(rep)
     out = []
     all_ids = sorted(rep.triangles)
-    for a, b, c in _intersection_triangles(rep):
+    for a, b, c in triangles:
         ts = [rep.tri(a), rep.tri(b), rep.tri(c)]
         ov = common_intersection(ts)
         if ov.is_empty:
@@ -179,82 +185,105 @@ PUSH_VERTICAL = "push_vertical"
 PUSH_HORIZONTAL = "push_horizontal"
 TRANSLATE_DOWN = "translate_down"
 
+# (dx, dy, ds) per unit step: the rates of x, y and s = x + y + h.
 _DELTAS = {
-    PUSH_VERTICAL: (Fraction(-1), Fraction(0), Fraction(0)),
-    PUSH_HORIZONTAL: (Fraction(0), Fraction(-1), Fraction(0)),
-    TRANSLATE_DOWN: (Fraction(0), Fraction(-1), Fraction(-1)),
+    PUSH_VERTICAL: (-1, 0, 0),
+    PUSH_HORIZONTAL: (0, -1, 0),
+    TRANSLATE_DOWN: (0, -1, -1),
 }
+# Every rate is 0 or -1, so in a frame where every coordinate is an integer
+# two lines of one term cross at an integer step (`_breakpoints`), and every
+# knot value is an integer; only an interpolated crossing is a fraction.
+assert all(d in (0, -1) for ds in _DELTAS.values() for d in ds)
 
 Move = Mapping[int, str]  # vertex -> primitive kind
+Frame = dict[int, tuple[int, int, int]]  # vertex -> (x, y, s), scaled to integers
 
-_ZERO = Fraction(0)
+
+def _int_frame(rep: Representation) -> tuple[int, Frame, int]:
+    """(D, frame, D * epsilon): D is the least common denominator of every
+    x, y and h in `rep` and of its epsilon, and the frame holds every
+    triangle's (x, y, s) times D."""
+    den = lcm(rep.epsilon.denominator,
+              *(c.denominator for t in rep.triangles.values() for c in (t.x, t.y, t.h)))
+
+    def scaled(c: Fraction) -> int:
+        return c.numerator * (den // c.denominator)
+
+    frame = {}
+    for v, t in rep.triangles.items():
+        x, y = scaled(t.x), scaled(t.y)
+        frame[v] = (x, y, x + y + scaled(t.h))
+    return den, frame, scaled(rep.epsilon)
 
 
-def _lines_for(rep: Representation, move: Move, ids: Sequence[int]):
+def _lines_for(frame: Frame, move: Move, ids: Sequence[int]):
     """Per-term line lists (value, slope) for the signed height of `ids`."""
     s_lines, x_lines, y_lines = [], [], []
     for i in ids:
-        t = rep.tri(i)
-        dx, dy, ds = _DELTAS[move[i]] if i in move else (_ZERO, _ZERO, _ZERO)
-        s_lines.append((t.s, ds))
-        x_lines.append((t.x, dx))
-        y_lines.append((t.y, dy))
+        x, y, s = frame[i]
+        dx, dy, ds = _DELTAS[move[i]] if i in move else (0, 0, 0)
+        s_lines.append((s, ds))
+        x_lines.append((x, dx))
+        y_lines.append((y, dy))
     return s_lines, x_lines, y_lines
 
 
-def _breakpoints(groups) -> list[Fraction]:
+def _breakpoints(groups) -> list[int]:
+    """Steps t > 0 where two lines of one term cross: a line of slope -1
+    meets one of slope 0 where t is the first's value minus the second's."""
     ts = set()
     for lines in groups:
         for (a1, s1), (a2, s2) in combinations(lines, 2):
             if s1 != s2:
-                t = (a1 - a2) / (s2 - s1)
+                t = a1 - a2 if s1 else a2 - a1
                 if t > 0:
                     ts.add(t)
     return sorted(ts)
 
 
-def _eval_signed(groups, t: Fraction) -> Fraction:
+def _eval_signed(groups, t: int) -> int:
     s_lines, x_lines, y_lines = groups
     return (min(a + s * t for a, s in s_lines)
             - max(a + s * t for a, s in x_lines)
             - max(a + s * t for a, s in y_lines))
 
 
-def _first_reach(groups, breaks: Sequence[Fraction], thresh: Fraction, upward: bool) -> Fraction | None:
+def _first_reach(groups, thresh: int, upward: bool,
+                 stop: int | Fraction | None = None) -> int | Fraction | None:
     """Smallest t > 0 where the piecewise-linear signed height reaches thresh
-    from below (upward=True) or from above (upward=False); None if never."""
-    knots = [Fraction(0)] + list(breaks)
-    vals = [_eval_signed(groups, t) for t in knots]
-    for k in range(len(knots) - 1):
-        t0, t1 = knots[k], knots[k + 1]
-        f0, f1 = vals[k], vals[k + 1]
-        if upward and f1 >= thresh:
-            return t0 + (thresh - f0) * (t1 - t0) / (f1 - f0) if f1 != f0 else t1
-        if not upward and f1 < thresh:
-            if f1 == f0:  # pragma: no cover - constant segment below threshold
-                return t0
-            return t0 + (thresh - f0) * (t1 - t0) / (f1 - f0)
+    from below (upward=True) or drops below it (upward=False); None if never.
+
+    Knots are evaluated lazily.  Past the first segment every crossing lies
+    at or beyond the segment's start, so the scan returns None at the first
+    knot at or beyond `stop`: an event there cannot come before `stop`.
+    """
+    t0, f0 = 0, _eval_signed(groups, 0)
+    for t1 in _breakpoints(groups):
+        f1 = _eval_signed(groups, t1)
+        if (f1 >= thresh) if upward else (f1 < thresh):
+            if f1 == f0:  # a flat first segment already past thresh
+                return t1 if upward else t0
+            return Fraction(t0 * (f1 - f0) + (thresh - f0) * (t1 - t0), f1 - f0)
+        if stop is not None and t1 >= stop:
+            return None
+        t0, f0 = t1, f1
     # unbounded last segment
-    t_last, f_last = knots[-1], vals[-1]
-    probe = t_last + 1
-    slope = _eval_signed(groups, probe) - f_last
-    if upward and slope > 0:
-        return t_last + (thresh - f_last) / slope
-    if not upward and slope < 0:
-        return t_last + (thresh - f_last) / slope
+    slope = _eval_signed(groups, t0 + 1) - f0
+    if (slope > 0) if upward else (slope < 0):
+        return Fraction(t0 * slope + thresh - f0, slope)
     return None
 
 
-def _corner_entry(corner: Point, t: Tri, kind: str) -> Fraction | None:
-    """First step size at which `corner` enters the moved triangle; None if never."""
+def _corner_entry(corner: tuple[int, int], t: tuple[int, int, int], kind: str) -> int | None:
+    """First step at which `corner` enters the moved triangle t = (x, y, s);
+    None if never."""
+    cx, cy = corner
+    x, y, s = t
     dx, dy, ds = _DELTAS[kind]
-    # g >= 0 constraints: corner.x - x(t), corner.y - y(t), s(t) - (corner.x+corner.y)
-    cons = [
-        (corner.x - t.x, -dx),
-        (corner.y - t.y, -dy),
-        (t.s - corner.x - corner.y, ds),
-    ]
-    lo = Fraction(0)
+    # g >= 0 constraints: cx - x(t), cy - y(t), s(t) - (cx + cy); slopes are 0 or +-1
+    cons = ((cx - x, -dx), (cy - y, -dy), (s - cx - cy, ds))
+    lo = 0
     hi = None
     for g0, slope in cons:
         if slope == 0:
@@ -262,19 +291,20 @@ def _corner_entry(corner: Point, t: Tri, kind: str) -> Fraction | None:
                 return None
         elif slope > 0:
             if g0 < 0:
-                lo = max(lo, -g0 / slope)
+                lo = max(lo, -g0)
         else:
             if g0 < 0:
                 return None
-            root = -g0 / slope  # g decreasing: feasible for t <= root
-            hi = root if hi is None else min(hi, root)
+            hi = g0 if hi is None else min(hi, g0)  # g decreasing: feasible for t <= g0
     if hi is not None and lo > hi:
         return None
     return lo
 
 
 def safe_epsilon(rep: Representation, move: Move,
-                 exclude_triple: frozenset[int] | None = None) -> tuple[Fraction, Fraction]:
+                 exclude_triple: frozenset[int] | None = None,
+                 triangles: Sequence[tuple[int, int, int]] | None = None
+                 ) -> tuple[Fraction, Fraction]:
     """(step budget, clearance) for the move: the clearance is the earliest
     forbidden-event time, capped by the moved heights, and the budget is
     half of it.
@@ -282,57 +312,62 @@ def safe_epsilon(rep: Representation, move: Move,
     Events: a currently-disjoint pair reaching contact, a currently-intersecting
     pair separating, a currently-empty triple of mutually intersecting
     triangles gaining a common point, a boundary overlap reaching the epsilon
-    budget, and a boundary corner entering a moved triangle.  Raises
+    budget, and a boundary corner entering a moved triangle.  `triangles` are
+    the triangles of the intersection graph (built when None).  Raises
     ZeroClearance when an event already sits at zero.
+
+    The analysis runs in `_int_frame`, and the clearance is divided by D
+    once at the end.  Clearance = min(events and cap), so a scan may stop
+    at the smallest event found so far.
     """
     outer = set(rep.outer)
     for i in move:
         if i in outer:
             raise PerturbError(f"move targets boundary triangle {i}")
     moved = set(move)
-    events: list[Fraction] = []
+    den, frame, eps = _int_frame(rep)
+    best = min(frame[i][2] - frame[i][0] - frame[i][1] for i in moved)  # cap: moved heights
 
-    vs = sorted(rep.triangles)
-    eps = rep.epsilon
-    for a, b in combinations(vs, 2):
+    for a, b in combinations(sorted(frame), 2):
         if a not in moved and b not in moved:
             continue
-        groups = _lines_for(rep, move, (a, b))
-        s0 = _eval_signed(groups, Fraction(0))
-        if s0 < 0:
-            ev = _first_reach(groups, _breakpoints(groups), Fraction(0), upward=True)
+        groups = _lines_for(frame, move, (a, b))
+        if _eval_signed(groups, 0) < 0:
+            ev = _first_reach(groups, 0, upward=True, stop=best)
         else:
-            ev = _first_reach(groups, _breakpoints(groups), Fraction(0), upward=False)
+            ev = _first_reach(groups, 0, upward=False, stop=best)
             if (a in outer) != (b in outer):       # boundary overlap budget
-                ev2 = _first_reach(groups, _breakpoints(groups), eps, upward=True)
+                ev2 = _first_reach(groups, eps, upward=True, stop=best)
                 if ev2 is not None:
-                    events.append(ev2)
+                    best = min(best, ev2)
         if ev is not None:
-            events.append(ev)
+            best = min(best, ev)
 
-    for a, b, c in _intersection_triangles(rep):
+    if triangles is None:
+        triangles = _intersection_triangles(rep)
+    for a, b, c in triangles:
         if not ({a, b, c} & moved):
             continue
         if exclude_triple is not None and frozenset((a, b, c)) == exclude_triple:
             continue
-        groups = _lines_for(rep, move, (a, b, c))
-        if _eval_signed(groups, Fraction(0)) < 0:
-            ev = _first_reach(groups, _breakpoints(groups), Fraction(0), upward=True)
+        groups = _lines_for(frame, move, (a, b, c))
+        if _eval_signed(groups, 0) < 0:
+            ev = _first_reach(groups, 0, upward=True, stop=best)
             if ev is not None:
-                events.append(ev)
+                best = min(best, ev)
 
     for o in outer:
-        for corner in rep.tri(o).corners:
+        x, y, s = frame[o]
+        h = s - x - y
+        for corner in ((x, y), (x, y + h), (x + h, y)):
             for i in moved:
-                ev = _corner_entry(corner, rep.tri(i), move[i])
+                ev = _corner_entry(corner, frame[i], move[i])
                 if ev is not None:
-                    events.append(ev)
+                    best = min(best, ev)
 
-    cap = min(rep.tri(i).h for i in moved)
-    bound = min(events) if events else cap
-    if bound <= 0:
+    if best <= 0:
         raise ZeroClearance(f"an event sits at zero clearance for move {dict(move)}")
-    clearance = min(bound, cap)
+    clearance = Fraction(best, den)
     return clearance / 2, clearance
 
 
@@ -486,8 +521,12 @@ def remove_all(rep: Representation, max_step_retries: int = 20,
     """Remove every bad triple: find, select highest, apply the three steps
     with exact safe budgets; retry a round with halved budgets when a
     postcondition recheck fails.  Terminates in at most the initial number of
-    bad triples rounds."""
-    bad = find_bad_triples(rep)
+    bad triples rounds.
+
+    Every step keeps the intersection graph (`_check_graph_preserved`), so
+    its triangles are listed once and shared by every scan and budget."""
+    triangles = _intersection_triangles(rep)
+    bad = find_bad_triples(rep, triangles)
     cap = len(bad)
     for _ in range(cap):
         if not bad:
@@ -499,7 +538,8 @@ def remove_all(rep: Representation, max_step_retries: int = 20,
         for _attempt in range(max_step_retries):
             try:
                 work = rep
-                e1, c1 = safe_epsilon(work, {sel.u: PUSH_VERTICAL}, exclude_triple=sel.ids)
+                e1, c1 = safe_epsilon(work, {sel.u: PUSH_VERTICAL}, exclude_triple=sel.ids,
+                                      triangles=triangles)
                 e1 *= shrink
                 work = step1_widen(work, sel, e1)
                 sig1 = max(common_signed_height([work.tri(i) for i in sorted(sel.ids)]),
@@ -508,11 +548,13 @@ def remove_all(rep: Representation, max_step_retries: int = 20,
                 e2 = c2 = None
                 if zs:
                     move2 = {z: PUSH_HORIZONTAL for z in zs}
-                    e2, c2 = safe_epsilon(work, move2, exclude_triple=sel.ids)
+                    e2, c2 = safe_epsilon(work, move2, exclude_triple=sel.ids,
+                                          triangles=triangles)
                     e2 *= shrink
                     work = step2_clear(work, sel, e2)
                 move3 = {sel.u: TRANSLATE_DOWN, sel.v: PUSH_VERTICAL}
-                e3, c3 = safe_epsilon(work, move3, exclude_triple=sel.ids)
+                e3, c3 = safe_epsilon(work, move3, exclude_triple=sel.ids,
+                                      triangles=triangles)
                 e3 *= shrink
                 sig = common_signed_height([work.tri(i) for i in sorted(sel.ids)])
                 if e3 <= sig:
@@ -520,7 +562,7 @@ def remove_all(rep: Representation, max_step_retries: int = 20,
                         f"safe budget {float(e3):.3e} cannot clear triple overlap "
                         f"{float(sig):.3e}; re-solve with smaller delta")
                 work = step3_separate(work, sel, e3)
-                new_bad = find_bad_triples(work)
+                new_bad = find_bad_triples(work, triangles)
                 new_ids = {t.ids for t in new_bad}
                 if len(new_bad) >= len(bad) or not new_ids <= prev_ids - {sel.ids}:
                     raise ClaimViolation("a new triple appeared after the three steps")
@@ -535,7 +577,7 @@ def remove_all(rep: Representation, max_step_retries: int = 20,
                 shrink /= 2
         if not advanced:
             raise PerturbError(f"could not clear triple {sorted(sel.ids)} after retries")
-    if find_bad_triples(rep):
+    if bad:
         raise PerturbError("round cap exceeded with triples remaining")  # pragma: no cover
     return rep
 
@@ -560,14 +602,12 @@ def face_gap_with_roles(rep: Representation, face: Iterable[int]
         raise GapError(f"face must have three vertices, got {face!r}")
     ts = [rep.tri(v) for v in ids]
     others = [v for v in sorted(rep.triangles) if v not in ids]
-    # conservative float cache: (x, y, s) per other triangle
-    fl = {}
-    scale = 1.0
-    for v in others:
-        t = rep.tri(v)
-        fl[v] = (float(t.x), float(t.y), float(t.s))
-        scale = max(scale, abs(fl[v][0]), abs(fl[v][1]), abs(fl[v][2]))
-    tau = 1e-9 * scale
+    # conservative float cache: (x, y, s) per triangle, largest magnitude m.
+    # Every gap coordinate is a side of a face triangle (x, y, s, s - y or
+    # s - x), so at most 2m, and a probe's s at most 4m; the strip test
+    # stays within about 22u*m of its exact value, inside float_pad(2m).
+    fl = {v: (float(t.x), float(t.y), float(t.s)) for v, t in rep.triangles.items()}
+    tau = float_pad(2.0 * max(abs(c) for row in fl.values() for c in row))
 
     def hits_any(cand: NegTri) -> bool:
         cx, cy, ch = float(cand.x), float(cand.y), float(cand.hyp_level)

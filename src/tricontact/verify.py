@@ -19,7 +19,7 @@ from itertools import combinations
 from typing import Sequence
 
 from tricontact import planar
-from tricontact.core import Representation, intersection_graph
+from tricontact.core import ROUNDOFF, TINY, Representation, float_pad, intersection_graph
 from tricontact.geometry import (
     NegTri,
     Point,
@@ -36,9 +36,6 @@ from tricontact.geometry import (
 # (x, y, s, x + h, y + h) of one triangle, each the double nearest the exact value
 FloatRow = tuple[float, float, float, float, float]
 
-_U = 2.0 ** -53     # unit roundoff of IEEE doubles (round to nearest)
-_TINY = 2.0 ** -1000  # exceeds the sum of any few underflow errors (2^-1075 each)
-
 
 def float_table(rep: Representation) -> dict[int, FloatRow]:
     """Every triangle of `rep` in floats; each check that screens with floats
@@ -49,26 +46,10 @@ def float_table(rep: Representation) -> dict[int, FloatRow]:
     return out
 
 
-def _pad(m: float) -> float:
-    """Slack of every linear float screen (bounding boxes, gap and strip
-    tests) over floats whose magnitudes are at most `m`.
-
-    Let u = 2^-53.  Each screened quantity is built from at most six
-    converted values, each within u*m of its exact value when the exact
-    magnitude is at most m (2u*m for a gap height, which is at most 2m), and
-    at most five float additions or subtractions, each rounding by at most
-    u times a result of magnitude at most 3m.  The worst case, the strip test
-    in `_face_fault`, stays within 20u*m of its exact value; the bounding-box
-    comparisons within 3u*m.  So 2^7 u*m covers every screen with room for
-    the second-order terms, and `_TINY` covers underflow.  The quadratic
-    cross and dot products have their own bound, `_err`.
-    """
-    return 2.0 ** 7 * _U * m + _TINY
-
-
 def _table_pad(table: dict[int, FloatRow]) -> float:
-    """`_pad` for screens over the floats of `table`."""
-    return _pad(max((abs(c) for row in table.values() for c in row), default=0.0))
+    """`float_pad` for screens over the floats of `table`.  The quadratic
+    cross and dot products have their own bound, `_err`."""
+    return float_pad(max((abs(c) for row in table.values() for c in row), default=0.0))
 
 
 class DrawingError(RuntimeError):
@@ -203,7 +184,7 @@ def check_face_condition(rep: Representation, T: planar.Triangulation) -> tuple[
     """Every inner face must have exactly one valid gap that no other
     triangle reaches (see `_face_fault`); returns (ok, [(face, reason)]).
 
-    Float screens, padded by `_pad`, only skip triangles that certainly miss
+    Float screens, padded by `float_pad`, only skip triangles that certainly miss
     a gap or strip; every other triangle is tested exactly.  Every gap
     coordinate (X, Y, X - H, Y - H, X + Y - H) is a side of a face triangle,
     so the table's largest magnitude bounds them too, and H is at most twice it.
@@ -278,7 +259,7 @@ def _free_point(rep: Representation, u: int, ray_targets: Sequence[tuple[Point, 
     ranked first by how many straight rays to the targets pass through the
     paired foreign overlap regions (used to keep edge routes out of lenses
     they do not own), then by clearance.  Refines the grid a few times before
-    giving up.  `table` is the float table of `rep` and `pad` its `_pad`, so
+    giving up.  `table` is the float table of `rep` and `pad` its `float_pad`, so
     that `extract_drawing` converts the triangles once for all vertices.
     """
     tu = rep.tri(u)
@@ -323,7 +304,7 @@ def _err(size: float, delta: float) -> float:
     vectors whose float components sum in magnitude to `size`, given each
     component within `delta` of the exact one (derived in
     `_meet_only_at_shared_end`)."""
-    return 2.0 * (delta * size + 2.0 * delta * delta + _U * size * size) + _TINY
+    return 2.0 * (delta * size + 2.0 * delta * delta + ROUNDOFF * size * size) + TINY
 
 
 def _far_apart(a: Point, b: Point, c: Point, d: Point, fl: dict, delta: float) -> bool:
@@ -376,7 +357,7 @@ def _meet_only_at_shared_end(a: Point, b: Point, c: Point, d: Point,
     conversion errors gives the additive term, of order u^2 M^2.  The two
     product roundings and the final add or subtract cost at most
     (2u + u^2)(|P~x Q~y| + |P~y Q~x|) <= u S^2.  Doubling the sum,
-    E = 2 (delta S + 2 delta^2 + u S^2) + _TINY also covers the rounding of E
+    E = 2 (delta S + 2 delta^2 + u S^2) + TINY also covers the rounding of E
     itself and every underflow, so |cross~| > E proves the exact cross
     product nonzero and dot~ < -E proves the exact dot product negative.
     Legs shorter than a few dozen u M (about 1e-14 at M = 3), or nearly
@@ -423,8 +404,8 @@ def _violations(polylines: Sequence[tuple[int, int, list[Point]]]) -> list[tuple
     yhi = [max(a[1], b[1]) for a, b in ends]
     order = sorted(range(len(segs)), key=xlo.__getitem__)
     m = max((max(abs(x), abs(y)) for x, y in fl.values()), default=0.0)
-    pad = _pad(m)
-    delta = 5.0 * _U * m + _TINY
+    pad = float_pad(m)
+    delta = 5.0 * ROUNDOFF * m + TINY
 
     out: list[tuple[int, int]] = []
     active: list[int] = []

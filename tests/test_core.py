@@ -1,9 +1,15 @@
 import ast
+import importlib
+import importlib.util
+from fractions import Fraction
 from pathlib import Path
 
 import tricontact
+from tricontact import assemble, core, perturb, planar
+from tricontact.geometry import Tri
 
 SRC = Path(tricontact.__file__).parent
+BENCH = SRC.parents[1] / "perfbench"
 
 
 def _tree(name):
@@ -75,9 +81,8 @@ def _benchmark_names():
     """Names the benchmark uses: those its code references (the corpus is
     built with the planar generators) and the attributes its tracer wraps
     by name."""
-    bench = SRC.parents[1] / "perfbench"
     out = set()
-    for p in bench.glob("*.py"):
+    for p in BENCH.glob("*.py"):
         tree = ast.parse(p.read_text())
         out |= _referenced_names(tree)
         for node in tree.body:
@@ -102,3 +107,49 @@ def test_no_public_name_serves_only_tests():
             if not any(name in _referenced_names(t, node) for t in trees.values()):
                 unused.append(f"{stem}.{name}")
     assert unused == []
+
+
+def test_tracer_bindings_resolve():
+    # the benchmark's tracer wraps layers by (module, attribute); a rename
+    # in src/ must fail here, not only print "layer absent" in a traced run
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", BENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    bindings = [row[:2] for row in tracing.SPANS + tracing.COUNTERS]
+    assert len(bindings) == len(tracing.SPANS) + len(tracing.COUNTERS) > 0
+    missing = [f"{m}.{a}" for m, a in bindings
+               if not callable(getattr(importlib.import_module(m), a, None))]
+    assert missing == []
+
+
+def _counted(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
+def test_float_screens_scale_with_the_coordinates(monkeypatch):
+    # a deep piece has tiny coordinates; the screens of the shared graph and
+    # of the face gap must settle as many pairs in floats there as at unit scale
+    T = planar.gen_stacked(60, 1)
+    rep = assemble.represent(T)
+    k = Fraction(1, 2 ** 40)
+    small = core.Representation(
+        {v: Tri(t.x * k, t.y * k, t.h * k) for v, t in rep.triangles.items()},
+        rep.outer, rep.epsilon * k)
+    faces = sorted(tuple(sorted(f)) for f in T.inner_faces)
+    graph_calls = _counted(monkeypatch, core, "signed_height")
+    gap_calls = _counted(monkeypatch, perturb, "signed_height")
+
+    def screened(r):
+        graph_calls.clear()
+        gap_calls.clear()
+        graph = core.intersection_graph(r)
+        budgets = [perturb.face_gap_with_roles(r, f)[2] for f in faces]
+        return graph, budgets, len(graph_calls), len(gap_calls)
+
+    graph, budgets, graph_exact, gap_exact = screened(rep)
+    graph_k, budgets_k, graph_exact_k, gap_exact_k = screened(small)
+    assert graph_k == graph and budgets_k == [b * k for b in budgets]
+    assert graph_exact_k <= graph_exact and gap_exact_k <= gap_exact

@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from tricontact import planar
+from tricontact import assemble, perturb, planar
 from tricontact.geometry import (
+    Tri,
     common_signed_height,
     intersect,
     point,
@@ -12,6 +13,7 @@ from tricontact.geometry import (
     tri,
 )
 from tricontact.perturb import (
+    PUSH_HORIZONTAL,
     PUSH_VERTICAL,
     TRANSLATE_DOWN,
     BadTriple,
@@ -29,6 +31,14 @@ from tricontact.perturb import (
     step3_separate,
 )
 from tricontact.core import Representation, intersection_graph
+from tricontact.perturb import (  # the integer event kernel
+    _breakpoints,
+    _corner_entry,
+    _first_reach,
+    _int_frame,
+    _intersection_triangles,
+    _lines_for,
+)
 from tricontact.solver import canvas_with_roles, solve_stacked
 from conftest import ntri
 
@@ -133,6 +143,222 @@ class TestSafeEpsilon:
             safe_epsilon(rep, {0: PUSH_VERTICAL})
 
 
+# ---------------------------------------------------------------------------
+# Reference event analysis: the same events, decided in Fractions in the
+# representation's own coordinates, knot by knot, with no early stop.
+# ---------------------------------------------------------------------------
+
+_REF_DELTAS = {
+    PUSH_VERTICAL: (F(-1), F(0), F(0)),
+    PUSH_HORIZONTAL: (F(0), F(-1), F(0)),
+    TRANSLATE_DOWN: (F(0), F(-1), F(-1)),
+}
+
+
+def _ref_lines_for(rep, move, ids):
+    s_lines, x_lines, y_lines = [], [], []
+    for i in ids:
+        t = rep.tri(i)
+        dx, dy, ds = _REF_DELTAS[move[i]] if i in move else (F(0), F(0), F(0))
+        s_lines.append((t.s, ds))
+        x_lines.append((t.x, dx))
+        y_lines.append((t.y, dy))
+    return s_lines, x_lines, y_lines
+
+
+def _ref_breakpoints(groups):
+    ts = set()
+    for lines in groups:
+        for (a1, s1), (a2, s2) in itertools.combinations(lines, 2):
+            if s1 != s2:
+                t = (a1 - a2) / (s2 - s1)
+                if t > 0:
+                    ts.add(t)
+    return sorted(ts)
+
+
+def _ref_eval_signed(groups, t):
+    s_lines, x_lines, y_lines = groups
+    return (min(a + s * t for a, s in s_lines)
+            - max(a + s * t for a, s in x_lines)
+            - max(a + s * t for a, s in y_lines))
+
+
+def _ref_first_reach(groups, thresh, upward):
+    knots = [F(0)] + _ref_breakpoints(groups)
+    vals = [_ref_eval_signed(groups, t) for t in knots]
+    for k in range(len(knots) - 1):
+        t0, t1 = knots[k], knots[k + 1]
+        f0, f1 = vals[k], vals[k + 1]
+        if upward and f1 >= thresh:
+            return t0 + (thresh - f0) * (t1 - t0) / (f1 - f0) if f1 != f0 else t1
+        if not upward and f1 < thresh:
+            if f1 == f0:
+                return t0
+            return t0 + (thresh - f0) * (t1 - t0) / (f1 - f0)
+    t_last, f_last = knots[-1], vals[-1]
+    slope = _ref_eval_signed(groups, t_last + 1) - f_last
+    if (upward and slope > 0) or (not upward and slope < 0):
+        return t_last + (thresh - f_last) / slope
+    return None
+
+
+def _ref_corner_entry(corner, t, kind):
+    dx, dy, ds = _REF_DELTAS[kind]
+    cons = [(corner.x - t.x, -dx), (corner.y - t.y, -dy), (t.s - corner.x - corner.y, ds)]
+    lo, hi = F(0), None
+    for g0, slope in cons:
+        if slope == 0:
+            if g0 < 0:
+                return None
+        elif slope > 0:
+            if g0 < 0:
+                lo = max(lo, -g0 / slope)
+        else:
+            if g0 < 0:
+                return None
+            root = -g0 / slope
+            hi = root if hi is None else min(hi, root)
+    if hi is not None and lo > hi:
+        return None
+    return lo
+
+
+def safe_epsilon_reference(rep, move, exclude_triple=None):
+    """`safe_epsilon` as first written: every event of every pair, triple
+    and boundary corner, in Fractions."""
+    outer = set(rep.outer)
+    if set(move) & outer:
+        raise PerturbError("move targets a boundary triangle")
+    moved = set(move)
+    events = []
+    for a, b in itertools.combinations(sorted(rep.triangles), 2):
+        if a not in moved and b not in moved:
+            continue
+        groups = _ref_lines_for(rep, move, (a, b))
+        if _ref_eval_signed(groups, F(0)) < 0:
+            ev = _ref_first_reach(groups, F(0), upward=True)
+        else:
+            ev = _ref_first_reach(groups, F(0), upward=False)
+            if (a in outer) != (b in outer):
+                ev2 = _ref_first_reach(groups, rep.epsilon, upward=True)
+                if ev2 is not None:
+                    events.append(ev2)
+        if ev is not None:
+            events.append(ev)
+    for a, b, c in _intersection_triangles(rep):
+        if not ({a, b, c} & moved) or frozenset((a, b, c)) == exclude_triple:
+            continue
+        groups = _ref_lines_for(rep, move, (a, b, c))
+        if _ref_eval_signed(groups, F(0)) < 0:
+            ev = _ref_first_reach(groups, F(0), upward=True)
+            if ev is not None:
+                events.append(ev)
+    for o in outer:
+        for corner in rep.tri(o).corners:
+            for i in moved:
+                ev = _ref_corner_entry(corner, rep.tri(i), move[i])
+                if ev is not None:
+                    events.append(ev)
+    cap = min(rep.tri(i).h for i in moved)
+    bound = min(events) if events else cap
+    if bound <= 0:
+        raise ZeroClearance("an event sits at zero clearance")
+    clearance = min(bound, cap)
+    return clearance / 2, clearance
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ZeroClearance:
+        return ZeroClearance
+
+
+def _chain(n, seed, depth):
+    """gen_stacked(n, seed) with an octahedron in its first inner face, then
+    `depth` rounds of stack_vertex + implant_octahedron, each into the first
+    face holding the newest vertex."""
+    def newest_face(T):
+        return sorted(sorted(f) for f in T.inner_faces if T.n - 1 in f)[0]
+    host = planar.gen_stacked(n, seed)
+    T = planar.implant_octahedron(host, sorted(sorted(f) for f in host.inner_faces)[0])
+    for _ in range(depth):
+        T = planar.stack_vertex(T, newest_face(T))
+        T = planar.implant_octahedron(T, newest_face(T))
+    return T
+
+
+# default_outer(5/7) shifted by (1/3, -2/9): no coordinate is dyadic
+_SHIFTED_OUTER = tuple(Tri(t.x + F(1, 3), t.y - F(2, 9), t.h)
+                       for t in assemble.default_outer(F(5, 7)))
+
+
+class TestIntegerFrameMatchesReference:
+    @pytest.mark.parametrize("outer", [None, _SHIFTED_OUTER], ids=["dyadic", "shifted"])
+    @pytest.mark.parametrize("make", [
+        lambda: planar.double_wheel(6),
+        lambda: planar.gen_four_connected(12, 1),
+        lambda: planar.gen_four_connected(8, 2),
+        lambda: _chain(8, 0, 1),
+    ], ids=["dw6", "g4_12_1", "g4_8_2", "chain8_0d1"])
+    def test_every_call_of_represent(self, monkeypatch, make, outer):
+        compared = []
+        fast = perturb.safe_epsilon
+
+        def checked(rep, move, exclude_triple=None, triangles=None):
+            got = _outcome(fast, rep, move, exclude_triple, triangles)
+            compared.append((got, _outcome(safe_epsilon_reference, rep, move, exclude_triple)))
+            if got is ZeroClearance:
+                raise ZeroClearance("as the reference")
+            return got
+
+        monkeypatch.setattr(perturb, "safe_epsilon", checked)
+        config = assemble.PipelineConfig() if outer is None else assemble.PipelineConfig(outer=outer)
+        assemble.represent(make(), config)
+        assert all(got == want for got, want in compared)
+
+    def test_calls_are_compared(self, monkeypatch):
+        # the inputs above do reach the event analysis (dw6, g4_8_2 and the
+        # chain make 2, 3 and 4 calls), the clearing step's move included
+        moves = []
+        fast = perturb.safe_epsilon
+        monkeypatch.setattr(perturb, "safe_epsilon",
+                            lambda *a, **k: moves[-1].append(a[1]) or fast(*a, **k))
+        for T in (planar.double_wheel(6), planar.gen_four_connected(8, 2), _chain(8, 0, 1)):
+            moves.append([])
+            assemble.represent(T)
+        assert all(moves)
+        assert any(PUSH_HORIZONTAL in m.values() for calls in moves for m in calls)
+
+    @pytest.mark.parametrize("extra, move", [
+        ({9: tri(-4, 2, 3)}, {0: PUSH_VERTICAL}),
+        ({}, {0: PUSH_VERTICAL}),
+        ({5: tri(1, 3, 1)}, {0: TRANSLATE_DOWN, 1: PUSH_VERTICAL}),   # ZeroClearance
+        ({5: tri(1, 3, 1), 6: tri("1/2", "7/2", "1/2")}, {5: PUSH_HORIZONTAL, 6: PUSH_HORIZONTAL}),
+    ])
+    def test_fixtures(self, extra, move):
+        rep = fixture_rep(extra)
+        sel = frozenset((0, 1, 2))
+        assert (_outcome(safe_epsilon, rep, move, sel)
+                == _outcome(safe_epsilon_reference, rep, move, sel))
+
+    def test_boundary_events(self, outer_map):
+        # free triangles in the boundary's gap: 7 overlaps t(0) by 1/8, so
+        # its moves end where that overlap reaches epsilon = 1/5; 8 is
+        # capped by its height; 9 already overlaps t(0) by more than epsilon
+        rep = Representation({**outer_map, 7: tri(2, "15/8", "1/2"),
+                              8: tri("27/10", "27/10", "1/10")}, (0, 1, 2), F(1, 5))
+        spent = Representation({**outer_map, 9: tri("5/4", "3/4", "1/3")}, (0, 1, 2), F(1, 5))
+        cases = [(rep, {7: kind}) for kind in (PUSH_VERTICAL, PUSH_HORIZONTAL, TRANSLATE_DOWN)]
+        cases += [(rep, {7: PUSH_HORIZONTAL, 8: PUSH_VERTICAL}), (rep, {8: TRANSLATE_DOWN}),
+                  (spent, {9: PUSH_VERTICAL})]
+        results = [_outcome(safe_epsilon_reference, r, m) for r, m in cases]
+        assert results[0] == (F(3, 80), F(3, 40)) and results[4] == (F(1, 20), F(1, 10))
+        assert results[5] is ZeroClearance
+        assert [_outcome(safe_epsilon, r, m) for r, m in cases] == results
+
+
 class TestSteps:
     def test_step1_exact(self):
         rep = fixture_rep()
@@ -219,6 +445,29 @@ class TestRemoveAll:
         for u, v in itertools.combinations(range(6), 2):
             assert (v in adj[u]) == (signed_height(out.tri(u), out.tri(v)) >= 0)
 
+    def test_clean_piece_scanned_once(self, monkeypatch, k4, outer_map):
+        # one intersection graph and one bad-triple scan for a piece that
+        # has no triple (core's routine, at the name perturb calls it by)
+        rep = solve_stacked(planar.as_piece(k4), outer_map)
+        calls = []
+        scan, graph = perturb.find_bad_triples, perturb.intersection_graph
+        monkeypatch.setattr(perturb, "find_bad_triples",
+                            lambda *a, **k: calls.append("scan") or scan(*a, **k))
+        monkeypatch.setattr(perturb, "intersection_graph",
+                            lambda *a, **k: calls.append("graph") or graph(*a, **k))
+        assert remove_all(rep) is rep
+        assert sorted(calls) == ["graph", "scan"]
+
+    def test_one_graph_for_every_round(self, monkeypatch, k222_triple_rep):
+        # the steps keep the graph, so the scans and budgets of a round that
+        # clears a triple reuse the triangles listed at the start
+        calls = []
+        graph = perturb.intersection_graph
+        monkeypatch.setattr(perturb, "intersection_graph",
+                            lambda *a, **k: calls.append(1) or graph(*a, **k))
+        assert find_bad_triples(remove_all(k222_triple_rep)) == []
+        assert len(calls) == 2          # remove_all's one, and the check above
+
     def test_budget_trace(self, k222_triple_rep):
         budgets = []
         remove_all(k222_triple_rep, budgets=budgets)
@@ -229,49 +478,66 @@ class TestRemoveAll:
 
 
 class TestEventAnalysis:
-    """Direct checks of the exact piecewise-linear event machinery."""
+    """Direct checks of the exact piecewise-linear event machinery, in the
+    integer frame: (x, y, s) per vertex."""
 
     def test_first_reach_upward_linear(self):
-        from tricontact.perturb import _first_reach, _lines_for, _breakpoints
         # (0,0,1) approached by push_vertical of (3,0,1): signed = 1 - (3-t) - 0
-        rep = Representation({0: tri(0, 0, 1), 1: tri(3, 0, 1)}, (), F(1))
-        move = {1: PUSH_VERTICAL}
-        groups = _lines_for(rep, move, (0, 1))
-        root = _first_reach(groups, _breakpoints(groups), F(0), upward=True)
-        assert root == 2          # signed(t) = t - 2
+        groups = _lines_for({0: (0, 0, 1), 1: (3, 0, 4)}, {1: PUSH_VERTICAL}, (0, 1))
+        assert _first_reach(groups, 0, upward=True) == 2      # signed(t) = t - 2
 
     def test_first_reach_with_breakpoint(self):
-        from tricontact.perturb import _first_reach, _lines_for, _breakpoints
         # moving triangle's x passes under the static one's x: slope changes
-        rep = Representation({0: tri(0, 0, 4), 1: tri(1, 1, 1)}, (), F(1))
-        move = {1: TRANSLATE_DOWN}
-        groups = _lines_for(rep, move, (0, 1))
+        groups = _lines_for({0: (0, 0, 4), 1: (1, 1, 3)}, {1: TRANSLATE_DOWN}, (0, 1))
+        assert _breakpoints(groups) == [1]
         # signed(t) = min(4, 3-t) - 1 - max(0, 1-t): starts at 1, falls to 0 at t=2
-        root = _first_reach(groups, _breakpoints(groups), F(0), upward=False)
-        assert root == 2
+        assert _first_reach(groups, 0, upward=False) == 2
+
+    def test_first_reach_inside_a_later_segment(self):
+        # t(0) pushed left meets t(1) sliding down: signed(t) = -9 + 2t up to
+        # the knot t = 2, then -7 + t up to the knot t = 10
+        groups = _lines_for({0: (10, 0, 11), 1: (8, 10, 30)},
+                            {0: PUSH_VERTICAL, 1: TRANSLATE_DOWN}, (0, 1))
+        assert _breakpoints(groups) == [2, 10, 19]
+        assert _first_reach(groups, 0, upward=True) == 7
+
+    def test_first_reach_stop(self):
+        # signed(t) = 2 up to the knot t = 3, then 5 - t
+        groups = _lines_for({0: (0, 0, 8), 1: (1, 3, 6)}, {1: TRANSLATE_DOWN}, (0, 1))
+        assert _first_reach(groups, 0, upward=False) == 5
+        # a stop beyond the event never hides it; a stop at or before the
+        # last knot ahead of it ends the scan there
+        assert _first_reach(groups, 0, upward=False, stop=F(11, 2)) == 5
+        assert _first_reach(groups, 0, upward=False, stop=3) is None
 
     def test_lockstep_pair_has_no_event(self):
-        from tricontact.perturb import _first_reach, _lines_for, _breakpoints
         # the slide-down + push-left combination keeps the contact exactly
         rep = fixture_rep()
         sel = select_bad(find_bad_triples(rep))
         r1 = step1_widen(rep, sel, F(1, 4))
+        den, frame, _ = _int_frame(r1)
+        assert den == 4
         move = {sel.u: TRANSLATE_DOWN, sel.v: PUSH_VERTICAL}
-        groups = _lines_for(r1, move, (sel.u, sel.v))
+        groups = _lines_for(frame, move, (sel.u, sel.v))
         assert signed_height(r1.tri(sel.u), r1.tri(sel.v)) == 0
-        root = _first_reach(groups, _breakpoints(groups), F(0), upward=False)
-        assert root is None or root >= F(9, 4)
+        root = _first_reach(groups, 0, upward=False)
+        assert root is None or root >= 9           # 9/4 in rep units
 
     def test_corner_entry(self):
-        from tricontact.perturb import _corner_entry
-        from tricontact.geometry import point
-        # pushing the vertical side left reaches a corner 3 to the left
-        t = tri(2, 0, 2)
-        assert _corner_entry(point(1, 1), t, PUSH_VERTICAL) == 1
+        # pushing the vertical side left reaches a corner 1 to the left
+        t = (2, 0, 4)
+        assert _corner_entry((1, 1), t, PUSH_VERTICAL) == 1
         # a corner below the triangle can never be reached by that move
-        assert _corner_entry(point(1, -5), t, PUSH_VERTICAL) is None
+        assert _corner_entry((1, -5), t, PUSH_VERTICAL) is None
         # translations reach corners below
-        assert _corner_entry(point(3, -1), t, TRANSLATE_DOWN) == 1
+        assert _corner_entry((3, -1), t, TRANSLATE_DOWN) == 1
+
+    def test_int_frame(self):
+        rep = Representation({0: tri("1/3", "-2/9", "5/7"), 1: tri(1, 2, 3)}, (), F(1, 6))
+        den, frame, eps = _int_frame(rep)
+        assert den == 126
+        assert frame == {0: (42, -28, 104), 1: (126, 252, 756)}
+        assert eps == 21
 
 
 class TestSharedVertexTriples:
