@@ -3,8 +3,12 @@
 Rebuilds the intersection graph, checks that no point lies in three
 triangles, checks the boundary-overlap budget and corner condition, checks
 the per-face gap condition, and realizes a planar drawing with an exact
-crossing count.  Everything is decided with rational predicates; floats are
-used only as conservative prefilters whose misses fall back to exact tests.
+crossing count.  Everything is decided with rational predicates.  Floats
+serve as conservative prefilters whose misses fall back to exact tests, and
+they rank the candidate points of the drawing's vertices; each winner is
+re-checked exactly.  The float work runs as numpy array kernels, once per
+representation: one sort-and-sweep over boxes (`_box_pairs`) gives the
+near pairs of every check, and the screens run over blocks of pairs.
 The module imports nothing from the constructor modules (`solver`,
 `perturb`, `assemble`); the face check is written here, but the gap
 candidates it tests come from `geometry.gap_candidates`, which the
@@ -16,7 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
+from typing import Collection, Sequence
+
+import numpy as np
 
 from tricontact import planar
 from tricontact.core import ROUNDOFF, TINY, Representation, float_pad, intersection_graph
@@ -33,23 +39,43 @@ from tricontact.geometry import (
     signed_height,
 )
 
-# (x, y, s, x + h, y + h) of one triangle, each the double nearest the exact value
-FloatRow = tuple[float, float, float, float, float]
+def float_table(rep: Representation) -> tuple[list[int], np.ndarray, float]:
+    """The vertices of `rep`, their triangles' rows (x, y, s, x + h, y + h)
+    of nearest doubles, and the `float_pad` of linear screens over them (the
+    quadratic cross and dot products have their own bound, `_err`)."""
+    table = np.array([(float(t.x), float(t.y), float(t.s), float(t.x + t.h), float(t.y + t.h))
+                      for t in rep.triangles.values()], dtype=float).reshape(-1, 5)
+    return list(rep.triangles), table, float_pad(float(np.abs(table).max(initial=0.0)))
 
 
-def float_table(rep: Representation) -> dict[int, FloatRow]:
-    """Every triangle of `rep` in floats; each check that screens with floats
-    builds it once per call."""
-    out = {}
-    for v, t in rep.triangles.items():
-        out[v] = (float(t.x), float(t.y), float(t.s), float(t.x + t.h), float(t.y + t.h))
-    return out
+# Most pairs in one block of a kernel, so that its temporaries stay small
+BLOCK = 1 << 11
 
 
-def _table_pad(table: dict[int, FloatRow]) -> float:
-    """`float_pad` for screens over the floats of `table`.  The quadratic
-    cross and dot products have their own bound, `_err`."""
-    return float_pad(max((abs(c) for row in table.values() for c in row), default=0.0))
+def _box_pairs(boxes: np.ndarray, pad: float):
+    """Every pair of `boxes`, rows (xlo, xhi, ylo, yhi), that meet when
+    widened by `pad`, as blocks of two index arrays (i, j), with i before j
+    in the boxes' stable order by xlo.
+
+    For each box, `searchsorted` finds the run of later boxes with
+    xlo - pad <= its xhi; a vectorised test keeps the pairs with
+    ylo[j] <= yhi[i] + pad and ylo[i] <= yhi[j] + pad (each rounded as
+    written).  A block holds the runs of consecutive boxes up to `BLOCK`
+    pairs in all, or one box's run if that is longer.
+    """
+    order = np.argsort(boxes[:, 0], kind="stable")
+    xlo, xhi, ylo, yhi = boxes[order].T
+    n = len(order)
+    runs = np.searchsorted(xlo - pad, xhi, side="right") - np.arange(1, n + 1)
+    starts = np.concatenate(([0], np.cumsum(runs)))
+    a = 0
+    while a < n:
+        b = max(a + 1, int(np.searchsorted(starts, starts[a] + BLOCK, side="right")) - 1)
+        i = np.repeat(np.arange(a, b), runs[a:b])
+        j = i + 1 + np.arange(starts[b] - starts[a]) - np.repeat(starts[a:b] - starts[a], runs[a:b])
+        keep = (ylo[j] <= yhi[i] + pad) & (ylo[i] <= yhi[j] + pad)
+        yield order[i[keep]], order[j[keep]]
+        a = b
 
 
 class DrawingError(RuntimeError):
@@ -114,8 +140,9 @@ def check_boundary(rep: Representation, epsilon: Fraction | None = None
     return (not bad_pairs), bad_pairs, (not bad_corners), bad_corners
 
 
-def _face_fault(rep: Representation, ids: tuple[int, int, int],
-                table: dict[int, FloatRow], pad: float) -> str | None:
+def _face_fault(rep: Representation, ids: tuple[int, int, int], cands: list[NegTri],
+                fc: list[tuple[float, float, float]], near: list[tuple[int, list[float]]],
+                pad: float) -> str | None:
     """Why the face `ids` fails the gap condition, or None if it passes.
 
     A gap candidate is a negative homothet bounded by one side line of each
@@ -124,22 +151,11 @@ def _face_fault(rep: Representation, ids: tuple[int, int, int],
     every triangle outside the face that meets one of the gap's three strips
     (the positive homothets of the gap's height mirrored across its sides)
     stays strictly off that side's line, so that a probe of positive height
-    fits against every gap side.
+    fits against every gap side.  `fc` holds the candidates' (X, Y, H) in
+    floats, `near` the triangles outside the face near its query box.
     """
-    cands = [gap for gap, _roles in gap_candidates([rep.tri(v) for v in ids])]
     if not cands:
         return f"no gap candidate for face {list(ids)}"
-    # The candidate gaps and their strips lie in [X - H, X + H] x [Y - H, Y + H]
-    # for their (X, Y, H); a triangle whose bounding box misses the union of
-    # these boxes by more than `pad` meets none of them.
-    fc = [(float(g.x), float(g.y), float(g.h)) for g in cands]
-    qx0 = min(x - h for x, _y, h in fc) - pad
-    qy0 = min(y - h for _x, y, h in fc) - pad
-    qx1 = max(x + h for x, _y, h in fc) + pad
-    qy1 = max(y + h for _x, y, h in fc) + pad
-    near = [(v, row) for v, row in table.items()
-            if row[3] >= qx0 and row[0] <= qx1 and row[4] >= qy0 and row[1] <= qy1
-            and v not in ids]
 
     def blocked(gap: NegTri, gf: tuple[float, float, float]) -> bool:
         gx, gy, gh = gf
@@ -184,19 +200,41 @@ def check_face_condition(rep: Representation, T: planar.Triangulation) -> tuple[
     """Every inner face must have exactly one valid gap that no other
     triangle reaches (see `_face_fault`); returns (ok, [(face, reason)]).
 
-    Float screens, padded by `float_pad`, only skip triangles that certainly miss
-    a gap or strip; every other triangle is tested exactly.  Every gap
-    coordinate (X, Y, X - H, Y - H, X + Y - H) is a side of a face triangle,
-    so the table's largest magnitude bounds them too, and H is at most twice it.
+    One `_box_pairs` sweep over the triangles' boxes and the faces' query
+    boxes gives each face the triangles near it.  Float screens, padded by
+    `float_pad`, only skip triangles that certainly miss a gap or strip;
+    every other triangle is tested exactly.  Every gap coordinate (X, Y,
+    X - H, Y - H, X + Y - H) is a side of a face triangle, so the table's
+    largest magnitude bounds them too, and H is at most twice it.
     """
-    table = float_table(rep)
-    pad = _table_pad(table)
+    ids, table, pad = float_table(rep)
+    rows = table.tolist()
+    faces = [tuple(sorted(f)) for f in T.inner_faces]
+    cands = [[g for g, _roles in gap_candidates([rep.tri(v) for v in f])] for f in faces]
+    fcs = [[(float(g.x), float(g.y), float(g.h)) for g in c] for c in cands]
+    queried = np.array([k for k, c in enumerate(cands) if c], dtype=np.intp)
+    # the candidate gaps and their strips lie in [X - H, X + H] x [Y - H, Y + H]
+    # for their (X, Y, H): the union of these boxes, widened by `pad`
+    boxes = np.array([(min(x - h for x, _y, h in fc) - pad, max(x + h for x, _y, h in fc) + pad,
+                       min(y - h for _x, y, h in fc) - pad, max(y + h for _x, y, h in fc) + pad)
+                      for fc in fcs if fc]).reshape(-1, 4)
+    n = len(ids)
+    fq, rq = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]  # (face, row) pairs
+    for i, j in _box_pairs(np.vstack((table[:, [0, 3, 1, 4]], boxes)), 0.0):
+        lo, hi = np.minimum(i, j), np.maximum(i, j)
+        keep = (lo < n) & (hi >= n)
+        fq.append(queried[hi[keep] - n])
+        rq.append(lo[keep])
+    fq, rq = np.concatenate(fq), np.concatenate(rq)
+    order = np.lexsort((rq, fq))
+    fq, rq = fq[order], rq[order].tolist()
+    cut = np.searchsorted(fq, np.arange(len(faces) + 1)).tolist()
     failures = []
-    for f in T.inner_faces:
-        ids = tuple(sorted(f))
-        why = _face_fault(rep, ids, table, pad)
+    for k, f in enumerate(faces):
+        near = [(ids[r], rows[r]) for r in rq[cut[k]:cut[k + 1]] if ids[r] not in f]
+        why = _face_fault(rep, f, cands[k], fcs[k], near, pad)
         if why is not None:
-            failures.append((ids, why))
+            failures.append((f, why))
     return (not failures), failures
 
 
@@ -221,74 +259,124 @@ class Drawing:
         }
 
 
-def _near_ids(u: int, table: dict[int, FloatRow], pad: float) -> list[int]:
-    """Triangles whose bounding box meets t(u)'s, padded by `pad`."""
-    xlo, ylo, _s, xhi, yhi = table[u]
-    return [v for v, (ax, ay, _s, bx, by) in table.items()
-            if v != u and not (bx < xlo - pad or ax > xhi + pad
-                               or by < ylo - pad or ay > yhi + pad)]
-
-
-def _segment_hits_region(ax, ay, bx, by, region) -> bool:
-    """Float clip of segment AB against a positive-homothet region (x, y, s):
-    True iff some parameter interval of AB lies inside all three half-planes."""
-    rx, ry, rs = region
-    t0, t1 = 0.0, 1.0
+def _clip_hits(ax, ay, bx, by, rx, ry, rs) -> np.ndarray:
+    """Float clip of segments AB against positive-homothet regions (rx, ry,
+    rs), elementwise: True iff some parameter interval of AB lies inside all
+    three half-planes."""
+    t0, t1, ok = 0.0, 1.0, True
     for p, q in ((ax - rx, bx - ax), (ay - ry, by - ay),
                  (rs - ax - ay, -(bx - ax) - (by - ay))):
-        # constraint p + t*q >= 0
-        if q == 0.0:
-            if p < 0.0:
-                return False
-        elif q > 0.0:
-            t0 = max(t0, -p / q)
-        else:
-            t1 = min(t1, -p / q)
-        if t0 > t1:
-            return False
-    return True
+        # constraint p + t*q >= 0; where q = 0, -p/q is masked out
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = -p / q
+        ok = ok & ((q != 0.0) | (p >= 0.0))
+        t0 = np.where(q > 0.0, np.maximum(t0, r), t0)
+        t1 = np.where(q < 0.0, np.minimum(t1, r), t1)
+    return ok & (t0 <= t1)
 
 
-def _free_point(rep: Representation, u: int, ray_targets: Sequence[tuple[Point, Sequence]],
-                table: dict[int, FloatRow], pad: float) -> Point:
-    """A point of t(u) covered by no other triangle, chosen from an interior
-    grid; the winner's non-membership in every other triangle is verified
-    exactly.
+def _free_points(rep: Representation, nbrs: dict[int, Collection[int]],
+                 contacts: dict[tuple[int, int], Point],
+                 lenses: dict[tuple[int, int], Tri]) -> dict[int, Point]:
+    """For each vertex u of `nbrs`, a point of t(u) covered by no other
+    triangle, chosen from an interior grid; each winner's non-membership in
+    every other triangle is verified exactly.
 
-    With ray_targets = [(target, foreign regions), ...] the candidates are
-    ranked first by how many straight rays to the targets pass through the
-    paired foreign overlap regions (used to keep edge routes out of lenses
-    they do not own), then by clearance.  Refines the grid a few times before
-    giving up.  `table` is the float table of `rep` and `pad` its `float_pad`, so
-    that `extract_drawing` converts the triangles once for all vertices.
+    The candidates are ranked first by how many straight rays, from the
+    candidate to the contact anchors of u's edges, pass through the overlap
+    regions (lenses) of u's other edges (this keeps edge routes out of lenses
+    they do not own), then by clearance: the min, over the triangles whose
+    boxes meet t(u)'s padded by `float_pad`, of how far the candidate lies
+    outside each.  Each grid is scored for every pending vertex at once, in
+    blocks; a vertex whose 16 best candidates all fail moves on to the next,
+    finer grid.
     """
-    tu = rep.tri(u)
-    ids = _near_ids(u, table, pad)
-    near = [rep.tri(v) for v in ids]
-    nearf = [table[v][:3] for v in ids]
-    xf, yf, hf = float(tu.x), float(tu.y), float(tu.h)
-    rays = [((float(g.x), float(g.y)), [(float(r.x), float(r.y), float(r.s))
-                                        for r in regions])
-            for g, regions in ray_targets]
+    ids, table, pad = float_table(rep)
+    row = {v: r for r, v in enumerate(ids)}
+    hf = np.array([float(t.h) for t in rep.triangles.values()])
+    # directed pairs (u, v) with v's box within `pad` of u's box; the sweep's
+    # 2 * pad covers this test in both directions despite their roundings
+    nu: list[int] = []
+    nv: list[int] = []
+    for i, j in _box_pairs(table[:, [0, 3, 1, 4]], 2 * pad):
+        for u, v in ((i, j), (j, i)):
+            keep = ~((table[v, 3] < table[u, 0] - pad) | (table[v, 0] > table[u, 3] + pad)
+                     | (table[v, 4] < table[u, 1] - pad) | (table[v, 1] > table[u, 4] + pad))
+            nu += u[keep].tolist()
+            nv += v[keep].tolist()
+    near: dict[int, list[Tri]] = {v: [] for v in ids}
+    for u, v in zip(nu, nv):
+        near[ids[u]].append(rep.tri(ids[v]))
+    nu_a, nv_a = np.array(nu, dtype=np.intp), np.array(nv, dtype=np.intp)
+    # a ray runs from a candidate of u to the contact of one of u's edges; its
+    # regions are the lenses of u's other edges; each is converted once
+    cf = {e: (float(c.x), float(c.y)) for e, c in contacts.items()}
+    lf = {e: (float(t.x), float(t.y), float(t.s)) for e, t in lenses.items()}
+    ray_row: list[int] = []  # per ray: the row of u
+    pair_ray, pair_geo = [], []  # per (ray, region): the ray, target (x, y) + region (x, y, s)
+    for u in sorted(nbrs):
+        nb = sorted(nbrs[u])
+        lensed = [(w, lf[e]) for w in nb if (e := (min(u, w), max(u, w))) in lf]
+        for v in nb:
+            g = cf[(min(u, v), max(u, v))]
+            geo_v = [g + r for w, r in lensed if w != v]
+            pair_ray += [len(ray_row)] * len(geo_v)
+            pair_geo += geo_v
+            ray_row.append(row[u])
+    pair_ray_a = np.array(pair_ray, dtype=np.intp)
+    pair_row = np.array(ray_row, dtype=np.intp)[pair_ray_a]
+    geo = np.array(pair_geo, dtype=float).reshape(-1, 5)
+
+    points: dict[int, Point] = {}
+    pending = sorted(nbrs)
     for denom in (8, 16, 32, 64):
-        scored = []
-        for i in range(1, denom - 1):
-            for j in range(1, denom - i):
-                pa = xf + hf * i / denom
-                pb = yf + hf * j / denom
-                c = min((max(tx - pa, ty - pb, pa + pb - ts) for tx, ty, ts in nearf),
-                        default=1.0)
-                blocked = 0
-                for (gx, gy), regions in rays:
-                    if any(_segment_hits_region(pa, pb, gx, gy, r) for r in regions):
-                        blocked += 1
-                scored.append((blocked, -c, i, j))
-        scored.sort()
-        for _blocked, _negc, i, j in scored[:16]:
-            p = Point(tu.x + tu.h * Fraction(i, denom), tu.y + tu.h * Fraction(j, denom))
-            if not any(t.contains(p) for t in near):
-                return p
-    raise DrawingError(f"no free interior point in triangle of vertex {u} (representation invalid)")
+        if not pending:
+            break
+        grid = [(i, j) for i in range(1, denom - 1) for j in range(1, denom - i)]
+        I, J = np.array(grid).T
+        rows = np.array([row[u] for u in pending], dtype=np.intp)
+        slot = np.full(len(ids), -1, dtype=np.intp)
+        slot[rows] = np.arange(len(rows))
+        pa = table[rows, 0][:, None] + hf[rows][:, None] * I / denom
+        pb = table[rows, 1][:, None] + hf[rows][:, None] * J / denom
+        step = max(1, BLOCK // len(I))
+        clear = np.where(np.bincount(nu_a, minlength=len(ids))[rows, None] > 0, np.inf,
+                         np.ones_like(pa))
+        sel = np.flatnonzero(slot[nu_a] >= 0)
+        for k in range(0, len(sel), step):
+            s, t = slot[nu_a[sel[k:k + step]]], table[nv_a[sel[k:k + step]]]
+            np.minimum.at(clear, s, np.maximum(
+                np.maximum(t[:, 0, None] - pa[s], t[:, 1, None] - pb[s]),
+                pa[s] + pb[s] - t[:, 2, None]))
+        sel = np.flatnonzero(slot[pair_row] >= 0)
+        first = np.diff(pair_ray_a[sel], prepend=-1) != 0  # pairs come sorted by ray
+        local = np.cumsum(first) - 1
+        hit = np.zeros((int(first.sum()), len(I)), dtype=bool)
+        for k in range(0, len(sel), step):
+            s, t = slot[pair_row[sel[k:k + step]]], geo[sel[k:k + step]]
+            np.logical_or.at(hit, local[k:k + step], _clip_hits(
+                pa[s], pb[s], t[:, 0, None], t[:, 1, None], t[:, 2, None], t[:, 3, None],
+                t[:, 4, None]))
+        blocked = np.zeros(pa.shape, dtype=np.intp)
+        np.add.at(blocked, slot[pair_row[sel[first]]], hit)
+        ranked = np.lexsort((np.broadcast_to(J, pa.shape), np.broadcast_to(I, pa.shape),
+                             -clear, blocked))[:, :16]
+        still = []
+        for u, best in zip(pending, ranked.tolist()):
+            tu = rep.tri(u)
+            for k in best:
+                i, j = grid[k]
+                p = Point(tu.x + tu.h * Fraction(i, denom), tu.y + tu.h * Fraction(j, denom))
+                if not any(t.contains(p) for t in near[u]):
+                    points[u] = p
+                    break
+            else:
+                still.append(u)
+        pending = still
+    if pending:
+        raise DrawingError(f"no free interior point in triangle of vertex {pending[0]} "
+                           "(representation invalid)")
+    return {u: points[u] for u in sorted(nbrs)}
 
 
 def _midpoint(a: Point, b: Point) -> Point:
@@ -299,7 +387,7 @@ def _route(pu: Point, c: Point, pv: Point) -> list[Point]:
     return [pu, _midpoint(pu, c), c, _midpoint(c, pv), pv]
 
 
-def _err(size: float, delta: float) -> float:
+def _err(size: np.ndarray | float, delta: float) -> np.ndarray | float:
     """Bound on the error of a float cross or dot product of two difference
     vectors whose float components sum in magnitude to `size`, given each
     component within `delta` of the exact one (derived in
@@ -307,37 +395,28 @@ def _err(size: float, delta: float) -> float:
     return 2.0 * (delta * size + 2.0 * delta * delta + ROUNDOFF * size * size) + TINY
 
 
-def _far_apart(a: Point, b: Point, c: Point, d: Point, fl: dict, delta: float) -> bool:
-    """Conservative float screen: True only if the segments certainly miss,
-    because both ends of one lie strictly on one side of the other's line
-    (each orientation beyond its error bound `_err`)."""
-    ax, ay = fl[id(a)]
-    bx, by = fl[id(b)]
-    cx, cy = fl[id(c)]
-    dx, dy = fl[id(d)]
-    abx, aby = bx - ax, by - ay
-    acx, acy, adx, ady = cx - ax, cy - ay, dx - ax, dy - ay
-    o1 = abx * acy - aby * acx
-    o2 = abx * ady - aby * adx
-    ab = abs(abx) + abs(aby)
-    e1 = _err(ab + abs(acx) + abs(acy), delta)
-    e2 = _err(ab + abs(adx) + abs(ady), delta)
-    if (o1 > e1 and o2 > e2) or (o1 < -e1 and o2 < -e2):
-        return True
-    cdx, cdy = dx - cx, dy - cy
-    cax, cay, cbx, cby = ax - cx, ay - cy, bx - cx, by - cy
-    o3 = cdx * cay - cdy * cax
-    o4 = cdx * cby - cdy * cbx
-    cd = abs(cdx) + abs(cdy)
-    e3 = _err(cd + abs(cax) + abs(cay), delta)
-    e4 = _err(cd + abs(cbx) + abs(cby), delta)
-    return (o3 > e3 and o4 > e4) or (o3 < -e3 and o4 < -e4)
+def _far_apart(X: np.ndarray, Y: np.ndarray, a, b, c, d, delta: float) -> np.ndarray:
+    """Conservative float screen over segment pairs (ab, cd), given as point
+    rows into the coordinates X, Y: True only where the segments certainly
+    miss, because both ends of one lie strictly on one side of the other's
+    line (each orientation beyond its error bound `_err`)."""
+    def one_side(a, b, c, d):
+        abx, aby = X[b] - X[a], Y[b] - Y[a]
+        acx, acy, adx, ady = X[c] - X[a], Y[c] - Y[a], X[d] - X[a], Y[d] - Y[a]
+        o1 = abx * acy - aby * acx
+        o2 = abx * ady - aby * adx
+        ab = abs(abx) + abs(aby)
+        e1 = _err(ab + abs(acx) + abs(acy), delta)
+        e2 = _err(ab + abs(adx) + abs(ady), delta)
+        return ((o1 > e1) & (o2 > e2)) | ((o1 < -e1) & (o2 < -e2))
+    return one_side(a, b, c, d) | one_side(c, d, a, b)
 
 
-def _meet_only_at_shared_end(a: Point, b: Point, c: Point, d: Point,
-                             fl: dict, delta: float) -> bool:
-    """Float screen for segments ab and cd that share an endpoint object o:
-    True only if they certainly meet in o alone.
+def _meet_only_at_shared_end(X: np.ndarray, Y: np.ndarray, a, b, c, d, delta: float
+                             ) -> tuple[np.ndarray, np.ndarray]:
+    """Float screen over segment pairs (ab, cd), given as point rows into
+    the coordinates X, Y: (True where the segments share an endpoint row o
+    and certainly meet in o alone, o).
 
     With p and q their other ends, the segments meet elsewhere only if p - o
     and q - o are parallel and point the same way, so the pair is settled
@@ -364,19 +443,38 @@ def _meet_only_at_shared_end(a: Point, b: Point, c: Point, d: Point,
     parallel ones, leave |cross~| under E, and the pair goes to the exact
     test.
     """
-    if a is c or a is d:
-        o, p = a, b
-    elif b is c or b is d:
-        o, p = b, a
-    else:
-        return False
-    q = d if o is c else c
-    ox, oy = fl[id(o)]
-    px, py = fl[id(p)]
-    qx, qy = fl[id(q)]
-    px, py, qx, qy = px - ox, py - oy, qx - ox, qy - oy
+    at_a = (a == c) | (a == d)
+    o, p = np.where(at_a, a, b), np.where(at_a, b, a)
+    q = np.where(o == c, d, c)
+    px, py, qx, qy = X[p] - X[o], Y[p] - Y[o], X[q] - X[o], Y[q] - Y[o]
     err = _err(abs(px) + abs(py) + abs(qx) + abs(qy), delta)
-    return abs(px * qy - py * qx) > err or px * qx + py * qy < -err
+    met = (abs(px * qy - py * qx) > err) | (px * qx + py * qy < -err)
+    return (at_a | (b == c) | (b == d)) & met, o
+
+
+def _exact_violation(polylines: Sequence[tuple[int, int, list[Point]]],
+                     pid: int, k: int, qid: int, l: int) -> bool:
+    """Whether leg k of polyline pid and leg l of polyline qid meet in a
+    forbidden way, decided exactly."""
+    u, v, path1 = polylines[pid]
+    u2, v2, path2 = polylines[qid]
+    a, b, c, d = path1[k], path1[k + 1], path2[l], path2[l + 1]
+    kind = segment_intersection_kind(a, b, c, d)
+    if pid == qid:
+        return kind == "cross" if abs(k - l) == 1 else kind != "none"
+    if kind != "endpoint":
+        return kind != "none"
+    common = None
+    for p in (a, b):
+        if p == c or p == d:
+            common = p
+    if common is not None:
+        for x in {u, v} & {u2, v2}:
+            terminal1 = path1[0] if u == x else path1[-1]
+            terminal2 = path2[0] if u2 == x else path2[-1]
+            if common == terminal1 == terminal2:
+                return False
+    return True
 
 
 def _violations(polylines: Sequence[tuple[int, int, list[Point]]]) -> list[tuple[int, int]]:
@@ -385,75 +483,57 @@ def _violations(polylines: Sequence[tuple[int, int, list[Point]]]) -> list[tuple
     Allowed: consecutive segments of one polyline sharing their joint, and
     two routes of edges sharing a vertex meeting exactly at that vertex's
     point.  Everything else (proper crossings, touches, collinear overlaps)
-    is a violation.  Conservative float screens skip pairs that certainly
-    miss and settle pairs that certainly meet only at a shared endpoint
-    (`_meet_only_at_shared_end`, not applied to two non-consecutive segments
-    of one polyline); the rest is decided exactly.
+    is a violation.  The candidate pairs come from one `_box_pairs` sweep
+    over the segments' boxes.  Conservative float screens, over each block
+    of pairs at once, skip pairs that certainly miss and settle pairs that
+    certainly meet only at a shared endpoint object (`_meet_only_at_shared_end`,
+    not applied to two non-consecutive segments of one polyline); such a
+    meeting of two routes is allowed iff that object is both routes'
+    terminal at a common vertex.  The rest is decided exactly
+    (`_exact_violation`).  Each pair is (later, earlier) in the sweep's order
+    of the segments, and the list is sorted.
     """
-    segs = []
-    fl: dict[int, tuple[float, float]] = {}
-    for pid, (u, v, path) in enumerate(polylines):
+    row: dict[int, int] = {}  # id of a Point object -> its row in xy
+    xy: list[float] = []  # x, y of each row
+    segs: list[int] = []  # polyline, leg, start row, end row of each segment
+    for pid, (_u, _v, path) in enumerate(polylines):
         for p in path:
-            fl[id(p)] = (float(p.x), float(p.y))
+            if id(p) not in row:
+                row[id(p)] = len(xy) // 2
+                xy += (float(p.x), float(p.y))
         for k in range(len(path) - 1):
-            segs.append((pid, k, path[k], path[k + 1], u, v))
-    ends = [(fl[id(s[2])], fl[id(s[3])]) for s in segs]
-    xlo = [min(a[0], b[0]) for a, b in ends]
-    xhi = [max(a[0], b[0]) for a, b in ends]
-    ylo = [min(a[1], b[1]) for a, b in ends]
-    yhi = [max(a[1], b[1]) for a, b in ends]
-    order = sorted(range(len(segs)), key=xlo.__getitem__)
-    m = max((max(abs(x), abs(y)) for x, y in fl.values()), default=0.0)
+            segs += (pid, k, row[id(path[k])], row[id(path[k + 1])])
+    xy = np.array(xy, dtype=float).reshape(-1, 2)
+    X, Y = xy[:, 0], xy[:, 1]
+    pid, leg, a, b = np.array(segs, dtype=np.intp).reshape(-1, 4).T
+    # per polyline: its vertices and the rows of its first and last point
+    ends = np.array([(u, v, row[id(path[0])], row[id(path[-1])]) if path else (u, v, -1, -1)
+                     for u, v, path in polylines], dtype=np.intp).reshape(-1, 4)
+    m = float(np.abs(xy).max(initial=0.0))
     pad = float_pad(m)
     delta = 5.0 * ROUNDOFF * m + TINY
 
     out: list[tuple[int, int]] = []
-    active: list[int] = []
-    for idx in order:
-        pid, k, a, b, u, v = segs[idx]
-        active = [j for j in active if xhi[j] >= xlo[idx] - pad]
-        for j in active:
-            qid, l, c, d, u2, v2 = segs[j]
-            if ylo[idx] > yhi[j] + pad or ylo[j] > yhi[idx] + pad:
-                continue
-            if ((pid != qid or abs(k - l) == 1)
-                    and _meet_only_at_shared_end(a, b, c, d, fl, delta)):
-                kind = "endpoint"
-            elif _far_apart(a, b, c, d, fl, delta):
-                continue
-            else:
-                kind = segment_intersection_kind(a, b, c, d)
-            if pid == qid:
-                if abs(k - l) == 1:
-                    if kind == "cross":
-                        out.append((pid, qid))
-                    continue
-                if kind != "none":
-                    out.append((pid, qid))
-                continue
-            if kind == "none":
-                continue
-            if kind == "endpoint":
-                shared = {u, v} & {u2, v2}
-                common = None
-                for p in (a, b):
-                    if p == c or p == d:
-                        common = p
-                endpoints_ok = False
-                if common is not None:
-                    for x in shared:
-                        path1 = polylines[pid][2]
-                        path2 = polylines[qid][2]
-                        terminal1 = path1[0] if polylines[pid][0] == x else path1[-1]
-                        terminal2 = path2[0] if polylines[qid][0] == x else path2[-1]
-                        if common == terminal1 == terminal2:
-                            endpoints_ok = True
-                if not endpoints_ok:
-                    out.append((pid, qid))
-                continue
-            out.append((pid, qid))
-        active.append(idx)
-    return out
+    boxes = np.stack((np.minimum(X[a], X[b]), np.maximum(X[a], X[b]),
+                      np.minimum(Y[a], Y[b]), np.maximum(Y[a], Y[b])), axis=1)
+    for e, s in _box_pairs(boxes, pad):
+        same = pid[s] == pid[e]
+        met, o = _meet_only_at_shared_end(X, Y, a[s], b[s], a[e], b[e], delta)
+        met &= ~same | (abs(leg[s] - leg[e]) == 1)
+        # a shared end of two routes must be the terminal of both at a common vertex
+        ps, pe = ends[pid[s]], ends[pid[e]]
+        terminal = np.zeros(len(s), dtype=bool)
+        for x in (ps[:, 0], ps[:, 1]):
+            terminal |= (((x == pe[:, 0]) | (x == pe[:, 1]))
+                         & (o == np.where(ps[:, 0] == x, ps[:, 2], ps[:, 3]))
+                         & (o == np.where(pe[:, 0] == x, pe[:, 2], pe[:, 3])))
+        bad = met & ~same & ~terminal
+        out += zip(pid[s[bad]].tolist(), pid[e[bad]].tolist())
+        for k in np.flatnonzero(~met & ~_far_apart(X, Y, a[s], b[s], a[e], b[e], delta)):
+            p, k1, q, l1 = (int(x) for x in (pid[s[k]], leg[s[k]], pid[e[k]], leg[e[k]]))
+            if _exact_violation(polylines, p, k1, q, l1):
+                out.append((p, q))
+    return sorted(out)
 
 
 def count_crossings(polylines: Sequence[tuple[int, int, list[Point]]]) -> int:
@@ -491,8 +571,6 @@ def extract_drawing(rep: Representation, T: planar.Triangulation,
     after an exact scan of all its segments finds no violation, so it is
     crossing-free; exhausting the retries raises.
     """
-    table = float_table(rep)
-    pad = _table_pad(table)
     adj = T.adjacency()
     contacts: dict[tuple[int, int], Point] = {}
     lenses: dict[tuple[int, int], Tri] = {}
@@ -503,28 +581,13 @@ def extract_drawing(rep: Representation, T: planar.Triangulation,
         contacts[(u, v)] = ov.right_corner
         if ov.kind == "region":
             lenses[(u, v)] = ov.region
-
-    def targets_for(u: int):
-        # contact anchors of u's edges, each paired with the overlap regions
-        # of u's other edges (the regions that ray must not pass through)
-        out = []
-        nbrs = sorted(adj[u])
-        for v in nbrs:
-            key = (u, v) if u < v else (v, u)
-            foreign = [lenses[(u, w) if u < w else (w, u)]
-                       for w in nbrs
-                       if w != v and ((u, w) if u < w else (w, u)) in lenses]
-            out.append((contacts[key], foreign))
-        return out
-
-    points = {v: _free_point(rep, v, targets_for(v), table, pad)
-              for v in sorted(T.vertices())}
+    points = _free_points(rep, adj, contacts, lenses)
     edge_list = sorted(T.edges)
     base = []
     for u, v in edge_list:
         base.append((u, v, _route(points[u], contacts[(u, v)], points[v])))
 
-    anchors = {v: _bend_anchors(rep, v, points[v]) for v in sorted(T.vertices())}
+    anchors: dict[int, list[Point]] = {}  # made on first use
     repair = [0] * len(base)
     polylines = list(base)
     for _ in range(max_reroute_rounds):
@@ -537,6 +600,9 @@ def extract_drawing(rep: Representation, T: planar.Triangulation,
             pu, m1_0, c, m2_0, pv = base[pid][2]
             step = repair[pid]
             pull = _PULLS[step % len(_PULLS)]
+            for w in (u, v):
+                if w not in anchors:
+                    anchors[w] = _bend_anchors(rep, w, points[w])
             au = anchors[u][(step // len(_PULLS)) % len(anchors[u])]
             av = anchors[v][(step // len(_PULLS)) % len(anchors[v])]
             m1 = Point(au.x + (m1_0.x - au.x) * (1 - pull),

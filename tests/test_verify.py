@@ -1,12 +1,16 @@
+import hashlib
+import json
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from tricontact import planar, verify
 from tricontact.assemble import represent
-from tricontact.geometry import Point, point, tri
+from tricontact.core import ROUNDOFF, TINY, Representation, float_pad
+from tricontact.geometry import Point, Tri, intersect, point, segment_intersection_kind, tri
 from tricontact.perturb import GapError, face_gap_with_roles, remove_all
-from tricontact.core import Representation
 from tricontact.solver import (
     SolverParams,
     exactify,
@@ -15,6 +19,7 @@ from tricontact.solver import (
     solve_stacked,
 )
 from tricontact.verify import (
+    _err,
     _route,
     check_boundary,
     check_face_condition,
@@ -29,9 +34,251 @@ F = Fraction
 
 
 def free_point(rep, u):
-    """`verify._free_point` with no ray targets, over a fresh float table."""
-    table = verify.float_table(rep)
-    return verify._free_point(rep, u, (), table, verify._table_pad(table))
+    """`verify._free_points` for vertex u alone, with no ray targets."""
+    return verify._free_points(rep, {u: ()}, {}, {})[u]
+
+
+# ---------------------------------------------------------------------------
+# Scalar oracles: the drawing's float screens one vertex and one segment pair
+# at a time.  The array kernels in `verify` must agree with them exactly.
+# ---------------------------------------------------------------------------
+
+def _dict_table(rep):
+    """(x, y, s, x + h, y + h) of each triangle in floats, by vertex."""
+    return {v: (float(t.x), float(t.y), float(t.s), float(t.x + t.h), float(t.y + t.h))
+            for v, t in rep.triangles.items()}
+
+
+def _near_ids(u, table, pad):
+    """Triangles whose bounding box meets t(u)'s, padded by `pad`."""
+    xlo, ylo, _s, xhi, yhi = table[u]
+    return [v for v, (ax, ay, _s, bx, by) in table.items()
+            if v != u and not (bx < xlo - pad or ax > xhi + pad
+                               or by < ylo - pad or ay > yhi + pad)]
+
+
+def _segment_hits_region(ax, ay, bx, by, region):
+    """Float clip of segment AB against a positive-homothet region (x, y, s):
+    True iff some parameter interval of AB lies inside all three half-planes."""
+    rx, ry, rs = region
+    t0, t1 = 0.0, 1.0
+    for p, q in ((ax - rx, bx - ax), (ay - ry, by - ay),
+                 (rs - ax - ay, -(bx - ax) - (by - ay))):
+        # constraint p + t*q >= 0
+        if q == 0.0:
+            if p < 0.0:
+                return False
+        elif q > 0.0:
+            t0 = max(t0, -p / q)
+        else:
+            t1 = min(t1, -p / q)
+        if t0 > t1:
+            return False
+    return True
+
+
+def free_point_reference(rep, u, ray_targets, table, pad):
+    """One vertex's free point, scored one candidate at a time: ranked by the
+    rays to the targets [(target, foreign regions), ...] that pass through a
+    paired region, then by clearance; the best 16 per grid are checked
+    exactly."""
+    tu = rep.tri(u)
+    ids = _near_ids(u, table, pad)
+    near = [rep.tri(v) for v in ids]
+    nearf = [table[v][:3] for v in ids]
+    xf, yf, hf = float(tu.x), float(tu.y), float(tu.h)
+    rays = [((float(g.x), float(g.y)), [(float(r.x), float(r.y), float(r.s))
+                                        for r in regions])
+            for g, regions in ray_targets]
+    for denom in (8, 16, 32, 64):
+        scored = []
+        for i in range(1, denom - 1):
+            for j in range(1, denom - i):
+                pa = xf + hf * i / denom
+                pb = yf + hf * j / denom
+                c = min((max(tx - pa, ty - pb, pa + pb - ts) for tx, ty, ts in nearf),
+                        default=1.0)
+                blocked = 0
+                for (gx, gy), regions in rays:
+                    if any(_segment_hits_region(pa, pb, gx, gy, r) for r in regions):
+                        blocked += 1
+                scored.append((blocked, -c, i, j))
+        scored.sort()
+        for _blocked, _negc, i, j in scored[:16]:
+            p = Point(tu.x + tu.h * Fraction(i, denom), tu.y + tu.h * Fraction(j, denom))
+            if not any(t.contains(p) for t in near):
+                return p
+    raise verify.DrawingError(f"no free interior point in triangle of vertex {u}")
+
+
+def _anchors(rep, T):
+    """(contact point, lens) of every edge of T, as `extract_drawing` finds
+    them; the lens map holds the edges whose triangles overlap in a region."""
+    contacts, lenses = {}, {}
+    for u, v in sorted(T.edges):
+        ov = intersect(rep.tri(u), rep.tri(v))
+        contacts[(u, v)] = ov.right_corner
+        if ov.kind == "region":
+            lenses[(u, v)] = ov.region
+    return contacts, lenses
+
+
+def free_points_reference(rep, T, with_rays=True):
+    """`free_point_reference` for every vertex of T, with the ray targets
+    `extract_drawing` uses: the contact of each of u's edges, paired with
+    the lenses of u's other edges (none without rays)."""
+    adj = T.adjacency()
+    contacts, lenses = _anchors(rep, T)
+    if not with_rays:
+        lenses = {}
+
+    def key(u, v):
+        return (u, v) if u < v else (v, u)
+
+    table = _dict_table(rep)
+    pad = float_pad(max(abs(c) for row in table.values() for c in row))
+    out = {}
+    for u in sorted(T.vertices()):
+        nbrs = sorted(adj[u])
+        targets = [(contacts[key(u, v)], [lenses[key(u, w)] for w in nbrs
+                                          if w != v and key(u, w) in lenses])
+                   for v in nbrs]
+        out[u] = free_point_reference(rep, u, targets, table, pad)
+    return out
+
+
+def _far_apart_reference(a, b, c, d, fl, delta):
+    ax, ay = fl[id(a)]
+    bx, by = fl[id(b)]
+    cx, cy = fl[id(c)]
+    dx, dy = fl[id(d)]
+    abx, aby = bx - ax, by - ay
+    acx, acy, adx, ady = cx - ax, cy - ay, dx - ax, dy - ay
+    o1 = abx * acy - aby * acx
+    o2 = abx * ady - aby * adx
+    ab = abs(abx) + abs(aby)
+    e1 = _err(ab + abs(acx) + abs(acy), delta)
+    e2 = _err(ab + abs(adx) + abs(ady), delta)
+    if (o1 > e1 and o2 > e2) or (o1 < -e1 and o2 < -e2):
+        return True
+    cdx, cdy = dx - cx, dy - cy
+    cax, cay, cbx, cby = ax - cx, ay - cy, bx - cx, by - cy
+    o3 = cdx * cay - cdy * cax
+    o4 = cdx * cby - cdy * cbx
+    cd = abs(cdx) + abs(cdy)
+    e3 = _err(cd + abs(cax) + abs(cay), delta)
+    e4 = _err(cd + abs(cbx) + abs(cby), delta)
+    return (o3 > e3 and o4 > e4) or (o3 < -e3 and o4 < -e4)
+
+
+def _meet_only_at_shared_end_reference(a, b, c, d, fl, delta):
+    if a is c or a is d:
+        o, p = a, b
+    elif b is c or b is d:
+        o, p = b, a
+    else:
+        return False
+    q = d if o is c else c
+    ox, oy = fl[id(o)]
+    px, py = fl[id(p)]
+    qx, qy = fl[id(q)]
+    px, py, qx, qy = px - ox, py - oy, qx - ox, qy - oy
+    err = _err(abs(px) + abs(py) + abs(qx) + abs(qy), delta)
+    return abs(px * qy - py * qx) > err or px * qx + py * qy < -err
+
+
+def violations_reference(polylines):
+    """Forbidden meetings found by a Python sweep that keeps an active list
+    of segments, screens one pair at a time and does every endpoint
+    bookkeeping with exact point equality."""
+    segs = []
+    fl = {}
+    for pid, (u, v, path) in enumerate(polylines):
+        for p in path:
+            fl[id(p)] = (float(p.x), float(p.y))
+        for k in range(len(path) - 1):
+            segs.append((pid, k, path[k], path[k + 1], u, v))
+    ends = [(fl[id(s[2])], fl[id(s[3])]) for s in segs]
+    xlo = [min(a[0], b[0]) for a, b in ends]
+    xhi = [max(a[0], b[0]) for a, b in ends]
+    ylo = [min(a[1], b[1]) for a, b in ends]
+    yhi = [max(a[1], b[1]) for a, b in ends]
+    order = sorted(range(len(segs)), key=xlo.__getitem__)
+    m = max((max(abs(x), abs(y)) for x, y in fl.values()), default=0.0)
+    pad = float_pad(m)
+    delta = 5.0 * ROUNDOFF * m + TINY
+
+    out = []
+    active = []
+    for idx in order:
+        pid, k, a, b, u, v = segs[idx]
+        active = [j for j in active if xhi[j] >= xlo[idx] - pad]
+        for j in active:
+            qid, l, c, d, u2, v2 = segs[j]
+            if ylo[idx] > yhi[j] + pad or ylo[j] > yhi[idx] + pad:
+                continue
+            if ((pid != qid or abs(k - l) == 1)
+                    and _meet_only_at_shared_end_reference(a, b, c, d, fl, delta)):
+                kind = "endpoint"
+            elif _far_apart_reference(a, b, c, d, fl, delta):
+                continue
+            else:
+                kind = segment_intersection_kind(a, b, c, d)
+            if pid == qid:
+                if abs(k - l) == 1:
+                    if kind == "cross":
+                        out.append((pid, qid))
+                    continue
+                if kind != "none":
+                    out.append((pid, qid))
+                continue
+            if kind == "none":
+                continue
+            if kind == "endpoint":
+                shared = {u, v} & {u2, v2}
+                common = None
+                for p in (a, b):
+                    if p == c or p == d:
+                        common = p
+                endpoints_ok = False
+                if common is not None:
+                    for x in shared:
+                        path1 = polylines[pid][2]
+                        path2 = polylines[qid][2]
+                        terminal1 = path1[0] if polylines[pid][0] == x else path1[-1]
+                        terminal2 = path2[0] if polylines[qid][0] == x else path2[-1]
+                        if common == terminal1 == terminal2:
+                            endpoints_ok = True
+                if not endpoints_ok:
+                    out.append((pid, qid))
+                continue
+            out.append((pid, qid))
+        active.append(idx)
+    return out
+
+
+def _fuzz_instances():
+    """The drawing fuzz corpus: instances whose contact fans once
+    interleaved with overlap regions."""
+    rng = random.Random(31337)
+    out = []
+    for trial in range(8):
+        mode = trial % 4
+        if mode == 0:
+            T = planar.gen_stacked(rng.randint(5, 60), rng.randrange(10 ** 9))
+        elif mode == 1:
+            T = planar.gen_triangulation(rng.randint(8, 26), rng.randrange(10 ** 9))
+        elif mode == 2:
+            T = planar.gen_stacked(rng.randint(6, 20), rng.randrange(10 ** 9))
+            for _ in range(rng.randint(1, 2)):
+                faces = sorted(sorted(f) for f in T.inner_faces)
+                T = planar.implant_octahedron(T, faces[rng.randrange(len(faces))])
+        else:
+            T = planar.double_wheel(rng.randint(4, 10))
+            faces = sorted(sorted(f) for f in T.inner_faces)
+            T = planar.stack_vertex(T, faces[rng.randrange(len(faces))])
+        out.append(T)
+    return out
 
 
 def _newest_face(T):
@@ -195,6 +442,7 @@ class TestCheckFaces:
             assert expect_fail <= want
 
 
+@pytest.mark.filterwarnings("error")
 class TestDrawing:
     def test_k4(self, k4, outer_map):
         rep = solve_stacked(planar.as_piece(k4), outer_map)
@@ -207,6 +455,32 @@ class TestDrawing:
         p = free_point(rep, 0)
         t = rep.tri(0)
         assert t.contains(p) and p.x > t.x and p.y > t.y and p.x + p.y < t.s
+
+    def test_free_point_on_finer_grids(self):
+        # t(1) covers every point of t(0)'s grid of eighths, so vertex 0 moves
+        # on to the sixteenths; t(2) covers all of t(3), so no grid helps
+        rep = Representation({0: tri(0, 0, 8), 1: tri(1, 1, 5), 2: tri(0, 20, 4),
+                              3: tri(1, 21, 1)}, (), F(1))
+        table = _dict_table(rep)
+        pad = float_pad(max(abs(c) for row in table.values() for c in row))
+        p = free_point(rep, 0)
+        assert p == free_point_reference(rep, 0, (), table, pad)
+        assert p.x.denominator == 2 and not rep.tri(1).contains(p)  # eighths of 8 are whole
+        with pytest.raises(verify.DrawingError, match="vertex 3"):
+            free_point(rep, 3)
+
+    def test_clip_matches_scalar_reference(self):
+        # small integer coordinates: many rays parallel to a region side
+        # (q = 0) and many that only touch a region (t0 = t1)
+        rng = random.Random(5)
+        rows = [[rng.randint(-3, 3) for _ in range(4)]
+                + [rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(-4, 4)]
+                for _ in range(2000)]
+        want = [_segment_hits_region(ax, ay, bx, by, (rx, ry, rs))
+                for ax, ay, bx, by, rx, ry, rs in rows]
+        got = verify._clip_hits(*(np.array(c, dtype=float) for c in zip(*rows)))
+        assert got.tolist() == want
+        assert 200 < sum(want) < 1800
 
     def test_free_point_exact_witness(self, octahedron, outer_map):
         rep = octa_pipeline_rep(octahedron, outer_map)
@@ -247,8 +521,9 @@ class TestDrawing:
     def test_degenerate_meetings_flagged(self, offset, scale):
         # at the tiny scale every point rounds to the same float, so no float
         # orientation can decide these pairs
-        P = self._mapped({"o": point(0, 0), "far": point(2, 2), "mid": point(1, 1)},
-                         offset, scale)
+        P = self._mapped({"o": point(0, 0), "far": point(2, 2), "mid": point(1, 1),
+                          "mid2": point(3, 1), "X": point(1, 3), "Y": point(0, 5),
+                          "Z": point(3, 4)}, offset, scale)
         # two routes leave one Point object, collinear and pointing the same way
         a = (0, 1, [P["o"], P["far"]])
         b = (0, 2, [P["o"], P["mid"]])
@@ -257,6 +532,16 @@ class TestDrawing:
         # consecutive legs of one route fold back on each other at their joint
         fold = (0, 1, [P["o"], P["far"], P["mid"]])
         assert count_crossings([fold]) == 1
+        # a route that comes back to its own first point object
+        loop = (0, 1, [P["o"], P["far"], P["mid2"], P["o"]])
+        assert count_crossings([loop]) == 1
+        # X ends route (0, 1) at vertex 1 but lies inside route (1, 2), whose
+        # terminal at vertex 1 is Y: both legs of (1, 2) meet the first at X
+        x = (0, 1, [P["o"], P["X"]])
+        y = (1, 2, [P["Y"], P["X"], P["Z"]])
+        assert count_crossings([x, y]) == count_crossings([y, x]) == 2
+        for polylines in ([a, b], [fold], [a, b, fold], [loop], [x, y], [y, x]):
+            assert verify._violations(polylines) == sorted(violations_reference(polylines))
 
     @pytest.mark.parametrize("offset, scale", [((0, 0), F(1)), ((3, 1), F(1, 2 ** 60))],
                              ids=["unit", "tiny"])
@@ -288,27 +573,77 @@ class TestDrawing:
     def test_drawing_fuzz_regression(self):
         # instances whose contact fans previously interleaved with overlap
         # regions; the vertex points must dodge foreign lenses
-        import random
-        from tricontact.assemble import represent
-        rng = random.Random(31337)
-        for trial in range(8):
-            mode = trial % 4
-            if mode == 0:
-                T = planar.gen_stacked(rng.randint(5, 60), rng.randrange(10 ** 9))
-            elif mode == 1:
-                T = planar.gen_triangulation(rng.randint(8, 26), rng.randrange(10 ** 9))
-            elif mode == 2:
-                T = planar.gen_stacked(rng.randint(6, 20), rng.randrange(10 ** 9))
-                for _ in range(rng.randint(1, 2)):
-                    faces = sorted(sorted(f) for f in T.inner_faces)
-                    T = planar.implant_octahedron(T, faces[rng.randrange(len(faces))])
-            else:
-                T = planar.double_wheel(rng.randint(4, 10))
-                faces = sorted(sorted(f) for f in T.inner_faces)
-                T = planar.stack_vertex(T, faces[rng.randrange(len(faces))])
+        for T in _fuzz_instances():
             rep = represent(T)
             d = extract_drawing(rep, T)
             assert count_crossings(d.polylines) == 0
+
+    @staticmethod
+    def _checked_scans(monkeypatch):
+        """From now on every `_violations` scan must equal the scalar sweep's;
+        returns the list the scans are appended to."""
+        scans = []
+        kernel = verify._violations
+
+        def checked(polylines):
+            got = kernel(polylines)
+            assert got == sorted(violations_reference(polylines))
+            scans.append(got)
+            return got
+        monkeypatch.setattr(verify, "_violations", checked)
+        return scans
+
+    @pytest.mark.parametrize("make, offset, scale", [
+        *(pytest.param(lambda k=k: _fuzz_instances()[k], (0, 0), F(1), id=f"fuzz{k}")
+          for k in range(8)),
+        pytest.param(lambda: planar.gen_stacked(60, 1), (0, 0), F(1), id="stacked60"),
+        pytest.param(lambda: planar.double_wheel(5), (0, 0), F(1), id="dw5-unit"),
+        # every coordinate rounds to the same float: all pairs go exact
+        pytest.param(lambda: planar.double_wheel(5), (3, 1), F(1, 2 ** 60), id="dw5-tiny"),
+    ])
+    def test_kernels_match_scalar_reference(self, make, offset, scale, monkeypatch):
+        # the array kernels pick the same point for every vertex and find the
+        # same violations in every scan as the scalar code, mapped as
+        # `_mapped` maps points
+        T = make()
+        rep = represent(T)
+        ox, oy = offset
+        rep = Representation({v: Tri(ox + scale * t.x, oy + scale * t.y, scale * t.h)
+                              for v, t in rep.triangles.items()}, rep.outer, rep.epsilon * scale)
+        scans = self._checked_scans(monkeypatch)
+        d = extract_drawing(rep, T)
+        assert d.points == free_points_reference(rep, T)
+        assert scans[-1] == []
+
+    def test_reroute_scans_match_scalar_reference(self, monkeypatch):
+        # ranked by clearance alone, some vertex points of this instance sit
+        # behind foreign lenses: the first scan finds violations, and every
+        # re-routing round scans through the kernel
+        T = _fuzz_instances()[1]
+        rep = represent(T)
+        contacts, _lenses = _anchors(rep, T)
+        kernel = verify._free_points
+        points = kernel(rep, T.adjacency(), contacts, {})
+        assert points == free_points_reference(rep, T, with_rays=False)
+        monkeypatch.setattr(verify, "_free_points", lambda rep, nbrs, contacts, lenses: points)
+        scans = self._checked_scans(monkeypatch)
+        with pytest.raises(verify.DrawingError, match="persist after re-routing"):
+            extract_drawing(rep, T)
+        assert scans[0] and len(scans) == 25
+
+    @pytest.mark.parametrize("make, digest", [
+        (lambda: planar.gen_stacked(60, 1),
+         "31cf323f0338fb1180e56e25452db275a0823e66f7c113cf006143c3b37122b1"),
+        (lambda: planar.double_wheel(8),
+         "f166f8d8c82c1ab3509c9e7ab290ac9b54d788b4c62f9f1d340ae74833eacb6d"),
+        (_implanted, "ae23e113b76dc07f64b4ebd3d1f203475d2bada189a6d81486709e9dce500f70"),
+    ], ids=["stacked60", "dw8", "implanted"])
+    def test_drawing_digest_pinned(self, make, digest):
+        # any change to the drawing witness changes these digests
+        T = make()
+        d = extract_drawing(represent(T), T)
+        text = json.dumps(d.to_json(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestFullReport:
