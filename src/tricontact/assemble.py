@@ -75,7 +75,10 @@ def _solve_piece(piece: planar.Triangulation, outer_map: dict[int, Tri],
         trace_entry["path"] = "solver"
         trace_entry["restarts"] = result.restarts_used
         trace_entry["max_edge_residual"] = result.max_edge_residual
-    return perturb.remove_all(rep)
+    # the exact medial child, or robustify's pair checks, make the intersection
+    # graph the piece's graph; a piece has no separating triangle, so that
+    # graph's triangles are exactly the piece's faces
+    return perturb.remove_all(rep, [tuple(sorted(f)) for f in piece.faces])
 
 
 def represent(T: planar.Triangulation, config: PipelineConfig | None = None,

@@ -102,17 +102,6 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def cmd_solve(args) -> int:
-    """Piece-level solve: the input graph must have no separating triangle,
-    so it is a single piece; writes what `run` writes for the same flags."""
-    T = planar.from_json(_load_json(args.input))
-    if planar.separating_triangles(T):
-        print("graph has separating triangles; use `run`", file=sys.stderr)
-        return EXIT_INPUT
-    _dump(assemble.represent(T, _config(args)).to_json(), args.output)
-    return EXIT_OK
-
-
 def cmd_run(args) -> int:
     T = planar.from_json(_load_json(args.input))
     rep = assemble.represent(T, _config(args))
@@ -172,12 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="filter/repair until no separating triangle remains")
     pg.add_argument("--output", default=None)
     pg.set_defaults(fn=cmd_gen)
-
-    ps = sub.add_parser("solve", help="solve a single piece (no separating triangles)")
-    ps.add_argument("--input", required=True)
-    ps.add_argument("--output", default=None)
-    _add_solver_flags(ps)
-    ps.set_defaults(fn=cmd_solve)
 
     pr = sub.add_parser("run", help="full pipeline: decompose, solve, verify")
     pr.add_argument("--input", required=True)

@@ -1,12 +1,12 @@
-"""The representation type and its intersection graph, shared by the
-constructor and the verifier."""
+"""The representation type and the slack of every float screen, shared by
+the constructor and the verifier."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from tricontact.geometry import Tri, frac, frac_str, signed_height
+from tricontact.geometry import Tri, frac, frac_str
 
 ROUNDOFF = 2.0 ** -53  # unit roundoff of IEEE doubles (round to nearest)
 TINY = 2.0 ** -1000    # exceeds the sum of any few underflow errors (2^-1075 each)
@@ -68,27 +68,3 @@ class Representation:
         }
         return Representation(tris, tuple(data["outer"]), frac(data["epsilon"]))
 
-
-def intersection_graph(rep: Representation) -> set[tuple[int, int]]:
-    """Edge uv (u < v) iff the triangles of u and v intersect (signed height >= 0).
-
-    A conservative float screen, padded by `float_pad`, skips pairs that are
-    certainly apart; every undecided pair is settled exactly.
-    """
-    vs = sorted(rep.triangles)
-    fl = {}
-    for v in vs:
-        t = rep.tri(v)
-        fl[v] = (float(t.x), float(t.y), float(t.s))
-    screen = -float_pad(max((abs(c) for row in fl.values() for c in row), default=0.0))
-    out = set()
-    for i, u in enumerate(vs):
-        xu, yu, su = fl[u]
-        tu = rep.tri(u)
-        for v in vs[i + 1:]:
-            xv, yv, sv = fl[v]
-            if min(su, sv) - max(xu, xv) - max(yu, yv) < screen:
-                continue
-            if signed_height(tu, rep.tri(v)) >= 0:
-                out.add((u, v))
-    return out

@@ -44,10 +44,6 @@ class Point:
         return f"Point({self.x}, {self.y})"
 
 
-def point(x: RationalLike, y: RationalLike) -> Point:
-    return Point(frac(x), frac(y))
-
-
 @dataclass(frozen=True)
 class Tri:
     """Positive homothet: right corner (x, y), height h > 0."""
@@ -93,10 +89,6 @@ class Tri:
 
     def __repr__(self) -> str:
         return f"Tri({self.x}, {self.y}, {self.h})"
-
-
-def tri(x: RationalLike, y: RationalLike, h: RationalLike) -> Tri:
-    return Tri(frac(x), frac(y), frac(h))
 
 
 @dataclass(frozen=True)

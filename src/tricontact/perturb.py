@@ -18,7 +18,7 @@ from itertools import combinations
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
-from tricontact.core import Representation, float_pad, intersection_graph
+from tricontact.core import Representation, float_pad
 from tricontact.geometry import (
     NegTri,
     Overlap,
@@ -34,7 +34,6 @@ from tricontact.geometry import (
     signed_height,
     translate,
 )
-from tricontact.planar import adjacency_of, triangles_of
 
 
 class PerturbError(RuntimeError):
@@ -99,11 +98,6 @@ class EpsilonBudget:
         assert self.clearance > 0
 
 
-def _intersection_triangles(rep: Representation) -> list[tuple[int, int, int]]:
-    """Triangles of the intersection graph of `rep`, in lexicographic order."""
-    return triangles_of(adjacency_of(rep.triangles, intersection_graph(rep)))
-
-
 def _assign_roles(ids: Sequence[int], tris: Sequence[Tri]) -> tuple[int, int, int]:
     """Role assignment for a triple with nonempty common intersection
     I = {a >= mx, b >= my, a+b <= ms}.
@@ -142,16 +136,13 @@ def _assign_roles(ids: Sequence[int], tris: Sequence[Tri]) -> tuple[int, int, in
 
 
 def find_bad_triples(rep: Representation,
-                     triangles: Sequence[tuple[int, int, int]] | None = None
-                     ) -> list[BadTriple]:
+                     triangles: Sequence[tuple[int, int, int]]) -> list[BadTriple]:
     """All vertex triples whose triangles share a common point or region.
 
     Only triangles of the intersection graph can qualify (a pairwise-empty
-    pair forces an empty common intersection); `triangles` lists them, and
-    is built when None.  Errors out if any four triangles share a point.
+    pair forces an empty common intersection); `triangles` lists them.
+    Errors out if any four triangles share a point.
     """
-    if triangles is None:
-        triangles = _intersection_triangles(rep)
     out = []
     all_ids = sorted(rep.triangles)
     for a, b, c in triangles:
@@ -302,8 +293,8 @@ def _corner_entry(corner: tuple[int, int], t: tuple[int, int, int], kind: str) -
 
 
 def safe_epsilon(rep: Representation, move: Move,
-                 exclude_triple: frozenset[int] | None = None,
-                 triangles: Sequence[tuple[int, int, int]] | None = None
+                 triangles: Sequence[tuple[int, int, int]],
+                 exclude_triple: frozenset[int] | None = None
                  ) -> tuple[Fraction, Fraction]:
     """(step budget, clearance) for the move: the clearance is the earliest
     forbidden-event time, capped by the moved heights, and the budget is
@@ -313,8 +304,8 @@ def safe_epsilon(rep: Representation, move: Move,
     pair separating, a currently-empty triple of mutually intersecting
     triangles gaining a common point, a boundary overlap reaching the epsilon
     budget, and a boundary corner entering a moved triangle.  `triangles` are
-    the triangles of the intersection graph (built when None).  Raises
-    ZeroClearance when an event already sits at zero.
+    the triangles of the intersection graph.  Raises ZeroClearance when an
+    event already sits at zero.
 
     The analysis runs in `_int_frame`, and the clearance is divided by D
     once at the end.  Clearance = min(events and cap), so a scan may stop
@@ -343,8 +334,6 @@ def safe_epsilon(rep: Representation, move: Move,
         if ev is not None:
             best = min(best, ev)
 
-    if triangles is None:
-        triangles = _intersection_triangles(rep)
     for a, b, c in triangles:
         if not ({a, b, c} & moved):
             continue
@@ -516,16 +505,17 @@ def step3_separate(rep: Representation, triple: BadTriple, e3: Fraction) -> Repr
     return out
 
 
-def remove_all(rep: Representation, max_step_retries: int = 20,
+def remove_all(rep: Representation, triangles: Sequence[tuple[int, int, int]],
+               max_step_retries: int = 20,
                budgets: list[EpsilonBudget] | None = None) -> Representation:
     """Remove every bad triple: find, select highest, apply the three steps
     with exact safe budgets; retry a round with halved budgets when a
     postcondition recheck fails.  Terminates in at most the initial number of
     bad triples rounds.
 
-    Every step keeps the intersection graph (`_check_graph_preserved`), so
-    its triangles are listed once and shared by every scan and budget."""
-    triangles = _intersection_triangles(rep)
+    `triangles` are the triangles of the intersection graph of `rep`, in
+    lexicographic order.  Every step keeps that graph
+    (`_check_graph_preserved`), so they serve every scan and budget."""
     bad = find_bad_triples(rep, triangles)
     cap = len(bad)
     for _ in range(cap):
@@ -538,8 +528,8 @@ def remove_all(rep: Representation, max_step_retries: int = 20,
         for _attempt in range(max_step_retries):
             try:
                 work = rep
-                e1, c1 = safe_epsilon(work, {sel.u: PUSH_VERTICAL}, exclude_triple=sel.ids,
-                                      triangles=triangles)
+                e1, c1 = safe_epsilon(work, {sel.u: PUSH_VERTICAL}, triangles,
+                                      exclude_triple=sel.ids)
                 e1 *= shrink
                 work = step1_widen(work, sel, e1)
                 sig1 = max(common_signed_height([work.tri(i) for i in sorted(sel.ids)]),
@@ -548,13 +538,11 @@ def remove_all(rep: Representation, max_step_retries: int = 20,
                 e2 = c2 = None
                 if zs:
                     move2 = {z: PUSH_HORIZONTAL for z in zs}
-                    e2, c2 = safe_epsilon(work, move2, exclude_triple=sel.ids,
-                                          triangles=triangles)
+                    e2, c2 = safe_epsilon(work, move2, triangles, exclude_triple=sel.ids)
                     e2 *= shrink
                     work = step2_clear(work, sel, e2)
                 move3 = {sel.u: TRANSLATE_DOWN, sel.v: PUSH_VERTICAL}
-                e3, c3 = safe_epsilon(work, move3, exclude_triple=sel.ids,
-                                      triangles=triangles)
+                e3, c3 = safe_epsilon(work, move3, triangles, exclude_triple=sel.ids)
                 e3 *= shrink
                 sig = common_signed_height([work.tri(i) for i in sorted(sel.ids)])
                 if e3 <= sig:

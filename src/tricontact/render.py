@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from tricontact.core import Representation, intersection_graph
+from tricontact.core import Representation
 from tricontact.geometry import intersect
-from tricontact.verify import Drawing
+from tricontact.verify import Drawing, intersection_graph
 
 
 def _fmt(v: float, precision: int) -> str:

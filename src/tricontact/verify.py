@@ -10,9 +10,10 @@ re-checked exactly.  The float work runs as numpy array kernels, once per
 representation: one sort-and-sweep over boxes (`_box_pairs`) gives the
 near pairs of every check, and the screens run over blocks of pairs.
 The module imports nothing from the constructor modules (`solver`,
-`perturb`, `assemble`); the face check is written here, but the gap
-candidates it tests come from `geometry.gap_candidates`, which the
-constructor uses too.
+`perturb`, `assemble`), and the intersection graph is built here alone:
+the constructor never builds one.  The face check is written here, but
+the gap candidates it tests come from `geometry.gap_candidates`, which
+the constructor uses too.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Collection, Sequence
 import numpy as np
 
 from tricontact import planar
-from tricontact.core import ROUNDOFF, TINY, Representation, float_pad, intersection_graph
+from tricontact.core import ROUNDOFF, TINY, Representation, float_pad
 from tricontact.geometry import (
     NegTri,
     Point,
@@ -76,6 +77,28 @@ def _box_pairs(boxes: np.ndarray, pad: float):
         keep = (ylo[j] <= yhi[i] + pad) & (ylo[i] <= yhi[j] + pad)
         yield order[i[keep]], order[j[keep]]
         a = b
+
+
+def intersection_graph(rep: Representation) -> set[tuple[int, int]]:
+    """Edge uv (u < v) iff the triangles of u and v intersect (signed height >= 0).
+
+    One `_box_pairs` sweep over the boxes (x, s - y, y, s - x), padded by
+    `float_pad` (each side is within 2^-51 m of its exact value, for m the
+    largest magnitude), gives the candidate pairs.  Over each block, the
+    float signed height min(s) - max(x) - max(y) drops the pairs below
+    -pad, which certainly miss; every other pair is settled exactly.
+    """
+    ids, tris = list(rep.triangles), list(rep.triangles.values())
+    xys = np.array([(float(t.x), float(t.y), float(t.s)) for t in tris], dtype=float).reshape(-1, 3)
+    x, y, s = xys.T
+    pad = float_pad(float(np.abs(xys).max(initial=0.0)))
+    out = set()
+    for i, j in _box_pairs(np.stack((x, s - y, y, s - x), axis=1), pad):
+        near = np.minimum(s[i], s[j]) - np.maximum(x[i], x[j]) - np.maximum(y[i], y[j]) >= -pad
+        for a, b in zip(i[near].tolist(), j[near].tolist()):
+            if signed_height(tris[a], tris[b]) >= 0:
+                out.add((ids[a], ids[b]) if ids[a] < ids[b] else (ids[b], ids[a]))
+    return out
 
 
 class DrawingError(RuntimeError):

@@ -1,16 +1,32 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from tricontact import planar
-from tricontact.geometry import NegTri, Tri, frac, tri
+from tricontact.geometry import NegTri, Point, Tri, frac
 from tricontact.core import Representation
 from tricontact.solver import canvas_with_roles
+from tricontact.verify import intersection_graph
+
+
+def tri(x, y, h) -> Tri:
+    return Tri(frac(x), frac(y), frac(h))
 
 
 def ntri(x, y, h) -> NegTri:
     return NegTri(frac(x), frac(y), frac(h))
+
+
+def point(x, y) -> Point:
+    return Point(frac(x), frac(y))
+
+
+def graph_triangles(rep: Representation) -> list[tuple[int, int, int]]:
+    """Triangles of the intersection graph of `rep`, in lexicographic order:
+    what triple removal scans, for representations not built by `represent`."""
+    return planar.triangles_of(planar.adjacency_of(rep.triangles, intersection_graph(rep)))
 
 
 def octahedron_graph() -> planar.Triangulation:
@@ -21,6 +37,24 @@ def octahedron_graph() -> planar.Triangulation:
         (3, 4), (3, 5), (4, 5),
     ]
     return planar.validate(6, edges, (0, 1, 2))
+
+
+def implant_faces(T: planar.Triangulation, indices) -> planar.Triangulation:
+    """T with an octahedron implanted in its inner face of each index in
+    turn, indexing the current inner faces in sorted order."""
+    for k in indices:
+        T = planar.implant_octahedron(T, sorted(sorted(f) for f in T.inner_faces)[k])
+    return T
+
+
+def implanted(n, seed, implants) -> planar.Triangulation:
+    """gen_stacked(n, seed) with octahedra implanted in seeded inner faces
+    (the benchmark's `nested` host is implanted(100, 3, 20))."""
+    T = planar.gen_stacked(n, seed)
+    faces = random.Random(seed).sample(sorted(sorted(f) for f in T.inner_faces), implants)
+    for f in faces:
+        T = planar.implant_octahedron(T, f)
+    return T
 
 
 def stacked_by_peeling(T: planar.Triangulation, outer) -> dict[int, Tri]:

@@ -11,8 +11,8 @@ from fractions import Fraction
 
 from tricontact import planar
 from tricontact.assemble import represent
-from tricontact.geometry import Tri, intersect, signed_height, tri
-from tricontact.core import Representation, intersection_graph
+from tricontact.geometry import Tri, intersect, signed_height
+from tricontact.core import Representation
 from tricontact.perturb import find_bad_triples, remove_all, select_bad, step1_widen, step3_separate
 from tricontact.solver import (
     SolverParams,
@@ -21,8 +21,15 @@ from tricontact.solver import (
     solve_contacts,
     solve_stacked,
 )
-from tricontact.verify import count_crossings, extract_drawing, full_report
-from conftest import grid_points, in_triangle, octahedron_graph, stacked_by_peeling
+from tricontact.verify import count_crossings, extract_drawing, full_report, intersection_graph
+from conftest import (
+    graph_triangles,
+    grid_points,
+    in_triangle,
+    octahedron_graph,
+    stacked_by_peeling,
+    tri,
+)
 
 F = Fraction
 
@@ -197,25 +204,25 @@ def test_criterion_3_bad_point_removal(octahedron, k222_triple_rep):
     post-state at eps1 = eps3 = 1/4) and on a K_{2,2,2} contact representation
     with a triple point."""
     fixture = Representation({0: tri(0, 2, 2), 1: tri(2, 2, 2), 2: tri(2, 0, 2)}, (), F(1))
-    bad = find_bad_triples(fixture)
+    bad = find_bad_triples(fixture, graph_triangles(fixture))
     assert len(bad) == 1
     sel = select_bad(bad)
     stepped = step3_separate(step1_widen(fixture, sel, F(1, 4)), sel, F(1, 4))
     assert stepped.tri(sel.u) == tri("-1/4", "7/4", "9/4")
     assert stepped.tri(sel.v) == tri("7/4", 2, "9/4")
     assert stepped.tri(sel.w) == tri(2, 0, 2)
-    assert find_bad_triples(stepped) == []
+    assert find_bad_triples(stepped, graph_triangles(stepped)) == []
     assert intersection_graph(stepped) == intersection_graph(fixture)
 
-    cleaned = remove_all(fixture)
-    assert find_bad_triples(cleaned) == []
+    cleaned = remove_all(fixture, graph_triangles(fixture))
+    assert find_bad_triples(cleaned, graph_triangles(cleaned)) == []
     assert intersection_graph(cleaned) == intersection_graph(fixture)
 
     # K_{2,2,2}: every contact representation has a point in three triangles;
     # this hand-built one has it at (7/3, 7/3)
-    assert len(find_bad_triples(k222_triple_rep)) == 1
-    k_clean = remove_all(k222_triple_rep)
-    assert find_bad_triples(k_clean) == []
+    assert len(find_bad_triples(k222_triple_rep, graph_triangles(k222_triple_rep))) == 1
+    k_clean = remove_all(k222_triple_rep, graph_triangles(k222_triple_rep))
+    assert find_bad_triples(k_clean, graph_triangles(k_clean)) == []
     assert intersection_graph(k_clean) == intersection_graph(k222_triple_rep)
     r = full_report(k_clean, octahedron, audit=True)
     assert r.passed
@@ -247,7 +254,8 @@ def test_criterion_4_four_connected_pipeline():
             if v in adj[u]:
                 worst = max(worst, abs(signed_height(pre.tri(u), pre.tri(v))))
         assert worst <= delta_exact, f"{name}: pre-inflation residual {float(worst)}"
-        rep = remove_all(robustify(pre, piece, params, F(1)))
+        robust = robustify(pre, piece, params, F(1))
+        rep = remove_all(robust, graph_triangles(robust))
         r = full_report(rep, T, audit=(T.n <= 10))
         assert r.passed, f"{name} failed: {r.to_json()}"
         elapsed = time.time() - t0
@@ -304,7 +312,8 @@ def _ensure_fourconn():
     for name, T, params in four_connected_corpus():
         piece = planar.as_piece(T)
         res = solve_contacts(piece, outer_for(T), params)
-        reps.append((T, remove_all(robustify(exactify(res), piece, params, F(1)))))
+        robust = robustify(exactify(res), piece, params, F(1))
+        reps.append((T, remove_all(robust, graph_triangles(robust))))
     _cache["fourconn_reps"] = reps
     return reps
 

@@ -5,9 +5,10 @@ import pytest
 
 from tricontact import planar
 from tricontact.assemble import PipelineConfig, default_outer, represent
-from tricontact.geometry import common_signed_height, intersect, point, signed_height, tri
+from tricontact.geometry import common_signed_height, intersect, signed_height
 from tricontact.solver import SolverParams, canvas_with_roles
 from tricontact.verify import full_report
+from conftest import point, tri
 
 F = Fraction
 

@@ -5,9 +5,9 @@ from fractions import Fraction
 from tricontact import planar, verify
 from tricontact.assemble import represent
 from tricontact.cli import main
-from tricontact.geometry import tri
 from tricontact.core import Representation
 from tricontact.solver import solve_stacked
+from conftest import tri
 
 
 def run(argv):
@@ -99,6 +99,12 @@ class TestRun:
         assert len(json.loads(drawing_f.read_text())["polylines"]) == len(k4.edges)
         assert "polyline" in svg.read_text()
 
+    def test_scaled_run(self, tmp_path):
+        g = tmp_path / "g.json"
+        g.write_text(json.dumps(planar.double_wheel(6).to_json()))
+        assert run(["run", "--input", g, "--output", tmp_path / "r.json",
+                    "--scale", "1/1000"]) == 0
+
 
 class TestVerify:
     def test_corrupted_rep_nonzero_exit(self, tmp_path, k4, outer_map):
@@ -141,30 +147,6 @@ class TestSolveCommand:
         code = run(["run", "--input", g, "--output", tmp_path / "r.json",
                     "--restarts", 0, "--max-iters", 80])
         assert code == 4
-
-    def test_piece_solve(self, tmp_path, octahedron):
-        g = tmp_path / "g.json"
-        g.write_text(json.dumps(octahedron.to_json()))
-        rep_f = tmp_path / "rep.json"
-        assert run(["solve", "--input", g, "--output", rep_f]) == 0
-        rep = Representation.from_json(json.loads(rep_f.read_text()))
-        assert len(rep.triangles) == 6
-
-    def test_rejects_separating_triangles(self, tmp_path, k4):
-        T = planar.stack_vertex(k4, (0, 1, 3))
-        g = tmp_path / "g.json"
-        g.write_text(json.dumps(T.to_json()))
-        assert run(["solve", "--input", g, "--output", tmp_path / "r.json"]) == 2
-
-    def test_scaled_solve_matches_run(self, tmp_path):
-        g = tmp_path / "g.json"
-        g.write_text(json.dumps(planar.double_wheel(6).to_json()))
-        outs = []
-        for cmd in ("solve", "run"):
-            rep_f = tmp_path / f"{cmd}.json"
-            assert run([cmd, "--input", g, "--output", rep_f, "--scale", "1/1000"]) == 0
-            outs.append(rep_f.read_bytes())
-        assert outs[0] == outs[1]
 
 
 class TestRender:

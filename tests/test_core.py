@@ -5,7 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import tricontact
-from tricontact import assemble, core, perturb, planar
+from tricontact import assemble, core, perturb, planar, verify
 from tricontact.geometry import Tri
 
 SRC = Path(tricontact.__file__).parent
@@ -46,6 +46,18 @@ def test_verifier_imports_nothing_from_the_constructor():
             assert not {a.name for a in node.names} & constructor
 
 
+def test_constructor_builds_no_graph():
+    # the constructor takes its triple-removal triangles from the pieces'
+    # faces; only the verifier (and render) builds an intersection graph
+    graph_names = {"intersection_graph", "triangles_of", "adjacency_of"}
+    for name in ("perturb", "solver", "assemble"):
+        nodes = list(ast.walk(_tree(name)))
+        used = ({n.id for n in nodes if isinstance(n, ast.Name)}
+                | {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+                | {n.name for n in nodes if isinstance(n, ast.alias)})
+        assert not used & graph_names, name
+
+
 def _defined_names(tree):
     """(name, node) of each top-level function, class and constant."""
     for node in tree.body:
@@ -58,33 +70,36 @@ def _defined_names(tree):
                     yield t.id, node
 
 
-def _referenced_names(tree, skip=None):
-    """Names that `tree` loads, reads as an attribute or imports, outside
-    the subtree `skip`."""
+def _referenced_names(tree, stem, own=False, skip=None):
+    """Names defined in module `stem` that `tree` uses outside the subtree
+    `skip`: attributes read off the module's name (`planar.x`), names
+    imported from the module, and, when `tree` is the module itself
+    (`own`), the bare names it loads."""
     out = set()
     stack = [tree]
     while stack:
         n = stack.pop()
         if n is skip:
             continue
-        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and own:
             out.add(n.id)
-        elif isinstance(n, ast.Attribute):
+        elif (isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+              and n.value.id == stem):
             out.add(n.attr)
-        elif isinstance(n, ast.alias):
-            out.add(n.name)
+        elif isinstance(n, ast.ImportFrom) and n.module == f"tricontact.{stem}":
+            out |= {a.name for a in n.names}
         stack.extend(ast.iter_child_nodes(n))
     return out
 
 
-def _benchmark_names():
-    """Names the benchmark uses: those its code references (the corpus is
-    built with the planar generators) and the attributes its tracer wraps
-    by name."""
+def _benchmark_names(stem):
+    """Names of module `stem` the benchmark uses: those its code references
+    (the corpus is built with the planar generators) and the attributes its
+    tracer wraps by name."""
     out = set()
     for p in BENCH.glob("*.py"):
         tree = ast.parse(p.read_text())
-        out |= _referenced_names(tree)
+        out |= _referenced_names(tree, stem)
         for node in tree.body:
             if (p.name == "tracing.py" and isinstance(node, ast.Assign)
                     and getattr(node.targets[0], "id", None) in ("SPANS", "COUNTERS", "KERNELS")):
@@ -96,15 +111,19 @@ def _benchmark_names():
 def test_no_public_name_serves_only_tests():
     # a public name in src/ is used by src/ outside its own definition, used
     # by the benchmark, or an entry point the README documents; a name that
-    # only tests use belongs in tests/
+    # only tests use belongs in tests/.  A use is a read off the module's
+    # name, an import from the module, or a bare name in the module itself,
+    # so a method or local variable of the same spelling does not count
     trees = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
-    allowed = {"represent_planar", "main"} | set(tricontact.__all__) | _benchmark_names()
+    allowed = {"represent_planar", "main"} | set(tricontact.__all__)
     unused = []
     for stem, tree in trees.items():
+        bench = _benchmark_names(stem)
         for name, node in _defined_names(tree):
-            if name.startswith("_") or name in allowed:
+            if name.startswith("_") or name in allowed or name in bench:
                 continue
-            if not any(name in _referenced_names(t, node) for t in trees.values()):
+            if not any(name in _referenced_names(t, stem, own=s == stem, skip=node)
+                       for s, t in trees.items()):
                 unused.append(f"{stem}.{name}")
     assert unused == []
 
@@ -130,8 +149,9 @@ def _counted(monkeypatch, module, name):
 
 
 def test_float_screens_scale_with_the_coordinates(monkeypatch):
-    # a deep piece has tiny coordinates; the screens of the shared graph and
-    # of the face gap must settle as many pairs in floats there as at unit scale
+    # a deep piece has tiny coordinates; the screens of the verifier's graph
+    # and of the face gap must settle as many pairs in floats there as at
+    # unit scale
     T = planar.gen_stacked(60, 1)
     rep = assemble.represent(T)
     k = Fraction(1, 2 ** 40)
@@ -139,13 +159,13 @@ def test_float_screens_scale_with_the_coordinates(monkeypatch):
         {v: Tri(t.x * k, t.y * k, t.h * k) for v, t in rep.triangles.items()},
         rep.outer, rep.epsilon * k)
     faces = sorted(tuple(sorted(f)) for f in T.inner_faces)
-    graph_calls = _counted(monkeypatch, core, "signed_height")
+    graph_calls = _counted(monkeypatch, verify, "signed_height")
     gap_calls = _counted(monkeypatch, perturb, "signed_height")
 
     def screened(r):
         graph_calls.clear()
         gap_calls.clear()
-        graph = core.intersection_graph(r)
+        graph = verify.intersection_graph(r)
         budgets = [perturb.face_gap_with_roles(r, f)[2] for f in faces]
         return graph, budgets, len(graph_calls), len(gap_calls)
 

@@ -18,15 +18,13 @@ from tricontact.geometry import (
     inside_neg,
     intersect,
     orientation,
-    point,
     push_horizontal,
     push_vertical,
     segment_intersection_kind,
     signed_height,
     translate,
-    tri,
 )
-from conftest import grid_points, in_triangle, ntri
+from conftest import grid_points, in_triangle, ntri, point, tri
 
 F = Fraction
 

@@ -8,9 +8,7 @@ from tricontact.geometry import (
     Tri,
     common_signed_height,
     intersect,
-    point,
     signed_height,
-    tri,
 )
 from tricontact.perturb import (
     PUSH_HORIZONTAL,
@@ -30,17 +28,17 @@ from tricontact.perturb import (
     step2_clear,
     step3_separate,
 )
-from tricontact.core import Representation, intersection_graph
+from tricontact.core import Representation
 from tricontact.perturb import (  # the integer event kernel
     _breakpoints,
     _corner_entry,
     _first_reach,
     _int_frame,
-    _intersection_triangles,
     _lines_for,
 )
 from tricontact.solver import canvas_with_roles, solve_stacked
-from conftest import ntri
+from tricontact.verify import intersection_graph
+from conftest import graph_triangles, implant_faces, ntri, point, tri
 
 F = Fraction
 
@@ -54,36 +52,38 @@ def fixture_rep(extra=None):
 
 class TestFindBadTriples:
     def test_fixture_roles(self):
-        bad = find_bad_triples(fixture_rep())
+        rep = fixture_rep()
+        bad = find_bad_triples(rep, graph_triangles(rep))
         assert len(bad) == 1
         t = bad[0]
         assert (t.u, t.v, t.w) == (0, 1, 2)
         assert t.p == point(2, 2)
         # role structure: u's hypotenuse attains the min level, v's vertical
         # side the max x, w sits below with its top corner at p
-        rep = fixture_rep()
         assert rep.tri(t.u).s == 4 and rep.tri(t.u).east_corner == t.p
         assert rep.tri(t.v).right_corner == t.p
         assert rep.tri(t.w).top_corner == t.p
 
     def test_exact_k4_clean(self, k4, outer_map):
         rep = solve_stacked(planar.as_piece(k4), outer_map)
-        assert find_bad_triples(rep) == []
+        assert find_bad_triples(rep, graph_triangles(rep)) == []
 
     def test_two_disjoint_bad_configs(self):
         far = {10: tri(100, 2, 2), 11: tri(102, 2, 2), 12: tri(102, 0, 2)}
-        bad = find_bad_triples(fixture_rep(far))
+        rep = fixture_rep(far)
+        bad = find_bad_triples(rep, graph_triangles(rep))
         assert sorted(tuple(sorted(t.ids)) for t in bad) == [(0, 1, 2), (10, 11, 12)]
 
     def test_quadruple_detected(self):
         rep = fixture_rep({3: tri(2, 2, 1)})  # fourth triangle with corner at p
         with pytest.raises(QuadrupleIntersection):
-            find_bad_triples(rep)
+            find_bad_triples(rep, graph_triangles(rep))
 
     def test_region_triple_after_inflation(self):
         from tricontact.geometry import inflate
         tris = {v: inflate(t, F(1, 64)) for v, t in fixture_rep().triangles.items()}
-        bad = find_bad_triples(Representation(tris, (), F(1)))
+        rep = Representation(tris, (), F(1))
+        bad = find_bad_triples(rep, graph_triangles(rep))
         assert len(bad) == 1
         t = bad[0]
         assert (t.u, t.v, t.w) == (0, 1, 2)      # roles survive uniform inflation
@@ -116,13 +116,15 @@ class TestSafeEpsilon:
         # leftward push actually approaches it at unit rate
         rep = fixture_rep({9: tri(-4, 2, 3)})
         assert signed_height(rep.tri(0), rep.tri(9)) == -1
-        sel = select_bad(find_bad_triples(rep))
-        e, clearance = safe_epsilon(rep, {sel.u: PUSH_VERTICAL}, exclude_triple=sel.ids)
+        sel = select_bad(find_bad_triples(rep, graph_triangles(rep)))
+        e, clearance = safe_epsilon(rep, {sel.u: PUSH_VERTICAL}, graph_triangles(rep),
+                                    exclude_triple=sel.ids)
         assert 0 < e <= F(1, 2) and e == clearance / 2
 
     def test_bare_fixture_positive(self):
-        sel = select_bad(find_bad_triples(fixture_rep()))
-        e, _ = safe_epsilon(fixture_rep(), {sel.u: PUSH_VERTICAL}, exclude_triple=sel.ids)
+        rep = fixture_rep()
+        sel = select_bad(find_bad_triples(rep, graph_triangles(rep)))
+        e, _ = safe_epsilon(rep, {sel.u: PUSH_VERTICAL}, graph_triangles(rep), exclude_triple=sel.ids)
         assert e > 0
 
     def test_zero_clearance_before_step2(self):
@@ -131,16 +133,16 @@ class TestSafeEpsilon:
         z = {5: tri(1, 3, 1)}   # right corner on the hypotenuse of t(0)
         rep = fixture_rep(z)
         assert intersect(rep.tri(5), rep.tri(0)).point == point(1, 3)
-        sel = select_bad(find_bad_triples(rep))
+        sel = select_bad(find_bad_triples(rep, graph_triangles(rep)))
         assert sel.u == 0
         with pytest.raises(ZeroClearance):
-            safe_epsilon(rep, {sel.u: TRANSLATE_DOWN, sel.v: PUSH_VERTICAL},
+            safe_epsilon(rep, {sel.u: TRANSLATE_DOWN, sel.v: PUSH_VERTICAL}, graph_triangles(rep),
                          exclude_triple=sel.ids)
 
     def test_boundary_move_rejected(self, k4, outer_map):
         rep = solve_stacked(planar.as_piece(k4), outer_map)
         with pytest.raises(PerturbError):
-            safe_epsilon(rep, {0: PUSH_VERTICAL})
+            safe_epsilon(rep, {0: PUSH_VERTICAL}, graph_triangles(rep))
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +248,7 @@ def safe_epsilon_reference(rep, move, exclude_triple=None):
                     events.append(ev2)
         if ev is not None:
             events.append(ev)
-    for a, b, c in _intersection_triangles(rep):
+    for a, b, c in graph_triangles(rep):
         if not ({a, b, c} & moved) or frozenset((a, b, c)) == exclude_triple:
             continue
         groups = _ref_lines_for(rep, move, (a, b, c))
@@ -306,8 +308,8 @@ class TestIntegerFrameMatchesReference:
         compared = []
         fast = perturb.safe_epsilon
 
-        def checked(rep, move, exclude_triple=None, triangles=None):
-            got = _outcome(fast, rep, move, exclude_triple, triangles)
+        def checked(rep, move, triangles, exclude_triple=None):
+            got = _outcome(fast, rep, move, triangles, exclude_triple)
             compared.append((got, _outcome(safe_epsilon_reference, rep, move, exclude_triple)))
             if got is ZeroClearance:
                 raise ZeroClearance("as the reference")
@@ -340,7 +342,7 @@ class TestIntegerFrameMatchesReference:
     def test_fixtures(self, extra, move):
         rep = fixture_rep(extra)
         sel = frozenset((0, 1, 2))
-        assert (_outcome(safe_epsilon, rep, move, sel)
+        assert (_outcome(safe_epsilon, rep, move, graph_triangles(rep), sel)
                 == _outcome(safe_epsilon_reference, rep, move, sel))
 
     def test_boundary_events(self, outer_map):
@@ -356,13 +358,13 @@ class TestIntegerFrameMatchesReference:
         results = [_outcome(safe_epsilon_reference, r, m) for r, m in cases]
         assert results[0] == (F(3, 80), F(3, 40)) and results[4] == (F(1, 20), F(1, 10))
         assert results[5] is ZeroClearance
-        assert [_outcome(safe_epsilon, r, m) for r, m in cases] == results
+        assert [_outcome(safe_epsilon, r, m, graph_triangles(r)) for r, m in cases] == results
 
 
 class TestSteps:
     def test_step1_exact(self):
         rep = fixture_rep()
-        sel = select_bad(find_bad_triples(rep))
+        sel = select_bad(find_bad_triples(rep, graph_triangles(rep)))
         out = step1_widen(rep, sel, F(1, 4))
         assert out.tri(0) == tri("-1/4", 2, "9/4")
         assert out.tri(0).east_corner == point(2, 2)
@@ -373,13 +375,13 @@ class TestSteps:
 
     def test_step2_no_z(self):
         rep = fixture_rep()
-        sel = select_bad(find_bad_triples(rep))
+        sel = select_bad(find_bad_triples(rep, graph_triangles(rep)))
         r1 = step1_widen(rep, sel, F(1, 4))
         assert step2_clear(r1, sel, F(1, 8)).triangles == r1.triangles
 
     def test_step2_pushes_hypotenuse_tangents(self):
         rep = fixture_rep({5: tri(1, 3, 1)})
-        sel = select_bad(find_bad_triples(rep))
+        sel = select_bad(find_bad_triples(rep, graph_triangles(rep)))
         r1 = step1_widen(rep, sel, F(1, 4))
         assert intersect(r1.tri(5), r1.tri(0)).kind == "point"
         r2 = step2_clear(r1, sel, F(1, 16))
@@ -389,7 +391,7 @@ class TestSteps:
 
     def test_step2_two_tangents(self):
         rep = fixture_rep({5: tri(1, 3, 1), 6: tri("1/2", "7/2", "1/2")})
-        sel = select_bad(find_bad_triples(rep))
+        sel = select_bad(find_bad_triples(rep, graph_triangles(rep)))
         r1 = step1_widen(rep, sel, F(1, 4))
         r2 = step2_clear(r1, sel, F(1, 16))
         assert r2.tri(5) != rep.tri(5) and r2.tri(6) != rep.tri(6)
@@ -397,7 +399,7 @@ class TestSteps:
 
     def test_step3_exact_values(self):
         rep = fixture_rep()
-        sel = select_bad(find_bad_triples(rep))
+        sel = select_bad(find_bad_triples(rep, graph_triangles(rep)))
         r1 = step1_widen(rep, sel, F(1, 4))
         r3 = step3_separate(r1, sel, F(1, 4))
         assert r3.tri(0) == tri("-1/4", "7/4", "9/4")
@@ -416,61 +418,70 @@ class TestSteps:
 class TestRemoveAll:
     def test_fixture_one_round(self):
         rep = fixture_rep()
-        out = remove_all(rep)
-        assert find_bad_triples(out) == []
+        out = remove_all(rep, graph_triangles(rep))
+        assert find_bad_triples(out, graph_triangles(out)) == []
         assert intersection_graph(out) == intersection_graph(rep)
 
     def test_identity_when_clean(self, k4, outer_map):
         rep = solve_stacked(planar.as_piece(k4), outer_map)
-        assert remove_all(rep).triangles == rep.triangles
+        assert remove_all(rep, graph_triangles(rep)).triangles == rep.triangles
 
     def test_two_triples_highest_first(self):
         far = {10: tri(100, 3, 2), 11: tri(102, 3, 2), 12: tri(102, 1, 2)}
         rep = fixture_rep(far)
-        bad = find_bad_triples(rep)
+        bad = find_bad_triples(rep, graph_triangles(rep))
         assert len(bad) == 2
         # the far configuration sits higher (p = (102, 3)) and is selected first
         assert sorted(select_bad(bad).ids) == [10, 11, 12]
-        out = remove_all(rep)
-        assert find_bad_triples(out) == []
+        out = remove_all(rep, graph_triangles(rep))
+        assert find_bad_triples(out, graph_triangles(out)) == []
         assert intersection_graph(out) == intersection_graph(rep)
 
     def test_k222(self, octahedron, k222_triple_rep):
-        bad = find_bad_triples(k222_triple_rep)
+        bad = find_bad_triples(k222_triple_rep, graph_triangles(k222_triple_rep))
         assert len(bad) == 1 and sorted(bad[0].ids) == [3, 4, 5]
-        out = remove_all(k222_triple_rep)
-        assert find_bad_triples(out) == []
+        out = remove_all(k222_triple_rep, graph_triangles(k222_triple_rep))
+        assert find_bad_triples(out, graph_triangles(out)) == []
         assert intersection_graph(out) == intersection_graph(k222_triple_rep)
         adj = octahedron.adjacency()
         for u, v in itertools.combinations(range(6), 2):
             assert (v in adj[u]) == (signed_height(out.tri(u), out.tri(v)) >= 0)
 
     def test_clean_piece_scanned_once(self, monkeypatch, k4, outer_map):
-        # one intersection graph and one bad-triple scan for a piece that
-        # has no triple (core's routine, at the name perturb calls it by)
+        # one bad-triple scan for a piece that has no triple
         rep = solve_stacked(planar.as_piece(k4), outer_map)
         calls = []
-        scan, graph = perturb.find_bad_triples, perturb.intersection_graph
+        scan = perturb.find_bad_triples
         monkeypatch.setattr(perturb, "find_bad_triples",
                             lambda *a, **k: calls.append("scan") or scan(*a, **k))
-        monkeypatch.setattr(perturb, "intersection_graph",
-                            lambda *a, **k: calls.append("graph") or graph(*a, **k))
-        assert remove_all(rep) is rep
-        assert sorted(calls) == ["graph", "scan"]
+        assert remove_all(rep, graph_triangles(rep)) is rep
+        assert calls == ["scan"]
 
-    def test_one_graph_for_every_round(self, monkeypatch, k222_triple_rep):
-        # the steps keep the graph, so the scans and budgets of a round that
-        # clears a triple reuse the triangles listed at the start
-        calls = []
-        graph = perturb.intersection_graph
-        monkeypatch.setattr(perturb, "intersection_graph",
-                            lambda *a, **k: calls.append(1) or graph(*a, **k))
-        assert find_bad_triples(remove_all(k222_triple_rep)) == []
-        assert len(calls) == 2          # remove_all's one, and the check above
+    @pytest.mark.parametrize("make", [
+        *(lambda k=k: planar.double_wheel(k) for k in range(4, 9)),
+        *(lambda s=s: planar.gen_stacked(40, s) for s in range(3)),
+        lambda: planar.gen_four_connected(12, 0),
+        lambda: implant_faces(planar.gen_stacked(30, 1), (0, 7)),
+        lambda: _chain(10, 2, 3),
+    ], ids=[*(f"dw{k}" for k in range(4, 9)), *(f"stacked40_{s}" for s in range(3)),
+            "g4_12_0", "stacked30_1+2octa", "chain10_2d3"])
+    def test_piece_faces_are_the_graph_triangles(self, monkeypatch, make):
+        # represent passes each piece's faces as the triangles of the piece's
+        # intersection graph: they must be exactly that graph's triangles
+        passed = []
+        real = perturb.remove_all
+
+        def checked(rep, triangles, *a, **k):
+            passed.append(triangles == graph_triangles(rep))
+            return real(rep, triangles, *a, **k)
+
+        monkeypatch.setattr(perturb, "remove_all", checked)
+        assemble.represent(make())
+        assert passed and all(passed)
 
     def test_budget_trace(self, k222_triple_rep):
         budgets = []
-        remove_all(k222_triple_rep, budgets=budgets)
+        remove_all(k222_triple_rep, graph_triangles(k222_triple_rep), budgets=budgets)
         assert len(budgets) == 1
         b = budgets[0]
         assert b.e1 > 0 and b.e3 > 0 and b.clearance > 0
@@ -513,7 +524,7 @@ class TestEventAnalysis:
     def test_lockstep_pair_has_no_event(self):
         # the slide-down + push-left combination keeps the contact exactly
         rep = fixture_rep()
-        sel = select_bad(find_bad_triples(rep))
+        sel = select_bad(find_bad_triples(rep, graph_triangles(rep)))
         r1 = step1_widen(rep, sel, F(1, 4))
         den, frame, _ = _int_frame(r1)
         assert den == 4
@@ -544,10 +555,10 @@ class TestSharedVertexTriples:
     def test_two_triples_sharing_a_triangle(self):
         # second point configuration hangs off v's east corner at (4, 2)
         rep = fixture_rep({5: tri(4, 2, 2), 6: tri(4, 0, 2)})
-        bad = find_bad_triples(rep)
+        bad = find_bad_triples(rep, graph_triangles(rep))
         assert sorted(tuple(sorted(t.ids)) for t in bad) == [(0, 1, 2), (1, 5, 6)]
-        out = remove_all(rep)
-        assert find_bad_triples(out) == []
+        out = remove_all(rep, graph_triangles(rep))
+        assert find_bad_triples(out, graph_triangles(out)) == []
         assert intersection_graph(out) == intersection_graph(rep)
 
 
@@ -564,10 +575,10 @@ class TestShallowHazards:
         tris[9] = tri(F(1, 2), su - F(1, 2) - depth, 1)
         rep = Representation(tris, (), F(1))
         assert signed_height(rep.tri(0), rep.tri(9)) == depth
-        bad = find_bad_triples(rep)
+        bad = find_bad_triples(rep, graph_triangles(rep))
         assert len(bad) == 1 and sorted(bad[0].ids) == [0, 1, 2]
-        out = remove_all(rep)
-        assert find_bad_triples(out) == []
+        out = remove_all(rep, graph_triangles(rep))
+        assert find_bad_triples(out, graph_triangles(out)) == []
         assert intersection_graph(out) == intersection_graph(rep)   # the shallow edge survives
 
 
@@ -577,7 +588,7 @@ class TestBoundaryRoles:
         rep = Representation(
             {0: tri(0, 2, 2), 1: tri(2, 2, 2), 2: tri(2, 0, 2)}, (0, 1), F(1))
         with pytest.raises(PerturbError):
-            remove_all(rep)
+            remove_all(rep, graph_triangles(rep))
 
 
 class TestFaceGap:

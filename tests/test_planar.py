@@ -19,7 +19,7 @@ from tricontact.planar import (
     stack_vertex,
     validate,
 )
-from conftest import octahedron_graph
+from conftest import implanted, octahedron_graph
 
 
 def decompose_by_splitting(T):
@@ -155,15 +155,6 @@ def nested_chain(n, seed, depth):
     for _ in range(depth):
         T = stack_vertex(T, newest_face(T))
         T = implant_octahedron(T, newest_face(T))
-    return T
-
-
-def implanted(n, seed, implants):
-    """gen_stacked(n, seed) with octahedra implanted in seeded inner faces."""
-    T = gen_stacked(n, seed)
-    faces = random.Random(seed).sample(sorted(sorted(f) for f in T.inner_faces), implants)
-    for f in faces:
-        T = implant_octahedron(T, f)
     return T
 
 

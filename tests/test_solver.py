@@ -7,7 +7,7 @@ import pytest
 
 from tricontact import planar, solver
 from tricontact.assemble import PipelineConfig, represent
-from tricontact.geometry import Tri, intersect, point, signed_height, tri
+from tricontact.geometry import Tri, intersect, signed_height
 from tricontact.core import Representation
 from tricontact.solver import (
     CanvasError,
@@ -22,7 +22,7 @@ from tricontact.solver import (
     solve_contacts,
     solve_stacked,
 )
-from conftest import ntri, stacked_by_peeling
+from conftest import graph_triangles, ntri, point, stacked_by_peeling, tri
 
 F = Fraction
 
@@ -343,7 +343,8 @@ class TestSolveContacts:
         om = {T.outer[0]: outer_map[0], T.outer[1]: outer_map[1], T.outer[2]: outer_map[2]}
         params = SolverParams(delta=1e-9, margin=1e-5, h_min=1e-6)
         res = solve_contacts(planar.as_piece(T), om, params)
-        rep = remove_all(robustify(exactify(res), planar.as_piece(T), params, F(1)))
+        robust = robustify(exactify(res), planar.as_piece(T), params, F(1))
+        rep = remove_all(robust, graph_triangles(robust))
         assert full_report(rep, T).passed
         assert min(t.h for t in rep.triangles.values()) < F(1e-3)
 

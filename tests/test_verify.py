@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from tricontact import planar, verify
-from tricontact.assemble import represent
+from tricontact.assemble import PipelineConfig, default_outer, represent
 from tricontact.core import ROUNDOFF, TINY, Representation, float_pad
-from tricontact.geometry import Point, Tri, intersect, point, segment_intersection_kind, tri
+from tricontact.geometry import Point, Tri, intersect, segment_intersection_kind, signed_height
 from tricontact.perturb import GapError, face_gap_with_roles, remove_all
 from tricontact.solver import (
     SolverParams,
@@ -29,6 +29,7 @@ from tricontact.verify import (
     full_report,
     intersection_graph,
 )
+from conftest import graph_triangles, implant_faces, implanted, point, tri
 
 F = Fraction
 
@@ -298,10 +299,7 @@ def _chain(depth):
 
 
 def _implanted():
-    T = planar.gen_stacked(30, 1)
-    for k in (0, 7):
-        T = planar.implant_octahedron(T, sorted(sorted(f) for f in T.inner_faces)[k])
-    return T
+    return implant_faces(planar.gen_stacked(30, 1), (0, 7))
 
 
 def _depth_zero_rogue(gap):
@@ -314,10 +312,53 @@ def octa_pipeline_rep(octahedron, outer_map):
     params = SolverParams()
     res = solve_contacts(planar.as_piece(octahedron), outer_map, params)
     rep = robustify(exactify(res), planar.as_piece(octahedron), params, F(1))
-    return remove_all(rep)
+    return remove_all(rep, graph_triangles(rep))
+
+
+def intersection_graph_by_pairs(rep):
+    """The intersection graph as a loop over every pair: a float screen
+    padded by `float_pad`, then an exact decision."""
+    vs = sorted(rep.triangles)
+    fl = {}
+    for v in vs:
+        t = rep.tri(v)
+        fl[v] = (float(t.x), float(t.y), float(t.s))
+    screen = -float_pad(max((abs(c) for row in fl.values() for c in row), default=0.0))
+    out = set()
+    for i, u in enumerate(vs):
+        xu, yu, su = fl[u]
+        tu = rep.tri(u)
+        for v in vs[i + 1:]:
+            xv, yv, sv = fl[v]
+            if min(su, sv) - max(xu, xv) - max(yu, yv) < screen:
+                continue
+            if signed_height(tu, rep.tri(v)) >= 0:
+                out.add((u, v))
+    return out
+
+
+def _moved(rep, k, dx, dy):
+    """`rep` scaled by k, then offset by (dx, dy)."""
+    return Representation({v: Tri(t.x * k + dx, t.y * k + dy, t.h * k)
+                           for v, t in rep.triangles.items()}, rep.outer, rep.epsilon * k)
 
 
 class TestIntersectionGraph:
+    @pytest.mark.parametrize("make", [
+        lambda: represent(planar.gen_stacked(300, 1)),
+        lambda: represent(implanted(100, 3, 20)),
+        lambda: _moved(represent(implanted(100, 3, 20)), F(1, 2 ** 60), 3, 1),
+        lambda: represent(planar.double_wheel(6), PipelineConfig(outer=tuple(
+            Tri(t.x + F(1, 3), t.y - F(2, 9), t.h) for t in default_outer(F(5, 7))))),
+        lambda: Representation({5 * i + j: tri(3 * i, 3 * j, 1) for i in range(5)
+                                for j in range(5)}, (), F(1)),
+    ], ids=["stacked300_1", "nested_host", "nested_host_tiny", "dw6_shifted", "no_pair"])
+    def test_matches_every_pair_loop(self, make):
+        rep = make()
+        graph = intersection_graph(rep)
+        assert graph == intersection_graph_by_pairs(rep)
+        assert bool(graph) == (len(rep.outer) > 0)
+
     def test_k4_exact(self, k4, outer_map):
         rep = solve_stacked(planar.as_piece(k4), outer_map)
         assert intersection_graph(rep) == {tuple(sorted(e)) for e in k4.edges}
@@ -349,7 +390,7 @@ class TestCheckSimple:
 
     def test_after_steps_passes(self):
         rep = Representation({0: tri(0, 2, 2), 1: tri(2, 2, 2), 2: tri(2, 0, 2)}, (), F(1))
-        out = remove_all(rep)
+        out = remove_all(rep, graph_triangles(rep))
         ok, offending = check_simple(out, audit=True)
         assert ok and offending == []
 
