@@ -64,7 +64,7 @@ def _solve_piece(piece: planar.Triangulation, outer_map: dict[int, Tri],
                  canvas_roles, epsilon: Fraction, params: SolverParams,
                  trace_entry: dict) -> Representation:
     canvas = canvas_roles[0]
-    if planar.piece_size(piece) == 4:
+    if len(piece.vertices()) == 4:
         rep = solve_stacked(piece, outer_map, epsilon, canvas)
         trace_entry["path"] = "stacked"
     else:
@@ -104,7 +104,7 @@ def represent(T: planar.Triangulation, config: PipelineConfig | None = None,
     def place(piece_idx: int, outer_map: dict[int, Tri], epsilon: Fraction,
               canvas_roles) -> None:
         piece = tree.pieces[piece_idx]
-        entry = {"piece": piece_idx, "n": planar.piece_size(piece),
+        entry = {"piece": piece_idx, "n": len(piece.vertices()),
                  "epsilon": epsilon, "canvas": canvas_roles[0]}
         rep = _solve_piece(piece, outer_map, canvas_roles, epsilon, config.solver, entry)
         if trace is not None:

@@ -35,12 +35,7 @@ _HANDLED = tuple(t for types, _code, _label in EXIT_CODES for t in types)
 
 
 def _dump(obj: dict, path: str | None) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as f:
-            f.write(text)
+    _write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", path)
 
 
 def _write_text(text: str, path: str | None) -> None:

@@ -84,9 +84,6 @@ class Tri:
         """Closed-set membership."""
         return p.x >= self.x and p.y >= self.y and p.x + p.y <= self.s
 
-    def bbox(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        return (self.x, self.y, self.x + self.h, self.y + self.h)
-
     def __repr__(self) -> str:
         return f"Tri({self.x}, {self.y}, {self.h})"
 
@@ -114,14 +111,6 @@ class NegTri:
     @property
     def top_corner(self) -> Point:
         return Point(self.x, self.y)
-
-    @property
-    def west_corner(self) -> Point:
-        return Point(self.x - self.h, self.y)
-
-    @property
-    def south_corner(self) -> Point:
-        return Point(self.x, self.y - self.h)
 
     def contains(self, p: Point) -> bool:
         return p.x <= self.x and p.y <= self.y and p.x + p.y >= self.hyp_level

@@ -417,9 +417,9 @@ def step1_widen(rep: Representation, triple: BadTriple, e1: Fraction) -> Represe
     return out
 
 
-def _hyp_point_contacts(rep: Representation, u: int, include_top: bool) -> dict[int, Point]:
-    """Triangles touching t(u) in a single point strictly inside its hypotenuse
-    (optionally including the top corner endpoint)."""
+def _hyp_point_contacts(rep: Representation, u: int) -> dict[int, Point]:
+    """Triangles touching t(u) in a single point of its hypotenuse above its
+    east corner (top corner included)."""
     tu = rep.tri(u)
     lo, hi = tu.x, tu.x + tu.h
     found = {}
@@ -429,7 +429,7 @@ def _hyp_point_contacts(rep: Representation, u: int, include_top: bool) -> dict[
         c = _single_point_contact(rep, u, z)
         if c is None or c.x + c.y != tu.s:
             continue
-        if (c.x > lo or (include_top and c.x == lo)) and c.x < hi:
+        if lo <= c.x < hi:
             found[z] = c
     return found
 
@@ -480,7 +480,7 @@ def step2_clear(rep: Representation, triple: BadTriple, e2: Fraction) -> Represe
     if zs:
         _check_graph_preserved(rep, out, zs)
         _check_boundary_budget(out, zs)
-    if _hyp_point_contacts(out, u, include_top=True):
+    if _hyp_point_contacts(out, u):
         raise ClaimViolation(f"a contact point remains on the upper hypotenuse of {u}")
     return out
 
@@ -505,13 +505,15 @@ def step3_separate(rep: Representation, triple: BadTriple, e3: Fraction) -> Repr
     return out
 
 
+STEP_RETRIES = 20  # halvings of the step budgets before a triple counts as stuck
+
+
 def remove_all(rep: Representation, triangles: Sequence[tuple[int, int, int]],
-               max_step_retries: int = 20,
                budgets: list[EpsilonBudget] | None = None) -> Representation:
     """Remove every bad triple: find, select highest, apply the three steps
-    with exact safe budgets; retry a round with halved budgets when a
-    postcondition recheck fails.  Terminates in at most the initial number of
-    bad triples rounds.
+    with exact safe budgets; retry a round with halved budgets, at most
+    STEP_RETRIES times, when a postcondition recheck fails.  Terminates in
+    at most the initial number of bad triples rounds.
 
     `triangles` are the triangles of the intersection graph of `rep`, in
     lexicographic order.  Every step keeps that graph
@@ -525,7 +527,7 @@ def remove_all(rep: Representation, triangles: Sequence[tuple[int, int, int]],
         prev_ids = {t.ids for t in bad}
         advanced = False
         shrink = Fraction(1)
-        for _attempt in range(max_step_retries):
+        for _attempt in range(STEP_RETRIES):
             try:
                 work = rep
                 e1, c1 = safe_epsilon(work, {sel.u: PUSH_VERTICAL}, triangles,

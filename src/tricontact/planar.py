@@ -2,16 +2,18 @@
 
 A triangulation here is a simple maximal planar graph with a distinguished
 outer face.  For maximal planar graphs with n >= 4 the face set is unique
-(they are 3-connected), so faces are stored as plain vertex sets derived from
-a planarity-test embedding.
+(they are 3-connected), so faces are stored as plain vertex sets.  The
+generators and the decomposition know their faces and build from them
+(`_from_faces`); only `validate`, for graphs from outside the program, reads
+the faces off a planarity-test embedding.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cmp_to_key
-from itertools import combinations
+from functools import cached_property, cmp_to_key
+from itertools import combinations, product
 from typing import Iterable, Mapping, Sequence
 
 import networkx as nx
@@ -39,6 +41,10 @@ def adjacency_of(vertices: Iterable[int], edges: Iterable[Edge]) -> dict[int, se
 
 @dataclass(frozen=True)
 class Triangulation:
+    """A triangulation or a piece of one.  A piece keeps its parent's vertex
+    labels, so its labels need not be 0..n-1: `n` is one past the largest,
+    and `vertices()` lists those in use."""
+
     n: int
     edges: frozenset[Edge]
     outer: tuple[int, int, int]
@@ -55,8 +61,14 @@ class Triangulation:
     def adjacency(self) -> dict[int, set[int]]:
         return adjacency_of(self.vertices(), self.edges)
 
-    def vertices(self) -> range:
-        return range(self.n)
+    @cached_property
+    def _labels(self) -> tuple[int, ...]:
+        # read off the faces once; the cache sits outside the dataclass
+        # fields, so equality and hashing ignore it
+        return tuple(sorted(set().union(*self.faces)))
+
+    def vertices(self) -> tuple[int, ...]:
+        return self._labels
 
     def has_edge(self, u: int, v: int) -> bool:
         return _edge(u, v) in self.edges
@@ -67,6 +79,17 @@ class Triangulation:
             "outer": list(self.outer),
             "edges": sorted([list(e) for e in self.edges]),
         }
+
+
+def _from_faces(faces: Iterable[frozenset[int]], outer: tuple[int, int, int]) -> Triangulation:
+    """The triangulation with these faces, which the caller knows to be
+    those of a triangulation, in the order of their sorted vertex lists.
+
+    Its edges are the faces' sides.  Every constructor ends here; only
+    `validate` first takes the faces from a planarity test."""
+    faces = tuple(sorted(faces, key=sorted))
+    edges = frozenset(_edge(u, v) for f in faces for u, v in combinations(f, 2))
+    return Triangulation(n=max(max(f) for f in faces) + 1, edges=edges, outer=outer, faces=faces)
 
 
 def _faces_from_embedding(emb: nx.PlanarEmbedding) -> list[tuple[int, ...]]:
@@ -123,12 +146,12 @@ def validate(n: int, edges: Iterable[Sequence[int]], outer: Sequence[int]) -> Tr
     faces_raw = _faces_from_embedding(emb)
     if any(len(f) != 3 for f in faces_raw):
         raise GraphError("embedding has a non-triangular face")
-    faces = tuple(sorted({frozenset(f) for f in faces_raw}, key=lambda f: sorted(f)))
+    faces = {frozenset(f) for f in faces_raw}
     if len(faces) != 2 * n - 4:
         raise GraphError(f"face count {len(faces)} != 2n-4 = {2 * n - 4}")
-    if frozenset(outer_t) not in set(faces):
+    if frozenset(outer_t) not in faces:
         raise GraphError(f"outer triple {outer_t} is not a face")
-    return Triangulation(n=n, edges=frozenset(eset), outer=outer_t, faces=faces)
+    return _from_faces(faces, outer_t)
 
 
 def from_json(data: dict) -> Triangulation:
@@ -171,44 +194,6 @@ def separating_triangles(T: Triangulation) -> list[tuple[int, int, int]]:
 
 
 @dataclass(frozen=True)
-class _RelabeledPiece(Triangulation):
-    """A triangulation piece keeping the parent's vertex labels.
-
-    `n` is an upper bound on labels; `vertex_ids` lists the labels in use.
-    """
-    vertex_ids: tuple[int, ...] = ()
-
-    def vertices(self):  # type: ignore[override]
-        return self.vertex_ids
-
-
-def as_piece(T: Triangulation) -> _RelabeledPiece:
-    if isinstance(T, _RelabeledPiece):
-        return T
-    return _RelabeledPiece(n=T.n, vertex_ids=tuple(range(T.n)),
-                           edges=T.edges, outer=T.outer, faces=T.faces)
-
-
-def piece_size(P: Triangulation) -> int:
-    return len(list(P.vertices()))
-
-
-def _make_piece(faces: set[frozenset[int]], outer3: tuple[int, int, int]) -> _RelabeledPiece:
-    verts = sorted(set().union(*faces))
-    edges = set()
-    for f in faces:
-        for u, v in combinations(sorted(f), 2):
-            edges.add(_edge(u, v))
-    return _RelabeledPiece(
-        n=verts[-1] + 1,
-        vertex_ids=tuple(verts),
-        edges=frozenset(edges),
-        outer=outer3,
-        faces=tuple(sorted(faces, key=sorted)),
-    )
-
-
-@dataclass(frozen=True)
 class SeparationTree:
     """Decomposition into pieces without separating triangles.
 
@@ -216,11 +201,11 @@ class SeparationTree:
     triangle is an inner face of the parent piece and the outer face of the
     child piece.  Piece 0 contains the input's outer face.
     """
-    pieces: tuple[_RelabeledPiece, ...]
+    pieces: tuple[Triangulation, ...]
     links: tuple[tuple[int, int, tuple[int, int, int]], ...]
 
 
-def _decompose_laminar(T: Triangulation) -> list[_RelabeledPiece]:
+def _decompose_laminar(T: Triangulation) -> list[Triangulation]:
     """Pieces of T, the root piece first, then one per separating triangle
     in `separating_triangles` order, read off one traversal of the dual graph.
 
@@ -238,10 +223,9 @@ def _decompose_laminar(T: Triangulation) -> list[_RelabeledPiece]:
     below it.  After the triangle listing, time is O(F + S log S) for F faces
     and S separating triangles.
     """
-    piece0 = as_piece(T)
-    seps = separating_triangles(piece0)
+    seps = separating_triangles(T)
     if not seps:
-        return [piece0]
+        return [T]
     faces = T.faces
     face_edges: list[tuple[Edge, Edge, Edge]] = []
     edge_faces: dict[Edge, list[int]] = {}
@@ -317,7 +301,7 @@ def _decompose_laminar(T: Triangulation) -> list[_RelabeledPiece]:
     for t in seps:
         members.setdefault(nest_parent[t], set()).add(frozenset(t))
         members.setdefault(t, set()).add(frozenset(t))
-    return [_make_piece(members[None], T.outer)] + [_make_piece(members[t], t) for t in seps]
+    return [_from_faces(members[None], T.outer)] + [_from_faces(members[t], t) for t in seps]
 
 
 def decompose(T: Triangulation) -> SeparationTree:
@@ -330,9 +314,9 @@ def decompose(T: Triangulation) -> SeparationTree:
     root, *rest = _decompose_laminar(T)
     by_label = {p.outer_set: p for p in rest}
 
-    pieces: list[_RelabeledPiece] = []
+    pieces: list[Triangulation] = []
     links: list[tuple[int, int, tuple[int, int, int]]] = []
-    stack: list[tuple[_RelabeledPiece, int | None, tuple[int, int, int] | None]] = [
+    stack: list[tuple[Triangulation, int | None, tuple[int, int, int] | None]] = [
         (root, None, None)]
     while stack:
         piece, parent, label = stack.pop()
@@ -354,10 +338,9 @@ def decompose(T: Triangulation) -> SeparationTree:
 # Generators
 # ---------------------------------------------------------------------------
 
-def _k4() -> tuple[int, set[Edge], list[frozenset[int]]]:
-    edges = {_edge(u, v) for u, v in combinations(range(4), 2)}
-    faces = [frozenset(f) for f in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))]
-    return 4, edges, faces
+FLIPS_PER_VERTEX = 12  # random diagonal flips per vertex in gen_triangulation
+FOUR_CONNECTED_TRIES = 400  # random starts before gen_four_connected gives up
+_OUTER_EDGES = frozenset({(0, 1), (0, 2), (1, 2)})  # gen_stacked's outer face, which flips keep
 
 
 def gen_stacked(n: int, seed: int) -> Triangulation:
@@ -366,89 +349,61 @@ def gen_stacked(n: int, seed: int) -> Triangulation:
     if n < 4:
         raise GraphError(f"gen_stacked needs n >= 4, got {n}")
     rng = random.Random(seed)
-    cnt, edges, faces = _k4()
-    while cnt < n:
+    faces = [frozenset(f) for f in combinations(range(4), 3)]
+    for v in range(4, n):
         f = faces.pop(1 + rng.randrange(len(faces) - 1))  # faces[0] is the outer face
-        v = cnt
-        cnt += 1
-        for u in f:
-            edges.add(_edge(u, v))
-        fl = sorted(f)
-        faces.extend(frozenset((a, b, v)) for a, b in combinations(fl, 2))
-    return validate(cnt, sorted(edges), (0, 1, 2))
+        faces.extend(frozenset((a, b, v)) for a, b in combinations(sorted(f), 2))
+    return _from_faces(faces, (0, 1, 2))
 
 
-def gen_triangulation(n: int, seed: int, flips: int | None = None) -> Triangulation:
-    """Random maximal planar graph: stacked start plus random diagonal flips.
+def _flip(edges: set[Edge], faces: set[frozenset[int]], e: Edge) -> bool:
+    """Replace the edge e = uv by pq, where upq and vpq are its two faces,
+    unless pq is already an edge.  Updates `edges` and `faces` in place and
+    returns whether it flipped."""
+    u, v = e
+    f1, f2 = (f for f in faces if u in f and v in f)
+    (p,), (q,) = f1 - {u, v}, f2 - {u, v}
+    if _edge(p, q) in edges:
+        return False
+    edges.remove(e)
+    edges.add(_edge(p, q))
+    faces -= {f1, f2}
+    faces |= {frozenset((u, p, q)), frozenset((v, p, q))}
+    return True
+
+
+def gen_triangulation(n: int, seed: int) -> Triangulation:
+    """Random maximal planar graph: stacked start plus FLIPS_PER_VERTEX * n
+    random diagonal flips.
 
     Flips never touch the outer face's edges and never create parallel edges.
     """
     T = gen_stacked(n, seed)
     rng = random.Random(seed ^ 0x9E3779B97F4A7C15)
-    if flips is None:
-        flips = 12 * n
-    edges = set(T.edges)
-    faces = set(T.faces)
-    outer = T.outer_set
-    outer_edges = {_edge(u, v) for u, v in combinations(sorted(outer), 2)}
-    for _ in range(flips):
+    edges, faces = set(T.edges), set(T.faces)
+    for _ in range(FLIPS_PER_VERTEX * n):
         e = rng.choice(sorted(edges))
-        if e in outer_edges:
-            continue
-        u, v = e
-        shared = [f for f in faces if u in f and v in f]
-        if len(shared) != 2:
-            continue
-        (f1, f2) = shared
-        p = next(iter(f1 - {u, v}))
-        q = next(iter(f2 - {u, v}))
-        if p == q or _edge(p, q) in edges:
-            continue
-        edges.remove(e)
-        edges.add(_edge(p, q))
-        faces.remove(f1)
-        faces.remove(f2)
-        faces.add(frozenset((u, p, q)))
-        faces.add(frozenset((v, p, q)))
-    return validate(n, sorted(edges), (0, 1, 2))
+        if e not in _OUTER_EDGES:
+            _flip(edges, faces, e)
+    return _from_faces(faces, T.outer)
 
 
-def gen_four_connected(n: int, seed: int, tries: int = 400) -> Triangulation:
+def gen_four_connected(n: int, seed: int) -> Triangulation:
     """Random triangulation filtered/repaired to have no separating triangle."""
     rng = random.Random(seed ^ 0xA5A5A5A5)
-    for attempt in range(tries):
+    for attempt in range(FOUR_CONNECTED_TRIES):
         T = gen_triangulation(n, seed + 1000 * attempt)
-        edges = set(T.edges)
-        outer_edges = {_edge(u, v) for u, v in combinations(sorted(T.outer_set), 2)}
+        edges, faces = set(T.edges), set(T.faces)
         # flip-repair: flipping an edge of a separating triangle removes that cycle
         for _ in range(40 * n):
-            cur = validate(n, sorted(edges), (0, 1, 2))
-            seps = separating_triangles(cur)
+            T = _from_faces(faces, T.outer)
+            seps = separating_triangles(T)
             if not seps:
-                return cur
+                return T
             tri = seps[rng.randrange(len(seps))]
-            cand = [
-                _edge(a, b)
-                for a, b in combinations(tri, 2)
-                if _edge(a, b) not in outer_edges
-            ]
+            cand = [e for e in combinations(tri, 2) if e not in _OUTER_EDGES]
             rng.shuffle(cand)
-            flipped = False
-            faces = set(cur.faces)
-            for e in cand:
-                u, v = e
-                shared = [f for f in faces if u in f and v in f]
-                if len(shared) != 2:
-                    continue
-                p = next(iter(shared[0] - {u, v}))
-                q = next(iter(shared[1] - {u, v}))
-                if p == q or _edge(p, q) in edges:
-                    continue
-                edges.remove(e)
-                edges.add(_edge(p, q))
-                flipped = True
-                break
-            if not flipped:
+            if not any(_flip(edges, faces, e) for e in cand):
                 break
     raise GraphError(f"no 4-connected triangulation found for n={n}, seed={seed}")
 
@@ -457,16 +412,18 @@ def gen_four_connected(n: int, seed: int, tries: int = 400) -> Triangulation:
 # Instance-building helpers for composed fixtures
 # ---------------------------------------------------------------------------
 
+def _inner_face(T: Triangulation, face: Sequence[int]) -> frozenset[int]:
+    fset = frozenset(int(v) for v in face)
+    if fset not in T.faces or fset == T.outer_set:
+        raise GraphError(f"{tuple(sorted(fset))} is not an inner face")
+    return fset
+
+
 def stack_vertex(T: Triangulation, face: Sequence[int]) -> Triangulation:
     """Insert a new degree-3 vertex into an inner face."""
-    fset = frozenset(int(v) for v in face)
-    if fset not in set(T.faces) or fset == T.outer_set:
-        raise GraphError(f"{tuple(sorted(fset))} is not an inner face")
-    edges = set(T.edges)
-    v = T.n
-    for u in fset:
-        edges.add(_edge(u, v))
-    return validate(T.n + 1, sorted(edges), T.outer)
+    fset = _inner_face(T, face)
+    new = [frozenset((a, b, T.n)) for a, b in combinations(fset, 2)]
+    return _from_faces([f for f in T.faces if f != fset] + new, T.outer)
 
 
 def implant_octahedron(T: Triangulation, face: Sequence[int]) -> Triangulation:
@@ -474,21 +431,13 @@ def implant_octahedron(T: Triangulation, face: Sequence[int]) -> Triangulation:
 
     Adds three vertices u', v', w' with u' adjacent to {v, w, v', w'} etc.,
     so (u, v, w) becomes a separating triangle with a 4-connected inside.
+    The octahedron's faces take one vertex of each antipodal pair (u, u'),
+    (v, v'), (w, w'); all but (u, v, w) replace the face.
     """
-    fset = frozenset(int(x) for x in face)
-    if fset not in set(T.faces) or fset == T.outer_set:
-        raise GraphError(f"{tuple(sorted(fset))} is not an inner face")
-    u, v, w = sorted(fset)
-    un, vn, wn = T.n, T.n + 1, T.n + 2
-    edges = set(T.edges)
-    new = [
-        (un, v), (un, w), (un, vn), (un, wn),
-        (vn, u), (vn, w), (vn, wn),
-        (wn, u), (wn, v),
-    ]
-    for e in new:
-        edges.add(_edge(*e))
-    return validate(T.n + 3, sorted(edges), T.outer)
+    fset = _inner_face(T, face)
+    pairs = [(x, T.n + i) for i, x in enumerate(sorted(fset))]
+    new = [frozenset(f) for f in product(*pairs)][1:]  # the first is (u, v, w)
+    return _from_faces([f for f in T.faces if f != fset] + new, T.outer)
 
 
 def augment_to_triangulation(n: int, edges: Iterable[Sequence[int]]) -> Triangulation:
@@ -542,6 +491,5 @@ def double_wheel(k: int) -> Triangulation:
     if k < 4:
         raise GraphError("double_wheel needs k >= 4")
     rim = list(range(2, k + 2))
-    edges = [(0, r) for r in rim] + [(1, r) for r in rim]
-    edges += [(rim[i], rim[(i + 1) % k]) for i in range(k)]
-    return validate(k + 2, edges, (0, rim[0], rim[1]))
+    faces = [frozenset((apex, rim[i - 1], rim[i])) for apex in (0, 1) for i in range(k)]
+    return _from_faces(faces, (0, rim[0], rim[1]))

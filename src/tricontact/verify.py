@@ -579,10 +579,10 @@ def _bend_anchors(rep: Representation, v: int, pv: Point) -> list[Point]:
 
 
 _PULLS = (Fraction(1, 2), Fraction(3, 4), Fraction(15, 16))
+REROUTE_ROUNDS = 24  # repair rounds before extract_drawing gives up
 
 
-def extract_drawing(rep: Representation, T: planar.Triangulation,
-                    max_reroute_rounds: int = 24) -> Drawing:
+def extract_drawing(rep: Representation, T: planar.Triangulation) -> Drawing:
     """Planar drawing witness: a free point per vertex, and one 4-segment
     polyline per edge through a point of the pairwise intersection.
 
@@ -592,7 +592,7 @@ def extract_drawing(rep: Representation, T: planar.Triangulation,
     which steers the legs around overlap regions near foreign contacts.  Only
     routes involved in a violation are modified.  A drawing is returned only
     after an exact scan of all its segments finds no violation, so it is
-    crossing-free; exhausting the retries raises.
+    crossing-free; exhausting REROUTE_ROUNDS rounds raises.
     """
     adj = T.adjacency()
     contacts: dict[tuple[int, int], Point] = {}
@@ -613,7 +613,7 @@ def extract_drawing(rep: Representation, T: planar.Triangulation,
     anchors: dict[int, list[Point]] = {}  # made on first use
     repair = [0] * len(base)
     polylines = list(base)
-    for _ in range(max_reroute_rounds):
+    for _ in range(REROUTE_ROUNDS):
         bad = _violations(polylines)
         if not bad:
             return Drawing(points=points, polylines=polylines)

@@ -241,7 +241,7 @@ def test_criterion_4_four_connected_pipeline():
     for name, T, params in four_connected_corpus():
         assert T.n <= 30
         t0 = time.time()
-        piece = planar.as_piece(T)
+        piece = T
         om = outer_for(T)
         res = solve_contacts(piece, om, params)
         assert res.restarts_used <= 10
@@ -310,7 +310,7 @@ def test_criterion_6_drawings():
 def _ensure_fourconn():
     reps = []
     for name, T, params in four_connected_corpus():
-        piece = planar.as_piece(T)
+        piece = T
         res = solve_contacts(piece, outer_for(T), params)
         robust = robustify(exactify(res), piece, params, F(1))
         reps.append((T, remove_all(robust, graph_triangles(robust))))
@@ -334,7 +334,7 @@ def test_criterion_7_negative_controls(k4, octahedron, k222_triple_rep):
     assert r.graph_match and r.boundary_ok and r.corner_ok
 
     # (ii) missing adjacency
-    rep = solve_stacked(planar.as_piece(k4), OUTER)
+    rep = solve_stacked(k4, OUTER)
     bad = rep.with_triangle(3, tri(F(19, 10), 2, 1))
     r = full_report(bad, k4, with_faces=False)
     assert not r.passed and not r.graph_match

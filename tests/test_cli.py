@@ -108,7 +108,7 @@ class TestRun:
 
 class TestVerify:
     def test_corrupted_rep_nonzero_exit(self, tmp_path, k4, outer_map):
-        rep = solve_stacked(planar.as_piece(k4), outer_map)
+        rep = solve_stacked(k4, outer_map)
         bad = rep.with_triangle(3, tri(Fraction(19, 10), 2, 1))
         g = tmp_path / "g.json"
         g.write_text(json.dumps(k4.to_json()))
@@ -121,7 +121,7 @@ class TestVerify:
         assert report["passed"] is False and report["missing_edges"] == [[2, 3]]
 
     def test_good_rep_passes(self, tmp_path, k4, outer_map):
-        rep = solve_stacked(planar.as_piece(k4), outer_map)
+        rep = solve_stacked(k4, outer_map)
         g = tmp_path / "g.json"
         g.write_text(json.dumps(k4.to_json()))
         r = tmp_path / "rep.json"
@@ -130,7 +130,7 @@ class TestVerify:
 
     def test_invalid_graph_exit_code(self, tmp_path, k4, outer_map):
         r = tmp_path / "rep.json"
-        r.write_text(json.dumps(solve_stacked(planar.as_piece(k4), outer_map).to_json()))
+        r.write_text(json.dumps(solve_stacked(k4, outer_map).to_json()))
         g = tmp_path / "bad.json"
         g.write_text(json.dumps({"n": 5, "outer": [0, 1, 2],
                                  "edges": [list(e) for e in
@@ -151,7 +151,7 @@ class TestSolveCommand:
 
 class TestRender:
     def test_render_rep(self, tmp_path, k4, outer_map):
-        rep = solve_stacked(planar.as_piece(k4), outer_map)
+        rep = solve_stacked(k4, outer_map)
         r = tmp_path / "rep.json"
         r.write_text(json.dumps(rep.to_json()))
         svg = tmp_path / "o.svg"

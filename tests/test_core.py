@@ -1,6 +1,7 @@
 import ast
 import importlib
 import importlib.util
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -92,6 +93,12 @@ def _referenced_names(tree, stem, own=False, skip=None):
     return out
 
 
+def _attribute_reads(tree):
+    """How often each attribute name is read (`x.name`) in `tree`."""
+    return Counter(n.attr for n in ast.walk(tree)
+                   if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+
+
 def _benchmark_names(stem):
     """Names of module `stem` the benchmark uses: those its code references
     (the corpus is built with the planar generators) and the attributes its
@@ -125,6 +132,17 @@ def test_no_public_name_serves_only_tests():
             if not any(name in _referenced_names(t, stem, own=s == stem, skip=node)
                        for s, t in trees.items()):
                 unused.append(f"{stem}.{name}")
+    # a public method or property of a class is read as an attribute in
+    # src/ or the benchmark outside its own definition
+    reads = Counter()
+    for t in [*trees.values(), *(ast.parse(p.read_text()) for p in BENCH.glob("*.py"))]:
+        reads += _attribute_reads(t)
+    for stem, tree in trees.items():
+        for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+            for node in cls.body:
+                if (isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+                        and reads[node.name] <= _attribute_reads(node)[node.name]):
+                    unused.append(f"{stem}.{cls.name}.{node.name}")
     assert unused == []
 
 

@@ -65,7 +65,7 @@ class TestFindBadTriples:
         assert rep.tri(t.w).top_corner == t.p
 
     def test_exact_k4_clean(self, k4, outer_map):
-        rep = solve_stacked(planar.as_piece(k4), outer_map)
+        rep = solve_stacked(k4, outer_map)
         assert find_bad_triples(rep, graph_triangles(rep)) == []
 
     def test_two_disjoint_bad_configs(self):
@@ -140,7 +140,7 @@ class TestSafeEpsilon:
                          exclude_triple=sel.ids)
 
     def test_boundary_move_rejected(self, k4, outer_map):
-        rep = solve_stacked(planar.as_piece(k4), outer_map)
+        rep = solve_stacked(k4, outer_map)
         with pytest.raises(PerturbError):
             safe_epsilon(rep, {0: PUSH_VERTICAL}, graph_triangles(rep))
 
@@ -423,7 +423,7 @@ class TestRemoveAll:
         assert intersection_graph(out) == intersection_graph(rep)
 
     def test_identity_when_clean(self, k4, outer_map):
-        rep = solve_stacked(planar.as_piece(k4), outer_map)
+        rep = solve_stacked(k4, outer_map)
         assert remove_all(rep, graph_triangles(rep)).triangles == rep.triangles
 
     def test_two_triples_highest_first(self):
@@ -449,7 +449,7 @@ class TestRemoveAll:
 
     def test_clean_piece_scanned_once(self, monkeypatch, k4, outer_map):
         # one bad-triple scan for a piece that has no triple
-        rep = solve_stacked(planar.as_piece(k4), outer_map)
+        rep = solve_stacked(k4, outer_map)
         calls = []
         scan = perturb.find_bad_triples
         monkeypatch.setattr(perturb, "find_bad_triples",
@@ -593,7 +593,7 @@ class TestBoundaryRoles:
 
 class TestFaceGap:
     def test_k4_faces(self, k4, outer_map):
-        rep = solve_stacked(planar.as_piece(k4), outer_map)
+        rep = solve_stacked(k4, outer_map)
         gap, _, eps = face_gap_with_roles(rep, (0, 1, 3))
         assert gap == ntri(2, 3, 1)
         assert eps > 0
@@ -610,7 +610,7 @@ class TestFaceGap:
 
     def test_homothety(self, k4, outer_map):
         from tricontact.geometry import Tri
-        rep = solve_stacked(planar.as_piece(k4), outer_map)
+        rep = solve_stacked(k4, outer_map)
         lam = F(2)
         rep2 = Representation(
             {v: Tri(t.x * lam, t.y * lam, t.h * lam) for v, t in rep.triangles.items()},
@@ -621,7 +621,7 @@ class TestFaceGap:
         assert e2 == e1 * lam
 
     def test_blocked_gap(self, k4, outer_map):
-        rep = solve_stacked(planar.as_piece(k4), outer_map)
+        rep = solve_stacked(k4, outer_map)
         gap, _, _ = face_gap_with_roles(rep, (0, 1, 3))
         rogue = tri(gap.x - gap.h / 2, gap.y - gap.h / 2, gap.h / 2)
         blocked = Representation({**rep.triangles, 99: rogue}, rep.outer, rep.epsilon)

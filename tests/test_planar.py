@@ -14,7 +14,6 @@ from tricontact.planar import (
     gen_stacked,
     gen_triangulation,
     implant_octahedron,
-    piece_size,
     separating_triangles,
     stack_vertex,
     validate,
@@ -26,7 +25,7 @@ def decompose_by_splitting(T):
     """Reference decomposition: repeatedly split at a separating triangle
     minimizing |T_in| (ties broken by sorted vertex triple)."""
     final = []
-    pending = [planar.as_piece(T)]
+    pending = [T]
     while pending:
         piece = pending.pop()
         seps = separating_triangles(piece)
@@ -36,7 +35,7 @@ def decompose_by_splitting(T):
         best = None
         for t in seps:
             t_out, t_in = split(piece, t)
-            key = (piece_size(t_in), tuple(sorted(t)))
+            key = (len(t_in.vertices()), tuple(sorted(t)))
             if best is None or key < best[0]:
                 best = (key, t_out, t_in)
         _, t_out, t_in = best
@@ -61,8 +60,8 @@ def split(T, tri):
     in_faces = {f for f in T.faces if f not in out_faces}
     if not in_faces:
         raise GraphError(f"{tuple(sorted(tset))} is not a separating triangle")
-    piece_out = planar._make_piece(out_faces | {tset}, T.outer)
-    piece_in = planar._make_piece(in_faces | {tset}, tuple(sorted(tset)))
+    piece_out = planar._from_faces(out_faces | {tset}, T.outer)
+    piece_in = planar._from_faces(in_faces | {tset}, tuple(sorted(tset)))
     return piece_out, piece_in
 
 
@@ -101,10 +100,9 @@ def decompose_by_flooding(T):
     triangle, take as its nesting parent the smallest triangle whose inside
     contains its inside, and link the pieces by a recursive preorder walk
     with children ordered by sorted vertex triple."""
-    piece0 = planar.as_piece(T)
-    seps = separating_triangles(piece0)
+    seps = separating_triangles(T)
     if not seps:
-        return planar.SeparationTree(pieces=(piece0,), links=())
+        return planar.SeparationTree(pieces=(T,), links=())
     all_faces = frozenset(T.faces)
     inside = {t: all_faces - _flood_outside(T, t) for t in seps}
     by_size = sorted(seps, key=lambda t: (len(inside[t]), t))
@@ -122,7 +120,7 @@ def decompose_by_flooding(T):
             faces.add(frozenset(c))
         if t is not None:
             faces.add(frozenset(t))
-        final.append(planar._make_piece(faces, T.outer if t is None else t))
+        final.append(planar._from_faces(faces, T.outer if t is None else t))
 
     root = final[0]
     by_label = {p.outer_set: p for p in final[1:]}
@@ -319,7 +317,7 @@ class TestDecompose:
     def test_k4_plus_one(self, k4):
         tree = decompose(stack_vertex(k4, (0, 1, 3)))
         assert len(tree.pieces) == 2
-        assert all(piece_size(p) == 4 for p in tree.pieces)
+        assert all(len(p.vertices()) == 4 for p in tree.pieces)
         assert tree.links[0][2] == (0, 1, 3)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -327,7 +325,7 @@ class TestDecompose:
         T = gen_stacked(50, seed)
         tree = decompose(T)
         assert len(tree.pieces) == 50 - 3      # one piece per stacking event plus the root
-        assert all(piece_size(p) == 4 for p in tree.pieces)
+        assert all(len(p.vertices()) == 4 for p in tree.pieces)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_glue_roundtrip(self, seed):
@@ -427,7 +425,43 @@ class TestGenerators:
         assert T.n == 7
         assert separating_triangles(T) == [(0, 1, 3)]
         tree = decompose(T)
-        assert sorted(piece_size(p) for p in tree.pieces) == [4, 6]
+        assert sorted(len(p.vertices()) for p in tree.pieces) == [4, 6]
+
+
+def built_instances():
+    """Every way the program builds a triangulation from its faces: each
+    generator, the benchmark's nested host and a stack/implant chain."""
+    yield from (gen_stacked(n, 1) for n in (4, 5, 40, 300))
+    yield from (gen_triangulation(n, s) for n, s in ((7, 5), (18, 0), (40, 3)))
+    yield from (gen_four_connected(n, s) for n in range(12, 17) for s in range(4))
+    yield from (double_wheel(k) for k in range(4, 10))
+    yield implanted(100, 3, 20)
+    yield nested_chain(20, 5, 6)
+
+
+class TestFromFaces:
+    def test_equals_validated_graph(self):
+        # the planarity test, run on the built graph's edges, finds the
+        # same triangulation
+        for T in built_instances():
+            assert validate(T.n, sorted(T.edges), T.outer) == T
+            assert T.vertices() == tuple(range(T.n))
+
+    def test_generators_skip_the_planarity_test(self, monkeypatch):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("planarity test run on a generated graph")
+        monkeypatch.setattr(planar.nx, "check_planarity", refuse)
+        implanted(100, 3, 20)
+        nested_chain(20, 5, 6)
+        gen_four_connected(12, 0)
+        with pytest.raises(AssertionError):
+            validate(4, list(itertools.combinations(range(4), 2)), (0, 1, 2))
+
+    def test_piece_vertices_are_its_faces(self):
+        for T in built_instances():
+            for p in decompose(T).pieces:
+                assert p.vertices() == tuple(sorted(set().union(*p.faces)))
+                assert p.n == p.vertices()[-1] + 1
 
 
 def octahedron_relabel_check():

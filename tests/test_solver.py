@@ -219,7 +219,7 @@ class TestCanvas:
 
 class TestSolveStacked:
     def test_k4_medial(self, k4, outer_map):
-        rep = solve_stacked(planar.as_piece(k4), outer_map)
+        rep = solve_stacked(k4, outer_map)
         child = rep.tri(3)
         assert child == tri(2, 2, 1)
         # tangency points against the three gap sides
@@ -231,7 +231,7 @@ class TestSolveStacked:
 
     def test_medial_from_gap_equations(self, k4, outer_map):
         # substitute the medial child into the three tangency equations
-        rep = solve_stacked(planar.as_piece(k4), outer_map)
+        rep = solve_stacked(k4, outer_map)
         t = rep.tri(3)
         X, Y, H = F(3), F(3), F(2)
         assert t.x + t.h == X
@@ -268,7 +268,7 @@ class TestSolveStacked:
         # a stacked piece is a K4; any larger piece is refused
         for T in (octahedron, planar.stack_vertex(k4, (0, 1, 3))):
             with pytest.raises(ValueError):
-                solve_stacked(planar.as_piece(T), outer_map)
+                solve_stacked(T, outer_map)
         with pytest.raises(ValueError):
             stacked_by_peeling(octahedron, outer_map)
 
@@ -284,13 +284,13 @@ class TestSolveStacked:
 class TestSolveContacts:
     def test_k4_matches_exact(self, k4, outer_map):
         params = SolverParams()
-        res = solve_contacts(planar.as_piece(k4), outer_map, params)
+        res = solve_contacts(k4, outer_map, params)
         x, y, h = res.inner[3]
         assert abs(x - 2) < 1e-6 and abs(y - 2) < 1e-6 and abs(h - 1) < 1e-6
 
     def test_octahedron(self, octahedron, outer_map):
         params = SolverParams()
-        res = solve_contacts(planar.as_piece(octahedron), outer_map, params)
+        res = solve_contacts(octahedron, outer_map, params)
         assert res.max_edge_residual <= params.delta
         rep = exactify(res)
         adj = octahedron.adjacency()
@@ -306,23 +306,23 @@ class TestSolveContacts:
     def test_monotone_objective(self, outer_map):
         T = planar.double_wheel(8)
         om = {T.outer[0]: outer_map[0], T.outer[1]: outer_map[1], T.outer[2]: outer_map[2]}
-        res = solve_contacts(planar.as_piece(T), om, SolverParams())
+        res = solve_contacts(T, om, SolverParams())
         tr = res.objective_trace
         assert all(tr[i + 1] <= tr[i] for i in range(len(tr) - 1))
 
     def test_bad_boundary_rejected(self, octahedron):
         bad = {0: tri(0, 0, 1), 1: tri(5, 5, 1), 2: tri(0, 9, 1)}
         with pytest.raises(CanvasError):
-            solve_contacts(planar.as_piece(octahedron), bad, SolverParams())
+            solve_contacts(octahedron, bad, SolverParams())
 
     def test_separating_triangle_rejected(self, k4, outer_map):
         T = planar.stack_vertex(k4, (0, 1, 3))
         with pytest.raises(ValueError):
-            solve_contacts(planar.as_piece(T), outer_map, SolverParams())
+            solve_contacts(T, outer_map, SolverParams())
 
     def test_deterministic(self, octahedron, outer_map):
-        a = solve_contacts(planar.as_piece(octahedron), outer_map, SolverParams(seed=5))
-        b = solve_contacts(planar.as_piece(octahedron), outer_map, SolverParams(seed=5))
+        a = solve_contacts(octahedron, outer_map, SolverParams(seed=5))
+        b = solve_contacts(octahedron, outer_map, SolverParams(seed=5))
         assert a.inner == b.inner
 
     def test_nonconvergence_reports_diagnostics(self, outer_map):
@@ -331,7 +331,7 @@ class TestSolveContacts:
         T = planar.double_wheel(24)
         om = {T.outer[0]: outer_map[0], T.outer[1]: outer_map[1], T.outer[2]: outer_map[2]}
         with pytest.raises(SolveFailure) as exc:
-            solve_contacts(planar.as_piece(T), om, SolverParams(restarts=1, max_iters=120))
+            solve_contacts(T, om, SolverParams(restarts=1, max_iters=120))
         d = exc.value.diagnostics
         assert d["max_edge_residual"] > 0 and len(d["worst_pair"]) == 2
 
@@ -342,8 +342,8 @@ class TestSolveContacts:
         T = planar.double_wheel(24)
         om = {T.outer[0]: outer_map[0], T.outer[1]: outer_map[1], T.outer[2]: outer_map[2]}
         params = SolverParams(delta=1e-9, margin=1e-5, h_min=1e-6)
-        res = solve_contacts(planar.as_piece(T), om, params)
-        robust = robustify(exactify(res), planar.as_piece(T), params, F(1))
+        res = solve_contacts(T, om, params)
+        robust = robustify(exactify(res), T, params, F(1))
         rep = remove_all(robust, graph_triangles(robust))
         assert full_report(rep, T).passed
         assert min(t.h for t in rep.triangles.values()) < F(1e-3)
@@ -352,7 +352,7 @@ class TestSolveContacts:
 def _objective_setup(T, outer_map, params):
     """The objective's arguments for T as `solve_contacts` builds them, and
     its first (Tutte) start point."""
-    piece = planar.as_piece(T)
+    piece = T
     om = {v: outer_map[i] for i, v in enumerate(piece.outer)}
     canvas, role_idx = canvas_with_roles([om[v] for v in piece.outer])
     roles = {r: piece.outer[i] for r, i in role_idx.items()}
@@ -419,7 +419,7 @@ class TestObjectiveOracle:
 
     def test_solver_run_matches_reference(self, outer_map, monkeypatch):
         T = planar.gen_four_connected(14, 0)
-        piece = planar.as_piece(T)
+        piece = T
         om = {v: outer_map[i] for i, v in enumerate(piece.outer)}
         params = SolverParams(restarts=1)
         new = solve_contacts(piece, om, params)
@@ -436,7 +436,7 @@ class TestExactify:
     def test_dyadic(self, k4, outer_map):
         assert F(0.5) == F(1, 2)
         assert F(0.1) == F(3602879701896397, 36028797018963968)
-        res = solve_contacts(planar.as_piece(k4), outer_map, SolverParams())
+        res = solve_contacts(k4, outer_map, SolverParams())
         rep = exactify(res)
         for v, (x, y, h) in res.inner.items():
             assert rep.tri(v) == Tri(F(x), F(y), F(h))
@@ -446,7 +446,7 @@ class TestExactify:
         om = {0: tri(0, 0, F(4, 3)), 1: tri(F(1, 3), 1, F(2, 3)), 2: tri(1, F(1, 3), F(2, 3))}
         check_outer_hypothesis([om[0], om[1], om[2]])
         params = SolverParams().scaled(1 / 3)
-        res = solve_contacts(planar.as_piece(octahedron), om, params)
+        res = solve_contacts(octahedron, om, params)
         rep = exactify(res)
         assert rep.tri(1) == om[1]          # not round-tripped through floats
 
@@ -467,7 +467,7 @@ class TestRobustify:
         T = planar.stack_vertex(k4, (0, 1, 3))
         rep = represent(T)
         params = SolverParams()
-        out = robustify(rep, planar.as_piece(T), params, F(1))
+        out = robustify(rep, T, params, F(1))
         iota = out.tri(3).x - rep.tri(3).x
         assert iota < 0
         iota = -iota
@@ -475,14 +475,14 @@ class TestRobustify:
         assert signed_height(out.tri(3), out.tri(4)) == 3 * iota
         # inner-outer adjacency: at most 3*iota
         for v, o in ((3, 0), (3, 1), (4, 0), (4, 1)):
-            if planar.as_piece(T).has_edge(v, o):
+            if T.has_edge(v, o):
                 s = signed_height(out.tri(v), out.tri(o))
                 assert 0 < s <= 3 * iota
 
     def test_postconditions_exact(self, octahedron, outer_map):
         params = SolverParams()
-        res = solve_contacts(planar.as_piece(octahedron), outer_map, params)
-        rep = robustify(exactify(res), planar.as_piece(octahedron), params, F(1))
+        res = solve_contacts(octahedron, outer_map, params)
+        rep = robustify(exactify(res), octahedron, params, F(1))
         adj = octahedron.adjacency()
         for u, v in itertools.combinations(range(6), 2):
             if u in (0, 1, 2) and v in (0, 1, 2):
@@ -496,9 +496,9 @@ class TestRobustify:
     def test_edge_sets_identical_pre_post(self, octahedron, outer_map):
         # robustify preserves non-edges and converts edges to strict overlaps
         params = SolverParams()
-        res = solve_contacts(planar.as_piece(octahedron), outer_map, params)
+        res = solve_contacts(octahedron, outer_map, params)
         pre = exactify(res)
-        post = robustify(pre, planar.as_piece(octahedron), params, F(1))
+        post = robustify(pre, octahedron, params, F(1))
         want = {tuple(sorted(e)) for e in octahedron.edges}
         got = set()
         for u, v in itertools.combinations(range(6), 2):
@@ -507,14 +507,14 @@ class TestRobustify:
         assert got == want
 
     def test_precondition_rejected(self, k4, outer_map):
-        rep = solve_stacked(planar.as_piece(k4), outer_map)
+        rep = solve_stacked(k4, outer_map)
         bad = rep.with_triangle(3, tri(2, 2, F(1, 2)))   # broken contacts
         with pytest.raises(RobustifyError):
-            robustify(bad, planar.as_piece(k4), SolverParams(), F(1))
+            robustify(bad, k4, SolverParams(), F(1))
 
 
 class TestRepresentationJson:
     def test_roundtrip(self, k4, outer_map):
-        rep = solve_stacked(planar.as_piece(k4), outer_map)
+        rep = solve_stacked(k4, outer_map)
         again = Representation.from_json(rep.to_json())
         assert again == rep

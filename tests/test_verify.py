@@ -310,8 +310,8 @@ def _depth_zero_rogue(gap):
 
 def octa_pipeline_rep(octahedron, outer_map):
     params = SolverParams()
-    res = solve_contacts(planar.as_piece(octahedron), outer_map, params)
-    rep = robustify(exactify(res), planar.as_piece(octahedron), params, F(1))
+    res = solve_contacts(octahedron, outer_map, params)
+    rep = robustify(exactify(res), octahedron, params, F(1))
     return remove_all(rep, graph_triangles(rep))
 
 
@@ -360,7 +360,7 @@ class TestIntersectionGraph:
         assert bool(graph) == (len(rep.outer) > 0)
 
     def test_k4_exact(self, k4, outer_map):
-        rep = solve_stacked(planar.as_piece(k4), outer_map)
+        rep = solve_stacked(k4, outer_map)
         assert intersection_graph(rep) == {tuple(sorted(e)) for e in k4.edges}
 
     def test_disjoint_triangles(self):
@@ -371,14 +371,14 @@ class TestIntersectionGraph:
         # exact contact input: all adjacencies at signed height 0
         T = planar.stack_vertex(k4, (0, 1, 3))
         pre = represent(T)
-        post = robustify(pre, planar.as_piece(T), SolverParams(), F(1))
+        post = robustify(pre, T, SolverParams(), F(1))
         assert intersection_graph(pre) == intersection_graph(post)
 
     def test_robustify_realizes_target_graph(self, octahedron, outer_map):
         # float residuals may leave hairline gaps; inflation must close them
         params = SolverParams()
-        res = solve_contacts(planar.as_piece(octahedron), outer_map, params)
-        post = robustify(exactify(res), planar.as_piece(octahedron), params, F(1))
+        res = solve_contacts(octahedron, outer_map, params)
+        post = robustify(exactify(res), octahedron, params, F(1))
         assert intersection_graph(post) == {tuple(sorted(e)) for e in octahedron.edges}
 
 
@@ -395,14 +395,14 @@ class TestCheckSimple:
         assert ok and offending == []
 
     def test_k4_exact(self, k4, outer_map):
-        rep = solve_stacked(planar.as_piece(k4), outer_map)
+        rep = solve_stacked(k4, outer_map)
         ok, _ = check_simple(rep, audit=True)
         assert ok
 
 
 class TestCheckBoundary:
     def test_exact_contacts_pass_any_epsilon(self, k4, outer_map):
-        rep = solve_stacked(planar.as_piece(k4), outer_map)
+        rep = solve_stacked(k4, outer_map)
         ok, pairs, cok, corners = check_boundary(rep, F(1, 10 ** 9))
         assert ok and cok and not pairs and not corners
 
@@ -422,7 +422,7 @@ class TestCheckBoundary:
 
 class TestCheckFaces:
     def test_k4_all_faces(self, k4, outer_map):
-        rep = solve_stacked(planar.as_piece(k4), outer_map)
+        rep = solve_stacked(k4, outer_map)
         ok, fails = check_face_condition(rep, k4)
         assert ok and not fails
 
@@ -432,7 +432,7 @@ class TestCheckFaces:
         assert ok
 
     def test_blocked_gap_fails(self, k4, outer_map):
-        rep = solve_stacked(planar.as_piece(k4), outer_map)
+        rep = solve_stacked(k4, outer_map)
         gap, _, _ = face_gap_with_roles(rep, (0, 1, 3))
         rogue = tri(gap.x - gap.h / 2, gap.y - gap.h / 2, gap.h / 2)
         blocked = Representation({**rep.triangles, 99: rogue}, rep.outer, rep.epsilon)
@@ -441,7 +441,7 @@ class TestCheckFaces:
         assert (0, 1, 3) in [f for f, _ in [(tuple(f), m) for f, m in fails]]
 
     def test_gap_side_touch_fails(self, k4, outer_map):
-        rep = solve_stacked(planar.as_piece(k4), outer_map)
+        rep = solve_stacked(k4, outer_map)
         gap, _, _ = face_gap_with_roles(rep, (0, 1, 3))
         rogue = _depth_zero_rogue(gap)
         assert rogue.s == gap.hyp_level
@@ -486,7 +486,7 @@ class TestCheckFaces:
 @pytest.mark.filterwarnings("error")
 class TestDrawing:
     def test_k4(self, k4, outer_map):
-        rep = solve_stacked(planar.as_piece(k4), outer_map)
+        rep = solve_stacked(k4, outer_map)
         d = extract_drawing(rep, k4)
         assert len(d.points) == 4 and len(d.polylines) == 6
         assert count_crossings(d.polylines) == 0
@@ -605,7 +605,7 @@ class TestDrawing:
         assert len(calls) < len(T.edges) // 10
 
     def test_json(self, k4, outer_map):
-        rep = solve_stacked(planar.as_piece(k4), outer_map)
+        rep = solve_stacked(k4, outer_map)
         d = extract_drawing(rep, k4)
         js = d.to_json()
         assert set(js) == {"points", "polylines"}
@@ -695,7 +695,7 @@ class TestFullReport:
         assert r.face_condition_ok and r.drawing_planar and r.crossings == 0
 
     def test_corrupted_edge_listed(self, k4, outer_map):
-        rep = solve_stacked(planar.as_piece(k4), outer_map)
+        rep = solve_stacked(k4, outer_map)
         bad = rep.with_triangle(3, tri(F(19, 10), 2, 1))   # slides off one contact
         r = full_report(bad, k4, with_faces=False)
         assert not r.passed and not r.graph_match
@@ -708,7 +708,7 @@ class TestFullReport:
         assert r.graph_match and r.boundary_ok and r.corner_ok
 
     def test_report_json(self, k4, outer_map):
-        rep = solve_stacked(planar.as_piece(k4), outer_map)
+        rep = solve_stacked(k4, outer_map)
         r = full_report(rep, k4, with_drawing=True)
         js = r.to_json()
         assert js["passed"] is True and js["crossings"] == 0
