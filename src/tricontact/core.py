@@ -1,15 +1,18 @@
-"""The representation type and the slack of every float screen, shared by
-the constructor and the verifier."""
+"""The representation type, its integer frame and the slack of every float
+screen, shared by the constructor and the verifier."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from tricontact.geometry import Tri, frac, frac_str
 
 ROUNDOFF = 2.0 ** -53  # unit roundoff of IEEE doubles (round to nearest)
 TINY = 2.0 ** -1000    # exceeds the sum of any few underflow errors (2^-1075 each)
+
+Frame = dict[int, tuple[int, int, int]]  # vertex -> (x, y, s), scaled to integers
 
 
 def float_pad(m: float) -> float:
@@ -68,3 +71,19 @@ class Representation:
         }
         return Representation(tris, tuple(data["outer"]), frac(data["epsilon"]))
 
+
+def int_frame(rep: Representation, *extra: Fraction) -> tuple[int, Frame, tuple[int, ...]]:
+    """(D, frame, the extras times D): D is the least common denominator of
+    every x, y and h in `rep` and of the extra rationals, and the frame holds
+    every triangle's (x, y, s) times D."""
+    den = lcm(*(c.denominator for c in extra),
+              *(c.denominator for t in rep.triangles.values() for c in (t.x, t.y, t.h)))
+
+    def scaled(c: Fraction) -> int:
+        return c.numerator * (den // c.denominator)
+
+    frame = {}
+    for v, t in rep.triangles.items():
+        x, y = scaled(t.x), scaled(t.y)
+        frame[v] = (x, y, x + y + scaled(t.h))
+    return den, frame, tuple(scaled(c) for c in extra)

@@ -15,10 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 from typing import Iterable, Mapping, Sequence
 
-from tricontact.core import Representation, float_pad
+from tricontact.core import Frame, Representation, float_pad, int_frame
 from tricontact.geometry import (
     NegTri,
     Overlap,
@@ -188,24 +187,6 @@ _DELTAS = {
 assert all(d in (0, -1) for ds in _DELTAS.values() for d in ds)
 
 Move = Mapping[int, str]  # vertex -> primitive kind
-Frame = dict[int, tuple[int, int, int]]  # vertex -> (x, y, s), scaled to integers
-
-
-def _int_frame(rep: Representation) -> tuple[int, Frame, int]:
-    """(D, frame, D * epsilon): D is the least common denominator of every
-    x, y and h in `rep` and of its epsilon, and the frame holds every
-    triangle's (x, y, s) times D."""
-    den = lcm(rep.epsilon.denominator,
-              *(c.denominator for t in rep.triangles.values() for c in (t.x, t.y, t.h)))
-
-    def scaled(c: Fraction) -> int:
-        return c.numerator * (den // c.denominator)
-
-    frame = {}
-    for v, t in rep.triangles.items():
-        x, y = scaled(t.x), scaled(t.y)
-        frame[v] = (x, y, x + y + scaled(t.h))
-    return den, frame, scaled(rep.epsilon)
 
 
 def _lines_for(frame: Frame, move: Move, ids: Sequence[int]):
@@ -307,7 +288,7 @@ def safe_epsilon(rep: Representation, move: Move,
     the triangles of the intersection graph.  Raises ZeroClearance when an
     event already sits at zero.
 
-    The analysis runs in `_int_frame`, and the clearance is divided by D
+    The analysis runs in `core.int_frame`, and the clearance is divided by D
     once at the end.  Clearance = min(events and cap), so a scan may stop
     at the smallest event found so far.
     """
@@ -316,7 +297,7 @@ def safe_epsilon(rep: Representation, move: Move,
         if i in outer:
             raise PerturbError(f"move targets boundary triangle {i}")
     moved = set(move)
-    den, frame, eps = _int_frame(rep)
+    den, frame, (eps,) = int_frame(rep, rep.epsilon)
     best = min(frame[i][2] - frame[i][0] - frame[i][1] for i in moved)  # cap: moved heights
 
     for a, b in combinations(sorted(frame), 2):

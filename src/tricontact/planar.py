@@ -11,6 +11,7 @@ the faces off a planarity-test embedding.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import cached_property, cmp_to_key
 from itertools import combinations, product
@@ -356,19 +357,31 @@ def gen_stacked(n: int, seed: int) -> Triangulation:
     return _from_faces(faces, (0, 1, 2))
 
 
-def _flip(edges: set[Edge], faces: set[frozenset[int]], e: Edge) -> bool:
+def _edge_faces(T: Triangulation) -> dict[Edge, set[frozenset[int]]]:
+    out: dict[Edge, set[frozenset[int]]] = {}
+    for f in T.faces:
+        for side in combinations(sorted(f), 2):
+            out.setdefault(side, set()).add(f)
+    return out
+
+
+def _flip(edges: list[Edge], faces: dict[Edge, set[frozenset[int]]], e: Edge) -> bool:
     """Replace the edge e = uv by pq, where upq and vpq are its two faces,
-    unless pq is already an edge.  Updates `edges` and `faces` in place and
-    returns whether it flipped."""
+    unless pq is already an edge.  Updates the sorted `edges` and the map
+    `faces` of each edge to its two faces in place, and returns whether it
+    flipped."""
     u, v = e
-    f1, f2 = (f for f in faces if u in f and v in f)
+    f1, f2 = faces[e]
     (p,), (q,) = f1 - {u, v}, f2 - {u, v}
-    if _edge(p, q) in edges:
+    if _edge(p, q) in faces:
         return False
-    edges.remove(e)
-    edges.add(_edge(p, q))
-    faces -= {f1, f2}
-    faces |= {frozenset((u, p, q)), frozenset((v, p, q))}
+    del edges[bisect_left(edges, e)]
+    insort(edges, _edge(p, q))
+    # each old face leaves the face set of each of its sides, each new one joins
+    for f in (f1, f2, frozenset((u, p, q)), frozenset((v, p, q))):
+        for side in combinations(sorted(f), 2):
+            faces.setdefault(side, set()).symmetric_difference_update((f,))
+    del faces[e]
     return True
 
 
@@ -380,12 +393,12 @@ def gen_triangulation(n: int, seed: int) -> Triangulation:
     """
     T = gen_stacked(n, seed)
     rng = random.Random(seed ^ 0x9E3779B97F4A7C15)
-    edges, faces = set(T.edges), set(T.faces)
+    edges, faces = sorted(T.edges), _edge_faces(T)
     for _ in range(FLIPS_PER_VERTEX * n):
-        e = rng.choice(sorted(edges))
+        e = rng.choice(edges)
         if e not in _OUTER_EDGES:
             _flip(edges, faces, e)
-    return _from_faces(faces, T.outer)
+    return _from_faces(set().union(*faces.values()), T.outer)
 
 
 def gen_four_connected(n: int, seed: int) -> Triangulation:
@@ -393,10 +406,10 @@ def gen_four_connected(n: int, seed: int) -> Triangulation:
     rng = random.Random(seed ^ 0xA5A5A5A5)
     for attempt in range(FOUR_CONNECTED_TRIES):
         T = gen_triangulation(n, seed + 1000 * attempt)
-        edges, faces = set(T.edges), set(T.faces)
+        edges, faces = sorted(T.edges), _edge_faces(T)
         # flip-repair: flipping an edge of a separating triangle removes that cycle
         for _ in range(40 * n):
-            T = _from_faces(faces, T.outer)
+            T = _from_faces(set().union(*faces.values()), T.outer)
             seps = separating_triangles(T)
             if not seps:
                 return T

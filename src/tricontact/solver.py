@@ -3,10 +3,12 @@ solver for pieces without separating triangles, and the float-to-exact bridge
 (exactify + robustify).
 
 The numeric stage is the only part of the package that uses floating point.
-Everything it outputs is converted to exact rationals (doubles are dyadic) and
-then inflated by a single rational so that every adjacency becomes a strictly
-positive overlap while every non-adjacency stays strictly negative; the
-inflation is verified pair by pair in exact arithmetic.
+It evaluates its objective once per point, and a line search's candidate
+steps as one stacked array.  Everything it outputs is converted to exact
+rationals (doubles are dyadic) and then inflated by a single rational so that
+every adjacency becomes a strictly positive overlap while every non-adjacency
+stays strictly negative; the inflation is verified pair by pair on integers,
+in the representation's common-denominator frame (`core.int_frame`).
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from tricontact import planar
-from tricontact.core import Representation
+from tricontact.core import Representation, int_frame
 from tricontact.geometry import (
     NegTri,
     Tri,
@@ -193,8 +195,10 @@ class _Objective:
     Every term is evaluated for all pairs, vertices and inner edges at once
     through index arrays built here, with the float operations of a
     term-by-term loop in the same order, so the values are reproducible bit
-    for bit.  The coordinate table stacks the inner triangles (row i holds
-    z[3i:3i+3], vertex inner_ids[i]) above the three boundary triangles.
+    for bit, at one point or at each row of a stack of points alike.  The
+    coordinate table stacks the inner triangles (row i holds z[3i:3i+3],
+    vertex inner_ids[i]) above the three boundary triangles.  `system` and
+    `check_success` read the evaluation of the current point.
     """
 
     def __init__(self, outer_f, inner_ids, pairs, canvas_f, params):
@@ -233,53 +237,50 @@ class _Objective:
                                          np.tile(self.erhs, len(self.eu))))
 
     def _coords(self, z):
-        T = np.concatenate((z.reshape(-1, 3), self.outer))
-        X, Y, H = T[:, 0], T[:, 1], T[:, 2]
+        lead = z.shape[:-1]
+        T = np.empty((*lead, self.m + 3, 3))
+        T[..., :self.m, :] = z.reshape(*lead, self.m, 3)
+        T[..., self.m:, :] = self.outer
+        X, Y, H = T[..., 0], T[..., 1], T[..., 2]
         return X, Y, H, (X + Y) + H
 
-    def _signed(self, X, Y, S):
-        """Signed height of every pair."""
-        pu, pv = self.pu, self.pv
-        return (np.minimum(S[pu], S[pv]) - np.maximum(X[pu], X[pv])) - np.maximum(Y[pu], Y[pv])
-
-    def _vertex_hinges(self, X, Y, H):
-        """(m, 4) residuals of each inner vertex's x, y, hyp and h_min hinges."""
-        m = self.m
-        x, y, h = X[:m], Y[:m], H[:m]
-        g = np.empty((m, 4))
-        g[:, 0] = (x + h) - self.Xc
-        g[:, 1] = (y + h) - self.Yc
-        g[:, 2] = (self.hyp - x) - y
-        g[:, 3] = self.p.h_min - h
-        return g
-
-    def _edge_hinges(self, X, Y):
-        """(k, 3) residuals of each inner edge's corner hinges."""
-        ca = np.maximum(X[self.eu], X[self.ev])
-        cb = np.maximum(Y[self.eu], Y[self.ev])
-        g = np.empty((len(ca), 3))
-        g[:, 0] = ca - self.erhs[0]
-        g[:, 1] = cb - self.erhs[1]
-        g[:, 2] = (self.erhs[2] - ca) - cb
-        return g
-
-    def value(self, z) -> float:
+    def evaluate(self, z):
+        """(X, Y, H, S, signed heights, vertex hinges, edge hinges, E) at the
+        point z, or at each row of a (k, 3m) stack z, with a leading axis of
+        length k on every entry.  The vertex hinges are each inner vertex's
+        x, y, hyp and h_min residuals, the edge hinges each inner edge's
+        corner residuals; both are views of one row of hinge terms."""
         X, Y, H, S = self._coords(z)
-        s = self._signed(X, Y, S)
+        pu, pv, u, v, m = self.pu, self.pv, self.eu, self.ev, self.m
+        # a.take(i, -1) is a[..., i], at a third of its call cost on small arrays
+        s = np.minimum(S.take(pu, -1), S.take(pv, -1)) - np.maximum(X.take(pu, -1), X.take(pv, -1))
+        s -= np.maximum(Y.take(pu, -1), Y.take(pv, -1))
+        lead = s.shape[:-1]
+        g = np.empty((*lead, 4 * m + 3 * len(u)))
+        vh, eh = g[..., :4 * m].reshape(*lead, m, 4), g[..., 4 * m:].reshape(*lead, len(u), 3)
+        x, y, h = X[..., :m], Y[..., :m], H[..., :m]
+        vh[..., 0] = (x + h) - self.Xc
+        vh[..., 1] = (y + h) - self.Yc
+        vh[..., 2] = (self.hyp - x) - y
+        vh[..., 3] = self.p.h_min - h
+        ca = np.maximum(X.take(u, -1), X.take(v, -1))
+        cb = np.maximum(Y.take(u, -1), Y.take(v, -1))
+        eh[..., 0] = ca - self.erhs[0]
+        eh[..., 1] = cb - self.erhs[1]
+        eh[..., 2] = (self.erhs[2] - ca) - cb
         r = np.where(self.edge, s, s + self.p.margin)
-        g = np.concatenate((self._vertex_hinges(X, Y, H).ravel(), self._edge_hinges(X, Y).ravel()))
-        terms = np.concatenate(([0.0], np.where(self.edge | (r > 0), r * r, 0.0),
-                                np.where(g > 0, g * g, 0.0)))
+        terms = np.concatenate((np.zeros((*lead, 1)), np.where(self.edge | (r > 0), r * r, 0.0),
+                                np.where(g > 0, g * g, 0.0)), axis=-1)
         # summed one term after the other; an inactive term is 0.0 and changes nothing
-        return np.add.accumulate(terms)[-1]
+        return X, Y, H, S, s, vh, eh, np.add.accumulate(terms, axis=-1)[..., -1]
 
-    def system(self, z):
-        """The active linear system (M, b) at z: a row per adjacent pair and
-        per non-adjacent pair inside its margin, then the active hinge rows
-        of each inner vertex, then those of each inner edge."""
+    def system(self, ev):
+        """The active linear system (M, b) at an evaluated point: a row per
+        adjacent pair and per non-adjacent pair inside its margin, then the
+        active hinge rows of each inner vertex, then those of each inner edge."""
         m = self.m
-        X, Y, H, S = self._coords(z)
-        keep = self.edge | (self._signed(X, Y, S) + self.p.margin > 0)
+        X, Y, _, S, s, vh, eh, _ = ev
+        keep = self.edge | (s + self.p.margin > 0)
         ku, kv = self.pu[keep], self.pv[keep]
         a_s = np.where(S[ku] <= S[kv], ku, kv)
         a_x = np.where(X[ku] >= X[kv], ku, kv)
@@ -287,12 +288,11 @@ class _Objective:
         const = (self.const[a_s, 0] - self.const[a_x, 1]) - self.const[a_y, 2]
         b_pair = np.where(self.edge[keep], -const, -self.p.margin - const)
 
-        eu, ev = self.eu, self.ev
-        ix = self.col[np.where(X[eu] >= X[ev], eu, ev)]
-        iy = self.col[np.where(Y[eu] >= Y[ev], eu, ev)] + 1
+        u, v = self.eu, self.ev
+        ix = self.col[np.where(X[u] >= X[v], u, v)]
+        iy = self.col[np.where(Y[u] >= Y[v], u, v)] + 1
         spare = np.full_like(ix, 3 * m)
-        active = np.concatenate((self._vertex_hinges(X, Y, H).ravel() > 0,
-                                 self._edge_hinges(X, Y).ravel() > 0))
+        active = np.concatenate((vh.ravel() > 0, eh.ravel() > 0))
         col1 = np.concatenate((self.vcol1, np.stack([ix, iy, ix], axis=1).ravel()))[active]
         col2 = np.concatenate((self.vcol2, np.stack([spare, spare, iy], axis=1).ravel()))[active]
 
@@ -309,20 +309,19 @@ class _Objective:
         M[hrows, col2] = 1.0
         return np.ascontiguousarray(M[:, :3 * m]), np.concatenate((b_pair, self.hinge_rhs[active]))
 
-    def check_success(self, z):
-        """(ok, max |edge residual|, worst pair)."""
+    def check_success(self, ev):
+        """(ok, max |edge residual|, worst pair) at an evaluated point."""
         p = self.p
-        X, Y, H, S = self._coords(z)
-        s = self._signed(X, Y, S)
+        H, s, vh = ev[2], ev[4], ev[5]
         res = np.abs(s[self.edge])
         worst, worst_pair = 0.0, (-1, -1)
         if res.size and res.max() > 0:
             k = int(np.argmax(res))
-            worst = res[k]
+            worst = float(res[k])
             worst_pair = self.pair_ids[int(np.flatnonzero(self.edge)[k])]
         ok = not (np.any(res > 0.5 * p.delta)
                   or np.any(s[~self.edge] > -(p.margin + p.delta))
-                  or np.any(self._vertex_hinges(X, Y, H)[:, :3] > 0.5 * p.delta)
+                  or np.any(vh[:, :3] > 0.5 * p.delta)
                   or np.any(H[:self.m] < p.h_min - p.delta))
         return ok, worst, worst_pair
 
@@ -335,6 +334,26 @@ def _anchor_points(canvas: NegTri, roles: dict[str, int]) -> dict[int, tuple[flo
         roles["vertical"]: (X, Y - H / 2),
         roles["horizontal"]: (X - H / 2, Y),
     }
+
+
+ALPHAS = 0.5 ** np.arange(21)  # the line search's steps 1, 1/2, ..., 2^-20, each exact
+
+
+def _first_descent(obj: _Objective, E: float, cands):
+    """(point, evaluation) of the first row of the stack `cands` whose
+    objective falls below E, or None.  The first row is evaluated alone, the
+    rest as one stack, so an accepted full step costs one evaluation."""
+    bar = E * (1 - 1e-14) - 1e-300
+    if len(cands):
+        ev = obj.evaluate(cands[0])
+        if ev[-1] < bar:
+            return cands[0], ev
+        ev = obj.evaluate(cands[1:])
+        hit = np.flatnonzero(ev[-1] < bar)
+        if hit.size:
+            k = int(hit[0])
+            return cands[k + 1], tuple(a[k] for a in ev)
+    return None
 
 
 def solve_contacts(piece: planar.Triangulation, outer_tris: Mapping[int, Tri],
@@ -387,49 +406,38 @@ def solve_contacts(piece: planar.Triangulation, outer_tris: Mapping[int, Tri],
             z[i + 1] = py - hv / 3
             z[i + 2] = hv
 
-        E = obj.value(z)
+        ev = obj.evaluate(z)
+        E = float(ev[-1])
         trace = [E]
         ok = False
         iters = 0
         for it in range(params.max_iters):
             iters = it + 1
-            ok, worst, worst_pair = obj.check_success(z)
+            ok, worst, worst_pair = obj.check_success(ev)
             if ok:
                 break
-            M, b = obj.system(z)
+            M, b = obj.system(ev)
             z_ls = np.linalg.lstsq(M, b, rcond=None)[0]
-            d = z_ls - z
-            stepped = False
-            alpha = 1.0
-            while alpha >= 2.0 ** -20:
-                cand = z + alpha * d
-                Ec = obj.value(cand)
-                if Ec < E * (1 - 1e-14) - 1e-300:
-                    z, E = cand, Ec
-                    trace.append(E)
-                    stepped = True
-                    break
-                alpha *= 0.5
-            if not stepped:
+            step = _first_descent(obj, E, z + ALPHAS[:, None] * (z_ls - z))
+            if step is None:
                 # subgradient fallback with the frozen pattern
                 g = 2.0 * M.T.dot(M.dot(z) - b)
                 gn = float(np.dot(g, g))
                 if gn == 0.0:
                     break
+                betas = []
                 beta = E / gn
                 while beta >= 1e-18:
-                    cand = z - beta * g
-                    Ec = obj.value(cand)
-                    if Ec < E * (1 - 1e-14) - 1e-300:
-                        z, E = cand, Ec
-                        trace.append(E)
-                        stepped = True
-                        break
+                    betas.append(beta)
                     beta *= 0.5
-            if not stepped:
+                step = _first_descent(obj, E, z - np.array(betas)[:, None] * g)
+            if step is None:
                 break
+            z, ev = step
+            E = float(ev[-1])
+            trace.append(E)
         if not ok:
-            ok, worst, worst_pair = obj.check_success(z)
+            ok, worst, worst_pair = obj.check_success(ev)
         if ok:
             inner = {v: (float(z[3 * k]), float(z[3 * k + 1]), float(z[3 * k + 2]))
                      for k, v in enumerate(inner_ids)}
@@ -489,31 +497,39 @@ def robustify(rep: Representation, piece: planar.Triangulation,
               params: SolverParams, epsilon: Fraction) -> Representation:
     """Inflate every inner triangle by one rational so that every adjacent
     pair overlaps strictly and every non-adjacent pair stays strictly
-    separated; all postconditions are re-verified exactly."""
+    separated.  Every pre- and postcondition is checked exactly, on integers
+    in `int_frame`, where the inflated triangle is (x - I, y - I, s + I)."""
     delta = frac(params.delta)
     margin = frac(params.margin)
     pairs = _pairs(piece)
 
+    def signed(frame, u, v):
+        (xu, yu, su), (xv, yv, sv) = frame[u], frame[v]
+        return min(su, sv) - max(xu, xv) - max(yu, yv)
+
     # preconditions from the solver contract
+    den, frame, (d, mg) = int_frame(rep, delta, margin)
     for u, v, edge in pairs:
-        s = signed_height(rep.tri(u), rep.tri(v))
-        if edge and abs(s) > delta:
-            raise RobustifyError(f"adjacency residual for ({u},{v}) exceeds delta: {float(s):.3e}")
-        if not edge and s > -margin:
-            raise RobustifyError(f"non-adjacent pair ({u},{v}) closer than margin: {float(s):.3e}")
+        s = signed(frame, u, v)
+        if edge and abs(s) > d:
+            raise RobustifyError(f"adjacency residual for ({u},{v}) exceeds delta: {s / den:.3e}")
+        if not edge and s > -mg:
+            raise RobustifyError(f"non-adjacent pair ({u},{v}) closer than margin: {s / den:.3e}")
 
     iota = choose_iota(delta, margin, epsilon)
+    _, frame, (eps, i) = int_frame(rep, epsilon, iota)
     tris = dict(rep.triangles)
     for v in rep.inner_ids():
         tris[v] = inflate(tris[v], iota)
-    out = Representation(tris, rep.outer, epsilon)
+        x, y, s = frame[v]
+        frame[v] = (x - i, y - i, s + i)
 
     for u, v, edge in pairs:
-        s = signed_height(out.tri(u), out.tri(v))
+        s = signed(frame, u, v)
         if edge and s <= 0:
             raise RobustifyError(f"inflation failed to open overlap for edge ({u},{v})")
         if not edge and s >= 0:
             raise RobustifyError(f"inflation created a spurious intersection ({u},{v})")
-        if s >= 0 and s >= epsilon:
+        if s >= 0 and s >= eps:
             raise RobustifyError(f"overlap for ({u},{v}) reached the epsilon budget")
-    return out
+    return Representation(tris, rep.outer, epsilon)

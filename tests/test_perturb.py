@@ -28,12 +28,11 @@ from tricontact.perturb import (
     step2_clear,
     step3_separate,
 )
-from tricontact.core import Representation
+from tricontact.core import Representation, int_frame
 from tricontact.perturb import (  # the integer event kernel
     _breakpoints,
     _corner_entry,
     _first_reach,
-    _int_frame,
     _lines_for,
 )
 from tricontact.solver import canvas_with_roles, solve_stacked
@@ -526,7 +525,7 @@ class TestEventAnalysis:
         rep = fixture_rep()
         sel = select_bad(find_bad_triples(rep, graph_triangles(rep)))
         r1 = step1_widen(rep, sel, F(1, 4))
-        den, frame, _ = _int_frame(r1)
+        den, frame, _ = int_frame(r1, r1.epsilon)
         assert den == 4
         move = {sel.u: TRANSLATE_DOWN, sel.v: PUSH_VERTICAL}
         groups = _lines_for(frame, move, (sel.u, sel.v))
@@ -545,10 +544,21 @@ class TestEventAnalysis:
 
     def test_int_frame(self):
         rep = Representation({0: tri("1/3", "-2/9", "5/7"), 1: tri(1, 2, 3)}, (), F(1, 6))
-        den, frame, eps = _int_frame(rep)
+        den, frame, (eps,) = int_frame(rep, rep.epsilon)
         assert den == 126
         assert frame == {0: (42, -28, 104), 1: (126, 252, 756)}
         assert eps == 21
+
+    def test_int_frame_extras(self):
+        # the extras join the common denominator: 1/5 turns D = 126 into 630,
+        # and no extra leaves the triangles' own denominator
+        rep = Representation({0: tri("1/3", "-2/9", "5/7"), 1: tri(1, 2, 3)}, (), F(1, 6))
+        den, frame, scaled = int_frame(rep, F(1, 6), F(-2, 5), F(3))
+        assert den == 630
+        assert frame == {0: (210, -140, 520), 1: (630, 1260, 3780)}
+        assert scaled == (105, -252, 1890)
+        assert int_frame(rep)[:2] == (63, {0: (21, -14, 52), 1: (63, 126, 378)})
+        assert int_frame(rep)[2] == ()
 
 
 class TestSharedVertexTriples:

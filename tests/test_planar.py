@@ -202,6 +202,53 @@ def gen_stacked_by_face_scan(n, seed):
     return validate(cnt, sorted(edges), (0, 1, 2))
 
 
+def _flip_by_scan(edges, faces, e):
+    """Reference flip on an edge set and a face set: finds the two faces of
+    e by scanning every face."""
+    u, v = e
+    f1, f2 = (f for f in faces if u in f and v in f)
+    (p,), (q,) = f1 - {u, v}, f2 - {u, v}
+    pq = (min(p, q), max(p, q))
+    if pq in edges:
+        return False
+    edges.remove(e)
+    edges.add(pq)
+    faces -= {f1, f2}
+    faces |= {frozenset((u, p, q)), frozenset((v, p, q))}
+    return True
+
+
+def gen_triangulation_by_sorting(n, seed):
+    """Reference generator: sorts the whole edge set for every draw."""
+    T = gen_stacked(n, seed)
+    rng = random.Random(seed ^ 0x9E3779B97F4A7C15)
+    edges, faces = set(T.edges), set(T.faces)
+    for _ in range(planar.FLIPS_PER_VERTEX * n):
+        e = rng.choice(sorted(edges))
+        if e not in planar._OUTER_EDGES:
+            _flip_by_scan(edges, faces, e)
+    return planar._from_faces(faces, T.outer)
+
+
+def gen_four_connected_by_sorting(n, seed):
+    """Reference flip-repair on top of `gen_triangulation_by_sorting`."""
+    rng = random.Random(seed ^ 0xA5A5A5A5)
+    for attempt in range(planar.FOUR_CONNECTED_TRIES):
+        T = gen_triangulation_by_sorting(n, seed + 1000 * attempt)
+        edges, faces = set(T.edges), set(T.faces)
+        for _ in range(40 * n):
+            T = planar._from_faces(faces, T.outer)
+            seps = separating_triangles(T)
+            if not seps:
+                return T
+            cand = [e for e in itertools.combinations(seps[rng.randrange(len(seps))], 2)
+                    if e not in planar._OUTER_EDGES]
+            rng.shuffle(cand)
+            if not any(_flip_by_scan(edges, faces, e) for e in cand):
+                break
+    raise GraphError(f"no 4-connected triangulation found for n={n}, seed={seed}")
+
+
 def brute_force_separating(T):
     """Independent oracle: all 3-cliques classified by face membership."""
     adj = T.adjacency()
@@ -403,6 +450,18 @@ class TestGenerators:
         for n, seed in ((4, 0), (5, 1), (8, 0), (12, 0), (20, 5), (20, 6), (20, 7),
                         (100, 3), (300, 1), (1000, 7)):
             assert gen_stacked(n, seed) == gen_stacked_by_face_scan(n, seed), (n, seed)
+
+    def test_gen_triangulation_matches_sorting(self):
+        # a sorted edge list and an edge-to-faces map draw the same flips
+        for n in range(4, 81):
+            for seed in range(4):
+                assert gen_triangulation(n, seed) == gen_triangulation_by_sorting(n, seed), (n, seed)
+
+    def test_gen_four_connected_matches_sorting(self):
+        for n in range(12, 23):
+            for seed in range(4):
+                assert gen_four_connected(n, seed) == gen_four_connected_by_sorting(n, seed), \
+                    (n, seed)
 
     def test_gen_stacked_rejects_small(self):
         with pytest.raises(GraphError):

@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 
 from tricontact import planar, solver
 from tricontact.assemble import PipelineConfig, represent
-from tricontact.geometry import Tri, intersect, signed_height
+from tricontact.geometry import Tri, inflate, intersect, signed_height
 from tricontact.core import Representation
 from tricontact.solver import (
     CanvasError,
@@ -29,8 +31,10 @@ F = Fraction
 
 class ReferenceObjective:
     """Reference objective: the solver's terms evaluated one pair, vertex and
-    inner edge at a time, in plain Python floats.  The vectorised
-    `solver._Objective` must agree with it bit for bit."""
+    inner edge at a time, in plain Python floats, and a stack of points one
+    row at a time.  The vectorised `solver._Objective` must agree with it bit
+    for bit.  Its evaluation is (point, E); the solver reads only E, the last
+    entry, and passes the evaluation back to `system` and `check_success`."""
 
     def __init__(self, outer_f, inner_ids, pairs, canvas_f, params):
         self.outer_f = outer_f                  # vertex -> (x, y, h) floats, boundary
@@ -52,6 +56,11 @@ class ReferenceObjective:
         xu, yu, hu = self.vals(z, u)
         xv, yv, hv = self.vals(z, v)
         return min(xu + yu + hu, xv + yv + hv) - max(xu, xv) - max(yu, yv)
+
+    def evaluate(self, z):
+        if z.ndim == 2:
+            return z, np.array([self.value(row) for row in z])
+        return z, self.value(z)
 
     def value(self, z) -> float:
         E = 0.0
@@ -147,7 +156,8 @@ class ReferenceObjective:
                 rows.append(({ix: 1.0, iy: 1.0}, self.hyp + self.p.margin))
         return rows
 
-    def system(self, z):
+    def system(self, ev):
+        z = ev[0]
         rows = self.rows(z)
         M = np.zeros((len(rows), len(z)))
         b = np.zeros(len(rows))
@@ -157,8 +167,9 @@ class ReferenceObjective:
             b[r] = rhs
         return M, b
 
-    def check_success(self, z):
+    def check_success(self, ev):
         """(ok, max |edge residual|, worst pair)."""
+        z = ev[0]
         worst = 0.0
         worst_pair = (-1, -1)
         ok = True
@@ -335,6 +346,20 @@ class TestSolveContacts:
         d = exc.value.diagnostics
         assert d["max_edge_residual"] > 0 and len(d["worst_pair"]) == 2
 
+    def test_failure_diagnostics_are_python_values(self, outer_map):
+        T = planar.gen_four_connected(14, 0)
+        om = {v: outer_map[i] for i, v in enumerate(T.outer)}
+        with pytest.raises(SolveFailure) as exc:
+            solve_contacts(T, om, SolverParams(restarts=0, max_iters=1))
+        d = exc.value.diagnostics
+        assert str(exc.value) == ("no convergence after 1 attempts (best objective 2.575e+00, "
+                                  "worst pair (0, 7), residual 5.818e-01)")
+        assert {k: type(v) for k, v in d.items()} == {
+            "attempt": int, "objective": float, "max_edge_residual": float,
+            "worst_pair": tuple, "iterations": int}
+        assert [type(v) for v in d["worst_pair"]] == [int, int]
+        assert d["iterations"] == 1 and d["max_edge_residual"] > 0
+
     def test_tight_instance_with_smaller_floor(self, outer_map):
         # the same instance certifies once the floors scale with the geometry
         from tricontact.perturb import remove_all
@@ -366,10 +391,6 @@ def _objective_setup(T, outer_map, params):
     return args, z0, float(canvas.h)
 
 
-def _same_float(a, b) -> bool:
-    return type(a) is type(b) and float(a).hex() == float(b).hex()
-
-
 class TestObjectiveOracle:
     """The vectorised objective against the term-by-term reference."""
 
@@ -394,15 +415,27 @@ class TestObjectiveOracle:
               for v, t in outer_map.items()}
         args, z0, H = _objective_setup(T, om, SolverParams().scaled(float(scale)))
         new, ref = solver._Objective(*args), ReferenceObjective(*args)
-        for z in self._points(z0, H):
-            assert _same_float(new.value(z), ref.value(z))
-            (M, b), (M_ref, b_ref) = new.system(z), ref.system(z)
+        points = self._points(z0, H)
+        evs = [new.evaluate(z) for z in points]
+        for z, ev in zip(points, evs):
+            assert float(ev[-1]).hex() == float(ref.value(z)).hex()
+            (M, b), (M_ref, b_ref) = new.system(ev), ref.system(ref.evaluate(z))
             assert M.shape == M_ref.shape and M.tobytes() == M_ref.tobytes()
             assert b.shape == b_ref.shape and b.tobytes() == b_ref.tobytes()
-            ok, worst, pair = new.check_success(z)
-            ok_ref, worst_ref, pair_ref = ref.check_success(z)
+            ok, worst, pair = new.check_success(ev)
+            ok_ref, worst_ref, pair_ref = ref.check_success(ref.evaluate(z))
             assert (ok, pair) == (ok_ref, pair_ref)
-            assert _same_float(worst, worst_ref)
+            assert type(worst) is float and worst.hex() == float(worst_ref).hex()
+        # a stack evaluates each row exactly as that point alone
+        assert new.evaluate(np.empty((0, len(z0))))[-1].shape == (0,)
+        for k in (1, 2, 21):
+            for start in (0, len(points) - k):
+                stack = np.stack(points[start:start + k])
+                ev = new.evaluate(stack)
+                assert ev[-1].tobytes() == ref.evaluate(stack)[-1].tobytes()
+                for j in range(k):
+                    for a, b in zip(ev, evs[start + j]):
+                        assert a[j].shape == np.shape(b) and a[j].tobytes() == np.asarray(b).tobytes()
 
     def test_points_reach_every_hinge_row(self, outer_map):
         T = planar.double_wheel(8)
@@ -430,6 +463,49 @@ class TestObjectiveOracle:
         assert new.restarts_used == 1  # the run covers a restart
         assert [float(e).hex() for e in new.objective_trace] == \
             [float(e).hex() for e in ref.objective_trace]
+
+
+    def test_alphas_halve_exactly(self):
+        steps = [1.0]
+        while steps[-1] / 2 >= 2.0 ** -20:
+            steps.append(steps[-1] / 2)
+        assert solver.ALPHAS.tolist() == steps
+
+    @pytest.mark.parametrize("make, digest", [
+        (lambda: planar.gen_four_connected(14, 0),
+         "f76df89af6f6b1937420e1a326736dd4b3bb06ed59a199fd09b365fa5f333cf2"),
+        (lambda: planar.double_wheel(12),
+         "1e0b7265c4a4306f8f0d5b1f37e80a001d2f928496cfaf6459ff35fab2f74c16"),
+    ], ids=["g4_14_0", "dw12"])
+    def test_solver_run_digest_pinned(self, make, digest, outer_map):
+        # the objective trace, the iteration and restart counts and the inner
+        # floats, bit for bit; g4_14_0 takes one restart and dw12 six
+        T = make()
+        om = {v: outer_map[i] for i, v in enumerate(T.outer)}
+        res = solve_contacts(T, om, SolverParams())
+        text = "\n".join([" ".join(float(e).hex() for e in res.objective_trace),
+                          f"{res.iterations} {res.restarts_used}",
+                          *(f"{v} " + " ".join(c.hex() for c in res.inner[v])
+                            for v in sorted(res.inner))])
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_one_evaluation_per_point(self, monkeypatch):
+        # each least-squares iteration evaluates its point once, where the
+        # line search accepted it, and its candidates in at most two batches
+        calls = Counter()
+        coords, system = solver._Objective._coords, solver._Objective.system
+
+        def counted(name, fn):
+            def wrapper(self, arg):
+                calls[name] += 1
+                return fn(self, arg)
+            return wrapper
+
+        monkeypatch.setattr(solver._Objective, "_coords", counted("coords", coords))
+        monkeypatch.setattr(solver._Objective, "system", counted("system", system))
+        represent(planar.gen_four_connected(14, 0))
+        assert calls["system"] > 50
+        assert calls["coords"] <= 3 * calls["system"]
 
 
 class TestExactify:
@@ -511,6 +587,97 @@ class TestRobustify:
         bad = rep.with_triangle(3, tri(2, 2, F(1, 2)))   # broken contacts
         with pytest.raises(RobustifyError):
             robustify(bad, k4, SolverParams(), F(1))
+
+
+def _skew(t: Tri) -> Tri:
+    """The skewed boundary's map: scale by 5/7, shift by (1/3, -2/9)."""
+    return Tri(t.x * F(5, 7) + F(1, 3), t.y * F(5, 7) - F(2, 9), t.h * F(5, 7))
+
+
+class TestRobustifyFaults:
+    """Every refusal of `robustify`, on a skewed (non-dyadic) octahedron whose
+    12 adjacencies are exact contacts and whose three antipodal pairs are
+    10/21 apart, with epsilon = 1/3, so that no frame is a power of two."""
+
+    @pytest.fixture
+    def skewed(self, k222_triple_rep):
+        tris = {v: _skew(t) for v, t in k222_triple_rep.triangles.items()}
+        return Representation(tris, k222_triple_rep.outer, F(1, 3))
+
+    @staticmethod
+    def _moved(rep, v, dx=0, dy=0):
+        t = rep.tri(v)
+        return rep.with_triangle(v, Tri(t.x + dx, t.y + dy, t.h))
+
+    def test_inflates_by_chosen_iota(self, skewed, octahedron):
+        params = SolverParams()
+        out = robustify(skewed, octahedron, params, F(1, 3))
+        iota = choose_iota(F(params.delta), F(params.margin), F(1, 3))
+        assert out.epsilon == F(1, 3)
+        for v, t in skewed.triangles.items():
+            assert out.tri(v) == (t if v in skewed.outer else inflate(t, iota))
+        for u, v, edge in solver._pairs(octahedron):
+            s = signed_height(out.tri(u), out.tri(v))
+            assert (0 < s < F(1, 3)) if edge else s < 0
+
+    def test_residual_beyond_delta(self, skewed, octahedron):
+        # 4's right-angle corner leaves 0's hypotenuse: by delta it passes,
+        # by a trillionth more it does not
+        delta = F(1e-7)
+        robustify(self._moved(skewed, 4, dx=delta), octahedron, SolverParams(), F(1, 3))
+        bad = self._moved(skewed, 4, dx=delta + F(1, 10 ** 12))
+        with pytest.raises(RobustifyError) as exc:
+            robustify(bad, octahedron, SolverParams(), F(1, 3))
+        assert str(exc.value) == "adjacency residual for (0,4) exceeds delta: -1.000e-07"
+
+    def test_non_adjacent_inside_margin(self, k222_triple_rep, octahedron):
+        # scaled by 3/4 instead, the antipodal pairs are 1/2 apart: a margin
+        # of 1/2 passes, 5/8 does not
+        rep = Representation({v: Tri(t.x * F(3, 4) + F(1, 3), t.y * F(3, 4) - F(2, 9),
+                                     t.h * F(3, 4))
+                              for v, t in k222_triple_rep.triangles.items()}, (0, 1, 2), F(1, 3))
+        robustify(rep, octahedron, SolverParams(margin=0.5), F(1, 3))
+        with pytest.raises(RobustifyError) as exc:
+            robustify(rep, octahedron, SolverParams(margin=0.625), F(1, 3))
+        assert str(exc.value) == "non-adjacent pair (0,3) closer than margin: -5.000e-01"
+
+    def test_preconditions_before_iota(self, skewed, octahedron):
+        with pytest.raises(RobustifyError) as exc:
+            robustify(skewed, octahedron, SolverParams(), F(1, 10 ** 8))
+        assert str(exc.value) == \
+            "no feasible inflation: delta=1.000e-07 vs min(margin, eps)=1.000e-08"
+        bad = self._moved(skewed, 4, dx=2 * F(1e-7))
+        with pytest.raises(RobustifyError, match="adjacency residual for \\(0,4\\)"):
+            robustify(bad, octahedron, SolverParams(), F(1, 10 ** 8))
+
+    def test_overlap_not_opened(self, k4):
+        # 0's right-angle corner sits delta beyond 3's hypotenuse, so
+        # inflating 3 alone gains only iota, which a window of delta < 7/6 of
+        # the margin puts below delta
+        params = SolverParams(delta=1e-4, margin=6.5e-4)
+        delta = F(params.delta)
+        assert choose_iota(delta, F(params.margin), F(1, 3)) < delta
+        tris = {0: tri(F(1, 2), F(1, 2) + delta * F(7, 5), 5), 1: tri(1, 0, 1),
+                2: tri(0, 1, 1), 3: tri(0, 0, 1)}
+        rep = Representation({v: _skew(t) for v, t in tris.items()}, (0, 1, 2), F(1, 3))
+        assert signed_height(rep.tri(0), rep.tri(3)) == -delta
+        with pytest.raises(RobustifyError) as exc:
+            robustify(rep, k4, params, F(1, 3))
+        assert str(exc.value) == "inflation failed to open overlap for edge (0,3)"
+
+    @pytest.mark.parametrize("iota, message", [
+        (F(1, 3), "inflation created a spurious intersection (0,3)"),
+        (F(1, 9), "overlap for (3,4) reached the epsilon budget"),
+    ], ids=["spurious", "budget"])
+    def test_postconditions_catch_a_bad_iota(self, skewed, octahedron, monkeypatch,
+                                             iota, message):
+        # choose_iota's window rules both out; an iota outside it must not pass:
+        # 2/3 closes the antipodal gap 10/21, and 3/9 is the inner pair (3, 4)'s
+        # overlap, exactly the budget 1/3
+        monkeypatch.setattr(solver, "choose_iota", lambda delta, margin, epsilon: iota)
+        with pytest.raises(RobustifyError) as exc:
+            robustify(skewed, octahedron, SolverParams(), F(1, 3))
+        assert str(exc.value) == message
 
 
 class TestRepresentationJson:
