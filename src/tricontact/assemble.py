@@ -4,11 +4,12 @@ thread boundary triangles and overlap budgets through the separation tree.
 Each piece is solved with its three boundary triangles fixed.  A stacked
 piece is a K4 (pieces have no separating triangle), and its inner vertex
 gets the medial child of the gap, exactly; every larger piece goes to the
-numeric solver and is exactified and inflated.  Every piece is then cleared
-of triple overlaps.  For every child separating triangle the parent piece
-supplies the face gap and the safe recursion budget; the child budget is the
-minimum of the parent budget and that gap budget, so budgets only shrink on
-the way down.
+numeric solver in its canvas's own frame, where a power-of-two scaling makes
+the canvas 2 to 4 tall, and is exactified and inflated there.  Every piece
+is then cleared of triple overlaps.  For every child separating triangle the
+parent piece supplies the face gap and the safe recursion budget; the child
+budget is the minimum of the parent budget and that gap budget, so budgets
+only shrink on the way down.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 
 from tricontact import perturb, planar
 from tricontact.core import Representation
-from tricontact.geometry import Tri, frac, inside_neg
+from tricontact.geometry import NegTri, Tri, frac, inside_neg, intersect
 from tricontact.solver import (
     SolverParams,
     canvas_with_roles,
@@ -46,9 +47,6 @@ def default_outer(scale: Fraction | int = 1) -> tuple[Tri, Tri, Tri]:
     )
 
 
-REFERENCE_CANVAS_HEIGHT = 2.0  # canvas height of default_outer(1); params scale from it
-
-
 @dataclass(frozen=True)
 class PipelineConfig:
     outer: tuple[Tri, Tri, Tri] = dc_field(default_factory=default_outer)
@@ -68,10 +66,20 @@ def _solve_piece(piece: planar.Triangulation, outer_map: dict[int, Tri],
         rep = solve_stacked(piece, outer_map, epsilon, canvas)
         trace_entry["path"] = "stacked"
     else:
-        lam = float(canvas.h) / REFERENCE_CANVAS_HEIGHT
-        piece_params = params.scaled(lam)
-        result = solve_contacts(piece, outer_map, piece_params, canvas_roles=canvas_roles)
-        rep = robustify(exactify(result, epsilon), piece, piece_params, epsilon)
+        # solve in the frame t -> ((x - ox)/lam, (y - oy)/lam, h/lam), lam a power of two:
+        # the canvas becomes NegTri(3, 3, H), 2 <= H < 4, and a window 9H tall clips the boundary
+        q = canvas.h / 2
+        lam = Fraction(2) ** (q.numerator.bit_length() - q.denominator.bit_length())
+        lam = lam if lam <= q else lam / 2
+        ox, oy, H = canvas.x - 3 * lam, canvas.y - 3 * lam, canvas.h / lam
+        window = Tri(3 - 3 * H, 3 - 3 * H, 9 * H)
+        local = {v: intersect(Tri((t.x - ox) / lam, (t.y - oy) / lam, t.h / lam), window).region
+                 for v, t in outer_map.items()}
+        result = solve_contacts(piece, local, params, (NegTri(3, 3, H), canvas_roles[1]))
+        local_rep = robustify(exactify(result, epsilon / lam), piece, params, epsilon / lam)
+        inner = {v: Tri(lam * t.x + ox, lam * t.y + oy, lam * t.h)
+                 for v, t in local_rep.triangles.items() if v not in outer_map}
+        rep = Representation({**outer_map, **inner}, piece.outer, epsilon)
         trace_entry["path"] = "solver"
         trace_entry["restarts"] = result.restarts_used
         trace_entry["max_edge_residual"] = result.max_edge_residual

@@ -2,20 +2,22 @@
 solver for pieces without separating triangles, and the float-to-exact bridge
 (exactify + robustify).
 
-The numeric stage is the only part of the package that uses floating point.
-It evaluates its objective once per point, and a line search's candidate
-steps as one stacked array.  Everything it outputs is converted to exact
-rationals (doubles are dyadic) and then inflated by a single rational so that
-every adjacency becomes a strictly positive overlap while every non-adjacency
-stays strictly negative; the inflation is verified pair by pair on integers,
-in the representation's common-denominator frame (`core.int_frame`).
+The numeric stage is the only part of the package whose floats reach the
+representation; the verifier and the face gap screen with floats but decide
+exactly.  It evaluates its objective once per point, and a line search's
+candidate steps as one stacked array.  Everything it outputs is converted to
+exact rationals (doubles are dyadic) and then inflated by a single rational
+so that every adjacency becomes a strictly positive overlap while every
+non-adjacency stays strictly negative; the inflation is verified pair by
+pair on integers, in the representation's common-denominator frame
+(`core.int_frame`).
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import Mapping, Sequence
@@ -53,6 +55,7 @@ class RobustifyError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverParams:
+    """Lengths are in the solve's frame; under `represent`, one where the canvas is 2 to 4 tall."""
     delta: float = 1e-7        # residual tolerance on adjacency signed heights
     margin: float = 1e-3       # minimum non-adjacent separation (signed-height units)
     h_min: float = 1e-3        # minimum triangle height
@@ -65,14 +68,6 @@ class SolverParams:
             raise ValueError(f"need 0 < delta < margin/6, got delta={self.delta}, margin={self.margin}")
         if self.h_min <= 0:
             raise ValueError("h_min must be positive")
-
-    def scaled(self, lam: float) -> "SolverParams":
-        """Rescale the absolute tolerances for a piece whose canvas differs in
-        size from the reference (height-2) canvas."""
-        if lam <= 0:
-            raise ValueError("scale must be positive")
-        return replace(self, delta=self.delta * lam, margin=self.margin * lam,
-                       h_min=self.h_min * lam)
 
 
 def check_outer_hypothesis(ts: Sequence[Tri]) -> None:
@@ -139,12 +134,9 @@ class SolveResult:
     piece: planar.Triangulation
     outer_tris: dict[int, Tri]          # exact boundary triangles
     inner: dict[int, tuple[float, float, float]]
-    canvas: NegTri
-    params: SolverParams
     iterations: int
     restarts_used: int
     max_edge_residual: float
-    worst_pair: tuple[int, int]
     objective_trace: list[float] = field(default_factory=list)
 
 
@@ -442,10 +434,8 @@ def solve_contacts(piece: planar.Triangulation, outer_tris: Mapping[int, Tri],
             inner = {v: (float(z[3 * k]), float(z[3 * k + 1]), float(z[3 * k + 2]))
                      for k, v in enumerate(inner_ids)}
             return SolveResult(piece=piece, outer_tris=dict(outer_tris), inner=inner,
-                               canvas=canvas, params=params,
                                iterations=iters, restarts_used=attempt,
-                               max_edge_residual=worst, worst_pair=worst_pair,
-                               objective_trace=trace)
+                               max_edge_residual=worst, objective_trace=trace)
         diag = {"attempt": attempt, "objective": E, "max_edge_residual": worst,
                 "worst_pair": worst_pair, "iterations": iters}
         if best_diag is None or diag["objective"] < best_diag["objective"]:

@@ -47,6 +47,20 @@ def implant_faces(T: planar.Triangulation, indices) -> planar.Triangulation:
     return T
 
 
+def chain(n, seed, depth) -> planar.Triangulation:
+    """gen_stacked(n, seed) with an octahedron in its first inner face, then
+    `depth` rounds of stack_vertex + implant_octahedron, each into the first
+    face holding the newest vertex (the benchmark's `nested` chains)."""
+    def newest_face(T):
+        return sorted(sorted(f) for f in T.inner_faces if T.n - 1 in f)[0]
+    host = planar.gen_stacked(n, seed)
+    T = planar.implant_octahedron(host, sorted(sorted(f) for f in host.inner_faces)[0])
+    for _ in range(depth):
+        T = planar.stack_vertex(T, newest_face(T))
+        T = planar.implant_octahedron(T, newest_face(T))
+    return T
+
+
 def implanted(n, seed, implants) -> planar.Triangulation:
     """gen_stacked(n, seed) with octahedra implanted in seeded inner faces
     (the benchmark's `nested` host is implanted(100, 3, 20))."""

@@ -5,10 +5,10 @@ import pytest
 
 from tricontact import planar
 from tricontact.assemble import PipelineConfig, default_outer, represent
-from tricontact.geometry import common_signed_height, intersect, signed_height
+from tricontact.geometry import Tri, common_signed_height, intersect, signed_height
 from tricontact.solver import SolverParams, canvas_with_roles
 from tricontact.verify import full_report
-from conftest import point, tri
+from conftest import chain, implant_faces, point, tri
 
 F = Fraction
 
@@ -131,6 +131,36 @@ class TestRepresent:
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             PipelineConfig(epsilon=F(0))
+
+
+class TestLocalFrame:
+    """Each numeric piece is solved in its canvas's own dyadic frame, so the
+    construction commutes with dyadic homotheties of the boundary."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: planar.double_wheel(6),
+        lambda: planar.gen_four_connected(12, 0),
+        lambda: implant_faces(planar.gen_stacked(30, 1), (0,)),
+    ], ids=["dw6", "g4_12_0", "stacked30_1+octa"])
+    @pytest.mark.parametrize("k, d", [
+        (F(1, 2 ** 40), (F(0), F(0))),
+        (F(1, 2 ** 40), (F(3), F(1))),
+        (F(2 ** 20), (F(-5, 8), F(7, 16))),
+    ], ids=["tiny", "tiny_offset", "huge_offset"])
+    def test_homothety_equivariance(self, make, k, d):
+        T = make()
+        base = represent(T)
+        outer = tuple(Tri(t.x * k + d[0], t.y * k + d[1], t.h * k) for t in default_outer())
+        rep = represent(T, PipelineConfig(outer=outer, epsilon=k))
+        for v, t in base.triangles.items():
+            assert rep.tri(v) == Tri(t.x * k + d[0], t.y * k + d[1], t.h * k)
+
+    @pytest.mark.parametrize("seed, depth", [(5, 7), (7, 12)])
+    def test_deep_chain_certifies(self, seed, depth):
+        # near (1, 3), absolute floats cannot resolve the innermost canvases' tolerances
+        T = chain(20, seed, depth)
+        rep = represent(T)
+        assert full_report(rep, T, with_faces=True, with_drawing=True).passed
 
 
 class TestRepresentPlanar:

@@ -37,7 +37,7 @@ from tricontact.perturb import (  # the integer event kernel
 )
 from tricontact.solver import canvas_with_roles, solve_stacked
 from tricontact.verify import intersection_graph
-from conftest import graph_triangles, implant_faces, ntri, point, tri
+from conftest import chain, graph_triangles, implant_faces, ntri, point, tri
 
 F = Fraction
 
@@ -276,20 +276,6 @@ def _outcome(fn, *args):
         return ZeroClearance
 
 
-def _chain(n, seed, depth):
-    """gen_stacked(n, seed) with an octahedron in its first inner face, then
-    `depth` rounds of stack_vertex + implant_octahedron, each into the first
-    face holding the newest vertex."""
-    def newest_face(T):
-        return sorted(sorted(f) for f in T.inner_faces if T.n - 1 in f)[0]
-    host = planar.gen_stacked(n, seed)
-    T = planar.implant_octahedron(host, sorted(sorted(f) for f in host.inner_faces)[0])
-    for _ in range(depth):
-        T = planar.stack_vertex(T, newest_face(T))
-        T = planar.implant_octahedron(T, newest_face(T))
-    return T
-
-
 # default_outer(5/7) shifted by (1/3, -2/9): no coordinate is dyadic
 _SHIFTED_OUTER = tuple(Tri(t.x + F(1, 3), t.y - F(2, 9), t.h)
                        for t in assemble.default_outer(F(5, 7)))
@@ -301,7 +287,7 @@ class TestIntegerFrameMatchesReference:
         lambda: planar.double_wheel(6),
         lambda: planar.gen_four_connected(12, 1),
         lambda: planar.gen_four_connected(8, 2),
-        lambda: _chain(8, 0, 1),
+        lambda: chain(8, 0, 1),
     ], ids=["dw6", "g4_12_1", "g4_8_2", "chain8_0d1"])
     def test_every_call_of_represent(self, monkeypatch, make, outer):
         compared = []
@@ -326,7 +312,7 @@ class TestIntegerFrameMatchesReference:
         fast = perturb.safe_epsilon
         monkeypatch.setattr(perturb, "safe_epsilon",
                             lambda *a, **k: moves[-1].append(a[1]) or fast(*a, **k))
-        for T in (planar.double_wheel(6), planar.gen_four_connected(8, 2), _chain(8, 0, 1)):
+        for T in (planar.double_wheel(6), planar.gen_four_connected(8, 2), chain(8, 0, 1)):
             moves.append([])
             assemble.represent(T)
         assert all(moves)
@@ -461,7 +447,7 @@ class TestRemoveAll:
         *(lambda s=s: planar.gen_stacked(40, s) for s in range(3)),
         lambda: planar.gen_four_connected(12, 0),
         lambda: implant_faces(planar.gen_stacked(30, 1), (0, 7)),
-        lambda: _chain(10, 2, 3),
+        lambda: chain(10, 2, 3),
     ], ids=[*(f"dw{k}" for k in range(4, 9)), *(f"stacked40_{s}" for s in range(3)),
             "g4_12_0", "stacked30_1+2octa", "chain10_2d3"])
     def test_piece_faces_are_the_graph_triangles(self, monkeypatch, make):

@@ -18,7 +18,7 @@ from tricontact.planar import (
     stack_vertex,
     validate,
 )
-from conftest import implanted, octahedron_graph
+from conftest import chain, implanted, octahedron_graph
 
 
 def decompose_by_splitting(T):
@@ -139,21 +139,6 @@ def decompose_by_flooding(T):
     add(root, None, None)
     assert not by_label
     return planar.SeparationTree(pieces=tuple(pieces), links=tuple(links))
-
-
-def nested_chain(n, seed, depth):
-    """gen_stacked(n, seed) with an octahedron in its first inner face, then
-    `depth` rounds of stack_vertex + implant_octahedron, each into the first
-    face that holds the newest vertex."""
-    def newest_face(G):
-        return sorted(sorted(f) for f in G.inner_faces if G.n - 1 in f)[0]
-
-    host = gen_stacked(n, seed)
-    T = implant_octahedron(host, sorted(sorted(f) for f in host.inner_faces)[0])
-    for _ in range(depth):
-        T = stack_vertex(T, newest_face(T))
-        T = implant_octahedron(T, newest_face(T))
-    return T
 
 
 def triangles_by_pairs(adj):
@@ -416,7 +401,7 @@ class TestDecomposeOracle:
     @pytest.mark.parametrize("seed", (5, 6, 7))
     def test_nested_chains(self, seed):
         for depth in (2, 4, 6):
-            T = nested_chain(20, seed, depth)
+            T = chain(20, seed, depth)
             assert decompose(T) == decompose_by_flooding(T)
 
     def test_benchmark_hosts(self):
@@ -495,7 +480,7 @@ def built_instances():
     yield from (gen_four_connected(n, s) for n in range(12, 17) for s in range(4))
     yield from (double_wheel(k) for k in range(4, 10))
     yield implanted(100, 3, 20)
-    yield nested_chain(20, 5, 6)
+    yield chain(20, 5, 6)
 
 
 class TestFromFaces:
@@ -511,7 +496,7 @@ class TestFromFaces:
             raise AssertionError("planarity test run on a generated graph")
         monkeypatch.setattr(planar.nx, "check_planarity", refuse)
         implanted(100, 3, 20)
-        nested_chain(20, 5, 6)
+        chain(20, 5, 6)
         gen_four_connected(12, 0)
         with pytest.raises(AssertionError):
             validate(4, list(itertools.combinations(range(4), 2)), (0, 1, 2))

@@ -201,11 +201,6 @@ class TestParams:
         with pytest.raises(ValueError):
             SolverParams(h_min=0)
 
-    def test_scaling(self):
-        p = SolverParams().scaled(0.5)
-        assert p.delta == pytest.approx(0.5e-7)
-        assert p.margin == pytest.approx(0.5e-3)
-
 
 class TestCanvas:
     def test_default_outer(self, outer_map):
@@ -413,7 +408,7 @@ class TestObjectiveOracle:
         # reassociated float expressions round differently
         om = {v: tri(t.x * scale + offset[0], t.y * scale + offset[1], t.h * scale)
               for v, t in outer_map.items()}
-        args, z0, H = _objective_setup(T, om, SolverParams().scaled(float(scale)))
+        args, z0, H = _objective_setup(T, om, SolverParams())
         new, ref = solver._Objective(*args), ReferenceObjective(*args)
         points = self._points(z0, H)
         evs = [new.evaluate(z) for z in points]
@@ -521,8 +516,7 @@ class TestExactify:
         # default triple scaled by the non-dyadic 1/3
         om = {0: tri(0, 0, F(4, 3)), 1: tri(F(1, 3), 1, F(2, 3)), 2: tri(1, F(1, 3), F(2, 3))}
         check_outer_hypothesis([om[0], om[1], om[2]])
-        params = SolverParams().scaled(1 / 3)
-        res = solve_contacts(octahedron, om, params)
+        res = solve_contacts(octahedron, om, SolverParams())
         rep = exactify(res)
         assert rep.tri(1) == om[1]          # not round-tripped through floats
 

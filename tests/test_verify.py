@@ -29,7 +29,7 @@ from tricontact.verify import (
     full_report,
     intersection_graph,
 )
-from conftest import graph_triangles, implant_faces, implanted, point, tri
+from conftest import chain, graph_triangles, implant_faces, implanted, point, tri
 
 F = Fraction
 
@@ -282,22 +282,6 @@ def _fuzz_instances():
     return out
 
 
-def _newest_face(T):
-    return sorted(sorted(f) for f in T.inner_faces if T.n - 1 in f)[0]
-
-
-def _chain(depth):
-    """gen_stacked(20, 5) with an octahedron in its first inner face, then
-    `depth` rounds of stack_vertex + implant_octahedron into the first face
-    holding the newest vertex."""
-    host = planar.gen_stacked(20, 5)
-    T = planar.implant_octahedron(host, sorted(sorted(f) for f in host.inner_faces)[0])
-    for _ in range(depth):
-        T = planar.stack_vertex(T, _newest_face(T))
-        T = planar.implant_octahedron(T, _newest_face(T))
-    return T
-
-
 def _implanted():
     return implant_faces(planar.gen_stacked(30, 1), (0, 7))
 
@@ -451,7 +435,7 @@ class TestCheckFaces:
         assert (0, 1, 3) in [f for f, _ in fails]
 
     @pytest.mark.parametrize("make", [
-        lambda: planar.gen_stacked(40, 2), _implanted, lambda: _chain(3),
+        lambda: planar.gen_stacked(40, 2), _implanted, lambda: chain(20, 5, 3),
         lambda: planar.double_wheel(6)], ids=["stacked40", "implanted", "chain3", "dw6"])
     def test_agrees_with_constructor_face_gap(self, make):
         # the verifier derives the face condition on its own; it must accept
@@ -677,7 +661,7 @@ class TestDrawing:
          "31cf323f0338fb1180e56e25452db275a0823e66f7c113cf006143c3b37122b1"),
         (lambda: planar.double_wheel(8),
          "f166f8d8c82c1ab3509c9e7ab290ac9b54d788b4c62f9f1d340ae74833eacb6d"),
-        (_implanted, "ae23e113b76dc07f64b4ebd3d1f203475d2bada189a6d81486709e9dce500f70"),
+        (_implanted, "d0c095f212b2dcb1b9db721df6e6bd1496a577173bc82e0d9f71829c678c58bb"),
     ], ids=["stacked60", "dw8", "implanted"])
     def test_drawing_digest_pinned(self, make, digest):
         # any change to the drawing witness changes these digests
