@@ -110,8 +110,7 @@ def cmd_run(args) -> int:
     if args.drawing_out and report.drawing is not None:
         _dump(report.drawing.to_json(), args.drawing_out)
     if args.svg:
-        d = report.drawing if args.drawing else None
-        _write_text(render.render_svg(rep, drawing=d), args.svg)
+        _write_text(render.render_svg(rep, drawing=report.drawing), args.svg)
     if not report.passed:
         print("verification failed", file=sys.stderr)
         return EXIT_VERIFY

@@ -65,11 +65,14 @@ class Representation:
 
     @staticmethod
     def from_json(data: dict) -> "Representation":
-        tris = {
-            int(v): Tri(frac(x), frac(y), frac(h))
-            for v, (x, y, h) in data["triangles"].items()
-        }
-        return Representation(tris, tuple(data["outer"]), frac(data["epsilon"]))
+        try:
+            tris = {
+                int(v): Tri(frac(x), frac(y), frac(h))
+                for v, (x, y, h) in data["triangles"].items()
+            }
+            return Representation(tris, tuple(data["outer"]), frac(data["epsilon"]))
+        except (AttributeError, TypeError) as e:  # a list or number where an object belongs
+            raise ValueError(f"malformed representation JSON: {e}") from e
 
 
 def int_frame(rep: Representation, *extra: Fraction) -> tuple[int, Frame, tuple[int, ...]]:

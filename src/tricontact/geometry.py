@@ -211,30 +211,11 @@ def common_signed_height(ts: Sequence[Tri]) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Side pushes and growth
+# Growth
 # ---------------------------------------------------------------------------
 
-def push_vertical(t: Tri, eps: Fraction) -> Tri:
-    """Move only the vertical side left by eps; east corner and hypotenuse stay."""
-    if eps <= 0:
-        raise ValueError("push requires eps > 0")
-    return Tri(t.x - eps, t.y, t.h + eps)
-
-
-def push_horizontal(t: Tri, eps: Fraction) -> Tri:
-    """Move only the horizontal side down by eps; top corner and hypotenuse stay."""
-    if eps <= 0:
-        raise ValueError("push requires eps > 0")
-    return Tri(t.x, t.y - eps, t.h + eps)
-
-
-def translate(t: Tri, dx: Fraction, dy: Fraction) -> Tri:
-    """Rigid shift of the right corner."""
-    return Tri(t.x + dx, t.y + dy, t.h)
-
-
 def inflate(t: Tri, iota: Fraction) -> Tri:
-    """All three pushes with eps = iota: (x-i, y-i, h+3i).
+    """Push all three sides outward by iota: (x-i, y-i, h+3i).
 
     For a pair both inflated by iota the signed height increases by exactly
     3*iota.

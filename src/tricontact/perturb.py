@@ -1,13 +1,15 @@
 """Removal of points (or small regions) shared by three triangles, plus the
 face-gap computation that feeds the recursion over separating triangles.
 
-All moves are exact.  Before a move, every forbidden event (a non-intersecting
-pair starting to touch, an intersecting pair separating, a third triangle
-joining an intersection, a boundary-overlap budget being exhausted, a boundary
-corner being swallowed) is located exactly as the first sign change of a
-piecewise-linear function of the step size; the step uses half the earliest
-event time.  The analysis runs in integers, on coordinates scaled by their
-common denominator.  After each move the full invariant set is re-verified.
+All moves are exact, and each is applied (`_moved`) from the same per-step
+rates (`_DELTAS`) that its event analysis reads.  Before a move, every
+forbidden event (a non-intersecting pair starting to touch, an intersecting
+pair separating, a third triangle joining an intersection, a boundary-overlap
+budget being exhausted, a boundary corner being swallowed) is located exactly
+as the first sign change of a piecewise-linear function of the step size; the
+step uses half the earliest event time.  The analysis runs in integers, on
+coordinates scaled by their common denominator.  After each move the full
+invariant set is re-verified.
 """
 
 from __future__ import annotations
@@ -28,10 +30,7 @@ from tricontact.geometry import (
     gap_candidates,
     intersect,
     neg_interior_hits,
-    push_horizontal,
-    push_vertical,
     signed_height,
-    translate,
 )
 
 
@@ -379,18 +378,33 @@ def _single_point_contact(rep: Representation, u: int, z: int) -> Point | None:
     return ov.point if ov.kind == "point" else None
 
 
+def _moved(rep: Representation, move: Move, e: Fraction) -> Representation:
+    """Apply `move` with step e from its `_DELTAS` rates: (x, y, s) +=
+    e*(dx, dy, ds), so h += e*(ds - dx - dy).  The intersection graph, the
+    boundary budget and the boundary corners are re-verified."""
+    for i in move:
+        if i in rep.outer:
+            raise PerturbError(f"move targets boundary triangle {i}")
+    if e <= 0:
+        raise ValueError(f"a move needs a positive step, got {e}")
+    out = rep
+    for i, kind in move.items():
+        t = rep.tri(i)
+        dx, dy, ds = _DELTAS[kind]
+        out = out.with_triangle(i, Tri(t.x + e * dx, t.y + e * dy, t.h + e * (ds - dx - dy)))
+    _check_graph_preserved(rep, out, move)
+    _check_boundary_budget(out, move)
+    return out
+
+
 def step1_widen(rep: Representation, triple: BadTriple, e1: Fraction) -> Representation:
     """Push the vertical side of t(u) left; east corner and hypotenuse stay.
 
-    Postconditions: intersection graph unchanged; the (new) top corner of
-    t(u) is not a single-point contact; boundary budget and corners intact.
+    Postcondition (beyond `_moved`'s): the (new) top corner of t(u) is not a
+    single-point contact.
     """
     u = triple.u
-    if u in rep.outer:
-        raise PerturbError(f"triple {sorted(triple.ids)} requires moving boundary triangle {u}")
-    out = rep.with_triangle(u, push_vertical(rep.tri(u), e1))
-    _check_graph_preserved(rep, out, [u])
-    _check_boundary_budget(out, [u])
+    out = _moved(rep, {u: PUSH_VERTICAL}, e1)
     q = out.tri(u).top_corner
     for z in out.triangles:
         if z != u and _single_point_contact(out, u, z) == q:
@@ -415,19 +429,19 @@ def _hyp_point_contacts(rep: Representation, u: int) -> dict[int, Point]:
     return found
 
 
-def _translation_hazards(rep: Representation, triple: BadTriple,
-                         cap: Fraction) -> list[int]:
+def _translation_hazards(rep: Representation, triple: BadTriple) -> list[int]:
     """Triangles whose intersection with t(u) shrinks at unit rate when t(u)
     slides down: they meet t(u) across its hypotenuse (their hypotenuse level
-    and horizontal side at or above t(u)'s), with depth at most `cap`.
+    and horizontal side at or above t(u)'s), with depth at most twice the
+    triple's overlap.
 
     Single-point contacts strictly inside the upper hypotenuse are the depth-0
     members; shallow region overlaps (arising after inflation) are their
     positive-depth analogues and are equally lost by a slide deeper than they
     are.
     """
-    u = triple.u
-    tu = rep.tri(u)
+    cap = 2 * max(common_signed_height([rep.tri(i) for i in sorted(triple.ids)]), 0)
+    tu = rep.tri(triple.u)
     out = []
     for z in sorted(rep.triangles):
         if z in triple.ids:
@@ -446,40 +460,22 @@ def step2_clear(rep: Representation, triple: BadTriple, e2: Fraction) -> Represe
     upper hypotenuse or in a region too shallow to survive the coming slide,
     deepening those meetings into slide-proof overlaps.
 
-    Postcondition: no single-point contact remains on the hypotenuse of t(u)
-    above its east corner (top corner included); graph unchanged.
+    Postcondition (beyond `_moved`'s): no single-point contact remains on the
+    hypotenuse of t(u) above its east corner (top corner included).
     """
-    u = triple.u
-    sig = max(common_signed_height([rep.tri(i) for i in sorted(triple.ids)]), Fraction(0))
-    zs = _translation_hazards(rep, triple, 2 * sig)
-    out = rep
-    outer = set(rep.outer)
-    for z in zs:
-        if z in outer:
-            raise PerturbError(f"boundary triangle {z} sits on the hypotenuse of {u}")
-        out = out.with_triangle(z, push_horizontal(out.tri(z), e2))
-    if zs:
-        _check_graph_preserved(rep, out, zs)
-        _check_boundary_budget(out, zs)
-    if _hyp_point_contacts(out, u):
-        raise ClaimViolation(f"a contact point remains on the upper hypotenuse of {u}")
+    out = _moved(rep, {z: PUSH_HORIZONTAL for z in _translation_hazards(rep, triple)}, e2)
+    if _hyp_point_contacts(out, triple.u):
+        raise ClaimViolation(f"a contact point remains on the upper hypotenuse of {triple.u}")
     return out
 
 
 def step3_separate(rep: Representation, triple: BadTriple, e3: Fraction) -> Representation:
     """Slide t(u) down while pushing the vertical side of t(v) left.
 
-    Postconditions: the triple's common intersection becomes empty; the
-    intersection graph is unchanged; boundary budget and corners intact.
+    Postcondition (beyond `_moved`'s): the triple's common intersection
+    becomes empty.
     """
-    u, v = triple.u, triple.v
-    for i in (u, v):
-        if i in rep.outer:
-            raise PerturbError(f"triple {sorted(triple.ids)} requires moving boundary triangle {i}")
-    out = rep.with_triangle(u, translate(rep.tri(u), Fraction(0), -e3))
-    out = out.with_triangle(v, push_vertical(out.tri(v), e3))
-    _check_graph_preserved(rep, out, [u, v])
-    _check_boundary_budget(out, [u, v])
+    out = _moved(rep, {triple.u: TRANSLATE_DOWN, triple.v: PUSH_VERTICAL}, e3)
     ids = sorted(triple.ids)
     if common_signed_height([out.tri(i) for i in ids]) >= 0:
         raise ClaimViolation(f"triple {ids} still has a common intersection")
@@ -493,20 +489,17 @@ def remove_all(rep: Representation, triangles: Sequence[tuple[int, int, int]],
                budgets: list[EpsilonBudget] | None = None) -> Representation:
     """Remove every bad triple: find, select highest, apply the three steps
     with exact safe budgets; retry a round with halved budgets, at most
-    STEP_RETRIES times, when a postcondition recheck fails.  Terminates in
-    at most the initial number of bad triples rounds.
+    STEP_RETRIES times, when a postcondition recheck fails.  A round that
+    does not leave strictly fewer bad triples fails its recheck, so there
+    are at most as many rounds as initial bad triples.
 
     `triangles` are the triangles of the intersection graph of `rep`, in
     lexicographic order.  Every step keeps that graph
     (`_check_graph_preserved`), so they serve every scan and budget."""
     bad = find_bad_triples(rep, triangles)
-    cap = len(bad)
-    for _ in range(cap):
-        if not bad:
-            break
+    while bad:
         sel = select_bad(bad)
         prev_ids = {t.ids for t in bad}
-        advanced = False
         shrink = Fraction(1)
         for _attempt in range(STEP_RETRIES):
             try:
@@ -515,9 +508,7 @@ def remove_all(rep: Representation, triangles: Sequence[tuple[int, int, int]],
                                       exclude_triple=sel.ids)
                 e1 *= shrink
                 work = step1_widen(work, sel, e1)
-                sig1 = max(common_signed_height([work.tri(i) for i in sorted(sel.ids)]),
-                           Fraction(0))
-                zs = _translation_hazards(work, sel, 2 * sig1)
+                zs = _translation_hazards(work, sel)
                 e2 = c2 = None
                 if zs:
                     move2 = {z: PUSH_HORIZONTAL for z in zs}
@@ -542,14 +533,11 @@ def remove_all(rep: Representation, triangles: Sequence[tuple[int, int, int]],
                         epsilon=rep.epsilon, e1=e1, e2=e2, e3=e3,
                         clearance=min(c for c in (c1, c2, c3) if c is not None)))
                 rep, bad = work, new_bad
-                advanced = True
                 break
             except ClaimViolation:
                 shrink /= 2
-        if not advanced:
+        else:
             raise PerturbError(f"could not clear triple {sorted(sel.ids)} after retries")
-    if bad:
-        raise PerturbError("round cap exceeded with triples remaining")  # pragma: no cover
     return rep
 
 

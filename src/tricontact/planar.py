@@ -160,6 +160,8 @@ def from_json(data: dict) -> Triangulation:
         return validate(int(data["n"]), data["edges"], data["outer"])
     except KeyError as e:
         raise GraphError(f"graph JSON missing key {e}") from e
+    except TypeError as e:  # a list or null where an object, list or pair belongs
+        raise GraphError(f"malformed graph JSON: {e}") from e
 
 
 # ---------------------------------------------------------------------------

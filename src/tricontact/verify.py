@@ -18,7 +18,7 @@ the constructor uses too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from itertools import combinations
 from typing import Collection, Sequence
@@ -670,23 +670,8 @@ class VerificationReport:
         return ok
 
     def to_json(self) -> dict:
-        return {
-            "passed": self.passed,
-            "graph_match": self.graph_match,
-            "missing_edges": self.missing_edges,
-            "extra_edges": self.extra_edges,
-            "simple": self.simple,
-            "offending_triples": self.offending_triples,
-            "boundary_ok": self.boundary_ok,
-            "offending_pairs": self.offending_pairs,
-            "corner_ok": self.corner_ok,
-            "offending_corners": self.offending_corners,
-            "face_condition_ok": self.face_condition_ok,
-            "offending_faces": self.offending_faces,
-            "drawing_planar": self.drawing_planar,
-            "crossings": self.crossings,
-            "drawing_note": self.drawing_note,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "drawing"}
+        return {"passed": self.passed, **out}
 
 
 def full_report(rep: Representation, T: planar.Triangulation,

@@ -2,7 +2,9 @@ import itertools
 import json
 from fractions import Fraction
 
-from tricontact import planar, verify
+import pytest
+
+from tricontact import assemble, planar, verify
 from tricontact.assemble import represent
 from tricontact.cli import main
 from tricontact.core import Representation
@@ -99,6 +101,26 @@ class TestRun:
         assert len(json.loads(drawing_f.read_text())["polylines"]) == len(k4.edges)
         assert "polyline" in svg.read_text()
 
+    def test_drawing_out_draws_the_svg(self, tmp_path):
+        # --drawing-out implies --drawing, and the SVG reuses that drawing
+        g = tmp_path / "g.json"
+        g.write_text(json.dumps(planar.gen_stacked(8, 0).to_json()))
+        drawing_f, svg = tmp_path / "d.json", tmp_path / "out.svg"
+        assert run(["run", "--input", g, "--output", tmp_path / "r.json",
+                    "--drawing-out", drawing_f, "--svg", svg]) == 0
+        polylines = json.loads(drawing_f.read_text())["polylines"]
+        assert svg.read_text().count("<polyline") == len(polylines) == 18
+
+    def test_failed_verification_exit_code(self, tmp_path, k4, outer_map, monkeypatch):
+        bad = solve_stacked(k4, outer_map).with_triangle(3, tri(Fraction(19, 10), 2, 1))
+        monkeypatch.setattr(assemble, "represent", lambda T, config: bad)
+        g = tmp_path / "g.json"
+        g.write_text(json.dumps(k4.to_json()))
+        report_f = tmp_path / "report.json"
+        assert run(["run", "--input", g, "--output", tmp_path / "r.json",
+                    "--report", report_f]) == 5
+        assert json.loads(report_f.read_text())["missing_edges"] == [[2, 3]]
+
     def test_scaled_run(self, tmp_path):
         g = tmp_path / "g.json"
         g.write_text(json.dumps(planar.double_wheel(6).to_json()))
@@ -177,3 +199,25 @@ class TestJsonRoundtrip:
 
     def test_missing_input_is_input_error(self, tmp_path):
         assert run(["validate", "--input", tmp_path / "nope.json"]) == 2
+
+    @pytest.mark.parametrize("graph", [
+        {"n": 4, "outer": [0, 1, 2], "edges": [1, 2, 3]},
+        {"n": 4, "outer": [0, 1, 2], "edges": None},
+        [],
+    ], ids=["int_edges", "null_edges", "top_level_list"])
+    def test_malformed_graph_is_invalid_graph(self, tmp_path, graph, capsys):
+        g = tmp_path / "g.json"
+        g.write_text(json.dumps(graph))
+        assert run(["validate", "--input", g]) == 3
+        assert capsys.readouterr().err.startswith("invalid graph: malformed graph JSON")
+
+    @pytest.mark.parametrize("command", ["render", "verify"])
+    @pytest.mark.parametrize("field, value", [("triangles", [["0", "0", "4"]]), ("outer", 5)])
+    def test_malformed_representation_is_input_error(self, tmp_path, k4, outer_map,
+                                                     command, field, value, capsys):
+        g = tmp_path / "g.json"
+        g.write_text(json.dumps(k4.to_json()))
+        r = tmp_path / "rep.json"
+        r.write_text(json.dumps({**solve_stacked(k4, outer_map).to_json(), field: value}))
+        assert run([command, "--input", r, "--graph", g]) == 2
+        assert capsys.readouterr().err.startswith("input error: malformed representation JSON")

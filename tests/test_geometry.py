@@ -18,23 +18,12 @@ from tricontact.geometry import (
     inside_neg,
     intersect,
     orientation,
-    push_horizontal,
-    push_vertical,
     segment_intersection_kind,
     signed_height,
-    translate,
 )
 from conftest import grid_points, in_triangle, ntri, point, tri
 
 F = Fraction
-
-
-def push_hypotenuse(t: Tri, eps: Fraction) -> Tri:
-    """Move only the hypotenuse outward by eps; right corner stays.  The
-    third side push, which the removal steps never make."""
-    if eps <= 0:
-        raise ValueError("push requires eps > 0")
-    return Tri(t.x, t.y, t.h + eps)
 
 
 def rand_tri(rng, span=10, den=8):
@@ -132,47 +121,6 @@ class TestCommonIntersection:
                 assert signed_height(a, b) >= full
 
 
-class TestPushes:
-    def test_push_vertical(self):
-        t = push_vertical(tri(0, 2, 2), F(1, 4))
-        assert t == tri("-1/4", 2, "9/4")
-        assert t.east_corner == point(2, 2)          # east corner fixed
-        assert t.s == tri(0, 2, 2).s                 # hypotenuse level unchanged
-
-    def test_push_horizontal(self):
-        t = push_horizontal(tri(1, 1, 1), F(1, 2))
-        assert t == tri(1, "1/2", "3/2")
-        assert t.x == 1                              # vertical side unchanged
-        assert t.top_corner == tri(1, 1, 1).top_corner
-
-    def test_push_hypotenuse(self):
-        t = push_hypotenuse(tri(1, 1, 1), F(1, 2))
-        assert t == tri(1, 1, "3/2")
-        assert t.right_corner == point(1, 1)
-
-    def test_translate(self):
-        assert translate(tri(0, 2, 2), F(0), F(-1, 4)) == tri(0, "7/4", 2)
-
-    def test_push_rejects_nonpositive(self):
-        for push in (push_vertical, push_horizontal, push_hypotenuse):
-            with pytest.raises(ValueError):
-                push(tri(0, 0, 1), F(0))
-
-    def test_pushes_grow_point_set(self):
-        rng = random.Random(5)
-        for _ in range(80):
-            t = rand_tri(rng)
-            eps = F(rng.randint(1, 16), 16)
-            for moved in (push_vertical(t, eps), push_horizontal(t, eps),
-                          push_hypotenuse(t, eps), inflate(t, eps)):
-                for c in t.corners:
-                    assert moved.contains(c)
-                # random interior point of t stays covered
-                a = t.x + t.h * F(rng.randint(1, 7), 16)
-                b = t.y + (t.s - a - t.y) * F(rng.randint(1, 7), 16)
-                assert t.contains(Point(a, b)) and moved.contains(Point(a, b))
-
-
 class TestInflate:
     def test_formula(self):
         assert inflate(tri(0, 0, 1), F(1)) == tri(-1, -1, 4)
@@ -193,6 +141,18 @@ class TestInflate:
             iota = F(rng.randint(1, 32), 32)
             s0 = signed_height(t1, t2)
             assert signed_height(inflate(t1, iota), inflate(t2, iota)) == s0 + 3 * iota
+
+    def test_grows_point_set(self):
+        # the corners of t stay covered, and with them its convex point set
+        rng = random.Random(5)
+        for _ in range(80):
+            t = rand_tri(rng)
+            grown = inflate(t, F(rng.randint(1, 16), 16))
+            assert all(grown.contains(c) for c in t.corners)
+
+    def test_rejects_nonpositive(self):
+        with pytest.raises(ValueError):
+            inflate(tri(0, 0, 1), F(0))
 
 
 class TestNegTri:

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,8 +14,10 @@ from tricontact.geometry import (
 from tricontact.perturb import (
     PUSH_HORIZONTAL,
     PUSH_VERTICAL,
+    STEP_RETRIES,
     TRANSLATE_DOWN,
     BadTriple,
+    ClaimViolation,
     GapError,
     PerturbError,
     QuadrupleIntersection,
@@ -29,11 +32,13 @@ from tricontact.perturb import (
     step3_separate,
 )
 from tricontact.core import Representation, int_frame
-from tricontact.perturb import (  # the integer event kernel
+from tricontact.perturb import (  # the integer event kernel and the move it times
+    _DELTAS,
     _breakpoints,
     _corner_entry,
     _first_reach,
     _lines_for,
+    _moved,
 )
 from tricontact.solver import canvas_with_roles, solve_stacked
 from tricontact.verify import intersection_graph
@@ -346,6 +351,77 @@ class TestIntegerFrameMatchesReference:
         assert [_outcome(safe_epsilon, r, m, graph_triangles(r)) for r, m in cases] == results
 
 
+def move_one(t, kind, e):
+    """t after `_moved` applies the move `kind` with step e to it alone."""
+    return _moved(Representation({0: t}, (), F(1)), {0: kind}, e).tri(0)
+
+
+class TestPushes:
+    def test_push_vertical(self):
+        t = move_one(tri(0, 2, 2), PUSH_VERTICAL, F(1, 4))
+        assert t == tri("-1/4", 2, "9/4")
+        assert t.east_corner == point(2, 2)          # east corner fixed
+        assert t.s == tri(0, 2, 2).s                 # hypotenuse level unchanged
+
+    def test_push_horizontal(self):
+        t = move_one(tri(1, 1, 1), PUSH_HORIZONTAL, F(1, 2))
+        assert t == tri(1, "1/2", "3/2")
+        assert t.x == 1                              # vertical side unchanged
+        assert t.top_corner == tri(1, 1, 1).top_corner
+
+    def test_translate(self):
+        t = move_one(tri(0, 2, 2), TRANSLATE_DOWN, F(1, 4))
+        assert t == tri(0, "7/4", 2)                 # height and vertical side unchanged
+
+    def test_push_rejects_nonpositive(self):
+        for kind in _DELTAS:
+            for e in (F(0), F(-1, 4)):
+                with pytest.raises(ValueError):
+                    move_one(tri(0, 0, 1), kind, e)
+
+    def test_pushes_grow_point_set(self):
+        # the corners of t stay covered, and with them its convex point set;
+        # the slide moves t instead
+        rng = random.Random(5)
+        for _ in range(80):
+            t = tri(F(rng.randint(-40, 40), 8), F(rng.randint(-40, 40), 8), F(rng.randint(1, 40), 8))
+            e = F(rng.randint(1, 16), 16)
+            for kind in (PUSH_VERTICAL, PUSH_HORIZONTAL):
+                moved = move_one(t, kind, e)
+                assert all(moved.contains(c) for c in t.corners)
+
+    def test_moved_applies_the_rates(self):
+        # every moved triangle's (x, y, s) changes by exactly e times its
+        # rates, and no other triangle changes
+        tangent = fixture_rep({5: tri(1, 3, 1)})
+        e = F(1, 16)
+        for rep, move in ((tangent, {0: PUSH_VERTICAL}), (tangent, {5: PUSH_HORIZONTAL}),
+                          (fixture_rep(), {0: TRANSLATE_DOWN, 1: PUSH_VERTICAL})):
+            out = _moved(rep, move, e)
+            for i, t in rep.triangles.items():
+                d = _DELTAS[move[i]] if i in move else (0, 0, 0)
+                t2 = out.tri(i)
+                assert (t2.x - t.x, t2.y - t.y, t2.s - t.s) == tuple(e * c for c in d)
+
+    def test_boundary_triangle_rejected(self, outer_map):
+        rep = Representation(dict(outer_map), (0, 1, 2), F(1))
+        with pytest.raises(PerturbError):
+            _moved(rep, {1: PUSH_VERTICAL}, F(1, 8))
+
+    def test_graph_rechecked(self):
+        # sliding t(0) down alone loses its point contacts with 1 and 5
+        rep = fixture_rep({5: tri(1, 3, 1)})
+        with pytest.raises(ClaimViolation, match="changed intersection status"):
+            _moved(rep, {0: TRANSLATE_DOWN}, F(1, 16))
+
+    def test_boundary_budget_rechecked(self, outer_map):
+        # 7 overlaps t(0) by 1/8: a push of 3/40 or more spends epsilon = 1/5
+        rep = Representation({**outer_map, 7: tri(2, "15/8", "1/2")}, (0, 1, 2), F(1, 5))
+        assert _moved(rep, {7: PUSH_VERTICAL}, F(1, 20)).tri(7) == tri("39/20", "15/8", "11/20")
+        with pytest.raises(ClaimViolation, match="reached epsilon"):
+            _moved(rep, {7: PUSH_VERTICAL}, F(3, 40))
+
+
 class TestSteps:
     def test_step1_exact(self):
         rep = fixture_rep()
@@ -463,6 +539,47 @@ class TestRemoveAll:
         monkeypatch.setattr(perturb, "remove_all", checked)
         assemble.represent(make())
         assert passed and all(passed)
+
+    def test_retry_halves_the_budgets(self, monkeypatch, k222_triple_rep):
+        # a failed recheck on the first attempt: the round is redone with
+        # every step budget halved, and the result is clean
+        rep, triangles = k222_triple_rep, graph_triangles(k222_triple_rep)
+        plain = []
+        remove_all(rep, triangles, budgets=plain)
+        real, calls = perturb.step3_separate, []
+
+        def fails_once(*a):
+            calls.append(1)
+            if len(calls) == 1:
+                raise ClaimViolation("injected")
+            return real(*a)
+
+        monkeypatch.setattr(perturb, "step3_separate", fails_once)
+        halved = []
+        out = remove_all(rep, triangles, budgets=halved)
+        assert len(calls) == 2 and len(halved) == len(plain) == 1
+        (b0,), (b1,) = plain, halved
+        assert b1.e1 == b0.e1 / 2 and b1.e2 == b0.e2 is None
+        # the slide's budget is half the safe budget after the halved widening
+        sel = select_bad(find_bad_triples(rep, triangles))
+        widened = step1_widen(rep, sel, b1.e1)
+        e3, _ = safe_epsilon(widened, {sel.u: TRANSLATE_DOWN, sel.v: PUSH_VERTICAL},
+                             triangles, exclude_triple=sel.ids)
+        assert b1.e3 == e3 / 2
+        assert find_bad_triples(out, graph_triangles(out)) == []
+        assert intersection_graph(out) == intersection_graph(rep)
+
+    def test_stuck_triple_gives_up_after_the_retries(self, monkeypatch, k222_triple_rep):
+        calls = []
+
+        def always_fails(*a):
+            calls.append(1)
+            raise ClaimViolation("injected")
+
+        monkeypatch.setattr(perturb, "step1_widen", always_fails)
+        with pytest.raises(PerturbError, match="could not clear triple"):
+            remove_all(k222_triple_rep, graph_triangles(k222_triple_rep))
+        assert len(calls) == STEP_RETRIES
 
     def test_budget_trace(self, k222_triple_rep):
         budgets = []

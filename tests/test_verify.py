@@ -403,6 +403,17 @@ class TestCheckBoundary:
         assert not cok
         assert any(o == 1 and v == 4 for o, _, v in offenders)
 
+    def test_overlap_violation_reported(self, k4, outer_map):
+        # an inner triangle overlapping boundary triangle 0 by exactly epsilon
+        rep = solve_stacked(k4, outer_map)
+        bad = rep.with_triangle(3, tri(1, 1, 1))
+        assert signed_height(bad.tri(3), bad.tri(0)) == bad.epsilon == 1
+        ok, pairs, cok, _ = check_boundary(bad)
+        assert not ok and cok
+        assert pairs == [(3, 0, "1/1")]
+        r = full_report(bad, k4, with_faces=False)
+        assert not r.passed and not r.boundary_ok and r.offending_pairs == [[3, 0, "1/1"]]
+
 
 class TestCheckFaces:
     def test_k4_all_faces(self, k4, outer_map):
@@ -696,3 +707,21 @@ class TestFullReport:
         r = full_report(rep, k4, with_drawing=True)
         js = r.to_json()
         assert js["passed"] is True and js["crossings"] == 0
+        # every field but the drawing, plus the verdict
+        assert sorted(js) == sorted([
+            "passed", "graph_match", "missing_edges", "extra_edges", "simple",
+            "offending_triples", "boundary_ok", "offending_pairs", "corner_ok",
+            "offending_corners", "face_condition_ok", "offending_faces",
+            "drawing_planar", "crossings", "drawing_note"])
+
+    def test_face_and_drawing_checks_skipped(self, k4, outer_map):
+        # the face condition and the drawing need the graph: both report
+        # the skip and fail
+        rep = solve_stacked(k4, outer_map)
+        bad = rep.with_triangle(3, tri(F(19, 10), 2, 1))
+        r = full_report(bad, k4, with_faces=True, with_drawing=True)
+        assert not r.passed and not r.graph_match
+        assert r.face_condition_ok is False
+        assert r.offending_faces == [["skipped: graph or simpleness failed"]]
+        assert r.drawing_planar is False and r.drawing is None
+        assert r.drawing_note == "skipped: graph or simpleness failed"
