@@ -70,9 +70,15 @@ class Representation:
                 int(v): Tri(frac(x), frac(y), frac(h))
                 for v, (x, y, h) in data["triangles"].items()
             }
-            return Representation(tris, tuple(data["outer"]), frac(data["epsilon"]))
+            outer = tuple(data["outer"])
+            epsilon = frac(data["epsilon"])
         except (AttributeError, TypeError) as e:  # a list or number where an object belongs
             raise ValueError(f"malformed representation JSON: {e}") from e
+        if not (all(type(v) is int and v in tris for v in outer) and len(set(outer)) == 3
+                and len(outer) == 3):
+            raise ValueError("malformed representation JSON: outer must name three "
+                             f"distinct triangles, got {data['outer']!r}")
+        return Representation(tris, outer, epsilon)
 
 
 def int_frame(rep: Representation, *extra: Fraction) -> tuple[int, Frame, tuple[int, ...]]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, insort
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, cmp_to_key
 from itertools import combinations, product
@@ -156,8 +157,15 @@ def validate(n: int, edges: Iterable[Sequence[int]], outer: Sequence[int]) -> Tr
 
 
 def from_json(data: dict) -> Triangulation:
+    """The triangulation a graph JSON object describes.  Its vertex count and
+    every vertex id must be JSON integers: no float, string or boolean is
+    read as one."""
     try:
-        return validate(int(data["n"]), data["edges"], data["outer"])
+        n, edges, outer = data["n"], data["edges"], data["outer"]
+        for x in (n, *outer, *(v for e in edges for v in e)):
+            if type(x) is not int:
+                raise GraphError(f"malformed graph JSON: {x!r} is not an integer")
+        return validate(n, edges, outer)
     except KeyError as e:
         raise GraphError(f"graph JSON missing key {e}") from e
     except TypeError as e:  # a list or null where an object, list or pair belongs
@@ -194,6 +202,37 @@ def separating_triangles(T: Triangulation) -> list[tuple[int, int, int]]:
     in the sense used here (K4 qualifies)."""
     face_sets = set(T.faces)
     return [t for t in triangles_of(T.adjacency()) if frozenset(t) not in face_sets]
+
+
+def peel(T: Triangulation) -> tuple[Triangulation, list[tuple[int, frozenset[int]]]]:
+    """Remove inner degree-3 vertices until none is left.
+
+    Returns the remainder and the peeled vertices in peel order, each with
+    the face its three neighbours bound once it is gone.  Removing an inner
+    degree-3 vertex leaves a triangulation, and degrees only fall, so a work
+    queue of the inner vertices whose degree reaches 3 peels in linear time.
+    The remainder is T itself when nothing peels, and the outer triangle
+    alone (its one face) exactly when T is stacked.  Its separating
+    triangles are T's, less the neighbourhoods of the peeled vertices.
+    """
+    adj = T.adjacency()
+    outer = T.outer_set
+    queue = deque(v for v in T.vertices() if v not in outer and len(adj[v]) == 3)
+    peeled = []
+    while queue:
+        v = queue.popleft()
+        nbrs = adj.pop(v)
+        peeled.append((v, frozenset(nbrs)))
+        for u in nbrs:
+            adj[u].discard(v)
+            if len(adj[u]) == 3 and u not in outer:
+                queue.append(u)
+    if not peeled:
+        return T, peeled
+    gone = {v for v, _ in peeled}
+    faces = {f for f in T.faces if f.isdisjoint(gone)}
+    faces.update(f for _, f in peeled if f.isdisjoint(gone))
+    return _from_faces(faces, T.outer), peeled
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,16 @@
+import hashlib
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
 
-from tricontact import planar
-from tricontact.assemble import PipelineConfig, default_outer, represent
+from tricontact import assemble, perturb, planar
+from tricontact.assemble import PipelineConfig, PipelineError, default_outer, represent
 from tricontact.geometry import Tri, common_signed_height, intersect, signed_height
 from tricontact.solver import SolverParams, canvas_with_roles
 from tricontact.verify import full_report
-from conftest import chain, implant_faces, point, tri
+from conftest import chain, implant_faces, implanted, point, tri
 
 F = Fraction
 
@@ -47,14 +49,16 @@ class TestRepresent:
             assert signed_height(rep.tri(u), rep.tri(v)) == 0
 
     def test_k4_stacked_two_levels(self, k4):
-        T = planar.stack_vertex(k4, (0, 1, 3))
+        # an octahedron in a face of the stacked vertex keeps both K4 pieces
+        # out of the peel, so each is solved on the stacked path
+        T = planar.implant_octahedron(planar.stack_vertex(k4, (0, 1, 3)), (0, 1, 4))
         trace = []
         rep = represent(T, trace=trace)
         assert full_report(rep, T, audit=True, with_drawing=True).passed
-        assert [e["path"] for e in trace] == ["stacked", "stacked"]
+        assert [e["path"] for e in trace] == ["stacked", "stacked", "solver"]
         eps = [e["epsilon"] for e in trace]
         assert eps[0] == F(1)
-        assert 0 < eps[1] <= eps[0]          # child budget = min(eps, eps')
+        assert 0 < eps[2] <= eps[1] <= eps[0]    # child budget = min(eps, eps')
 
     def test_octahedron(self, octahedron):
         rep = represent(octahedron)
@@ -81,13 +85,15 @@ class TestRepresent:
         assert "solver" in [e["path"] for e in trace]
 
     def test_budgets_shrink_down_the_tree(self):
-        T = planar.gen_stacked(16, 9)
+        T = chain(16, 9, 3)
         trace = []
         represent(T, trace=trace)
-        tree = planar.decompose(T)
+        tree = planar.decompose(planar.peel(T)[0])
+        assert {"stacked", "solver"} <= {e["path"] for e in trace}
         eps_of = {e["piece"]: e["epsilon"] for e in trace}
         for parent, child, _ in tree.links:
             assert 0 < eps_of[child] <= eps_of[parent]
+        assert len({eps_of[child] for _, child, _ in tree.links}) > 1
         # pieces are numbered in preorder, and the trace keeps that order
         assert [e["piece"] for e in trace] == list(range(len(tree.pieces)))
 
@@ -102,12 +108,60 @@ class TestRepresent:
             edges |= {(a, v), (b, v), (c, v)}
             newest = [(a, b, v), (a, c, v), (b, c, v)]
         T = planar.validate(n, sorted(edges), (0, 1, 2))
-        tree = planar.decompose(T)
-        assert tree.links == tuple((i, i + 1, (0, 1, i + 3)) for i in range(n - 4))
+        # the chain is stacked: it peels completely, and no piece is solved
+        remainder, peeled = planar.peel(T)
+        assert remainder.vertices() == (0, 1, 2) and len(peeled) == n - 3
         trace = []
         rep = represent(T, trace=trace)
         assert sorted(rep.triangles) == list(range(n))
-        assert [e["piece"] for e in trace] == list(range(n - 3))
+        assert trace == []
+        # one more stacked vertex with an octahedron in its deepest face: no
+        # vertex peels, and the n - 1 pieces walk the explicit stack
+        T = planar.stack_vertex(T, (0, 1, n - 1))
+        T = planar.implant_octahedron(T, (0, 1, n))
+        assert planar.peel(T) == (T, [])
+        tree = planar.decompose(T)
+        assert tree.links == tuple((i, i + 1, (0, 1, i + 3)) for i in range(n - 2))
+        trace = []
+        rep = represent(T, trace=trace)
+        assert sorted(rep.triangles) == list(range(n + 4))
+        assert [e["piece"] for e in trace] == list(range(n - 1))
+        assert trace[-1]["path"] == "solver"
+
+    @pytest.mark.parametrize("make, digest", [
+        (lambda: implanted(100, 3, 20),
+         "88e47c8357c19a83f1b686d69a5896db39235dca08f187a37ff7009f9733ab4c"),
+        (lambda: chain(20, 5, 6),
+         "ff8917be465af06dacd943274a9d8f88aa4e80357c917250b83670e367a6b276"),
+    ], ids=["implanted100_3x20", "chain20_5d6"])
+    def test_representation_digest_pinned(self, make, digest):
+        # peeled vertices and solved pieces together, byte for byte as the CLI writes them
+        text = json.dumps(represent(make()).to_json(), indent=2, sort_keys=True) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_stacked_input_solves_no_piece(self, monkeypatch):
+        def forbidden(*a, **k):
+            raise AssertionError("a stacked input peels completely")
+
+        monkeypatch.setattr(perturb, "remove_all", forbidden)
+        monkeypatch.setattr(perturb, "face_gap_with_roles", forbidden)
+        monkeypatch.setattr(assemble, "solve_stacked", forbidden)
+        monkeypatch.setattr(planar, "decompose", forbidden)
+        T = planar.gen_stacked(5000, 1)
+        assert sorted(represent(T).triangles) == list(range(5000))
+
+    def test_face_without_gap_is_a_pipeline_error(self, monkeypatch):
+        # drop the vertex that goes back first: the next one's face then
+        # holds a vertex that was never placed
+        real = planar.peel
+
+        def drops_first_back(T):
+            remainder, peeled = real(T)
+            return remainder, peeled[:-1]
+
+        monkeypatch.setattr(planar, "peel", drops_first_back)
+        with pytest.raises(PipelineError, match="which has no gap"):
+            represent(planar.gen_stacked(10, 0))
 
     def test_deterministic(self, octahedron):
         cfg = PipelineConfig(solver=SolverParams(seed=11))

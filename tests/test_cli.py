@@ -221,3 +221,28 @@ class TestJsonRoundtrip:
         r.write_text(json.dumps({**solve_stacked(k4, outer_map).to_json(), field: value}))
         assert run([command, "--input", r, "--graph", g]) == 2
         assert capsys.readouterr().err.startswith("input error: malformed representation JSON")
+
+    @pytest.mark.parametrize("command", ["render", "verify"])
+    @pytest.mark.parametrize("outer", [[7, 8, 9], "abc", [0, 1], [0, 1, 1], [0, True, 2],
+                                       [0, 1, 2.0]],
+                             ids=["absent", "string", "two", "repeated", "bool", "float"])
+    def test_outer_must_name_three_triangles(self, tmp_path, k4, outer_map, command, outer,
+                                             capsys):
+        g = tmp_path / "g.json"
+        g.write_text(json.dumps(k4.to_json()))
+        r = tmp_path / "rep.json"
+        r.write_text(json.dumps({**solve_stacked(k4, outer_map).to_json(), "outer": outer}))
+        assert run([command, "--input", r, "--graph", g, "--output", tmp_path / "out"]) == 2
+        assert "outer must name three distinct triangles" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change", [
+        {"n": 4.5},
+        {"edges": ["01", "02", "03", "12", "13", "23"]},
+        {"edges": [[0, True], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]},
+        {"outer": [0, 1, 2.0]},
+    ], ids=["float_n", "string_edges", "bool_endpoint", "float_outer"])
+    def test_graph_ids_must_be_integers(self, tmp_path, k4, change, capsys):
+        g = tmp_path / "g.json"
+        g.write_text(json.dumps({**k4.to_json(), **change}))
+        assert run(["validate", "--input", g]) == 3
+        assert "is not an integer" in capsys.readouterr().err

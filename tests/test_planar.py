@@ -420,6 +420,64 @@ class TestDecomposeOracle:
         assert decompose(octahedron) == decompose_by_flooding(octahedron)
 
 
+class TestPeel:
+    @pytest.mark.parametrize("n, seed", [(4, 0), (5, 1), (40, 2), (300, 1)])
+    def test_stacked_leaves_the_outer_triangle(self, n, seed):
+        T = gen_stacked(n, seed)
+        remainder, peeled = planar.peel(T)
+        assert remainder.vertices() == (0, 1, 2)
+        assert remainder.faces == (T.outer_set,) and remainder.outer == T.outer
+        assert sorted(v for v, _ in peeled) == list(range(3, n))
+
+    @pytest.mark.parametrize("make", [
+        *(lambda k=k: double_wheel(k) for k in range(4, 10)),
+        *(lambda s=s: gen_four_connected(14, s) for s in range(3)),
+    ])
+    def test_nothing_peels_from_four_connected(self, make):
+        T = make()
+        remainder, peeled = planar.peel(T)
+        assert remainder is T and peeled == []
+
+    def test_bipyramid_peels_both_apexes(self):
+        # K5 - e, e = (v, w): with outer face (a, b, v), w has degree 3, and
+        # once w is gone so has c
+        a, b, c, v, w = range(5)
+        edges = [e for e in itertools.combinations(range(5), 2) if e != (v, w)]
+        T = validate(5, edges, (a, b, v))
+        remainder, peeled = planar.peel(T)
+        assert peeled == [(w, frozenset((a, b, c))), (c, frozenset((a, b, v)))]
+        assert remainder.vertices() == (a, b, v)
+
+    def test_each_peeled_vertex_has_degree_three(self):
+        # in peel order, each vertex's neighbours among the vertices still
+        # there are exactly its face
+        T = chain(20, 5, 4)
+        remainder, peeled = planar.peel(T)
+        adj = T.adjacency()
+        gone = set()
+        for v, face in peeled:
+            assert adj[v] - gone == face
+            gone.add(v)
+        assert set(remainder.vertices()) == set(T.vertices()) - gone
+
+    @pytest.mark.parametrize("make", [
+        lambda: implanted(30, 1, 4), lambda: chain(20, 5, 4), lambda: gen_triangulation(24, 3),
+    ], ids=["implanted30_1x4", "chain20_5d4", "g24_3"])
+    def test_remainder_keeps_the_other_pieces(self, make):
+        # the remainder's pieces are T's, less the K4 piece of each peeled
+        # vertex, and the remainder is a triangulation
+        T = make()
+        remainder, peeled = planar.peel(T)
+        gone = {v for v, _ in peeled}
+        key = lambda p: (p.vertices(), p.outer)
+        kept = [key(p) for p in decompose(T).pieces if gone.isdisjoint(p.vertices())]
+        assert sorted(key(p) for p in decompose(remainder).pieces) == sorted(kept)
+        label = {v: i for i, v in enumerate(remainder.vertices())}
+        relabelled = validate(len(label), [(label[u], label[v]) for u, v in remainder.edges],
+                              [label[v] for v in remainder.outer])
+        assert {frozenset(label[v] for v in f) for f in remainder.faces} == set(relabelled.faces)
+
+
 class TestGenerators:
     def test_gen_stacked_k4(self, k4):
         T = gen_stacked(4, 123)
