@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from tricontact.geometry import Tri, frac, frac_str
@@ -47,6 +48,18 @@ class Representation:
 
     def tri(self, v: int) -> Tri:
         return self.triangles[v]
+
+    @cached_property
+    def scaled(self) -> tuple[int, dict[int, Tri]]:
+        """(S, every triangle times S), the verifier's integer frame: S is
+        `int_frame`'s D times 2^7, so every point its drawing uses (grid
+        points down to 1/64 of a height, route midpoints) is integral too.
+
+        Built once per representation; like `Tri.s`, the cache sits outside
+        the dataclass fields."""
+        den, frame, _ = int_frame(self)
+        return den << 7, {v: Tri(x << 7, y << 7, (s - x - y) << 7)
+                          for v, (x, y, s) in frame.items()}
 
     def with_triangle(self, v: int, t: Tri) -> "Representation":
         d = dict(self.triangles)

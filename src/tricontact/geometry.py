@@ -5,8 +5,11 @@ its point set is exactly {(a, b) : a >= x, b >= y, a + b <= x + y + h}.  A
 negative homothet (used for the gaps between three mutually touching positive
 ones) is stored as its top corner plus height.
 
-Everything here is decided with rational arithmetic (fractions.Fraction); no
-tolerance appears anywhere in this module.
+Everything here is decided exactly: the predicates are plain arithmetic and
+comparisons on the coordinates, so they serve ints and `fractions.Fraction`s
+alike, and no tolerance appears anywhere in this module.  The constructor
+calls them on `Fraction`s; the verifier runs them in one integer frame, the
+representation scaled to Python ints (`core.Representation.scaled`).
 """
 
 from __future__ import annotations

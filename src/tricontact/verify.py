@@ -3,12 +3,18 @@
 Rebuilds the intersection graph, checks that no point lies in three
 triangles, checks the boundary-overlap budget and corner condition, checks
 the per-face gap condition, and realizes a planar drawing with an exact
-crossing count.  Everything is decided with rational predicates.  Floats
-serve as conservative prefilters whose misses fall back to exact tests, and
-they rank the candidate points of the drawing's vertices; each winner is
-re-checked exactly.  The float work runs as numpy array kernels, once per
-representation: one sort-and-sweep over boxes (`_box_pairs`) gives the
-near pairs of every check, and the screens run over blocks of pairs.
+crossing count.  Everything is decided exactly, in one integer frame: the
+representation times S (`Representation.scaled`, built once), where
+`geometry`'s predicates run on Python ints.  Only what leaves the verifier
+(offending heights and corners, the drawing's points) is mapped back to
+`Fraction`s over S.  Floats serve as conservative prefilters whose misses
+fall back to exact tests, and they rank the candidate points of the
+drawing's vertices; each winner is re-checked exactly.  A float is n / S for
+a frame integer n, which Python rounds correctly, so it is the nearest
+double to the rational coordinate.  The float work runs as numpy array
+kernels, once per representation: one sort-and-sweep over boxes
+(`_box_pairs`) gives the near pairs of every check, and the screens run
+over blocks of pairs.
 The module imports nothing from the constructor modules (`solver`,
 `perturb`, `assemble`), and the intersection graph is built here alone:
 the constructor never builds one.  The face check is written here, but
@@ -32,6 +38,7 @@ from tricontact.geometry import (
     Point,
     Tri,
     common_signed_height,
+    frac,
     frac_str,
     gap_candidates,
     intersect,
@@ -44,9 +51,10 @@ def float_table(rep: Representation) -> tuple[list[int], np.ndarray, float]:
     """The vertices of `rep`, their triangles' rows (x, y, s, x + h, y + h)
     of nearest doubles, and the `float_pad` of linear screens over them (the
     quadratic cross and dot products have their own bound, `_err`)."""
-    table = np.array([(float(t.x), float(t.y), float(t.s), float(t.x + t.h), float(t.y + t.h))
-                      for t in rep.triangles.values()], dtype=float).reshape(-1, 5)
-    return list(rep.triangles), table, float_pad(float(np.abs(table).max(initial=0.0)))
+    S, tris = rep.scaled
+    table = np.array([(t.x / S, t.y / S, t.s / S, (t.x + t.h) / S, (t.y + t.h) / S)
+                      for t in tris.values()], dtype=float).reshape(-1, 5)
+    return list(tris), table, float_pad(float(np.abs(table).max(initial=0.0)))
 
 
 # Most pairs in one block of a kernel, so that its temporaries stay small
@@ -88,10 +96,10 @@ def intersection_graph(rep: Representation) -> set[tuple[int, int]]:
     float signed height min(s) - max(x) - max(y) drops the pairs below
     -pad, which certainly miss; every other pair is settled exactly.
     """
-    ids, tris = list(rep.triangles), list(rep.triangles.values())
-    xys = np.array([(float(t.x), float(t.y), float(t.s)) for t in tris], dtype=float).reshape(-1, 3)
-    x, y, s = xys.T
-    pad = float_pad(float(np.abs(xys).max(initial=0.0)))
+    ids, table, _pad = float_table(rep)
+    tris = list(rep.scaled[1].values())
+    x, y, s = table[:, :3].T
+    pad = float_pad(float(np.abs(table[:, :3]).max(initial=0.0)))
     out = set()
     for i, j in _box_pairs(np.stack((x, s - y, y, s - x), axis=1), pad):
         near = np.minimum(s[i], s[j]) - np.maximum(x[i], x[j]) - np.maximum(y[i], y[j]) >= -pad
@@ -120,16 +128,17 @@ def check_simple(rep: Representation, edges: set[tuple[int, int]] | None = None,
     """
     if edges is None:
         edges = intersection_graph(rep)
-    vs = sorted(rep.triangles)
+    tris = rep.scaled[1]
+    vs = sorted(tris)
     offending = []
     for a, b, c in planar.triangles_of(planar.adjacency_of(vs, edges)):
-        if common_signed_height([rep.tri(a), rep.tri(b), rep.tri(c)]) >= 0:
+        if common_signed_height([tris[a], tris[b], tris[c]]) >= 0:
             offending.append((a, b, c))
     if audit:
         brute = [
             (a, b, c)
             for a, b, c in combinations(vs, 3)
-            if common_signed_height([rep.tri(a), rep.tri(b), rep.tri(c)]) >= 0
+            if common_signed_height([tris[a], tris[b], tris[c]]) >= 0
         ]
         if brute != offending:
             raise AssertionError("graph-based and cubic triple scans disagree")
@@ -143,27 +152,31 @@ def check_boundary(rep: Representation, epsilon: Fraction | None = None
     boundary corner lies in an inner triangle.
 
     Returns (boundary_ok, offending pairs with heights, corner_ok, offenders).
+    A height h in the frame fails iff h >= eps * S, that is iff h is at least
+    the ceiling of eps * S.
     """
-    eps = rep.epsilon if epsilon is None else epsilon
-    outer = [v for v in rep.outer]
+    eps = frac(rep.epsilon if epsilon is None else epsilon)
+    S, tris = rep.scaled
+    least = -(-eps.numerator * S // eps.denominator)
     inner = rep.inner_ids()
     bad_pairs = []
-    for o in outer:
-        to = rep.tri(o)
+    for o in rep.outer:
+        to = tris[o]
         for v in inner:
-            s = signed_height(rep.tri(v), to)
-            if s >= eps:
-                bad_pairs.append((v, o, frac_str(s)))
+            s = signed_height(tris[v], to)
+            if s >= least:
+                bad_pairs.append((v, o, frac_str(Fraction(s, S))))
     bad_corners = []
-    for o in outer:
-        for corner in rep.tri(o).corners:
+    for o in rep.outer:
+        for corner in tris[o].corners:
             for v in inner:
-                if rep.tri(v).contains(corner):
-                    bad_corners.append((o, (frac_str(corner.x), frac_str(corner.y)), v))
+                if tris[v].contains(corner):
+                    bad_corners.append((o, (frac_str(Fraction(corner.x, S)),
+                                            frac_str(Fraction(corner.y, S))), v))
     return (not bad_pairs), bad_pairs, (not bad_corners), bad_corners
 
 
-def _face_fault(rep: Representation, ids: tuple[int, int, int], cands: list[NegTri],
+def _face_fault(tris: dict[int, Tri], ids: tuple[int, int, int], cands: list[NegTri],
                 fc: list[tuple[float, float, float]], near: list[tuple[int, list[float]]],
                 pad: float) -> str | None:
     """Why the face `ids` fails the gap condition, or None if it passes.
@@ -174,8 +187,9 @@ def _face_fault(rep: Representation, ids: tuple[int, int, int], cands: list[NegT
     every triangle outside the face that meets one of the gap's three strips
     (the positive homothets of the gap's height mirrored across its sides)
     stays strictly off that side's line, so that a probe of positive height
-    fits against every gap side.  `fc` holds the candidates' (X, Y, H) in
-    floats, `near` the triangles outside the face near its query box.
+    fits against every gap side.  `tris` and `cands` are in the integer
+    frame, `fc` holds the candidates' (X, Y, H) in floats, `near` the
+    triangles outside the face near its query box.
     """
     if not cands:
         return f"no gap candidate for face {list(ids)}"
@@ -187,7 +201,7 @@ def _face_fault(rep: Representation, ids: tuple[int, int, int], cands: list[NegT
             # interiors meet only if x < X, y < Y and s > X + Y - H
             if x > gx + pad or y > gy + pad or s < level - pad:
                 continue
-            if neg_interior_hits(gap, rep.tri(v)):
+            if neg_interior_hits(gap, tris[v]):
                 return True
         return False
 
@@ -213,7 +227,7 @@ def _face_fault(rep: Representation, ids: tuple[int, int, int], cands: list[NegT
         for v, (x, y, s, _xh, _yh) in near:
             if depth_f(x, y, s) > pad or min(ps, s) - max(px, x) - max(py, y) < -pad:
                 continue  # certainly beyond the side, or certainly off the strip
-            t = rep.tri(v)
+            t = tris[v]
             if signed_height(strip, t) >= 0 and depth(t.x, t.y, t.s) <= 0:
                 return f"triangle {v} touches a gap side of face {list(ids)}"
     return None
@@ -231,10 +245,11 @@ def check_face_condition(rep: Representation, T: planar.Triangulation) -> tuple[
     largest magnitude bounds them too, and H is at most twice it.
     """
     ids, table, pad = float_table(rep)
+    S, tris = rep.scaled
     rows = table.tolist()
     faces = [tuple(sorted(f)) for f in T.inner_faces]
-    cands = [[g for g, _roles in gap_candidates([rep.tri(v) for v in f])] for f in faces]
-    fcs = [[(float(g.x), float(g.y), float(g.h)) for g in c] for c in cands]
+    cands = [[g for g, _roles in gap_candidates([tris[v] for v in f])] for f in faces]
+    fcs = [[(g.x / S, g.y / S, g.h / S) for g in c] for c in cands]
     queried = np.array([k for k, c in enumerate(cands) if c], dtype=np.intp)
     # the candidate gaps and their strips lie in [X - H, X + H] x [Y - H, Y + H]
     # for their (X, Y, H): the union of these boxes, widened by `pad`
@@ -255,7 +270,7 @@ def check_face_condition(rep: Representation, T: planar.Triangulation) -> tuple[
     failures = []
     for k, f in enumerate(faces):
         near = [(ids[r], rows[r]) for r in rq[cut[k]:cut[k + 1]] if ids[r] not in f]
-        why = _face_fault(rep, f, cands[k], fcs[k], near, pad)
+        why = _face_fault(tris, f, cands[k], fcs[k], near, pad)
         if why is not None:
             failures.append((f, why))
     return (not failures), failures
@@ -303,7 +318,8 @@ def _free_points(rep: Representation, nbrs: dict[int, Collection[int]],
                  lenses: dict[tuple[int, int], Tri]) -> dict[int, Point]:
     """For each vertex u of `nbrs`, a point of t(u) covered by no other
     triangle, chosen from an interior grid; each winner's non-membership in
-    every other triangle is verified exactly.
+    every other triangle is verified exactly.  The contacts, the lenses and
+    the points returned are in `rep`'s integer frame (`Representation.scaled`).
 
     The candidates are ranked first by how many straight rays, from the
     candidate to the contact anchors of u's edges, pass through the overlap
@@ -315,8 +331,9 @@ def _free_points(rep: Representation, nbrs: dict[int, Collection[int]],
     finer grid.
     """
     ids, table, pad = float_table(rep)
+    S, tris = rep.scaled
     row = {v: r for r, v in enumerate(ids)}
-    hf = np.array([float(t.h) for t in rep.triangles.values()])
+    hf = np.array([t.h / S for t in tris.values()])
     # directed pairs (u, v) with v's box within `pad` of u's box; the sweep's
     # 2 * pad covers this test in both directions despite their roundings
     nu: list[int] = []
@@ -329,12 +346,12 @@ def _free_points(rep: Representation, nbrs: dict[int, Collection[int]],
             nv += v[keep].tolist()
     near: dict[int, list[Tri]] = {v: [] for v in ids}
     for u, v in zip(nu, nv):
-        near[ids[u]].append(rep.tri(ids[v]))
+        near[ids[u]].append(tris[ids[v]])
     nu_a, nv_a = np.array(nu, dtype=np.intp), np.array(nv, dtype=np.intp)
     # a ray runs from a candidate of u to the contact of one of u's edges; its
     # regions are the lenses of u's other edges; each is converted once
-    cf = {e: (float(c.x), float(c.y)) for e, c in contacts.items()}
-    lf = {e: (float(t.x), float(t.y), float(t.s)) for e, t in lenses.items()}
+    cf = {e: (c.x / S, c.y / S) for e, c in contacts.items()}
+    lf = {e: (t.x / S, t.y / S, t.s / S) for e, t in lenses.items()}
     ray_row: list[int] = []  # per ray: the row of u
     pair_ray, pair_geo = [], []  # per (ray, region): the ray, target (x, y) + region (x, y, s)
     for u in sorted(nbrs):
@@ -386,10 +403,10 @@ def _free_points(rep: Representation, nbrs: dict[int, Collection[int]],
                              -clear, blocked))[:, :16]
         still = []
         for u, best in zip(pending, ranked.tolist()):
-            tu = rep.tri(u)
+            tu = tris[u]
             for k in best:
                 i, j = grid[k]
-                p = Point(tu.x + tu.h * Fraction(i, denom), tu.y + tu.h * Fraction(j, denom))
+                p = Point(tu.x + tu.h * i // denom, tu.y + tu.h * j // denom)
                 if not any(t.contains(p) for t in near[u]):
                     points[u] = p
                     break
@@ -403,7 +420,9 @@ def _free_points(rep: Representation, nbrs: dict[int, Collection[int]],
 
 
 def _midpoint(a: Point, b: Point) -> Point:
-    return Point((a.x + b.x) / 2, (a.y + b.y) / 2)
+    """The midpoint of a and b, exact in the integer frame, where every
+    vertex point and contact has even coordinates."""
+    return Point((a.x + b.x) // 2, (a.y + b.y) // 2)
 
 
 def _route(pu: Point, c: Point, pv: Point) -> list[Point]:
@@ -500,8 +519,10 @@ def _exact_violation(polylines: Sequence[tuple[int, int, list[Point]]],
     return True
 
 
-def _violations(polylines: Sequence[tuple[int, int, list[Point]]]) -> list[tuple[int, int]]:
-    """All forbidden meetings between polyline segments, as (pid, qid) pairs.
+def _violations(polylines: Sequence[tuple[int, int, list[Point]]],
+                scale: int = 1) -> list[tuple[int, int]]:
+    """All forbidden meetings between polyline segments, as (pid, qid) pairs,
+    for points given times `scale` (the integer frame's S, or 1).
 
     Allowed: consecutive segments of one polyline sharing their joint, and
     two routes of edges sharing a vertex meeting exactly at that vertex's
@@ -523,7 +544,7 @@ def _violations(polylines: Sequence[tuple[int, int, list[Point]]]) -> list[tuple
         for p in path:
             if id(p) not in row:
                 row[id(p)] = len(xy) // 2
-                xy += (float(p.x), float(p.y))
+                xy += (p.x / scale, p.y / scale)
         for k in range(len(path) - 1):
             segs += (pid, k, row[id(path[k])], row[id(path[k + 1])])
     xy = np.array(xy, dtype=float).reshape(-1, 2)
@@ -564,78 +585,41 @@ def count_crossings(polylines: Sequence[tuple[int, int, list[Point]]]) -> int:
     return len(_violations(polylines))
 
 
-def _bend_anchors(rep: Representation, v: int, pv: Point) -> list[Point]:
-    """Interior bend targets for legs hosted by t(v), tried in order."""
-    t = rep.tri(v)
-    q = t.h / 4
-    e = t.h / 8
-    return [
-        Point(t.x + q, t.y + q),
-        Point(t.x + e, t.y + e),
-        Point(t.x + 3 * e, t.y + e),
-        Point(t.x + e, t.y + 3 * e),
-        pv,
-    ]
-
-
-_PULLS = (Fraction(1, 2), Fraction(3, 4), Fraction(15, 16))
-REROUTE_ROUNDS = 24  # repair rounds before extract_drawing gives up
-
-
 def extract_drawing(rep: Representation, T: planar.Triangulation) -> Drawing:
     """Planar drawing witness: a free point per vertex, and one 4-segment
     polyline per edge through a point of the pairwise intersection.
 
-    Collisions trigger deterministic per-route repair: each offending route's
-    waypoints are pulled (with geometrically deepening weights) toward a
-    cycled sequence of interior bend targets of their hosting triangles,
-    which steers the legs around overlap regions near foreign contacts.  Only
-    routes involved in a violation are modified.  A drawing is returned only
-    after an exact scan of all its segments finds no violation, so it is
-    crossing-free; exhausting REROUTE_ROUNDS rounds raises.
+    The drawing is built in `rep`'s integer frame and returned only after
+    one exact scan of all its segments (`_violations`) finds no forbidden
+    meeting, so it is crossing-free; otherwise `DrawingError` names the
+    first offending routes.  Its points are then mapped back to `rep`'s
+    coordinates, one `Point` per frame point, so shared endpoints stay
+    shared.
     """
-    adj = T.adjacency()
+    S, tris = rep.scaled
     contacts: dict[tuple[int, int], Point] = {}
     lenses: dict[tuple[int, int], Tri] = {}
     for u, v in sorted(T.edges):
-        ov = intersect(rep.tri(u), rep.tri(v))
+        ov = intersect(tris[u], tris[v])
         if ov.is_empty:
             raise DrawingError(f"edge ({u},{v}) has disjoint triangles")
         contacts[(u, v)] = ov.right_corner
         if ov.kind == "region":
             lenses[(u, v)] = ov.region
-    points = _free_points(rep, adj, contacts, lenses)
-    edge_list = sorted(T.edges)
-    base = []
-    for u, v in edge_list:
-        base.append((u, v, _route(points[u], contacts[(u, v)], points[v])))
-
-    anchors: dict[int, list[Point]] = {}  # made on first use
-    repair = [0] * len(base)
-    polylines = list(base)
-    for _ in range(REROUTE_ROUNDS):
-        bad = _violations(polylines)
-        if not bad:
-            return Drawing(points=points, polylines=polylines)
-        for pid in sorted({p for pair in bad for p in pair}):
-            repair[pid] += 1
-            u, v, _path = base[pid]
-            pu, m1_0, c, m2_0, pv = base[pid][2]
-            step = repair[pid]
-            pull = _PULLS[step % len(_PULLS)]
-            for w in (u, v):
-                if w not in anchors:
-                    anchors[w] = _bend_anchors(rep, w, points[w])
-            au = anchors[u][(step // len(_PULLS)) % len(anchors[u])]
-            av = anchors[v][(step // len(_PULLS)) % len(anchors[v])]
-            m1 = Point(au.x + (m1_0.x - au.x) * (1 - pull),
-                       au.y + (m1_0.y - au.y) * (1 - pull))
-            m2 = Point(av.x + (m2_0.x - av.x) * (1 - pull),
-                       av.y + (m2_0.y - av.y) * (1 - pull))
-            polylines[pid] = (u, v, [pu, m1, c, m2, pv])
-    if not _violations(polylines):
-        return Drawing(points=points, polylines=polylines)  # pragma: no cover
-    raise DrawingError("edge routing collisions persist after re-routing")
+    points = _free_points(rep, T.adjacency(), contacts, lenses)
+    polylines = [(u, v, _route(points[u], contacts[(u, v)], points[v]))
+                 for u, v in sorted(T.edges)]
+    bad = _violations(polylines, S)
+    if bad:
+        raise DrawingError("edge routes meet: " + ", ".join(
+            f"{polylines[p][:2]} and {polylines[q][:2]}" for p, q in list(dict.fromkeys(bad))[:3]))
+    back: dict[int, Point] = {}  # id of a frame point -> the point in rep's coordinates
+    for _u, _v, path in polylines:
+        for p in path:
+            if id(p) not in back:
+                back[id(p)] = Point(Fraction(p.x, S), Fraction(p.y, S))
+    return Drawing(points={u: back[id(p)] for u, p in points.items()},
+                   polylines=[(u, v, [back[id(p)] for p in path]) for u, v, path in polylines])
 
 
 # ---------------------------------------------------------------------------
@@ -715,8 +699,8 @@ def full_report(rep: Representation, T: planar.Triangulation,
                 report.drawing_planar = False
                 report.drawing_note = str(e)
             else:
-                # extract_drawing returns only drawings its final exact scan
-                # found crossing-free
+                # extract_drawing returns only drawings its exact scan found
+                # crossing-free
                 report.drawing_planar = True
                 report.crossings = 0
         else:

@@ -47,12 +47,24 @@ def implant_faces(T: planar.Triangulation, indices) -> planar.Triangulation:
     return T
 
 
+def newest_face(T: planar.Triangulation) -> list[int]:
+    """The first inner face, in sorted order, that holds T's newest vertex."""
+    return sorted(sorted(f) for f in T.inner_faces if T.n - 1 in f)[0]
+
+
+def stacking_chain(n) -> planar.Triangulation:
+    """K4, then vertices 4..n-1, each stacked into the first face holding the
+    previous one: a stacked triangulation nested n - 3 levels deep."""
+    T = planar.validate(4, list(itertools.combinations(range(4), 2)), (0, 1, 2))
+    while T.n < n:
+        T = planar.stack_vertex(T, newest_face(T))
+    return T
+
+
 def chain(n, seed, depth) -> planar.Triangulation:
     """gen_stacked(n, seed) with an octahedron in its first inner face, then
     `depth` rounds of stack_vertex + implant_octahedron, each into the first
     face holding the newest vertex (the benchmark's `nested` chains)."""
-    def newest_face(T):
-        return sorted(sorted(f) for f in T.inner_faces if T.n - 1 in f)[0]
     host = planar.gen_stacked(n, seed)
     T = planar.implant_octahedron(host, sorted(sorted(f) for f in host.inner_faces)[0])
     for _ in range(depth):

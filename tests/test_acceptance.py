@@ -5,6 +5,7 @@ instance produced by the construction criteria).
 """
 
 import itertools
+import json
 import random
 import time
 from fractions import Fraction
@@ -326,7 +327,8 @@ def _ensure_composed():
 
 def test_criterion_7_negative_controls(k4, octahedron, k222_triple_rep):
     """The verifier must fail with correct diagnostics on (i) a triple point,
-    (ii) a missing adjacency, (iii) an inner triangle over a boundary corner."""
+    (ii) a missing adjacency, (iii) an inner triangle over a boundary corner,
+    (iv) all of these at once off the dyadic path."""
     # (i) triple point
     r = full_report(k222_triple_rep, octahedron, with_faces=False)
     assert not r.passed and not r.simple
@@ -348,5 +350,23 @@ def test_criterion_7_negative_controls(k4, octahedron, k222_triple_rep):
     assert not r.passed and not r.corner_ok
     assert any(o == 1 and v == 4 for o, _, v in
                [(c[0], c[1], c[2]) for c in r.offending_corners])
+
+    # (iv) thirds and fifths: triangle 5 swallows a corner of boundary
+    # triangle 1, and triangle 4 overlaps boundary triangle 2 by exactly the
+    # epsilon override; pinned as the Fraction-based verifier reported it
+    thirds = k222_triple_rep.with_triangle(4, tri(F(7, 3), F(5, 3), 1))
+    thirds = thirds.with_triangle(5, tri(F(4, 5), F(13, 5), F(6, 5)))
+    r = full_report(thirds, octahedron, epsilon=F(1, 3), with_drawing=True)
+    assert json.loads(json.dumps(r.to_json())) == {
+        "passed": False, "graph_match": False, "missing_edges": [[3, 5], [4, 5]],
+        "extra_edges": [], "simple": False, "offending_triples": [[0, 1, 5]],
+        "boundary_ok": False,
+        "offending_pairs": [[5, 0, "3/5"], [5, 1, "3/5"], [4, 2, "1/3"]],
+        "corner_ok": False, "offending_corners": [[1, ["1/1", "3/1"], 5]],
+        "face_condition_ok": False,
+        "offending_faces": [["skipped: graph or simpleness failed"]],
+        "drawing_planar": False, "crossings": None,
+        "drawing_note": "skipped: graph or simpleness failed"}
     print("\n[criterion 7] PASS: triple point, missing adjacency, and corner "
-          "violation each caught with the offending items reported")
+          "violation each caught with the offending items reported, also off "
+          "the dyadic path")

@@ -10,7 +10,7 @@ from tricontact.assemble import PipelineConfig, PipelineError, default_outer, re
 from tricontact.geometry import Tri, common_signed_height, intersect, signed_height
 from tricontact.solver import SolverParams, canvas_with_roles
 from tricontact.verify import full_report
-from conftest import chain, implant_faces, implanted, point, tri
+from conftest import chain, implant_faces, implanted, point, stacking_chain, tri
 
 F = Fraction
 
@@ -209,10 +209,13 @@ class TestLocalFrame:
         for v, t in base.triangles.items():
             assert rep.tri(v) == Tri(t.x * k + d[0], t.y * k + d[1], t.h * k)
 
-    @pytest.mark.parametrize("seed, depth", [(5, 7), (7, 12)])
-    def test_deep_chain_certifies(self, seed, depth):
-        # near (1, 3), absolute floats cannot resolve the innermost canvases' tolerances
-        T = chain(20, seed, depth)
+    @pytest.mark.parametrize("make", [lambda: chain(20, 5, 7), lambda: chain(20, 7, 12),
+                                      lambda: stacking_chain(90)],
+                             ids=["5-7", "7-12", "stacking90"])
+    def test_deep_chain_certifies(self, make):
+        # near (1, 3), absolute floats cannot resolve the innermost canvases'
+        # tolerances, nor the verifier's screens separate the deepest triangles
+        T = make()
         rep = represent(T)
         assert full_report(rep, T, with_faces=True, with_drawing=True).passed
 
