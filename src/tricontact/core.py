@@ -1,5 +1,5 @@
-"""The representation type, its integer frame and the slack of every float
-screen, shared by the constructor and the verifier."""
+"""The representation type and its integer frame, shared by the constructor
+and the verifier, and the slack of every float screen of the verifier."""
 
 from __future__ import annotations
 
@@ -51,13 +51,14 @@ class Representation:
 
     @cached_property
     def scaled(self) -> tuple[int, dict[int, Tri]]:
-        """(S, every triangle times S), the verifier's integer frame: S is
-        `int_frame`'s D times 2^7, so every point its drawing uses (grid
-        points down to 1/64 of a height, route midpoints) is integral too.
+        """(S, every triangle times S), the integer frame of triple removal,
+        the face gaps and the verifier: S is `int_frame`'s D over every
+        coordinate and epsilon, times 2^7, so every point the drawing uses
+        (grid points down to 1/64 of a height, route midpoints) is integral.
 
         Built once per representation; like `Tri.s`, the cache sits outside
         the dataclass fields."""
-        den, frame, _ = int_frame(self)
+        den, frame, _ = int_frame(self, self.epsilon)
         return den << 7, {v: Tri(x << 7, y << 7, (s - x - y) << 7)
                           for v, (x, y, s) in frame.items()}
 

@@ -8,8 +8,8 @@ ones) is stored as its top corner plus height.
 Everything here is decided exactly: the predicates are plain arithmetic and
 comparisons on the coordinates, so they serve ints and `fractions.Fraction`s
 alike, and no tolerance appears anywhere in this module.  The constructor
-calls them on `Fraction`s; the verifier runs them in one integer frame, the
-representation scaled to Python ints (`core.Representation.scaled`).
+builds triangles in `Fraction`s; triple removal, the face gaps and the
+verifier decide in one integer frame (`core.Representation.scaled`).
 """
 
 from __future__ import annotations

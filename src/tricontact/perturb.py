@@ -7,9 +7,11 @@ forbidden event (a non-intersecting pair starting to touch, an intersecting
 pair separating, a third triangle joining an intersection, a boundary-overlap
 budget being exhausted, a boundary corner being swallowed) is located exactly
 as the first sign change of a piecewise-linear function of the step size; the
-step uses half the earliest event time.  The analysis runs in integers, on
-coordinates scaled by their common denominator.  After each move the full
-invariant set is re-verified.
+step uses half the earliest event time.  After each move the full invariant
+set is re-verified.  Every scan and check runs on Python ints, in the
+representation's integer frame (`core.Representation.scaled`); only what
+leaves the module (step sizes, a bad triple's overlap, a face gap and its
+budget) is built in `Fraction`s.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from tricontact.core import Frame, Representation, float_pad, int_frame
+from tricontact.core import Frame, Representation
 from tricontact.geometry import (
     NegTri,
     Overlap,
@@ -106,7 +108,8 @@ def _assign_roles(ids: Sequence[int], tris: Sequence[Tri]) -> tuple[int, int, in
     I's right corner), w the y bound (top corner at I's top corner).  The
     largest deficit per bound identifies the roles robustly even when the
     near-ties are perturbed.  For single-point intersections the exact corner
-    structure is verified.
+    structure is verified.  Only comparisons decide, so any common frame
+    serves.
     """
     ms = min(t.s for t in tris)
     mx = max(t.x for t in tris)
@@ -139,22 +142,24 @@ def find_bad_triples(rep: Representation,
 
     Only triangles of the intersection graph can qualify (a pairwise-empty
     pair forces an empty common intersection); `triangles` lists them.
-    Errors out if any four triangles share a point.
+    Errors out if any four triangles share a point.  The scans run in the
+    integer frame; only a bad triple's overlap is built in `Fraction`s.
     """
     out = []
-    all_ids = sorted(rep.triangles)
+    tris = rep.scaled[1]
+    all_ids = sorted(tris)
     for a, b, c in triangles:
-        ts = [rep.tri(a), rep.tri(b), rep.tri(c)]
-        ov = common_intersection(ts)
-        if ov.is_empty:
+        ts = [tris[a], tris[b], tris[c]]
+        if common_signed_height(ts) < 0:
             continue
         for z in all_ids:
             if z in (a, b, c):
                 continue
-            if common_signed_height(ts + [rep.tri(z)]) >= 0:
+            if common_signed_height(ts + [tris[z]]) >= 0:
                 raise QuadrupleIntersection(
                     f"triangles {a},{b},{c},{z} share a point; re-solve with smaller delta")
         u, v, w = _assign_roles((a, b, c), ts)
+        ov = common_intersection([rep.tri(a), rep.tri(b), rep.tri(c)])
         out.append(BadTriple(u=u, v=v, w=w, overlap=ov, p=ov.right_corner))
     return out
 
@@ -182,7 +187,9 @@ _DELTAS = {
 }
 # Every rate is 0 or -1, so in a frame where every coordinate is an integer
 # two lines of one term cross at an integer step (`_breakpoints`), and every
-# knot value is an integer; only an interpolated crossing is a fraction.
+# knot value is an integer; only an interpolated crossing is a fraction.  A
+# signed height's slope is then -1, 0, 1 or 2, so where every coordinate is
+# even, as in `Representation.scaled`, the crossings are integers too.
 assert all(d in (0, -1) for ds in _DELTAS.values() for d in ds)
 
 Move = Mapping[int, str]  # vertex -> primitive kind
@@ -220,6 +227,12 @@ def _eval_signed(groups, t: int) -> int:
             - max(a + s * t for a, s in y_lines))
 
 
+def _quotient(num: int, den: int) -> int | Fraction:
+    """num / den, as an int whenever den divides num."""
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
+
+
 def _first_reach(groups, thresh: int, upward: bool,
                  stop: int | Fraction | None = None) -> int | Fraction | None:
     """Smallest t > 0 where the piecewise-linear signed height reaches thresh
@@ -235,14 +248,14 @@ def _first_reach(groups, thresh: int, upward: bool,
         if (f1 >= thresh) if upward else (f1 < thresh):
             if f1 == f0:  # a flat first segment already past thresh
                 return t1 if upward else t0
-            return Fraction(t0 * (f1 - f0) + (thresh - f0) * (t1 - t0), f1 - f0)
+            return _quotient(t0 * (f1 - f0) + (thresh - f0) * (t1 - t0), f1 - f0)
         if stop is not None and t1 >= stop:
             return None
         t0, f0 = t1, f1
     # unbounded last segment
     slope = _eval_signed(groups, t0 + 1) - f0
     if (slope > 0) if upward else (slope < 0):
-        return Fraction(t0 * slope + thresh - f0, slope)
+        return _quotient(t0 * slope + thresh - f0, slope)
     return None
 
 
@@ -272,6 +285,12 @@ def _corner_entry(corner: tuple[int, int], t: tuple[int, int, int], kind: str) -
     return lo
 
 
+def _scaled_epsilon(rep: Representation) -> int:
+    """The boundary budget in the frame `rep.scaled`, an integer: the
+    frame's common denominator includes epsilon's."""
+    return rep.epsilon.numerator * (rep.scaled[0] // rep.epsilon.denominator)
+
+
 def safe_epsilon(rep: Representation, move: Move,
                  triangles: Sequence[tuple[int, int, int]],
                  exclude_triple: frozenset[int] | None = None
@@ -287,17 +306,20 @@ def safe_epsilon(rep: Representation, move: Move,
     the triangles of the intersection graph.  Raises ZeroClearance when an
     event already sits at zero.
 
-    The analysis runs in `core.int_frame`, and the clearance is divided by D
-    once at the end.  Clearance = min(events and cap), so a scan may stop
-    at the smallest event found so far.
+    The analysis runs in the integer frame `rep.scaled`, where every event
+    is an integer, and the clearance is divided by its S once at the end.
+    Clearance = min(events and cap), so a scan may stop at the smallest
+    event found so far.
     """
     outer = set(rep.outer)
     for i in move:
         if i in outer:
             raise PerturbError(f"move targets boundary triangle {i}")
     moved = set(move)
-    den, frame, (eps,) = int_frame(rep, rep.epsilon)
-    best = min(frame[i][2] - frame[i][0] - frame[i][1] for i in moved)  # cap: moved heights
+    S, tris = rep.scaled
+    eps = _scaled_epsilon(rep)
+    frame = {v: (t.x, t.y, t.s) for v, t in tris.items()}
+    best = min(tris[i].h for i in moved)  # cap: moved heights
 
     for a, b in combinations(sorted(frame), 2):
         if a not in moved and b not in moved:
@@ -326,18 +348,15 @@ def safe_epsilon(rep: Representation, move: Move,
                 best = min(best, ev)
 
     for o in outer:
-        x, y, s = frame[o]
-        h = s - x - y
-        for corner in ((x, y), (x, y + h), (x + h, y)):
+        for c in tris[o].corners:
             for i in moved:
-                ev = _corner_entry(corner, frame[i], move[i])
+                ev = _corner_entry((c.x, c.y), frame[i], move[i])
                 if ev is not None:
                     best = min(best, ev)
 
     if best <= 0:
         raise ZeroClearance(f"an event sits at zero clearance for move {dict(move)}")
-    clearance = Fraction(best, den)
-    return clearance / 2, clearance
+    return Fraction(best, 2 * S), Fraction(best, S)
 
 
 # ---------------------------------------------------------------------------
@@ -346,35 +365,34 @@ def safe_epsilon(rep: Representation, move: Move,
 
 def _check_graph_preserved(before: Representation, after: Representation,
                            touched: Iterable[int]) -> None:
+    # signs do not depend on the frame, so each side is read in its own
     touched = set(touched)
+    t0, t1 = before.scaled[1], after.scaled[1]
     for a in touched:
-        ta0, ta1 = before.tri(a), after.tri(a)
-        for b in before.triangles:
+        for b in t0:
             if b == a or (b in touched and b < a):
                 continue
-            s0 = signed_height(ta0, before.tri(b))
-            s1 = signed_height(ta1, after.tri(b))
-            if (s0 >= 0) != (s1 >= 0):
+            if (signed_height(t0[a], t0[b]) >= 0) != (signed_height(t1[a], t1[b]) >= 0):
                 raise ClaimViolation(f"pair ({a},{b}) changed intersection status")
 
 
 def _check_boundary_budget(rep: Representation, touched: Iterable[int]) -> None:
     outer = set(rep.outer)
+    tris, eps = rep.scaled[1], _scaled_epsilon(rep)
     for i in touched:
         if i in outer:
             continue
-        ti = rep.tri(i)
+        ti = tris[i]
         for o in outer:
-            s = signed_height(ti, rep.tri(o))
-            if s >= rep.epsilon:
+            if signed_height(ti, tris[o]) >= eps:
                 raise ClaimViolation(f"boundary overlap ({i},{o}) reached epsilon")
-            for corner in rep.tri(o).corners:
+            for corner in tris[o].corners:
                 if ti.contains(corner):
                     raise ClaimViolation(f"boundary corner of {o} entered triangle {i}")
 
 
-def _single_point_contact(rep: Representation, u: int, z: int) -> Point | None:
-    ov = intersect(rep.tri(z), rep.tri(u))
+def _single_point_contact(t: Tri, z: Tri) -> Point | None:
+    ov = intersect(t, z)
     return ov.point if ov.kind == "point" else None
 
 
@@ -405,28 +423,22 @@ def step1_widen(rep: Representation, triple: BadTriple, e1: Fraction) -> Represe
     """
     u = triple.u
     out = _moved(rep, {u: PUSH_VERTICAL}, e1)
-    q = out.tri(u).top_corner
-    for z in out.triangles:
-        if z != u and _single_point_contact(out, u, z) == q:
+    tris = out.scaled[1]
+    q = tris[u].top_corner
+    for z, tz in tris.items():
+        if z != u and _single_point_contact(tris[u], tz) == q:
             raise ClaimViolation(f"top corner of {u} is a contact point with {z}")
     return out
 
 
-def _hyp_point_contacts(rep: Representation, u: int) -> dict[int, Point]:
+def _hyp_point_contacts(rep: Representation, u: int) -> list[int]:
     """Triangles touching t(u) in a single point of its hypotenuse above its
     east corner (top corner included)."""
-    tu = rep.tri(u)
-    lo, hi = tu.x, tu.x + tu.h
-    found = {}
-    for z in rep.triangles:
-        if z == u:
-            continue
-        c = _single_point_contact(rep, u, z)
-        if c is None or c.x + c.y != tu.s:
-            continue
-        if lo <= c.x < hi:
-            found[z] = c
-    return found
+    tris = rep.scaled[1]
+    tu = tris[u]
+    contacts = {z: _single_point_contact(tu, tz) for z, tz in tris.items() if z != u}
+    return [z for z, c in contacts.items()
+            if c is not None and c.x + c.y == tu.s and tu.x <= c.x < tu.x + tu.h]
 
 
 def _translation_hazards(rep: Representation, triple: BadTriple) -> list[int]:
@@ -440,13 +452,14 @@ def _translation_hazards(rep: Representation, triple: BadTriple) -> list[int]:
     positive-depth analogues and are equally lost by a slide deeper than they
     are.
     """
-    cap = 2 * max(common_signed_height([rep.tri(i) for i in sorted(triple.ids)]), 0)
-    tu = rep.tri(triple.u)
+    tris = rep.scaled[1]
+    cap = 2 * max(common_signed_height([tris[i] for i in sorted(triple.ids)]), 0)
+    tu = tris[triple.u]
     out = []
-    for z in sorted(rep.triangles):
+    for z in sorted(tris):
         if z in triple.ids:
             continue
-        tz = rep.tri(z)
+        tz = tris[z]
         if tz.s < tu.s or tz.y < tu.y:
             continue
         s = signed_height(tu, tz)
@@ -477,7 +490,8 @@ def step3_separate(rep: Representation, triple: BadTriple, e3: Fraction) -> Repr
     """
     out = _moved(rep, {triple.u: TRANSLATE_DOWN, triple.v: PUSH_VERTICAL}, e3)
     ids = sorted(triple.ids)
-    if common_signed_height([out.tri(i) for i in ids]) >= 0:
+    tris = out.scaled[1]
+    if common_signed_height([tris[i] for i in ids]) >= 0:
         raise ClaimViolation(f"triple {ids} still has a common intersection")
     return out
 
@@ -518,11 +532,12 @@ def remove_all(rep: Representation, triangles: Sequence[tuple[int, int, int]],
                 move3 = {sel.u: TRANSLATE_DOWN, sel.v: PUSH_VERTICAL}
                 e3, c3 = safe_epsilon(work, move3, triangles, exclude_triple=sel.ids)
                 e3 *= shrink
-                sig = common_signed_height([work.tri(i) for i in sorted(sel.ids)])
-                if e3 <= sig:
+                S, tris = work.scaled
+                sig = common_signed_height([tris[i] for i in sorted(sel.ids)])
+                if e3 * S <= sig:
                     raise PerturbError(
                         f"safe budget {float(e3):.3e} cannot clear triple overlap "
-                        f"{float(sig):.3e}; re-solve with smaller delta")
+                        f"{sig / S:.3e}; re-solve with smaller delta")
                 work = step3_separate(work, sel, e3)
                 new_bad = find_bad_triples(work, triangles)
                 new_ids = {t.ids for t in new_bad}
@@ -554,32 +569,16 @@ def face_gap_with_roles(rep: Representation, face: Iterable[int]
     The budget is half the smallest exact clearance from any gap side to a
     non-face triangle (capped by the gap height): a probe homothet of that
     height with a side in a gap side cannot reach any triangle outside the
-    face.
+    face.  Every test runs in the integer frame `rep.scaled`; the gap and
+    the budget are mapped back to the original frame.
     """
     ids = sorted(set(int(v) for v in face))
     if len(ids) != 3:
         raise GapError(f"face must have three vertices, got {face!r}")
-    ts = [rep.tri(v) for v in ids]
-    others = [v for v in sorted(rep.triangles) if v not in ids]
-    # conservative float cache: (x, y, s) per triangle, largest magnitude m.
-    # Every gap coordinate is a side of a face triangle (x, y, s, s - y or
-    # s - x), so at most 2m, and a probe's s at most 4m; the strip test
-    # stays within about 22u*m of its exact value, inside float_pad(2m).
-    fl = {v: (float(t.x), float(t.y), float(t.s)) for v, t in rep.triangles.items()}
-    tau = float_pad(2.0 * max(abs(c) for row in fl.values() for c in row))
-
-    def hits_any(cand: NegTri) -> bool:
-        cx, cy, ch = float(cand.x), float(cand.y), float(cand.hyp_level)
-        for v in others:
-            tx, ty, ts_ = fl[v]
-            if tx > cx + tau or ty > cy + tau or ts_ < ch - tau:
-                continue  # certainly interior-disjoint
-            if neg_interior_hits(cand, rep.tri(v)):
-                return True
-        return False
-
-    valid = [(cand, role_idx) for cand, role_idx in gap_candidates(ts)
-             if not hits_any(cand)]
+    S, tris = rep.scaled
+    others = [v for v in sorted(tris) if v not in ids]
+    valid = [(cand, role_idx) for cand, role_idx in gap_candidates([tris[v] for v in ids])
+             if not any(neg_interior_hits(cand, tris[v]) for v in others)]
     if not valid:
         raise GapError(f"no valid gap for face {ids}")
     if len(valid) > 1:
@@ -595,16 +594,13 @@ def face_gap_with_roles(rep: Representation, face: Iterable[int]
     )
     clearance = H
     for probe, depth in strips:
-        px, py, ps = float(probe.x), float(probe.y), float(probe.s)
         for v in others:
-            tx, ty, ts_ = fl[v]
-            if min(ps, ts_) - max(px, tx) - max(py, ty) < -tau:
-                continue  # certainly clear of the strip
-            tv = rep.tri(v)
+            tv = tris[v]
             if signed_height(probe, tv) < 0:
                 continue
             d = depth(tv)
             if d <= 0:
                 raise GapError(f"triangle {v} touches a gap side of face {ids}")
             clearance = min(clearance, d)
-    return gap, roles, clearance / 2
+    return (NegTri(Fraction(X, S), Fraction(Y, S), Fraction(H, S)), roles,
+            Fraction(clearance, 2 * S))

@@ -3,9 +3,9 @@ solver for pieces without separating triangles, and the float-to-exact bridge
 (exactify + robustify).
 
 The numeric stage is the only part of the package whose floats reach the
-representation; the verifier and the face gap screen with floats but decide
-exactly.  It evaluates its objective once per point, and a line search's
-candidate steps as one stacked array.  Everything it outputs is converted to
+representation; the verifier screens with floats but decides exactly.  It
+evaluates its objective once per point, and a line search's candidate steps
+as one stacked array.  Everything it outputs is converted to
 exact rationals (doubles are dyadic) and then inflated by a single rational
 so that every adjacency becomes a strictly positive overlap while every
 non-adjacency stays strictly negative; the inflation is verified pair by

@@ -29,6 +29,16 @@ def graph_triangles(rep: Representation) -> list[tuple[int, int, int]]:
     return planar.triangles_of(planar.adjacency_of(rep.triangles, intersection_graph(rep)))
 
 
+# the arithmetic, comparison and conversion methods of Fraction that the
+# Fraction-work guards count (with __new__)
+FRACTION_DUNDERS = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__",
+    "__mod__", "__rmod__", "__pow__", "__rpow__", "__neg__", "__abs__",
+    "__lt__", "__le__", "__gt__", "__ge__", "__eq__", "__hash__", "__bool__",
+    "__float__", "__int__", "__floor__", "__ceil__", "__trunc__", "__round__")
+
+
 def octahedron_graph() -> planar.Triangulation:
     """K_{2,2,2} with outer face (0, 1, 2); antipodal pairs (0,3), (1,4), (2,5)."""
     edges = [

@@ -59,6 +59,18 @@ def test_constructor_builds_no_graph():
         assert not used & graph_names, name
 
 
+def test_constructor_reads_the_representations_frame():
+    # triple removal and the face gaps decide on `Representation.scaled`,
+    # the integer frame each representation builds once, in one place; they
+    # build no frame of their own and screen nothing with floats
+    nodes = list(ast.walk(_tree("perturb")))
+    used = ({n.id for n in nodes if isinstance(n, ast.Name)}
+            | {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+            | {n.name for n in nodes if isinstance(n, ast.alias)})
+    assert not used & {"int_frame", "float_pad"}
+    assert "scaled" in used
+
+
 def _defined_names(tree):
     """(name, node) of each top-level function, class and constant."""
     for node in tree.body:
@@ -168,8 +180,8 @@ def _counted(monkeypatch, module, name):
 
 def test_float_screens_scale_with_the_coordinates(monkeypatch):
     # a deep piece has tiny coordinates; the screens of the verifier's graph
-    # and of the face gap must settle as many pairs in floats there as at
-    # unit scale
+    # must settle as many pairs in floats there as at unit scale, and the
+    # face gap, which decides on frame integers, makes as many exact tests
     T = planar.gen_stacked(60, 1)
     rep = assemble.represent(T)
     k = Fraction(1, 2 ** 40)

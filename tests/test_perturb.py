@@ -8,7 +8,9 @@ from tricontact import assemble, perturb, planar
 from tricontact.geometry import (
     Tri,
     common_signed_height,
+    gap_candidates,
     intersect,
+    neg_interior_hits,
     signed_height,
 )
 from tricontact.perturb import (
@@ -31,7 +33,7 @@ from tricontact.perturb import (
     step2_clear,
     step3_separate,
 )
-from tricontact.core import Representation, int_frame
+from tricontact.core import Representation, float_pad, int_frame
 from tricontact.perturb import (  # the integer event kernel and the move it times
     _DELTAS,
     _breakpoints,
@@ -42,7 +44,16 @@ from tricontact.perturb import (  # the integer event kernel and the move it tim
 )
 from tricontact.solver import canvas_with_roles, solve_stacked
 from tricontact.verify import intersection_graph
-from conftest import chain, graph_triangles, implant_faces, ntri, point, tri
+from conftest import (
+    FRACTION_DUNDERS,
+    chain,
+    graph_triangles,
+    implant_faces,
+    implanted,
+    ntri,
+    point,
+    tri,
+)
 
 F = Fraction
 
@@ -744,3 +755,188 @@ class TestFaceGap:
         blocked = Representation({**rep.triangles, 99: rogue}, rep.outer, rep.epsilon)
         with pytest.raises(GapError):
             face_gap_with_roles(blocked, (0, 1, 3))
+
+
+# ---------------------------------------------------------------------------
+# Reference face gap: the same gap, roles and budget, decided in Fractions in
+# the representation's own coordinates behind a padded float screen.
+# ---------------------------------------------------------------------------
+
+def face_gap_reference(rep, face):
+    """`face_gap_with_roles` as written before it ran in the integer frame."""
+    ids = sorted(set(int(v) for v in face))
+    if len(ids) != 3:
+        raise GapError(f"face must have three vertices, got {face!r}")
+    ts = [rep.tri(v) for v in ids]
+    others = [v for v in sorted(rep.triangles) if v not in ids]
+    # (x, y, s) per triangle, largest magnitude m: every gap coordinate is at
+    # most 2m, and the strip test stays within float_pad(2m) of its exact value
+    fl = {v: (float(t.x), float(t.y), float(t.s)) for v, t in rep.triangles.items()}
+    tau = float_pad(2.0 * max(abs(c) for row in fl.values() for c in row))
+
+    def hits_any(cand):
+        cx, cy, ch = float(cand.x), float(cand.y), float(cand.hyp_level)
+        for v in others:
+            tx, ty, ts_ = fl[v]
+            if tx > cx + tau or ty > cy + tau or ts_ < ch - tau:
+                continue  # certainly interior-disjoint
+            if neg_interior_hits(cand, rep.tri(v)):
+                return True
+        return False
+
+    valid = [(cand, role_idx) for cand, role_idx in gap_candidates(ts)
+             if not hits_any(cand)]
+    if not valid:
+        raise GapError(f"no valid gap for face {ids}")
+    if len(valid) > 1:
+        raise GapError(f"gap for face {ids} is not unique")
+    gap, role_idx = valid[0]
+    roles = {r: ids[i] for r, i in role_idx.items()}
+
+    X, Y, H = gap.x, gap.y, gap.h
+    strips = (
+        (Tri(X - H, Y - H, H), lambda t: gap.hyp_level - t.s),
+        (Tri(X, Y - H, H), lambda t: t.x - X),
+        (Tri(X - H, Y, H), lambda t: t.y - Y),
+    )
+    clearance = H
+    for probe, depth in strips:
+        px, py, ps = float(probe.x), float(probe.y), float(probe.s)
+        for v in others:
+            tx, ty, ts_ = fl[v]
+            if min(ps, ts_) - max(px, tx) - max(py, ty) < -tau:
+                continue  # certainly clear of the strip
+            tv = rep.tri(v)
+            if signed_height(probe, tv) < 0:
+                continue
+            d = depth(tv)
+            if d <= 0:
+                raise GapError(f"triangle {v} touches a gap side of face {ids}")
+            clearance = min(clearance, d)
+    return gap, roles, clearance / 2
+
+
+def _gap_outcome(fn, rep, face):
+    """(gap, roles, budget), or the GapError message."""
+    try:
+        return fn(rep, face)
+    except GapError as e:
+        return str(e)
+
+
+def _agrees_with_reference(rep, face):
+    got = _gap_outcome(face_gap_with_roles, rep, face)
+    assert got == _gap_outcome(face_gap_reference, rep, face)
+    if not isinstance(got, str):  # results are in the original frame
+        gap, _, budget = got
+        assert all(type(c) is F for c in (gap.x, gap.y, gap.h, budget))
+    return got
+
+
+def _nested_pieces(monkeypatch):
+    """(representation, faces) of every remainder piece of the benchmark's
+    `nested` corpus, after its triple removal."""
+    pieces = []
+    real = perturb.remove_all
+
+    def recorded(rep, triangles, *a, **k):
+        out = real(rep, triangles, *a, **k)
+        pieces.append((out, triangles))
+        return out
+
+    monkeypatch.setattr(perturb, "remove_all", recorded)
+    for T in [implanted(100, 3, 20), *(chain(20, s, d) for s in (5, 6, 7) for d in (2, 4, 6))]:
+        assemble.represent(T)
+    monkeypatch.undo()
+    return pieces
+
+
+def _inner(rep, triangles):
+    return [f for f in triangles if set(f) != set(rep.outer)]
+
+
+class TestFaceGapMatchesReference:
+    def test_nested_corpus(self, monkeypatch):
+        outcomes = [_agrees_with_reference(rep, f)
+                    for rep, triangles in _nested_pieces(monkeypatch)
+                    for f in _inner(rep, triangles)]
+        assert len(outcomes) > 700
+        assert not any(isinstance(o, str) for o in outcomes)
+
+    def test_tiny_offset_piece(self, monkeypatch):
+        # the largest piece scaled by 2^-60 and moved to (3, 1): every float
+        # of the reference's screen is within its pad of every other
+        rep, triangles = max(_nested_pieces(monkeypatch), key=lambda p: len(p[0].triangles))
+        k = F(1, 2 ** 60)
+        tiny = Representation(
+            {v: Tri(t.x * k + 3, t.y * k + 1, t.h * k) for v, t in rep.triangles.items()},
+            rep.outer, rep.epsilon * k)
+        for f in _inner(rep, triangles):
+            gap, roles, budget = face_gap_with_roles(rep, f)
+            assert _agrees_with_reference(tiny, f) == (
+                ntri(gap.x * k + 3, gap.y * k + 1, gap.h * k), roles, budget * k)
+
+    def test_denominators_three_and_five(self):
+        # a hand-built face (hypotenuse side from 0, vertical side from 1,
+        # horizontal side from 2) and a triangle 2/15 beyond its vertical side
+        rep = Representation({0: tri(0, 0, "14/15"), 1: tri("2/3", 0, "4/5"),
+                              2: tri(0, "3/5", "4/5"), 3: tri("4/5", "1/3", "1/5")},
+                             (), F(1, 3))
+        gap, roles, budget = _agrees_with_reference(rep, (0, 1, 2))
+        assert gap == ntri("2/3", "3/5", "1/3")
+        assert roles == {"hyp": 0, "vertical": 1, "horizontal": 2}
+        assert budget == F(1, 15)
+
+    def test_blocked_and_touching(self, k4, outer_map):
+        rep = solve_stacked(k4, outer_map)
+        gap, _, _ = _agrees_with_reference(rep, (0, 1, 3))
+        blocked = tri(gap.x - gap.h / 2, gap.y - gap.h / 2, gap.h / 2)
+        touching = tri(gap.x - gap.h * 3 / 4, gap.y - gap.h * 3 / 4, gap.h / 2)
+        for rogue, message in ((blocked, "no valid gap for face [0, 1, 3]"),
+                               (touching, "triangle 99 touches a gap side of face [0, 1, 3]")):
+            bad = Representation({**rep.triangles, 99: rogue}, rep.outer, rep.epsilon)
+            assert _agrees_with_reference(bad, (0, 1, 3)) == message
+
+
+def test_fraction_work_follows_the_moves(monkeypatch):
+    # triple removal and the face gaps decide everything in the integer
+    # frame: their Fraction arithmetic, comparisons and construction are
+    # bounded by a few per moved triangle (`_moved` applies each move in
+    # Fractions), per step, per bad triple found (its overlap) and per face
+    # gap (the map-back), not by the number of triangles.  With the scans in
+    # Fractions this count read 8,382 here, against a bound of 760.
+    calls, inside = [], []
+    moves, scans, gaps = [], [], []
+
+    def counted(f):
+        def wrapper(*args, **kwargs):
+            if inside:
+                calls.append(f.__name__)
+            return f(*args, **kwargs)
+        return wrapper
+
+    def scoped(f, results):
+        def wrapper(*args, **kwargs):
+            inside.append(1)
+            try:
+                results.append(f(*args, **kwargs))
+            finally:
+                inside.pop()
+            return results[-1]
+        return wrapper
+
+    monkeypatch.setattr(perturb, "remove_all", scoped(perturb.remove_all, []))
+    monkeypatch.setattr(perturb, "face_gap_with_roles", scoped(perturb.face_gap_with_roles, gaps))
+    monkeypatch.setattr(perturb, "find_bad_triples", scoped(perturb.find_bad_triples, scans))
+    real_moved = perturb._moved
+    monkeypatch.setattr(perturb, "_moved",
+                        lambda rep, move, e: moves.append(len(move)) or real_moved(rep, move, e))
+    T = chain(20, 5, 6)
+    for name in FRACTION_DUNDERS:
+        monkeypatch.setattr(F, name, counted(getattr(F, name)))
+    monkeypatch.setattr(F, "__new__", staticmethod(counted(F.__new__)))
+    assemble.represent(T)
+    monkeypatch.undo()
+    found = sum(len(bad) for bad in scans)
+    assert moves and found and gaps
+    assert len(calls) <= 16 * sum(moves) + 8 * len(moves) + 30 * found + 6 * len(gaps)

@@ -29,7 +29,15 @@ from tricontact.verify import (
     full_report,
     intersection_graph,
 )
-from conftest import chain, graph_triangles, implant_faces, implanted, point, tri
+from conftest import (
+    FRACTION_DUNDERS,
+    chain,
+    graph_triangles,
+    implant_faces,
+    implanted,
+    point,
+    tri,
+)
 
 F = Fraction
 
@@ -751,11 +759,7 @@ class TestFullReport:
                 return f(*args, **kwargs)
             return wrapper
 
-        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
-                     "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__",
-                     "__mod__", "__rmod__", "__pow__", "__rpow__", "__neg__", "__abs__",
-                     "__lt__", "__le__", "__gt__", "__ge__", "__eq__", "__hash__", "__bool__",
-                     "__float__", "__int__", "__floor__", "__ceil__", "__trunc__", "__round__"):
+        for name in FRACTION_DUNDERS:
             monkeypatch.setattr(F, name, counted(getattr(F, name)))
         monkeypatch.setattr(F, "__new__", staticmethod(counted(F.__new__)))
         r = full_report(rep, T, with_faces=True, with_drawing=True)
