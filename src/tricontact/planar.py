@@ -444,6 +444,8 @@ def gen_triangulation(n: int, seed: int) -> Triangulation:
 
 def gen_four_connected(n: int, seed: int) -> Triangulation:
     """Random triangulation filtered/repaired to have no separating triangle."""
+    if n == 5:  # K5 - e, the one 5-vertex triangulation, has a separating triangle
+        raise GraphError("no triangulation on 5 vertices is 4-connected")
     rng = random.Random(seed ^ 0xA5A5A5A5)
     for attempt in range(FOUR_CONNECTED_TRIES):
         T = gen_triangulation(n, seed + 1000 * attempt)

@@ -1,5 +1,6 @@
-"""Per-piece solving: exact constructor for stacked pieces, numeric contact
-solver for pieces without separating triangles, and the float-to-exact bridge
+"""Placement: the exact medial child for every stacked vertex (peeled, or
+the inner vertex of a K4 piece), the numeric contact solver for the other
+pieces without separating triangles, and the float-to-exact bridge
 (exactify + robustify).
 
 The numeric stage is the only part of the package whose floats reach the
@@ -92,37 +93,33 @@ def canvas_with_roles(ts: Sequence[Tri]) -> tuple[NegTri, dict[str, int]]:
 
 
 # ---------------------------------------------------------------------------
-# Exact path for stacked pieces
+# Exact placement of stacked vertices
 # ---------------------------------------------------------------------------
 
-def _medial_child(gap: NegTri) -> Tri:
-    """The inscribed homothet tangent to all three gap sides."""
-    half = gap.h / 2
-    return Tri(gap.x - half, gap.y - half, half)
+def solve_stacked(v: int, gap: NegTri, roles: Mapping[str, int]
+                  ) -> tuple[Tri, dict[frozenset[int], tuple[NegTri, dict[str, int], Fraction]]]:
+    """Place a stacked vertex v exactly, as the medial child of `gap`.
 
-
-def solve_stacked(piece: planar.Triangulation, outer_tris: Mapping[int, Tri],
-                  epsilon: Fraction = Fraction(1), canvas: NegTri | None = None) -> Representation:
-    """Exact contact representation of a stacked piece.
-
-    A piece has no separating triangle, so a stacked piece is a K4: in a
-    stacked triangulation with five or more vertices, the three neighbours
-    of an inner degree-3 vertex form a separating triangle.  Its one inner
-    vertex receives the medial inscribed homothet of the canvas; every
-    adjacent pair ends with signed height exactly 0, in rational arithmetic.
-    Raises ValueError on any other piece.
+    `roles` names the vertex whose triangle supplies each gap side.  t(v) is
+    the inscribed homothet tangent to all three gap sides at their midpoints,
+    so it touches each of them with signed height exactly 0.  Returns t(v)
+    and the three gaps it leaves, by face, each with its roles and its
+    recursion budget: a sub-gap is half as tall as `gap`, keeps one corner
+    of it, and has a side of t(v) in place of the gap side opposite that
+    corner; its budget is half its height, the one `perturb.face_gap_with_roles`
+    finds in the K4 of v and the three triangles of `roles`.
     """
-    outer_ids = tuple(piece.outer)
-    if set(outer_tris) != set(outer_ids):
-        raise ValueError("outer triangle keys must match the piece's outer vertices")
-    inner = [v for v in piece.vertices() if v not in outer_tris]
-    if len(inner) != 1:
-        raise ValueError(f"a stacked piece is a K4; this one has {len(inner)} inner vertices")
-    if canvas is None:
-        canvas = canvas_with_roles([outer_tris[v] for v in outer_ids])[0]
-    triangles: dict[int, Tri] = dict(outer_tris)
-    triangles[inner[0]] = _medial_child(canvas)
-    return Representation(triangles, outer_ids, epsilon)
+    half = gap.h / 2
+    x, y, budget = gap.x - half, gap.y - half, half / 2
+    vh, vv, vz = roles["hyp"], roles["vertical"], roles["horizontal"]
+    return Tri(x, y, half), {
+        frozenset((v, vv, vz)): (NegTri(gap.x, gap.y, half),
+                                 {"hyp": v, "vertical": vv, "horizontal": vz}, budget),
+        frozenset((vh, vv, v)): (NegTri(gap.x, y, half),
+                                 {"hyp": vh, "vertical": vv, "horizontal": v}, budget),
+        frozenset((vh, v, vz)): (NegTri(x, gap.y, half),
+                                 {"hyp": vh, "vertical": v, "horizontal": vz}, budget),
+    }
 
 
 # ---------------------------------------------------------------------------

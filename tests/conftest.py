@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from tricontact import planar
+from tricontact.assemble import PipelineConfig, represent
 from tricontact.geometry import NegTri, Point, Tri, frac
 from tricontact.core import Representation
 from tricontact.solver import canvas_with_roles
@@ -91,6 +92,12 @@ def implanted(n, seed, implants) -> planar.Triangulation:
     for f in faces:
         T = planar.implant_octahedron(T, f)
     return T
+
+
+def represent_in(T: planar.Triangulation, outer) -> Representation:
+    """represent(T) with `outer` mapping T's boundary vertices to their
+    triangles; on a K4, the boundary and the medial child of its gap."""
+    return represent(T, PipelineConfig(outer=tuple(outer[v] for v in T.outer)))
 
 
 def stacked_by_peeling(T: planar.Triangulation, outer) -> dict[int, Tri]:

@@ -20,7 +20,6 @@ from tricontact.solver import (
     exactify,
     robustify,
     solve_contacts,
-    solve_stacked,
 )
 from tricontact.verify import count_crossings, extract_drawing, full_report, intersection_graph
 from conftest import (
@@ -28,6 +27,7 @@ from conftest import (
     grid_points,
     in_triangle,
     octahedron_graph,
+    represent_in,
     stacked_by_peeling,
     tri,
 )
@@ -336,7 +336,7 @@ def test_criterion_7_negative_controls(k4, octahedron, k222_triple_rep):
     assert r.graph_match and r.boundary_ok and r.corner_ok
 
     # (ii) missing adjacency
-    rep = solve_stacked(k4, OUTER)
+    rep = represent_in(k4, OUTER)
     bad = rep.with_triangle(3, tri(F(19, 10), 2, 1))
     r = full_report(bad, k4, with_faces=False)
     assert not r.passed and not r.graph_match

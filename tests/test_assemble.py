@@ -7,6 +7,7 @@ import pytest
 
 from tricontact import assemble, perturb, planar
 from tricontact.assemble import PipelineConfig, PipelineError, default_outer, represent
+from tricontact.core import Representation
 from tricontact.geometry import Tri, common_signed_height, intersect, signed_height
 from tricontact.solver import SolverParams, canvas_with_roles
 from tricontact.verify import full_report
@@ -145,10 +146,14 @@ class TestRepresent:
 
         monkeypatch.setattr(perturb, "remove_all", forbidden)
         monkeypatch.setattr(perturb, "face_gap_with_roles", forbidden)
-        monkeypatch.setattr(assemble, "solve_stacked", forbidden)
+        monkeypatch.setattr(assemble, "solve_contacts", forbidden)
         monkeypatch.setattr(planar, "decompose", forbidden)
+        placed = []
+        real = assemble.solve_stacked
+        monkeypatch.setattr(assemble, "solve_stacked", lambda v, *a: placed.append(v) or real(v, *a))
         T = planar.gen_stacked(5000, 1)
         assert sorted(represent(T).triangles) == list(range(5000))
+        assert len(placed) == 5000 - 3
 
     def test_face_without_gap_is_a_pipeline_error(self, monkeypatch):
         # drop the vertex that goes back first: the next one's face then
@@ -185,6 +190,54 @@ class TestRepresent:
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             PipelineConfig(epsilon=F(0))
+
+    @pytest.mark.parametrize("epsilon", [0.5, "1/2"])
+    def test_epsilon_coerced(self, octahedron, epsilon):
+        cfg = PipelineConfig(epsilon=epsilon)
+        assert cfg.epsilon == F(1, 2) and type(cfg.epsilon) is F
+        rep = represent(octahedron, cfg)
+        assert full_report(rep, octahedron, epsilon=F(1, 2)).passed
+        assert rep == represent(octahedron, PipelineConfig(epsilon=F(1, 2)))
+
+
+class TestStackedPieces:
+    """A K4 piece's vertex goes to `solve_stacked` like a peeled one, and its
+    sub-gaps are the ones a face-gap search on the piece would find."""
+
+    @pytest.mark.parametrize("config", [
+        None, PipelineConfig(outer=default_outer(F(5, 7)), epsilon=F(1, 3)),
+    ], ids=["default", "skewed"])
+    @pytest.mark.parametrize("make", [
+        lambda: implanted(100, 3, 20), lambda: chain(20, 5, 6),
+    ], ids=["implanted100_3x20", "chain20_5d6"])
+    def test_sub_gaps_match_face_gap_search(self, make, config, monkeypatch):
+        placed, sizes = {}, []
+        real = assemble.solve_stacked
+
+        def recorded(v, gap, roles):
+            placed[v] = real(v, gap, roles)
+            return placed[v]
+
+        def sized(f):
+            return lambda rep, *a, **k: sizes.append(len(rep.triangles)) or f(rep, *a, **k)
+
+        monkeypatch.setattr(assemble, "solve_stacked", recorded)
+        monkeypatch.setattr(perturb, "remove_all", sized(perturb.remove_all))
+        monkeypatch.setattr(perturb, "face_gap_with_roles", sized(perturb.face_gap_with_roles))
+        T, trace = make(), []
+        rep = represent(T, config, trace=trace)
+        monkeypatch.undo()
+        # numeric pieces take both; no K4 piece takes either
+        assert sizes and 4 not in sizes
+        tree = planar.decompose(planar.peel(T)[0])
+        k4s = [tree.pieces[e["piece"]] for e in trace if e["path"] == "stacked"]
+        assert len(k4s) > 5
+        for piece in k4s:
+            (v,) = set(piece.vertices()) - piece.outer_set
+            k4 = Representation({u: rep.tri(u) for u in piece.vertices()}, piece.outer, rep.epsilon)
+            child, sub_gaps = placed[v]
+            assert child == rep.tri(v)
+            assert sub_gaps == {f: perturb.face_gap_with_roles(k4, f) for f in piece.inner_faces}
 
 
 class TestLocalFrame:

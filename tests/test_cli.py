@@ -8,8 +8,7 @@ from tricontact import assemble, planar, verify
 from tricontact.assemble import represent
 from tricontact.cli import main
 from tricontact.core import Representation
-from tricontact.solver import solve_stacked
-from conftest import tri
+from conftest import represent_in, tri
 
 
 def run(argv):
@@ -31,6 +30,11 @@ class TestGen:
                     "--four-connected", "--output", out]) == 0
         T = planar.from_json(json.loads(out.read_text()))
         assert planar.separating_triangles(T) == []
+
+    def test_four_connected_n5_is_invalid(self, tmp_path):
+        out = tmp_path / "g.json"
+        assert run(["gen", "random", "--n", 5, "--four-connected", "--output", out]) == 3
+        assert not out.exists()
 
 
 class TestValidate:
@@ -112,7 +116,7 @@ class TestRun:
         assert svg.read_text().count("<polyline") == len(polylines) == 18
 
     def test_failed_verification_exit_code(self, tmp_path, k4, outer_map, monkeypatch):
-        bad = solve_stacked(k4, outer_map).with_triangle(3, tri(Fraction(19, 10), 2, 1))
+        bad = represent_in(k4, outer_map).with_triangle(3, tri(Fraction(19, 10), 2, 1))
         monkeypatch.setattr(assemble, "represent", lambda T, config: bad)
         g = tmp_path / "g.json"
         g.write_text(json.dumps(k4.to_json()))
@@ -130,7 +134,7 @@ class TestRun:
 
 class TestVerify:
     def test_corrupted_rep_nonzero_exit(self, tmp_path, k4, outer_map):
-        rep = solve_stacked(k4, outer_map)
+        rep = represent_in(k4, outer_map)
         bad = rep.with_triangle(3, tri(Fraction(19, 10), 2, 1))
         g = tmp_path / "g.json"
         g.write_text(json.dumps(k4.to_json()))
@@ -143,7 +147,7 @@ class TestVerify:
         assert report["passed"] is False and report["missing_edges"] == [[2, 3]]
 
     def test_good_rep_passes(self, tmp_path, k4, outer_map):
-        rep = solve_stacked(k4, outer_map)
+        rep = represent_in(k4, outer_map)
         g = tmp_path / "g.json"
         g.write_text(json.dumps(k4.to_json()))
         r = tmp_path / "rep.json"
@@ -152,7 +156,7 @@ class TestVerify:
 
     def test_invalid_graph_exit_code(self, tmp_path, k4, outer_map):
         r = tmp_path / "rep.json"
-        r.write_text(json.dumps(solve_stacked(k4, outer_map).to_json()))
+        r.write_text(json.dumps(represent_in(k4, outer_map).to_json()))
         g = tmp_path / "bad.json"
         g.write_text(json.dumps({"n": 5, "outer": [0, 1, 2],
                                  "edges": [list(e) for e in
@@ -173,7 +177,7 @@ class TestSolveCommand:
 
 class TestRender:
     def test_render_rep(self, tmp_path, k4, outer_map):
-        rep = solve_stacked(k4, outer_map)
+        rep = represent_in(k4, outer_map)
         r = tmp_path / "rep.json"
         r.write_text(json.dumps(rep.to_json()))
         svg = tmp_path / "o.svg"
@@ -218,7 +222,7 @@ class TestJsonRoundtrip:
         g = tmp_path / "g.json"
         g.write_text(json.dumps(k4.to_json()))
         r = tmp_path / "rep.json"
-        r.write_text(json.dumps({**solve_stacked(k4, outer_map).to_json(), field: value}))
+        r.write_text(json.dumps({**represent_in(k4, outer_map).to_json(), field: value}))
         assert run([command, "--input", r, "--graph", g]) == 2
         assert capsys.readouterr().err.startswith("input error: malformed representation JSON")
 
@@ -231,7 +235,7 @@ class TestJsonRoundtrip:
         g = tmp_path / "g.json"
         g.write_text(json.dumps(k4.to_json()))
         r = tmp_path / "rep.json"
-        r.write_text(json.dumps({**solve_stacked(k4, outer_map).to_json(), "outer": outer}))
+        r.write_text(json.dumps({**represent_in(k4, outer_map).to_json(), "outer": outer}))
         assert run([command, "--input", r, "--graph", g, "--output", tmp_path / "out"]) == 2
         assert "outer must name three distinct triangles" in capsys.readouterr().err
 

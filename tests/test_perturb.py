@@ -42,7 +42,7 @@ from tricontact.perturb import (  # the integer event kernel and the move it tim
     _lines_for,
     _moved,
 )
-from tricontact.solver import canvas_with_roles, solve_stacked
+from tricontact.solver import canvas_with_roles
 from tricontact.verify import intersection_graph
 from conftest import (
     FRACTION_DUNDERS,
@@ -52,6 +52,7 @@ from conftest import (
     implanted,
     ntri,
     point,
+    represent_in,
     tri,
 )
 
@@ -80,7 +81,7 @@ class TestFindBadTriples:
         assert rep.tri(t.w).top_corner == t.p
 
     def test_exact_k4_clean(self, k4, outer_map):
-        rep = solve_stacked(k4, outer_map)
+        rep = represent_in(k4, outer_map)
         assert find_bad_triples(rep, graph_triangles(rep)) == []
 
     def test_two_disjoint_bad_configs(self):
@@ -155,7 +156,7 @@ class TestSafeEpsilon:
                          exclude_triple=sel.ids)
 
     def test_boundary_move_rejected(self, k4, outer_map):
-        rep = solve_stacked(k4, outer_map)
+        rep = represent_in(k4, outer_map)
         with pytest.raises(PerturbError):
             safe_epsilon(rep, {0: PUSH_VERTICAL}, graph_triangles(rep))
 
@@ -495,7 +496,7 @@ class TestRemoveAll:
         assert intersection_graph(out) == intersection_graph(rep)
 
     def test_identity_when_clean(self, k4, outer_map):
-        rep = solve_stacked(k4, outer_map)
+        rep = represent_in(k4, outer_map)
         assert remove_all(rep, graph_triangles(rep)).triangles == rep.triangles
 
     def test_two_triples_highest_first(self):
@@ -521,7 +522,7 @@ class TestRemoveAll:
 
     def test_clean_piece_scanned_once(self, monkeypatch, k4, outer_map):
         # one bad-triple scan for a piece that has no triple
-        rep = solve_stacked(k4, outer_map)
+        rep = represent_in(k4, outer_map)
         calls = []
         scan = perturb.find_bad_triples
         monkeypatch.setattr(perturb, "find_bad_triples",
@@ -721,7 +722,7 @@ class TestBoundaryRoles:
 
 class TestFaceGap:
     def test_k4_faces(self, k4, outer_map):
-        rep = solve_stacked(k4, outer_map)
+        rep = represent_in(k4, outer_map)
         gap, _, eps = face_gap_with_roles(rep, (0, 1, 3))
         assert gap == ntri(2, 3, 1)
         assert eps > 0
@@ -738,7 +739,7 @@ class TestFaceGap:
 
     def test_homothety(self, k4, outer_map):
         from tricontact.geometry import Tri
-        rep = solve_stacked(k4, outer_map)
+        rep = represent_in(k4, outer_map)
         lam = F(2)
         rep2 = Representation(
             {v: Tri(t.x * lam, t.y * lam, t.h * lam) for v, t in rep.triangles.items()},
@@ -749,7 +750,7 @@ class TestFaceGap:
         assert e2 == e1 * lam
 
     def test_blocked_gap(self, k4, outer_map):
-        rep = solve_stacked(k4, outer_map)
+        rep = represent_in(k4, outer_map)
         gap, _, _ = face_gap_with_roles(rep, (0, 1, 3))
         rogue = tri(gap.x - gap.h / 2, gap.y - gap.h / 2, gap.h / 2)
         blocked = Representation({**rep.triangles, 99: rogue}, rep.outer, rep.epsilon)
@@ -835,7 +836,8 @@ def _agrees_with_reference(rep, face):
 
 def _nested_pieces(monkeypatch):
     """(representation, faces) of every remainder piece of the benchmark's
-    `nested` corpus, after its triple removal."""
+    `nested` corpus: each numeric piece after its triple removal, and each K4
+    piece as its four triangles."""
     pieces = []
     real = perturb.remove_all
 
@@ -846,7 +848,15 @@ def _nested_pieces(monkeypatch):
 
     monkeypatch.setattr(perturb, "remove_all", recorded)
     for T in [implanted(100, 3, 20), *(chain(20, s, d) for s in (5, 6, 7) for d in (2, 4, 6))]:
-        assemble.represent(T)
+        trace = []
+        rep = assemble.represent(T, trace=trace)
+        tree = planar.decompose(planar.peel(T)[0])
+        for e in trace:
+            if e["path"] == "stacked":
+                piece = tree.pieces[e["piece"]]
+                pieces.append((Representation({v: rep.tri(v) for v in piece.vertices()},
+                                              piece.outer, e["epsilon"]),
+                               [tuple(sorted(f)) for f in piece.faces]))
     monkeypatch.undo()
     return pieces
 
@@ -888,7 +898,7 @@ class TestFaceGapMatchesReference:
         assert budget == F(1, 15)
 
     def test_blocked_and_touching(self, k4, outer_map):
-        rep = solve_stacked(k4, outer_map)
+        rep = represent_in(k4, outer_map)
         gap, _, _ = _agrees_with_reference(rep, (0, 1, 3))
         blocked = tri(gap.x - gap.h / 2, gap.y - gap.h / 2, gap.h / 2)
         touching = tri(gap.x - gap.h * 3 / 4, gap.y - gap.h * 3 / 4, gap.h / 2)

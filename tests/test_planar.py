@@ -510,6 +510,16 @@ class TestGenerators:
         with pytest.raises(GraphError):
             gen_stacked(3, 0)
 
+    def test_four_connected_n5_raises_at_once(self, monkeypatch):
+        # K5 - e, the only triangulation on 5 vertices, has a separating
+        # triangle, so there is nothing to generate or flip
+        def forbidden(*a):
+            raise AssertionError("no triangulation should be generated")
+
+        monkeypatch.setattr(planar, "gen_triangulation", forbidden)
+        with pytest.raises(GraphError, match="5 vertices"):
+            gen_four_connected(5, 0)
+
     def test_four_connected_filter(self):
         T = gen_four_connected(12, 3)
         assert separating_triangles(T) == []

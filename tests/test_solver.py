@@ -24,7 +24,7 @@ from tricontact.solver import (
     solve_contacts,
     solve_stacked,
 )
-from conftest import graph_triangles, ntri, point, stacked_by_peeling, tri
+from conftest import graph_triangles, ntri, point, represent_in, stacked_by_peeling, tri
 
 F = Fraction
 
@@ -225,7 +225,7 @@ class TestCanvas:
 
 class TestSolveStacked:
     def test_k4_medial(self, k4, outer_map):
-        rep = solve_stacked(k4, outer_map)
+        rep = represent_in(k4, outer_map)
         child = rep.tri(3)
         assert child == tri(2, 2, 1)
         # tangency points against the three gap sides
@@ -237,7 +237,7 @@ class TestSolveStacked:
 
     def test_medial_from_gap_equations(self, k4, outer_map):
         # substitute the medial child into the three tangency equations
-        rep = solve_stacked(k4, outer_map)
+        rep = represent_in(k4, outer_map)
         t = rep.tri(3)
         X, Y, H = F(3), F(3), F(2)
         assert t.x + t.h == X
@@ -270,11 +270,20 @@ class TestSolveStacked:
             t1, t2 = rep1.tri(v), rep2.tri(v)
             assert (t2.x, t2.y, t2.h) == (t1.x * lam, t1.y * lam, t1.h * lam)
 
-    def test_not_stacked(self, k4, octahedron, outer_map):
-        # a stacked piece is a K4; any larger piece is refused
-        for T in (octahedron, planar.stack_vertex(k4, (0, 1, 3))):
-            with pytest.raises(ValueError):
-                solve_stacked(T, outer_map)
+    def test_sub_gaps(self, outer_map):
+        # the canvas NegTri(3, 3, 2): hypotenuse side from 0, vertical side
+        # from 2, horizontal side from 1
+        canvas, role_idx = canvas_with_roles([outer_map[v] for v in range(3)])
+        assert canvas == ntri(3, 3, 2) and role_idx == {"hyp": 0, "vertical": 2, "horizontal": 1}
+        child, sub_gaps = solve_stacked(3, canvas, role_idx)
+        assert child == tri(2, 2, 1)
+        assert sub_gaps == {
+            frozenset((1, 2, 3)): (ntri(3, 3, 1), {"hyp": 3, "vertical": 2, "horizontal": 1}, F(1, 2)),
+            frozenset((0, 2, 3)): (ntri(3, 2, 1), {"hyp": 0, "vertical": 2, "horizontal": 3}, F(1, 2)),
+            frozenset((0, 1, 3)): (ntri(2, 3, 1), {"hyp": 0, "vertical": 3, "horizontal": 1}, F(1, 2)),
+        }
+
+    def test_not_stacked(self, octahedron, outer_map):
         with pytest.raises(ValueError):
             stacked_by_peeling(octahedron, outer_map)
 
@@ -577,7 +586,7 @@ class TestRobustify:
         assert got == want
 
     def test_precondition_rejected(self, k4, outer_map):
-        rep = solve_stacked(k4, outer_map)
+        rep = represent_in(k4, outer_map)
         bad = rep.with_triangle(3, tri(2, 2, F(1, 2)))   # broken contacts
         with pytest.raises(RobustifyError):
             robustify(bad, k4, SolverParams(), F(1))
@@ -676,6 +685,6 @@ class TestRobustifyFaults:
 
 class TestRepresentationJson:
     def test_roundtrip(self, k4, outer_map):
-        rep = solve_stacked(k4, outer_map)
+        rep = represent_in(k4, outer_map)
         again = Representation.from_json(rep.to_json())
         assert again == rep

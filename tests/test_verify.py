@@ -16,7 +16,6 @@ from tricontact.solver import (
     exactify,
     robustify,
     solve_contacts,
-    solve_stacked,
 )
 from tricontact.verify import (
     _err,
@@ -36,6 +35,7 @@ from conftest import (
     implant_faces,
     implanted,
     point,
+    represent_in,
     tri,
 )
 
@@ -360,7 +360,7 @@ class TestIntersectionGraph:
         assert bool(graph) == (len(rep.outer) > 0)
 
     def test_k4_exact(self, k4, outer_map):
-        rep = solve_stacked(k4, outer_map)
+        rep = represent_in(k4, outer_map)
         assert intersection_graph(rep) == {tuple(sorted(e)) for e in k4.edges}
 
     def test_disjoint_triangles(self):
@@ -395,14 +395,14 @@ class TestCheckSimple:
         assert ok and offending == []
 
     def test_k4_exact(self, k4, outer_map):
-        rep = solve_stacked(k4, outer_map)
+        rep = represent_in(k4, outer_map)
         ok, _ = check_simple(rep, audit=True)
         assert ok
 
 
 class TestCheckBoundary:
     def test_exact_contacts_pass_any_epsilon(self, k4, outer_map):
-        rep = solve_stacked(k4, outer_map)
+        rep = represent_in(k4, outer_map)
         ok, pairs, cok, corners = check_boundary(rep, F(1, 10 ** 9))
         assert ok and cok and not pairs and not corners
 
@@ -421,7 +421,7 @@ class TestCheckBoundary:
 
     def test_overlap_violation_reported(self, k4, outer_map):
         # an inner triangle overlapping boundary triangle 0 by exactly epsilon
-        rep = solve_stacked(k4, outer_map)
+        rep = represent_in(k4, outer_map)
         bad = rep.with_triangle(3, tri(1, 1, 1))
         assert signed_height(bad.tri(3), bad.tri(0)) == bad.epsilon == 1
         ok, pairs, cok, _ = check_boundary(bad)
@@ -433,7 +433,7 @@ class TestCheckBoundary:
 
 class TestCheckFaces:
     def test_k4_all_faces(self, k4, outer_map):
-        rep = solve_stacked(k4, outer_map)
+        rep = represent_in(k4, outer_map)
         ok, fails = check_face_condition(rep, k4)
         assert ok and not fails
 
@@ -443,7 +443,7 @@ class TestCheckFaces:
         assert ok
 
     def test_blocked_gap_fails(self, k4, outer_map):
-        rep = solve_stacked(k4, outer_map)
+        rep = represent_in(k4, outer_map)
         gap, _, _ = face_gap_with_roles(rep, (0, 1, 3))
         rogue = tri(gap.x - gap.h / 2, gap.y - gap.h / 2, gap.h / 2)
         blocked = Representation({**rep.triangles, 99: rogue}, rep.outer, rep.epsilon)
@@ -452,7 +452,7 @@ class TestCheckFaces:
         assert (0, 1, 3) in [f for f, _ in [(tuple(f), m) for f, m in fails]]
 
     def test_gap_side_touch_fails(self, k4, outer_map):
-        rep = solve_stacked(k4, outer_map)
+        rep = represent_in(k4, outer_map)
         gap, _, _ = face_gap_with_roles(rep, (0, 1, 3))
         rogue = _depth_zero_rogue(gap)
         assert rogue.s == gap.hyp_level
@@ -497,7 +497,7 @@ class TestCheckFaces:
 @pytest.mark.filterwarnings("error")
 class TestDrawing:
     def test_k4(self, k4, outer_map):
-        rep = solve_stacked(k4, outer_map)
+        rep = represent_in(k4, outer_map)
         d = extract_drawing(rep, k4)
         assert len(d.points) == 4 and len(d.polylines) == 6
         assert count_crossings(d.polylines) == 0
@@ -617,7 +617,7 @@ class TestDrawing:
         assert len(calls) < len(T.edges) // 10
 
     def test_json(self, k4, outer_map):
-        rep = solve_stacked(k4, outer_map)
+        rep = represent_in(k4, outer_map)
         d = extract_drawing(rep, k4)
         js = d.to_json()
         assert set(js) == {"points", "polylines"}
@@ -708,7 +708,7 @@ class TestFullReport:
         assert r.face_condition_ok and r.drawing_planar and r.crossings == 0
 
     def test_corrupted_edge_listed(self, k4, outer_map):
-        rep = solve_stacked(k4, outer_map)
+        rep = represent_in(k4, outer_map)
         bad = rep.with_triangle(3, tri(F(19, 10), 2, 1))   # slides off one contact
         r = full_report(bad, k4, with_faces=False)
         assert not r.passed and not r.graph_match
@@ -721,7 +721,7 @@ class TestFullReport:
         assert r.graph_match and r.boundary_ok and r.corner_ok
 
     def test_report_json(self, k4, outer_map):
-        rep = solve_stacked(k4, outer_map)
+        rep = represent_in(k4, outer_map)
         r = full_report(rep, k4, with_drawing=True)
         js = r.to_json()
         assert js["passed"] is True and js["crossings"] == 0
@@ -735,7 +735,7 @@ class TestFullReport:
     def test_face_and_drawing_checks_skipped(self, k4, outer_map):
         # the face condition and the drawing need the graph: both report
         # the skip and fail
-        rep = solve_stacked(k4, outer_map)
+        rep = represent_in(k4, outer_map)
         bad = rep.with_triangle(3, tri(F(19, 10), 2, 1))
         r = full_report(bad, k4, with_faces=True, with_drawing=True)
         assert not r.passed and not r.graph_match
