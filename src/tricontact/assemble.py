@@ -121,8 +121,6 @@ def represent(T: planar.Triangulation, config: PipelineConfig | None = None,
         source = gaps.pop(face, None)
         if isinstance(source, Representation):
             source = perturb.face_gap_with_roles(source, face)
-            if source[2] <= 0:
-                raise PipelineError(f"face {sorted(face)} has no recursion budget")
         return source
 
     def place(v: int, tri: Tri) -> None:

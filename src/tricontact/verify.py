@@ -6,15 +6,15 @@ the per-face gap condition, and realizes a planar drawing with an exact
 crossing count.  Everything is decided exactly, in one integer frame: the
 representation times S (`Representation.scaled`, built once), where
 `geometry`'s predicates run on Python ints.  Only what leaves the verifier
-(offending heights and corners, the drawing's points) is mapped back to
-`Fraction`s over S.  Floats serve as conservative prefilters whose misses
-fall back to exact tests, and they rank the candidate points of the
-drawing's vertices; each winner is re-checked exactly.  A float is n / S for
-a frame integer n, which Python rounds correctly, so it is the nearest
-double to the rational coordinate.  The float work runs as numpy array
-kernels, once per representation: one sort-and-sweep over boxes
-(`_box_pairs`) gives the near pairs of every check, and the screens run
-over blocks of pairs.
+is mapped back to `Fraction`s over S: offending heights and corners, and the
+drawing's points when they are serialized or read.  Floats serve as
+conservative prefilters whose misses fall back to exact tests, and they
+rank the candidate points of the drawing's vertices; each winner is
+re-checked exactly.  A float is n / S for a frame integer n, which Python
+rounds correctly, so it is the nearest double to the rational coordinate.
+The float work runs as numpy array kernels, once per representation: one
+sort-and-sweep over boxes (`_box_pairs`) gives the near pairs of every
+check, and the screens run over blocks of a bounded number of kept pairs.
 The module imports nothing from the constructor modules (`solver`,
 `perturb`, `assemble`), and the intersection graph is built here alone:
 the constructor never builds one.  The face check is written here, but
@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Collection, Sequence
 
@@ -57,8 +58,9 @@ def float_table(rep: Representation) -> tuple[list[int], np.ndarray, float]:
     return list(tris), table, float_pad(float(np.abs(table).max(initial=0.0)))
 
 
-# Most pairs in one block of a kernel, so that its temporaries stay small
+# Most kept pairs in a kernel's block, and most x-run pairs y-tested at once
 BLOCK = 1 << 11
+RUN_PAIRS = 4 * BLOCK
 
 
 def _box_pairs(boxes: np.ndarray, pad: float):
@@ -67,24 +69,29 @@ def _box_pairs(boxes: np.ndarray, pad: float):
     in the boxes' stable order by xlo.
 
     For each box, `searchsorted` finds the run of later boxes with
-    xlo - pad <= its xhi; a vectorised test keeps the pairs with
-    ylo[j] <= yhi[i] + pad and ylo[i] <= yhi[j] + pad (each rounded as
-    written).  A block holds the runs of consecutive boxes up to `BLOCK`
-    pairs in all, or one box's run if that is longer.
+    xlo - pad <= its xhi.  The runs of consecutive boxes, up to `RUN_PAIRS`
+    pairs at once or one box's run if that is longer, go through a
+    vectorised test that keeps the pairs with ylo[j] <= yhi[i] + pad and
+    ylo[i] <= yhi[j] + pad (each rounded as written).  The kept pairs are
+    yielded in order, in blocks of `BLOCK` pairs; only the last may hold fewer.
     """
     order = np.argsort(boxes[:, 0], kind="stable")
     xlo, xhi, ylo, yhi = boxes[order].T
     n = len(order)
     runs = np.searchsorted(xlo - pad, xhi, side="right") - np.arange(1, n + 1)
     starts = np.concatenate(([0], np.cumsum(runs)))
+    ki = kj = np.empty(0, dtype=np.intp)
     a = 0
     while a < n:
-        b = max(a + 1, int(np.searchsorted(starts, starts[a] + BLOCK, side="right")) - 1)
+        b = max(a + 1, int(np.searchsorted(starts, starts[a] + RUN_PAIRS, side="right")) - 1)
         i = np.repeat(np.arange(a, b), runs[a:b])
         j = i + 1 + np.arange(starts[b] - starts[a]) - np.repeat(starts[a:b] - starts[a], runs[a:b])
         keep = (ylo[j] <= yhi[i] + pad) & (ylo[i] <= yhi[j] + pad)
-        yield order[i[keep]], order[j[keep]]
+        ki, kj = np.concatenate((ki, order[i[keep]])), np.concatenate((kj, order[j[keep]]))
         a = b
+        while len(ki) >= BLOCK or (a == n and len(ki)):
+            yield ki[:BLOCK], kj[:BLOCK]
+            ki, kj = ki[BLOCK:], kj[BLOCK:]
 
 
 def intersection_graph(rep: Representation) -> set[tuple[int, int]]:
@@ -280,21 +287,41 @@ def check_face_condition(rep: Representation, T: planar.Triangulation) -> tuple[
 # Drawing extraction
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class Drawing:
-    points: dict[int, Point]
-    polylines: list[tuple[int, int, list[Point]]]
+    """A drawing in a representation's integer frame: point rows (xs[r],
+    ys[r]) over its S.  Row r < n is the point of vertices[r]; edge k has its
+    contact in row n + 3k and its route's midpoints toward u and v in rows
+    n + 3k + 1 and n + 3k + 2, and routes[k] lists the route's five rows.
+    `points`, `polylines` and `to_json` map the rows back to `Fraction`s over
+    S when first read, one `Point` per row, so shared endpoints stay shared.
+    """
+    S: int
+    xs: list[int]
+    ys: list[int]
+    vertices: list[int]
+    edges: list[tuple[int, int]]
+    routes: np.ndarray
+
+    @cached_property
+    def _back(self) -> list[Point]:
+        return [Point(Fraction(x, self.S), Fraction(y, self.S)) for x, y in zip(self.xs, self.ys)]
+
+    @cached_property
+    def points(self) -> dict[int, Point]:
+        return dict(zip(self.vertices, self._back))
+
+    @cached_property
+    def polylines(self) -> list[tuple[int, int, list[Point]]]:
+        return [(u, v, [self._back[r] for r in rows])
+                for (u, v), rows in zip(self.edges, self.routes.tolist())]
 
     def to_json(self) -> dict:
-        return {
-            "points": {
-                str(v): [frac_str(p.x), frac_str(p.y)] for v, p in sorted(self.points.items())
-            },
-            "polylines": [
-                {"u": u, "v": v, "path": [[frac_str(p.x), frac_str(p.y)] for p in path]}
-                for u, v, path in self.polylines
-            ],
-        }
+        def xy(p: Point) -> list[str]:
+            return [frac_str(p.x), frac_str(p.y)]
+        return {"points": {str(v): xy(p) for v, p in sorted(self.points.items())},
+                "polylines": [{"u": u, "v": v, "path": [xy(p) for p in path]}
+                              for u, v, path in self.polylines]}
 
 
 def _clip_hits(ax, ay, bx, by, rx, ry, rs) -> np.ndarray:
@@ -419,16 +446,6 @@ def _free_points(rep: Representation, nbrs: dict[int, Collection[int]],
     return {u: points[u] for u in sorted(nbrs)}
 
 
-def _midpoint(a: Point, b: Point) -> Point:
-    """The midpoint of a and b, exact in the integer frame, where every
-    vertex point and contact has even coordinates."""
-    return Point((a.x + b.x) // 2, (a.y + b.y) // 2)
-
-
-def _route(pu: Point, c: Point, pv: Point) -> list[Point]:
-    return [pu, _midpoint(pu, c), c, _midpoint(c, pv), pv]
-
-
 def _err(size: np.ndarray | float, delta: float) -> np.ndarray | float:
     """Bound on the error of a float cross or dot product of two difference
     vectors whose float components sum in magnitude to `size`, given each
@@ -494,66 +511,54 @@ def _meet_only_at_shared_end(X: np.ndarray, Y: np.ndarray, a, b, c, d, delta: fl
     return (at_a | (b == c) | (b == d)) & met, o
 
 
-def _exact_violation(polylines: Sequence[tuple[int, int, list[Point]]],
-                     pid: int, k: int, qid: int, l: int) -> bool:
-    """Whether leg k of polyline pid and leg l of polyline qid meet in a
-    forbidden way, decided exactly."""
-    u, v, path1 = polylines[pid]
-    u2, v2, path2 = polylines[qid]
-    a, b, c, d = path1[k], path1[k + 1], path2[l], path2[l + 1]
-    kind = segment_intersection_kind(a, b, c, d)
-    if pid == qid:
-        return kind == "cross" if abs(k - l) == 1 else kind != "none"
+def _exact_violation(xs: Sequence, ys: Sequence, ends: np.ndarray, p: int, q: int,
+                     adjacent: bool, rows: Sequence[int]) -> bool:
+    """Whether segments ab of polyline p and cd of polyline q, given as the
+    point rows (a, b, c, d) into xs, ys, meet in a forbidden way, decided
+    exactly; `adjacent` if they are consecutive legs of one polyline."""
+    A, B, C, D = (Point(xs[r], ys[r]) for r in rows)
+    kind = segment_intersection_kind(A, B, C, D)
+    if p == q:
+        return kind == "cross" if adjacent else kind != "none"
     if kind != "endpoint":
         return kind != "none"
-    common = None
-    for p in (a, b):
-        if p == c or p == d:
-            common = p
+    common = next((P for P in (B, A) if P == C or P == D), None)
     if common is not None:
+        (u, v, f1, l1), (u2, v2, f2, l2) = ends[p].tolist(), ends[q].tolist()
         for x in {u, v} & {u2, v2}:
-            terminal1 = path1[0] if u == x else path1[-1]
-            terminal2 = path2[0] if u2 == x else path2[-1]
-            if common == terminal1 == terminal2:
+            r1, r2 = (f1 if u == x else l1), (f2 if u2 == x else l2)
+            if common == Point(xs[r1], ys[r1]) == Point(xs[r2], ys[r2]):
                 return False
     return True
 
 
-def _violations(polylines: Sequence[tuple[int, int, list[Point]]],
-                scale: int = 1) -> list[tuple[int, int]]:
-    """All forbidden meetings between polyline segments, as (pid, qid) pairs,
-    for points given times `scale` (the integer frame's S, or 1).
+def _scan(xs: Sequence, ys: Sequence, scale: int, uv: np.ndarray, paths: np.ndarray
+          ) -> list[tuple[int, int]]:
+    """All forbidden meetings between polylines, as (pid, qid) pairs.
 
+    Polyline pid joins the edge uv[pid] through the point rows paths[pid]
+    (padded with -1), row r at (xs[r], ys[r]) / `scale` (S, or 1).
     Allowed: consecutive segments of one polyline sharing their joint, and
     two routes of edges sharing a vertex meeting exactly at that vertex's
     point.  Everything else (proper crossings, touches, collinear overlaps)
     is a violation.  The candidate pairs come from one `_box_pairs` sweep
     over the segments' boxes.  Conservative float screens, over each block
     of pairs at once, skip pairs that certainly miss and settle pairs that
-    certainly meet only at a shared endpoint object (`_meet_only_at_shared_end`,
+    certainly meet only at a shared endpoint row (`_meet_only_at_shared_end`,
     not applied to two non-consecutive segments of one polyline); such a
-    meeting of two routes is allowed iff that object is both routes'
-    terminal at a common vertex.  The rest is decided exactly
-    (`_exact_violation`).  Each pair is (later, earlier) in the sweep's order
-    of the segments, and the list is sorted.
+    meeting of two routes is allowed iff that row is both routes' terminal
+    at a common vertex.  The rest is decided exactly (`_exact_violation`).
+    Each pair is (later, earlier) in the sweep's order of the segments, and
+    the list is sorted.
     """
-    row: dict[int, int] = {}  # id of a Point object -> its row in xy
-    xy: list[float] = []  # x, y of each row
-    segs: list[int] = []  # polyline, leg, start row, end row of each segment
-    for pid, (_u, _v, path) in enumerate(polylines):
-        for p in path:
-            if id(p) not in row:
-                row[id(p)] = len(xy) // 2
-                xy += (p.x / scale, p.y / scale)
-        for k in range(len(path) - 1):
-            segs += (pid, k, row[id(path[k])], row[id(path[k + 1])])
-    xy = np.array(xy, dtype=float).reshape(-1, 2)
-    X, Y = xy[:, 0], xy[:, 1]
-    pid, leg, a, b = np.array(segs, dtype=np.intp).reshape(-1, 4).T
+    X = np.array([x / scale for x in xs], dtype=float)
+    Y = np.array([y / scale for y in ys], dtype=float)
+    pid, leg = np.nonzero(paths[:, 1:] >= 0)
+    a, b = paths[pid, leg], paths[pid, leg + 1]
     # per polyline: its vertices and the rows of its first and last point
-    ends = np.array([(u, v, row[id(path[0])], row[id(path[-1])]) if path else (u, v, -1, -1)
-                     for u, v, path in polylines], dtype=np.intp).reshape(-1, 4)
-    m = float(np.abs(xy).max(initial=0.0))
+    last = paths[np.arange(len(paths)), np.count_nonzero(paths >= 0, axis=1) - 1]
+    ends = np.column_stack((uv, paths[:, 0], last))
+    m = float(max(np.abs(X).max(initial=0.0), np.abs(Y).max(initial=0.0)))
     pad = float_pad(m)
     delta = 5.0 * ROUNDOFF * m + TINY
 
@@ -574,10 +579,23 @@ def _violations(polylines: Sequence[tuple[int, int, list[Point]]],
         bad = met & ~same & ~terminal
         out += zip(pid[s[bad]].tolist(), pid[e[bad]].tolist())
         for k in np.flatnonzero(~met & ~_far_apart(X, Y, a[s], b[s], a[e], b[e], delta)):
-            p, k1, q, l1 = (int(x) for x in (pid[s[k]], leg[s[k]], pid[e[k]], leg[e[k]]))
-            if _exact_violation(polylines, p, k1, q, l1):
+            p, q = int(pid[s[k]]), int(pid[e[k]])
+            if _exact_violation(xs, ys, ends, p, q, abs(leg[s[k]] - leg[e[k]]) == 1,
+                                (a[s[k]], b[s[k]], a[e[k]], b[e[k]])):
                 out.append((p, q))
     return sorted(out)
+
+
+def _violations(polylines: Sequence[tuple[int, int, list[Point]]]) -> list[tuple[int, int]]:
+    """`_scan` over polylines whose points are rows by object identity: a
+    point that two segments share must be one object."""
+    row: dict[int, tuple[int, Point]] = {}  # id of a Point object -> its row, the point
+    paths = np.full((len(polylines), max([1] + [len(p) for _u, _v, p in polylines])), -1)
+    for pid, (_u, _v, path) in enumerate(polylines):
+        paths[pid, :len(path)] = [row.setdefault(id(p), (len(row), p))[0] for p in path]
+    pts = [p for _r, p in row.values()]
+    return _scan([p.x for p in pts], [p.y for p in pts], 1,
+                 np.array([(u, v) for u, v, _p in polylines], dtype=np.intp).reshape(-1, 2), paths)
 
 
 def count_crossings(polylines: Sequence[tuple[int, int, list[Point]]]) -> int:
@@ -589,17 +607,18 @@ def extract_drawing(rep: Representation, T: planar.Triangulation) -> Drawing:
     """Planar drawing witness: a free point per vertex, and one 4-segment
     polyline per edge through a point of the pairwise intersection.
 
-    The drawing is built in `rep`'s integer frame and returned only after
-    one exact scan of all its segments (`_violations`) finds no forbidden
-    meeting, so it is crossing-free; otherwise `DrawingError` names the
-    first offending routes.  Its points are then mapped back to `rep`'s
-    coordinates, one `Point` per frame point, so shared endpoints stay
-    shared.
+    The drawing is built in `rep`'s integer frame, its point rows numbered
+    by structure (`Drawing`), and returned only after one exact scan of all
+    its segments (`_scan`) finds no forbidden meeting, so it is
+    crossing-free; otherwise `DrawingError` names the first offending
+    routes.  Every vertex point and contact has even frame coordinates, so
+    the midpoints are exact.
     """
     S, tris = rep.scaled
+    edges = sorted(T.edges)
     contacts: dict[tuple[int, int], Point] = {}
     lenses: dict[tuple[int, int], Tri] = {}
-    for u, v in sorted(T.edges):
+    for u, v in edges:
         ov = intersect(tris[u], tris[v])
         if ov.is_empty:
             raise DrawingError(f"edge ({u},{v}) has disjoint triangles")
@@ -607,19 +626,20 @@ def extract_drawing(rep: Representation, T: planar.Triangulation) -> Drawing:
         if ov.kind == "region":
             lenses[(u, v)] = ov.region
     points = _free_points(rep, T.adjacency(), contacts, lenses)
-    polylines = [(u, v, _route(points[u], contacts[(u, v)], points[v]))
-                 for u, v in sorted(T.edges)]
-    bad = _violations(polylines, S)
+    xs = [p.x for p in points.values()]
+    ys = [p.y for p in points.values()]
+    for (u, v), c in contacts.items():
+        xs += (c.x, (points[u].x + c.x) // 2, (c.x + points[v].x) // 2)
+        ys += (c.y, (points[u].y + c.y) // 2, (c.y + points[v].y) // 2)
+    uv = np.array(edges).reshape(-1, 2)
+    k = len(points) + 3 * np.arange(len(edges))
+    ru, rv = np.searchsorted(np.array(list(points)), uv).T  # the rows of the edges' ends
+    routes = np.column_stack((ru, k + 1, k, k + 2, rv))
+    bad = _scan(xs, ys, S, uv, routes)
     if bad:
         raise DrawingError("edge routes meet: " + ", ".join(
-            f"{polylines[p][:2]} and {polylines[q][:2]}" for p, q in list(dict.fromkeys(bad))[:3]))
-    back: dict[int, Point] = {}  # id of a frame point -> the point in rep's coordinates
-    for _u, _v, path in polylines:
-        for p in path:
-            if id(p) not in back:
-                back[id(p)] = Point(Fraction(p.x, S), Fraction(p.y, S))
-    return Drawing(points={u: back[id(p)] for u, p in points.items()},
-                   polylines=[(u, v, [back[id(p)] for p in path]) for u, v, path in polylines])
+            f"{edges[p]} and {edges[q]}" for p, q in list(dict.fromkeys(bad))[:3]))
+    return Drawing(S, xs, ys, list(points), edges, routes)
 
 
 # ---------------------------------------------------------------------------

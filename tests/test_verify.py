@@ -19,7 +19,6 @@ from tricontact.solver import (
 )
 from tricontact.verify import (
     _err,
-    _route,
     check_boundary,
     check_face_condition,
     check_simple,
@@ -40,6 +39,8 @@ from conftest import (
 )
 
 F = Fraction
+# sha256 of the drawing of gen_stacked(60, 1), as `extract_drawing` makes it
+STACKED60_DRAWING = "31cf323f0338fb1180e56e25452db275a0823e66f7c113cf006143c3b37122b1"
 
 
 def in_rep_frame(rep, p):
@@ -343,6 +344,51 @@ def _moved(rep, k, dx, dy):
                            for v, t in rep.triangles.items()}, rep.outer, rep.epsilon * k)
 
 
+def box_pairs_reference(boxes, pad):
+    """Every pair of boxes (xlo, xhi, ylo, yhi) that meet when widened by
+    `pad`, as (i, j) with i before j in the order by (xlo, index); the
+    coordinates and pads of the tests are dyadic, so nothing rounds."""
+    out = set()
+    for p in range(len(boxes)):
+        for q in range(p + 1, len(boxes)):
+            i, j = (p, q) if boxes[p][0] <= boxes[q][0] else (q, p)
+            if (boxes[j][0] <= boxes[i][1] + pad and boxes[j][2] <= boxes[i][3] + pad
+                    and boxes[i][2] <= boxes[j][3] + pad):
+                out.add((i, j))
+    return out
+
+
+class TestBoxPairs:
+    @staticmethod
+    def _boxes(seed, n):
+        # integer corners in a small range: many ties in xlo, and boxes of
+        # width or height 0
+        rng = random.Random(seed)
+        out = []
+        for _ in range(n):
+            x, y = rng.randint(0, 40), rng.randint(0, 40)
+            out.append((x, x + rng.choice((0, 0, 1, 2, 5)), y, y + rng.choice((0, 1, 3, 8))))
+        return out
+
+    @pytest.mark.parametrize("block, runs", [(verify.BLOCK, verify.RUN_PAIRS), (7, 20), (64, 1)],
+                             ids=["default", "small", "one-run"])
+    @pytest.mark.parametrize("pad", [0.0, 0.5, 1.0, 3.0])
+    def test_matches_all_pairs(self, block, runs, pad, monkeypatch):
+        monkeypatch.setattr(verify, "BLOCK", block)
+        monkeypatch.setattr(verify, "RUN_PAIRS", runs)
+        boxes = self._boxes(int(pad * 2) + block, 300)
+        blocks = list(verify._box_pairs(np.array(boxes, dtype=float), pad))
+        got = [(i, j) for bi, bj in blocks for i, j in zip(bi.tolist(), bj.tolist())]
+        assert len(got) == len(set(got))
+        assert set(got) == box_pairs_reference(boxes, pad)
+        # every block holds `block` kept pairs, but the last, which is not empty
+        sizes = [len(bi) for bi, _bj in blocks]
+        assert all(k == block for k in sizes[:-1]) and 0 < sizes[-1] <= block
+
+    def test_no_boxes(self):
+        assert list(verify._box_pairs(np.empty((0, 4)), 0.0)) == []
+
+
 class TestIntersectionGraph:
     @pytest.mark.parametrize("make", [
         lambda: represent(planar.gen_stacked(300, 1)),
@@ -597,10 +643,13 @@ class TestDrawing:
 
     @pytest.mark.parametrize("offset", [(0, 0), (3 << 62, 1 << 62)], ids=["unit", "tiny"])
     def test_collinear_route_legs_allowed(self, offset):
-        # routes are made in the integer frame; at the tiny scale (legs of a
-        # few units at 2^63) every point rounds to the same float
-        P = self._mapped({"pu": Point(0, 0), "c": Point(4, 4), "pv": Point(8, 2)}, offset, 1)
-        route = _route(P["pu"], P["c"], P["pv"])
+        # a route as `extract_drawing` makes it in the integer frame: the
+        # point of u, the midpoint toward the contact, the contact, the
+        # midpoint toward v, the point of v; at the tiny scale (legs of a few
+        # units at 2^63) every point rounds to the same float
+        P = self._mapped({"pu": Point(0, 0), "m1": Point(2, 2), "c": Point(4, 4),
+                          "m2": Point(6, 3), "pv": Point(8, 2)}, offset, 1)
+        route = [P[k] for k in ("pu", "m1", "c", "m2", "pv")]
         assert count_crossings([(0, 1, route)]) == 0
 
     def test_few_exact_segment_tests(self, monkeypatch):
@@ -633,17 +682,21 @@ class TestDrawing:
 
     @staticmethod
     def _checked_scans(monkeypatch):
-        """From now on every `_violations` scan must equal the scalar sweep's;
-        returns the list the scans are appended to."""
+        """From now on every `_scan` must equal the scalar sweep's over the
+        same polylines, one `Point` object per point row; returns the list
+        the scans are appended to."""
         scans = []
-        kernel = verify._violations
+        kernel = verify._scan
 
-        def checked(polylines, scale=1):
-            got = kernel(polylines, scale)
+        def checked(xs, ys, scale, uv, paths):
+            got = kernel(xs, ys, scale, uv, paths)
+            pts = [Point(x, y) for x, y in zip(xs, ys)]
+            polylines = [(u, v, [pts[r] for r in rows if r >= 0])
+                         for (u, v), rows in zip(uv.tolist(), paths.tolist())]
             assert got == sorted(violations_reference(polylines, scale))
             scans.append(got)
             return got
-        monkeypatch.setattr(verify, "_violations", checked)
+        monkeypatch.setattr(verify, "_scan", checked)
         return scans
 
     @pytest.mark.parametrize("make, offset, scale", [
@@ -685,9 +738,28 @@ class TestDrawing:
             extract_drawing(rep, T)
         assert len(scans) == 1 and scans[0]
 
+    @pytest.mark.parametrize("make, v, note", [
+        (lambda: planar.gen_four_connected(14, 1), 7, "(7, 11) and (7, 12)"),
+        (lambda: planar.gen_stacked(300, 1), 151, "(66, 151) and (21, 66)"),
+    ], ids=["g4_14_1", "stacked300_1"])
+    def test_routes_meet_after_passing_checks(self, make, v, note, monkeypatch):
+        # with t(v) moved to (x - h/3, y + h/5) and grown to 4h/3, every
+        # other check passes, but routes of the drawing meet (an open fault
+        # of the vertex points' placement): the one scan finds them as the
+        # scalar sweep does
+        T = make()
+        rep = represent(T)
+        t = rep.tri(v)
+        bad = rep.with_triangle(v, Tri(t.x - t.h / 3, t.y + t.h / 5, 4 * t.h / 3))
+        scans = self._checked_scans(monkeypatch)
+        r = full_report(bad, T, with_faces=True, with_drawing=True)
+        assert r.graph_match and r.simple and r.boundary_ok and r.corner_ok
+        assert r.face_condition_ok and not r.drawing_planar and r.drawing is None
+        assert r.drawing_note == "edge routes meet: " + note
+        assert len(scans) == 1 and scans[0]
+
     @pytest.mark.parametrize("make, digest", [
-        (lambda: planar.gen_stacked(60, 1),
-         "31cf323f0338fb1180e56e25452db275a0823e66f7c113cf006143c3b37122b1"),
+        (lambda: planar.gen_stacked(60, 1), STACKED60_DRAWING),
         (lambda: planar.double_wheel(8),
          "f166f8d8c82c1ab3509c9e7ab290ac9b54d788b4c62f9f1d340ae74833eacb6d"),
         (_implanted, "d0c095f212b2dcb1b9db721df6e6bd1496a577173bc82e0d9f71829c678c58bb"),
@@ -747,8 +819,8 @@ class TestFullReport:
     def test_fraction_work_is_frame_and_map_back(self, monkeypatch):
         # every check runs in the integer frame: Fraction arithmetic,
         # comparisons and construction are bounded by one conversion per
-        # triangle coordinate (the frame) and two per drawing point (the
-        # map-back of its coordinates)
+        # triangle coordinate (the frame); the drawing maps its points back
+        # only when they are read
         T = planar.gen_stacked(60, 1)
         rep = represent(T)
         calls = []
@@ -765,5 +837,10 @@ class TestFullReport:
         r = full_report(rep, T, with_faces=True, with_drawing=True)
         monkeypatch.undo()
         assert r.passed
+        assert len(calls) <= 3 * len(rep.triangles)
+        text = json.dumps(r.drawing.to_json(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == STACKED60_DRAWING
+        # shared endpoints are one object: the vertex points, and one per route row
         points = {id(p) for _u, _v, path in r.drawing.polylines for p in path}
-        assert len(calls) <= 3 * len(rep.triangles) + 2 * len(points)
+        assert {id(p) for p in r.drawing.points.values()} <= points
+        assert len(points) == len(T.vertices()) + 3 * len(T.edges)
