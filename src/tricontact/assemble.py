@@ -8,15 +8,16 @@ triangles fixed.  Pieces have no separating triangle, so a stacked piece is
 a K4, which survives the peel only as an ancestor of a larger piece.  Its
 inner vertex, like every peeled vertex, goes to `solve_stacked`: the exact
 medial child of the gap, which leaves three sub-gaps with their budgets.
-Every larger piece goes to the numeric solver in its canvas's own frame,
-where a power-of-two scaling makes the canvas 2 to 4 tall, is exactified and
-inflated there, and is cleared of triple overlaps; each of its inner faces
-takes its gap and budget from `perturb.face_gap_with_roles` when asked.  A
-piece's budget is the minimum of its parent's budget and its gap's, so
-budgets only shrink on the way down.
+Every larger piece is placed in its canvas's own frame, where a power-of-two
+scaling makes the canvas 2 to 4 tall: a 6-vertex piece is the octahedron and
+takes `solve_octahedron`'s exact layout, any other goes to the numeric
+solver and is exactified.  Either is inflated there and cleared of triple
+overlaps; each of its inner faces takes its gap and budget from
+`perturb.face_gap_with_roles` when asked.  A piece's budget is the minimum
+of its parent's budget and its gap's, so budgets only shrink on the way down.
 
 One map holds the gap of every face still free: the canvas, the medial
-sub-gaps and the numeric pieces' inner faces.  The peeled vertices go back
+sub-gaps and the larger pieces' inner faces.  The peeled vertices go back
 in reverse peel order and draw their gaps from it too.
 """
 
@@ -27,13 +28,14 @@ from fractions import Fraction
 
 from tricontact import perturb, planar
 from tricontact.core import Representation
-from tricontact.geometry import NegTri, Tri, frac, inside_neg, intersect
+from tricontact.geometry import NegTri, Tri, frac, inside_neg, intersect, pow2_floor
 from tricontact.solver import (
     SolverParams,
     canvas_with_roles,
     exactify,
     robustify,
     solve_contacts,
+    solve_octahedron,
     solve_stacked,
 )
 
@@ -70,24 +72,31 @@ class PipelineConfig:
 def _solve_piece(piece: planar.Triangulation, outer_map: dict[int, Tri],
                  canvas_roles, epsilon: Fraction, params: SolverParams,
                  trace_entry: dict) -> Representation:
-    """Solve a piece larger than a K4 numerically inside its gap."""
-    canvas = canvas_roles[0]
-    # solve in the frame t -> ((x - ox)/lam, (y - oy)/lam, h/lam), lam a power of two:
+    """Place a piece larger than a K4 inside its gap: an octahedron in closed
+    form, any other piece numerically."""
+    canvas, roles = canvas_roles
+    # place in the frame t -> ((x - ox)/lam, (y - oy)/lam, h/lam), lam a power of two:
     # the canvas becomes NegTri(3, 3, H), 2 <= H < 4, and a window 9H tall clips the boundary
-    q = canvas.h / 2
-    lam = Fraction(2) ** (q.numerator.bit_length() - q.denominator.bit_length())
-    lam = lam if lam <= q else lam / 2
+    lam = pow2_floor(canvas.h / 2)
     ox, oy, H = canvas.x - 3 * lam, canvas.y - 3 * lam, canvas.h / lam
     window = Tri(3 - 3 * H, 3 - 3 * H, 9 * H)
     local = {v: intersect(Tri((t.x - ox) / lam, (t.y - oy) / lam, t.h / lam), window).region
              for v, t in outer_map.items()}
-    result = solve_contacts(piece, local, params, (NegTri(3, 3, H), canvas_roles[1]))
-    local_rep = robustify(exactify(result, epsilon / lam), piece, params, epsilon / lam)
+    gap = NegTri(3, 3, H)
+    if len(piece.vertices()) == 6:
+        # with no separating triangle, a 6-vertex piece is the octahedron
+        local.update(solve_octahedron(piece, gap, roles, frac(params.delta)))
+        near = Representation(local, tuple(piece.outer), epsilon / lam)
+        trace_entry["path"] = "octahedron"
+    else:
+        result = solve_contacts(piece, local, params, (gap, roles))
+        near = exactify(result, epsilon / lam)
+        trace_entry["path"] = "solver"
+        trace_entry["restarts"] = result.restarts_used
+        trace_entry["max_edge_residual"] = result.max_edge_residual
+    local_rep = robustify(near, piece, params, epsilon / lam)
     inner = {v: Tri(lam * t.x + ox, lam * t.y + oy, lam * t.h)
              for v, t in local_rep.triangles.items() if v not in outer_map}
-    trace_entry["path"] = "solver"
-    trace_entry["restarts"] = result.restarts_used
-    trace_entry["max_edge_residual"] = result.max_edge_residual
     # robustify's pair checks make the intersection graph the piece's graph; a
     # piece has no separating triangle, so that graph's triangles are exactly
     # the piece's faces
@@ -112,7 +121,7 @@ def represent(T: planar.Triangulation, config: PipelineConfig | None = None,
     canvas, role_idx = canvas_with_roles([outer_map[v] for v in T.outer])
     triangles: dict[int, Tri] = dict(outer_map)
     # the faces still free, each with its (gap, roles, budget): the canvas, and
-    # every medial child's sub-gaps; a numeric piece's inner faces hold the
+    # every medial child's sub-gaps; a larger piece's inner faces hold the
     # piece's representation, and take their gap from it when asked
     gaps: dict[frozenset[int], tuple | Representation] = {
         T.outer_set: (canvas, {r: T.outer[i] for r, i in role_idx.items()}, config.epsilon)}

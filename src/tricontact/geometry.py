@@ -33,6 +33,12 @@ def frac(v: RationalLike) -> Fraction:
     return Fraction(v)
 
 
+def pow2_floor(q: Fraction) -> Fraction:
+    """The largest power of two at most q > 0."""
+    p = Fraction(2) ** (q.numerator.bit_length() - q.denominator.bit_length())
+    return p if p <= q else p / 2
+
+
 def frac_str(v: Fraction) -> str:
     """Canonical 'num/den' serialization (lowest terms, den > 0)."""
     return f"{v.numerator}/{v.denominator}"

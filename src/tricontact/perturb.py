@@ -321,9 +321,8 @@ def safe_epsilon(rep: Representation, move: Move,
     frame = {v: (t.x, t.y, t.s) for v, t in tris.items()}
     best = min(tris[i].h for i in moved)  # cap: moved heights
 
-    for a, b in combinations(sorted(frame), 2):
-        if a not in moved and b not in moved:
-            continue
+    # every pair holding a moved triangle, in the order of sorted pairs
+    for a, b in sorted({(min(i, v), max(i, v)) for i in moved for v in frame if v != i}):
         groups = _lines_for(frame, move, (a, b))
         if _eval_signed(groups, 0) < 0:
             ev = _first_reach(groups, 0, upward=True, stop=best)

@@ -1,17 +1,20 @@
 """Placement: the exact medial child for every stacked vertex (peeled, or
-the inner vertex of a K4 piece), the numeric contact solver for the other
-pieces without separating triangles, and the float-to-exact bridge
-(exactify + robustify).
+the inner vertex of a K4 piece), an exact closed-form layout for every
+octahedron piece, the numeric contact solver for the other pieces without
+separating triangles, and the bridge from a near-contact layout to a robust
+one (exactify + robustify).
 
 The numeric stage is the only part of the package whose floats reach the
-representation; the verifier screens with floats but decides exactly.  It
-evaluates its objective once per point, and a line search's candidate steps
-as one stacked array.  Everything it outputs is converted to
-exact rationals (doubles are dyadic) and then inflated by a single rational
-so that every adjacency becomes a strictly positive overlap while every
-non-adjacency stays strictly negative; the inflation is verified pair by
-pair on integers, in the representation's common-denominator frame
-(`core.int_frame`).
+representation; the verifier screens with floats but decides exactly, and
+an input whose pieces are all K4s and octahedra is built without a float.
+The solver evaluates its objective once per point, and a line search's
+candidate steps as one stacked array.  Everything it outputs is converted to
+exact rationals (doubles are dyadic).  An octahedron's layout is exact and
+dyadic already, its inner contacts short of closing by less than delta.
+Either layout is then inflated by a single rational so that every adjacency
+becomes a strictly positive overlap while every non-adjacency stays strictly
+negative; the inflation is verified pair by pair on integers, in the
+representation's common-denominator frame (`core.int_frame`).
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from tricontact.geometry import (
     frac,
     gap_candidates,
     inflate,
+    pow2_floor,
     signed_height,
 )
 
@@ -93,7 +97,7 @@ def canvas_with_roles(ts: Sequence[Tri]) -> tuple[NegTri, dict[str, int]]:
 
 
 # ---------------------------------------------------------------------------
-# Exact placement of stacked vertices
+# Exact placement of stacked vertices and octahedra
 # ---------------------------------------------------------------------------
 
 def solve_stacked(v: int, gap: NegTri, roles: Mapping[str, int]
@@ -120,6 +124,49 @@ def solve_stacked(v: int, gap: NegTri, roles: Mapping[str, int]
         frozenset((vh, v, vz)): (NegTri(x, gap.y, half),
                                  {"hyp": vh, "vertical": v, "horizontal": vz}, budget),
     }
+
+
+def solve_octahedron(piece: planar.Triangulation, gap: NegTri, roles: Mapping[str, int],
+                     delta: Fraction) -> dict[int, Tri]:
+    """Place the three inner vertices of an octahedron piece exactly in `gap`.
+
+    Each inner vertex takes the corner of `gap` opposite its one boundary
+    non-neighbour: with gap = NegTri(X, Y, H) and a height a, the antipode of
+    roles["hyp"] gets Tri(X - a, Y - a, a), that of roles["vertical"]
+    Tri(X - H + a, Y - a, a) and that of roles["horizontal"]
+    Tri(X - a, Y - H + a, a).  a = floor(H / 3g) g, on the grid of g, the
+    largest power of two at most delta / 3.
+
+    Why robustify's preconditions hold.  The boundary triangles bound `gap`
+    (`gap_candidates`): the hypotenuse's has s = X + Y - H and x, y <= the
+    gap's, X - H and Y - H; the vertical one's has x = X, y <= Y - H and
+    s >= X + Y; the horizontal one's likewise with the axes swapped.  Since
+    H/3 - g < a <= H/3, each inner triangle lies on its two gap sides:
+    Tri(X - a, Y - a, a) against the vertical triangle gives
+    min(X + Y - a, s) - max(X - a, X) - max(Y - a, y) = (X + Y - a) - X - (Y - a) = 0,
+    and the other five such pairs give 0 the same way.  Every inner pair has
+    min s = X + Y - H + a (as 2a <= H) and max x + max y = X + Y - 2a, so
+    signed height 3a - H, in (-3g, 0], inside (-delta, 0].  Each inner
+    triangle against its non-neighbour has signed height at most 2a - H
+    <= -H/3, below -margin whenever H/3 > margin (H >= 2 in `represent`'s frame).
+    So every adjacency is within delta of contact and every non-adjacency
+    at least H/3 apart.  a = H/3 would give exact contacts meeting in one
+    point, at one more factor of 3 in the denominators per nesting level.
+    """
+    g = pow2_floor(delta / 3)
+    a = math.floor(gap.h / (3 * g)) * g
+    if a == 0:
+        raise RobustifyError(f"delta={float(delta):.3e} leaves no grid step below a third "
+                             f"of the gap height {float(gap.h):.3e}")
+    X, Y, H = gap.x, gap.y, gap.h
+    corner = {"hyp": (X - a, Y - a), "vertical": (X - H + a, Y - a),
+              "horizontal": (X - a, Y - H + a)}
+    out = {}
+    for v in piece.vertices():
+        if v not in piece.outer_set:
+            (role,) = [r for r, u in roles.items() if not piece.has_edge(u, v)]
+            out[v] = Tri(*corner[role], a)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -511,12 +511,12 @@ def _meet_only_at_shared_end(X: np.ndarray, Y: np.ndarray, a, b, c, d, delta: fl
     return (at_a | (b == c) | (b == d)) & met, o
 
 
-def _exact_violation(xs: Sequence, ys: Sequence, ends: np.ndarray, p: int, q: int,
+def _exact_violation(pts: Sequence[Point], ends: Sequence[Sequence[int]], p: int, q: int,
                      adjacent: bool, rows: Sequence[int]) -> bool:
     """Whether segments ab of polyline p and cd of polyline q, given as the
-    point rows (a, b, c, d) into xs, ys, meet in a forbidden way, decided
+    point rows (a, b, c, d) into pts, meet in a forbidden way, decided
     exactly; `adjacent` if they are consecutive legs of one polyline."""
-    A, B, C, D = (Point(xs[r], ys[r]) for r in rows)
+    A, B, C, D = (pts[r] for r in rows)
     kind = segment_intersection_kind(A, B, C, D)
     if p == q:
         return kind == "cross" if adjacent else kind != "none"
@@ -524,10 +524,10 @@ def _exact_violation(xs: Sequence, ys: Sequence, ends: np.ndarray, p: int, q: in
         return kind != "none"
     common = next((P for P in (B, A) if P == C or P == D), None)
     if common is not None:
-        (u, v, f1, l1), (u2, v2, f2, l2) = ends[p].tolist(), ends[q].tolist()
+        (u, v, f1, l1), (u2, v2, f2, l2) = ends[p], ends[q]
         for x in {u, v} & {u2, v2}:
             r1, r2 = (f1 if u == x else l1), (f2 if u2 == x else l2)
-            if common == Point(xs[r1], ys[r1]) == Point(xs[r2], ys[r2]):
+            if common == pts[r1] == pts[r2]:
                 return False
     return True
 
@@ -563,6 +563,7 @@ def _scan(xs: Sequence, ys: Sequence, scale: int, uv: np.ndarray, paths: np.ndar
     delta = 5.0 * ROUNDOFF * m + TINY
 
     out: list[tuple[int, int]] = []
+    pts = end_rows = None  # one Point per row, made when a block first needs an exact test
     boxes = np.stack((np.minimum(X[a], X[b]), np.maximum(X[a], X[b]),
                       np.minimum(Y[a], Y[b]), np.maximum(Y[a], Y[b])), axis=1)
     for e, s in _box_pairs(boxes, pad):
@@ -578,10 +579,16 @@ def _scan(xs: Sequence, ys: Sequence, scale: int, uv: np.ndarray, paths: np.ndar
                          & (o == np.where(pe[:, 0] == x, pe[:, 2], pe[:, 3])))
         bad = met & ~same & ~terminal
         out += zip(pid[s[bad]].tolist(), pid[e[bad]].tolist())
-        for k in np.flatnonzero(~met & ~_far_apart(X, Y, a[s], b[s], a[e], b[e], delta)):
-            p, q = int(pid[s[k]]), int(pid[e[k]])
-            if _exact_violation(xs, ys, ends, p, q, abs(leg[s[k]] - leg[e[k]]) == 1,
-                                (a[s[k]], b[s[k]], a[e[k]], b[e[k]])):
+        k = np.flatnonzero(~met & ~_far_apart(X, Y, a[s], b[s], a[e], b[e], delta))
+        if not k.size:
+            continue
+        if pts is None:
+            pts, end_rows = [Point(x, y) for x, y in zip(xs, ys)], ends.tolist()
+        sk, ek = s[k], e[k]
+        for p, q, adjacent, *rows in zip(pid[sk].tolist(), pid[ek].tolist(),
+                                         (abs(leg[sk] - leg[ek]) == 1).tolist(), a[sk].tolist(),
+                                         b[sk].tolist(), a[ek].tolist(), b[ek].tolist()):
+            if _exact_violation(pts, end_rows, p, q, adjacent, rows):
                 out.append((p, q))
     return sorted(out)
 

@@ -58,6 +58,16 @@ def implant_faces(T: planar.Triangulation, indices) -> planar.Triangulation:
     return T
 
 
+def implant_double_wheel(T: planar.Triangulation, face) -> planar.Triangulation:
+    """T with the inner face `face` replaced by double_wheel(5), whose outer
+    face it becomes: a 7-vertex piece, which only the numeric solver places."""
+    D = planar.double_wheel(5)
+    name = dict(zip(D.outer, sorted(face)))
+    name.update((v, T.n + i) for i, v in enumerate(sorted(set(D.vertices()) - D.outer_set)))
+    new = [frozenset(name[v] for v in f) for f in D.faces if f != D.outer_set]
+    return planar._from_faces([f for f in T.faces if f != frozenset(face)] + new, T.outer)
+
+
 def newest_face(T: planar.Triangulation) -> list[int]:
     """The first inner face, in sorted order, that holds T's newest vertex."""
     return sorted(sorted(f) for f in T.inner_faces if T.n - 1 in f)[0]

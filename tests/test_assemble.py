@@ -11,9 +11,27 @@ from tricontact.core import Representation
 from tricontact.geometry import Tri, common_signed_height, intersect, signed_height
 from tricontact.solver import SolverParams, canvas_with_roles
 from tricontact.verify import full_report
-from conftest import chain, implant_faces, implanted, point, stacking_chain, tri
+from conftest import (
+    chain,
+    implant_double_wheel,
+    implant_faces,
+    implanted,
+    newest_face,
+    point,
+    stacking_chain,
+    tri,
+)
 
 F = Fraction
+
+
+def deep_double_wheel() -> planar.Triangulation:
+    """chain(20, 5, 2), a vertex stacked into its newest face, and
+    double_wheel(5) implanted into the first face holding that vertex: a
+    numeric piece nine levels down the separation tree."""
+    T = chain(20, 5, 2)
+    T = planar.stack_vertex(T, newest_face(T))
+    return implant_double_wheel(T, newest_face(T))
 
 
 class TestDefaultOuter:
@@ -56,7 +74,7 @@ class TestRepresent:
         trace = []
         rep = represent(T, trace=trace)
         assert full_report(rep, T, audit=True, with_drawing=True).passed
-        assert [e["path"] for e in trace] == ["stacked", "stacked", "solver"]
+        assert [e["path"] for e in trace] == ["stacked", "stacked", "octahedron"]
         eps = [e["epsilon"] for e in trace]
         assert eps[0] == F(1)
         assert 0 < eps[2] <= eps[1] <= eps[0]    # child budget = min(eps, eps')
@@ -74,7 +92,7 @@ class TestRepresent:
         trace = []
         rep = represent(T, trace=trace)
         assert full_report(rep, T, audit=True, with_drawing=True).passed
-        assert trace[0]["path"] == "solver"
+        assert trace[0]["path"] == "octahedron"
         assert all(e["epsilon"] > 0 for e in trace)
 
     def test_composed_four_connected_into_stacked(self):
@@ -83,14 +101,14 @@ class TestRepresent:
         trace = []
         rep = represent(T, trace=trace)
         assert full_report(rep, T, with_drawing=True).passed
-        assert "solver" in [e["path"] for e in trace]
+        assert "octahedron" in [e["path"] for e in trace]
 
     def test_budgets_shrink_down_the_tree(self):
         T = chain(16, 9, 3)
         trace = []
         represent(T, trace=trace)
         tree = planar.decompose(planar.peel(T)[0])
-        assert {"stacked", "solver"} <= {e["path"] for e in trace}
+        assert {"stacked", "octahedron"} <= {e["path"] for e in trace}
         eps_of = {e["piece"]: e["epsilon"] for e in trace}
         for parent, child, _ in tree.links:
             assert 0 < eps_of[child] <= eps_of[parent]
@@ -127,13 +145,32 @@ class TestRepresent:
         rep = represent(T, trace=trace)
         assert sorted(rep.triangles) == list(range(n + 4))
         assert [e["piece"] for e in trace] == list(range(n - 1))
-        assert trace[-1]["path"] == "solver"
+        assert trace[-1]["path"] == "octahedron"
+
+    def test_larger_piece_goes_to_the_solver(self):
+        T, trace = planar.double_wheel(5), []
+        rep = represent(T, trace=trace)
+        assert full_report(rep, T, with_drawing=True).passed
+        assert [e["path"] for e in trace] == ["solver"] and "restarts" in trace[0]
+
+    @pytest.mark.parametrize("make", [lambda: implanted(100, 3, 20), lambda: chain(20, 5, 6)],
+                             ids=["implanted100_3x20", "chain20_5d6"])
+    def test_octahedra_take_no_numeric_solve(self, make, monkeypatch):
+        def forbidden(*a, **k):
+            raise AssertionError("an octahedron piece is placed in closed form")
+
+        monkeypatch.setattr(assemble, "solve_contacts", forbidden)
+        monkeypatch.setattr(assemble, "exactify", forbidden)
+        T, trace = make(), []
+        rep = represent(T, trace=trace)
+        assert full_report(rep, T, with_faces=True, with_drawing=True).passed
+        assert {e["path"] for e in trace} == {"stacked", "octahedron"}
 
     @pytest.mark.parametrize("make, digest", [
         (lambda: implanted(100, 3, 20),
-         "88e47c8357c19a83f1b686d69a5896db39235dca08f187a37ff7009f9733ab4c"),
+         "a79a96c4d7d6ee521d94365e03d632e73ed523e7129e7dd9c266f114b9261394"),
         (lambda: chain(20, 5, 6),
-         "ff8917be465af06dacd943274a9d8f88aa4e80357c917250b83670e367a6b276"),
+         "1cfa9ddc60080707a04453301b86bed9fea79d418a42199184a26fec20d2e5bf"),
     ], ids=["implanted100_3x20", "chain20_5d6"])
     def test_representation_digest_pinned(self, make, digest):
         # peeled vertices and solved pieces together, byte for byte as the CLI writes them
@@ -227,7 +264,7 @@ class TestStackedPieces:
         T, trace = make(), []
         rep = represent(T, config, trace=trace)
         monkeypatch.undo()
-        # numeric pieces take both; no K4 piece takes either
+        # octahedron pieces take both; no K4 piece takes either
         assert sizes and 4 not in sizes
         tree = planar.decompose(planar.peel(T)[0])
         k4s = [tree.pieces[e["piece"]] for e in trace if e["path"] == "stacked"]
@@ -241,14 +278,15 @@ class TestStackedPieces:
 
 
 class TestLocalFrame:
-    """Each numeric piece is solved in its canvas's own dyadic frame, so the
+    """Each larger piece is placed in its canvas's own dyadic frame, so the
     construction commutes with dyadic homotheties of the boundary."""
 
     @pytest.mark.parametrize("make", [
         lambda: planar.double_wheel(6),
         lambda: planar.gen_four_connected(12, 0),
         lambda: implant_faces(planar.gen_stacked(30, 1), (0,)),
-    ], ids=["dw6", "g4_12_0", "stacked30_1+octa"])
+        deep_double_wheel,
+    ], ids=["dw6", "g4_12_0", "stacked30_1+octa", "deep_dw5"])
     @pytest.mark.parametrize("k, d", [
         (F(1, 2 ** 40), (F(0), F(0))),
         (F(1, 2 ** 40), (F(3), F(1))),
@@ -262,9 +300,19 @@ class TestLocalFrame:
         for v, t in base.triangles.items():
             assert rep.tri(v) == Tri(t.x * k + d[0], t.y * k + d[1], t.h * k)
 
+    def test_numeric_piece_deep_in_the_tree(self):
+        T, trace = deep_double_wheel(), []
+        represent(T, trace=trace)
+        (idx,) = [e["piece"] for e in trace if e["path"] == "solver"]
+        parent = {child: up for up, child, _ in planar.decompose(planar.peel(T)[0]).links}
+        depth = 0
+        while idx in parent:
+            idx, depth = parent[idx], depth + 1
+        assert depth >= 7
+
     @pytest.mark.parametrize("make", [lambda: chain(20, 5, 7), lambda: chain(20, 7, 12),
-                                      lambda: stacking_chain(90)],
-                             ids=["5-7", "7-12", "stacking90"])
+                                      lambda: stacking_chain(90), deep_double_wheel],
+                             ids=["5-7", "7-12", "stacking90", "deep_dw5"])
     def test_deep_chain_certifies(self, make):
         # near (1, 3), absolute floats cannot resolve the innermost canvases'
         # tolerances, nor the verifier's screens separate the deepest triangles

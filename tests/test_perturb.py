@@ -836,7 +836,7 @@ def _agrees_with_reference(rep, face):
 
 def _nested_pieces(monkeypatch):
     """(representation, faces) of every remainder piece of the benchmark's
-    `nested` corpus: each numeric piece after its triple removal, and each K4
+    `nested` corpus: each octahedron piece after its triple removal, and each K4
     piece as its four triangles."""
     pieces = []
     real = perturb.remove_all

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from tricontact import planar, solver
-from tricontact.assemble import PipelineConfig, represent
+from tricontact.assemble import PipelineConfig, default_outer, represent
 from tricontact.geometry import Tri, inflate, intersect, signed_height
 from tricontact.core import Representation
 from tricontact.solver import (
@@ -22,6 +22,7 @@ from tricontact.solver import (
     exactify,
     robustify,
     solve_contacts,
+    solve_octahedron,
     solve_stacked,
 )
 from conftest import graph_triangles, ntri, point, represent_in, stacked_by_peeling, tri
@@ -294,6 +295,61 @@ class TestSolveStacked:
         rep = represent(T)
         r = full_report(rep, T, epsilon=F(1, 10 ** 9), with_faces=False)
         assert r.passed and r.simple
+
+
+class TestSolveOctahedron:
+    """The closed-form layout of an octahedron piece (antipodal pairs (0, 3),
+    (1, 4), (2, 5)): exact contact with the gap sides, inner pairs short of
+    contact by less than delta, and a grid that follows delta."""
+
+    @staticmethod
+    def _layout(octahedron, outer, delta):
+        canvas, role_idx = canvas_with_roles([outer[v] for v in range(3)])
+        inner = solve_octahedron(octahedron, canvas, role_idx, delta)
+        return canvas, Representation({**outer, **inner}, (0, 1, 2), F(1))
+
+    @pytest.mark.parametrize("scale", [F(1), F(5, 7), F(1, 2 ** 40)], ids=["unit", "skewed", "tiny"])
+    @pytest.mark.parametrize("delta", [F(1e-7), F(1, 10 ** 9), F(1, 10)], ids=["1e-7", "1e-9", "1e-1"])
+    def test_signed_heights(self, octahedron, scale, delta):
+        outer = {v: Tri(t.x * scale, t.y * scale, t.h * scale)
+                 for v, t in enumerate(default_outer())}
+        # delta is a length in the gap's frame, so it scales with the boundary
+        canvas, rep = self._layout(octahedron, outer, delta * scale)
+        a = rep.tri(3).h
+        assert {rep.tri(v).h for v in (3, 4, 5)} == {a}
+        assert 3 * a - canvas.h > -delta * scale
+        for u, v in itertools.combinations(range(6), 2):
+            s = signed_height(rep.tri(u), rep.tri(v))
+            if not octahedron.has_edge(u, v):
+                assert s <= -canvas.h / 3
+            elif u >= 3:
+                assert s == 3 * a - canvas.h
+            elif v >= 3:
+                assert s == 0
+
+    def test_dyadic_grid(self, octahedron, outer_map):
+        # the canvas is NegTri(3, 3, 2); 2^-25 <= 1e-7 / 3 < 2^-24
+        _, rep = self._layout(octahedron, outer_map, F(1e-7))
+        a = F(22369621, 2 ** 25)   # floor(2 / (3 * 2^-25)) * 2^-25
+        assert [rep.tri(v) for v in (3, 4, 5)] == [Tri(3 - a, 3 - a, a), Tri(3 - a, 1 + a, a),
+                                                   Tri(1 + a, 3 - a, a)]
+
+    def test_grid_follows_delta(self, octahedron, outer_map):
+        # a grid twice as coarse as delta = 1e-7 allows leaves the inner
+        # pairs 2^-23 short of contact, more than delta
+        params = SolverParams()
+        _, fine = self._layout(octahedron, outer_map, F(params.delta))
+        robustify(fine, octahedron, params, F(1))
+        _, coarse = self._layout(octahedron, outer_map, 2 * F(params.delta))
+        with pytest.raises(RobustifyError, match="exceeds delta"):
+            robustify(coarse, octahedron, params, F(1))
+
+    def test_delta_above_the_gap(self, octahedron):
+        # the canvas is 2 to 4 tall in the piece's frame: a grid step of 2
+        # leaves no height below a third of it
+        cfg = PipelineConfig(solver=SolverParams(delta=6, margin=40))
+        with pytest.raises(RobustifyError, match="no grid step"):
+            represent(octahedron, cfg)
 
 
 class TestSolveContacts:

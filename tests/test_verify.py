@@ -762,7 +762,7 @@ class TestDrawing:
         (lambda: planar.gen_stacked(60, 1), STACKED60_DRAWING),
         (lambda: planar.double_wheel(8),
          "f166f8d8c82c1ab3509c9e7ab290ac9b54d788b4c62f9f1d340ae74833eacb6d"),
-        (_implanted, "d0c095f212b2dcb1b9db721df6e6bd1496a577173bc82e0d9f71829c678c58bb"),
+        (_implanted, "85dfe665d1045d5f391e3f7858634e71de9f665c61185160d4fb82e4779d2de9"),
     ], ids=["stacked60", "dw8", "implanted"])
     def test_drawing_digest_pinned(self, make, digest):
         # any change to the drawing witness changes these digests
