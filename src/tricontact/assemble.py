@@ -13,12 +13,14 @@ scaling makes the canvas 2 to 4 tall: a 6-vertex piece is the octahedron and
 takes `solve_octahedron`'s exact layout, any other goes to the numeric
 solver and is exactified.  Either is inflated there and cleared of triple
 overlaps; each of its inner faces takes its gap and budget from
-`perturb.face_gap_with_roles` when asked.  A piece's budget is the minimum
-of its parent's budget and its gap's, so budgets only shrink on the way down.
+`perturb.face_gap_with_roles` when asked.
 
-One map holds the gap of every face still free: the canvas, the medial
-sub-gaps and the larger pieces' inner faces.  The peeled vertices go back
-in reverse peel order and draw their gaps from it too.
+One map holds the gap of every face still free, with its budget: the
+canvas, the medial sub-gaps and the larger pieces' inner faces.  It caps a
+face's budget by that of the piece the face lies in (a larger piece's
+representation carries it as epsilon), so a piece takes its budget from its
+gap alone, and budgets only shrink on the way down.  The peeled vertices go
+back in reverse peel order and draw their gaps from the map too.
 """
 
 from __future__ import annotations
@@ -122,14 +124,15 @@ def represent(T: planar.Triangulation, config: PipelineConfig | None = None,
     triangles: dict[int, Tri] = dict(outer_map)
     # the faces still free, each with its (gap, roles, budget): the canvas, and
     # every medial child's sub-gaps; a larger piece's inner faces hold the
-    # piece's representation, and take their gap from it when asked
+    # piece's representation, and take their gap and budget from it when asked
     gaps: dict[frozenset[int], tuple | Representation] = {
         T.outer_set: (canvas, {r: T.outer[i] for r, i in role_idx.items()}, config.epsilon)}
 
     def take(face: frozenset[int]):
         source = gaps.pop(face, None)
         if isinstance(source, Representation):
-            source = perturb.face_gap_with_roles(source, face)
+            gap, roles, budget = perturb.face_gap_with_roles(source, face)
+            return gap, roles, min(budget, source.epsilon)
         return source
 
     def place(v: int, tri: Tri) -> None:
@@ -137,32 +140,26 @@ def represent(T: planar.Triangulation, config: PipelineConfig | None = None,
             raise PipelineError(f"vertex {v} placed twice")
         triangles[v] = tri
 
-    def stack(v: int, gap: NegTri, roles: dict[str, int]) -> None:
+    def stack(v: int, gap: NegTri, roles: dict[str, int]) -> dict:
         tri, sub_gaps = solve_stacked(v, gap, roles)
         place(v, tri)
-        gaps.update(sub_gaps)
+        return sub_gaps
 
     if len(remainder.vertices()) > 3:
-        tree = planar.decompose(remainder)
-        children: dict[int, list[tuple[int, tuple[int, int, int]]]] = {}
-        for parent_idx, child_idx, label in tree.links:
-            children.setdefault(parent_idx, []).append((child_idx, label))
-        # pieces still to place, each with its parent's budget and its outer
-        # face; popped in preorder, so solves and trace entries keep the tree's order
-        pending = [(config.epsilon, 0, tuple(T.outer))]
-        while pending:
-            parent_epsilon, idx, label = pending.pop()
-            piece = tree.pieces[idx]
-            gap, roles, budget = take(frozenset(label))
-            epsilon = min(parent_epsilon, budget)
+        # pieces come in preorder, so each one's outer face is free by the
+        # time it comes up; solves and trace entries keep the tree's order
+        for idx, piece in enumerate(planar.decompose(remainder).pieces):
+            gap, roles, epsilon = take(piece.outer_set)
             entry = {"piece": idx, "n": len(piece.vertices()), "epsilon": epsilon, "canvas": gap}
-            inner = [v for v in piece.vertices() if v not in label]
+            inner = [v for v in piece.vertices() if v not in piece.outer_set]
             if len(inner) == 1:
-                # a piece has no separating triangle, so a stacked piece is a K4
-                stack(inner[0], gap, roles)
+                # a piece has no separating triangle, so a stacked piece is a
+                # K4; its faces' budgets are capped by its own
+                gaps.update((f, (g, r, min(b, epsilon)))
+                            for f, (g, r, b) in stack(inner[0], gap, roles).items())
                 entry["path"] = "stacked"
             else:
-                rep = _solve_piece(piece, {v: triangles[v] for v in label}, (gap, roles),
+                rep = _solve_piece(piece, {v: triangles[v] for v in piece.outer}, (gap, roles),
                                    epsilon, config.solver, entry)
                 for v in inner:
                     place(v, rep.tri(v))
@@ -174,14 +171,14 @@ def represent(T: planar.Triangulation, config: PipelineConfig | None = None,
                 for v in inner:
                     if not inside_neg(triangles[v], allowed):
                         raise PipelineError(
-                            f"triangle of vertex {v} escapes the face gap of {label}")
-            pending.extend((epsilon, c, lab) for c, lab in reversed(children.get(idx, [])))
+                            f"triangle of vertex {v} escapes the face gap of {piece.outer}")
 
+    # peeled vertices come after every piece and read no budget
     for v, face in reversed(peeled):
         found = take(face)
         if found is None:
             raise PipelineError(f"vertex {v} goes back into {sorted(face)}, which has no gap")
-        stack(v, *found[:2])
+        gaps.update(stack(v, *found[:2]))
 
     missing = set(T.vertices()) - set(triangles)
     if missing:

@@ -103,7 +103,7 @@ def cmd_run(args) -> int:
     T = planar.from_json(_load_json(args.input))
     rep = assemble.represent(T, _config(args))
     _dump(rep.to_json(), args.output)
-    report = verify.full_report(rep, T, audit=args.audit, with_faces=True,
+    report = verify.full_report(rep, T, with_faces=True,
                                 with_drawing=args.drawing or bool(args.drawing_out))
     if args.report:
         _dump(report.to_json(), args.report)
@@ -121,7 +121,7 @@ def cmd_verify(args) -> int:
     rep = Representation.from_json(_load_json(args.input))
     T = planar.from_json(_load_json(args.graph))
     eps = frac(args.epsilon) if args.epsilon else None
-    report = verify.full_report(rep, T, epsilon=eps, audit=args.audit,
+    report = verify.full_report(rep, T, epsilon=eps,
                                 with_faces=not args.no_faces, with_drawing=args.drawing)
     _dump(report.to_json(), args.output)
     return EXIT_OK if report.passed else EXIT_VERIFY
@@ -164,7 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--report", default=None, help="verification report JSON")
     pr.add_argument("--drawing-out", default=None, help="drawing JSON")
     pr.add_argument("--svg", default=None, help="render to SVG file")
-    pr.add_argument("--audit", action="store_true", help="cubic triple scan")
     pr.add_argument("--drawing", action="store_true", help="extract and check a drawing")
     _add_solver_flags(pr)
     pr.set_defaults(fn=cmd_run)
@@ -173,7 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--input", required=True, help="representation JSON")
     pc.add_argument("--graph", required=True, help="graph JSON")
     pc.add_argument("--epsilon", default=None)
-    pc.add_argument("--audit", action="store_true")
     pc.add_argument("--drawing", action="store_true")
     pc.add_argument("--no-faces", action="store_true")
     pc.add_argument("--output", default=None)

@@ -10,8 +10,9 @@ as the first sign change of a piecewise-linear function of the step size; the
 step uses half the earliest event time.  After each move the full invariant
 set is re-verified.  Every scan and check runs on Python ints, in the
 representation's integer frame (`core.Representation.scaled`); only what
-leaves the module (step sizes, a bad triple's overlap, a face gap and its
-budget) is built in `Fraction`s.
+leaves the module (step sizes, a bad triple's anchor point, a face gap and
+its budget) is built in `Fraction`s.  A face gap's budget is the face's own;
+`assemble`'s map of free faces caps it by the budget of the face's piece.
 """
 
 from __future__ import annotations
@@ -24,10 +25,8 @@ from typing import Iterable, Mapping, Sequence
 from tricontact.core import Frame, Representation
 from tricontact.geometry import (
     NegTri,
-    Overlap,
     Point,
     Tri,
-    common_intersection,
     common_signed_height,
     gap_candidates,
     intersect,
@@ -66,36 +65,17 @@ class BadTriple:
 
     Roles follow the geometry of I = {a >= mx, b >= my, a+b <= ms}:
     u supplies the hypotenuse bound (and is the triangle slid down later),
-    v the vertical bound, w the horizontal bound; p is the right corner of I.
+    v the vertical bound, w the horizontal bound; p = (mx, my) is the right
+    corner of I.
     """
     u: int
     v: int
     w: int
-    overlap: Overlap
     p: Point
 
     @property
     def ids(self) -> frozenset[int]:
         return frozenset((self.u, self.v, self.w))
-
-
-@dataclass(frozen=True)
-class EpsilonBudget:
-    """Per-round step sizes and the clearance they were derived from.
-
-    epsilon is the boundary-overlap bound being maintained; e2 is None when
-    no triangle sits on the slid triangle's hypotenuse.  Each step size is
-    strictly below the smallest forbidden-event margin of its move.
-    """
-    epsilon: Fraction
-    e1: Fraction
-    e2: Fraction | None
-    e3: Fraction
-    clearance: Fraction
-
-    def __post_init__(self):
-        assert self.e1 > 0 and self.e3 > 0 and (self.e2 is None or self.e2 > 0)
-        assert self.clearance > 0
 
 
 def _assign_roles(ids: Sequence[int], tris: Sequence[Tri]) -> tuple[int, int, int]:
@@ -143,10 +123,10 @@ def find_bad_triples(rep: Representation,
     Only triangles of the intersection graph can qualify (a pairwise-empty
     pair forces an empty common intersection); `triangles` lists them.
     Errors out if any four triangles share a point.  The scans run in the
-    integer frame; only a bad triple's overlap is built in `Fraction`s.
+    integer frame; only a bad triple's anchor point is built in `Fraction`s.
     """
     out = []
-    tris = rep.scaled[1]
+    S, tris = rep.scaled
     all_ids = sorted(tris)
     for a, b, c in triangles:
         ts = [tris[a], tris[b], tris[c]]
@@ -159,8 +139,8 @@ def find_bad_triples(rep: Representation,
                 raise QuadrupleIntersection(
                     f"triangles {a},{b},{c},{z} share a point; re-solve with smaller delta")
         u, v, w = _assign_roles((a, b, c), ts)
-        ov = common_intersection([rep.tri(a), rep.tri(b), rep.tri(c)])
-        out.append(BadTriple(u=u, v=v, w=w, overlap=ov, p=ov.right_corner))
+        p = Point(Fraction(max(t.x for t in ts), S), Fraction(max(t.y for t in ts), S))
+        out.append(BadTriple(u=u, v=v, w=w, p=p))
     return out
 
 
@@ -498,8 +478,8 @@ def step3_separate(rep: Representation, triple: BadTriple, e3: Fraction) -> Repr
 STEP_RETRIES = 20  # halvings of the step budgets before a triple counts as stuck
 
 
-def remove_all(rep: Representation, triangles: Sequence[tuple[int, int, int]],
-               budgets: list[EpsilonBudget] | None = None) -> Representation:
+def remove_all(rep: Representation, triangles: Sequence[tuple[int, int, int]]
+               ) -> Representation:
     """Remove every bad triple: find, select highest, apply the three steps
     with exact safe budgets; retry a round with halved budgets, at most
     STEP_RETRIES times, when a postcondition recheck fails.  A round that
@@ -517,19 +497,18 @@ def remove_all(rep: Representation, triangles: Sequence[tuple[int, int, int]],
         for _attempt in range(STEP_RETRIES):
             try:
                 work = rep
-                e1, c1 = safe_epsilon(work, {sel.u: PUSH_VERTICAL}, triangles,
-                                      exclude_triple=sel.ids)
+                e1, _ = safe_epsilon(work, {sel.u: PUSH_VERTICAL}, triangles,
+                                     exclude_triple=sel.ids)
                 e1 *= shrink
                 work = step1_widen(work, sel, e1)
                 zs = _translation_hazards(work, sel)
-                e2 = c2 = None
                 if zs:
                     move2 = {z: PUSH_HORIZONTAL for z in zs}
-                    e2, c2 = safe_epsilon(work, move2, triangles, exclude_triple=sel.ids)
+                    e2, _ = safe_epsilon(work, move2, triangles, exclude_triple=sel.ids)
                     e2 *= shrink
                     work = step2_clear(work, sel, e2)
                 move3 = {sel.u: TRANSLATE_DOWN, sel.v: PUSH_VERTICAL}
-                e3, c3 = safe_epsilon(work, move3, triangles, exclude_triple=sel.ids)
+                e3, _ = safe_epsilon(work, move3, triangles, exclude_triple=sel.ids)
                 e3 *= shrink
                 S, tris = work.scaled
                 sig = common_signed_height([tris[i] for i in sorted(sel.ids)])
@@ -542,10 +521,6 @@ def remove_all(rep: Representation, triangles: Sequence[tuple[int, int, int]],
                 new_ids = {t.ids for t in new_bad}
                 if len(new_bad) >= len(bad) or not new_ids <= prev_ids - {sel.ids}:
                     raise ClaimViolation("a new triple appeared after the three steps")
-                if budgets is not None:
-                    budgets.append(EpsilonBudget(
-                        epsilon=rep.epsilon, e1=e1, e2=e2, e3=e3,
-                        clearance=min(c for c in (c1, c2, c3) if c is not None)))
                 rep, bad = work, new_bad
                 break
             except ClaimViolation:

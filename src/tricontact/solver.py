@@ -394,8 +394,9 @@ def _first_descent(obj: _Objective, E: float, cands):
 
 def solve_contacts(piece: planar.Triangulation, outer_tris: Mapping[int, Tri],
                    params: SolverParams,
-                   canvas_roles: tuple[NegTri, dict[str, int]] | None = None) -> SolveResult:
-    """Near-contact representation of a piece with no separating triangle.
+                   canvas_roles: tuple[NegTri, dict[str, int]]) -> SolveResult:
+    """Near-contact representation of a piece with no separating triangle,
+    inside the canvas `canvas_roles` gives with its side roles.
 
     Minimizes the sum of squared adjacency signed heights plus hinge penalties
     for non-adjacent margins, canvas containment, and minimum heights, by
@@ -407,13 +408,8 @@ def solve_contacts(piece: planar.Triangulation, outer_tris: Mapping[int, Tri],
     outer_ids = tuple(piece.outer)
     if set(outer_tris) != set(outer_ids):
         raise ValueError("outer triangle keys must match the piece's outer vertices")
-    ts = [outer_tris[v] for v in outer_ids]
-    if canvas_roles is None:
-        canvas, role_idx = canvas_with_roles(ts)
-        roles = {r: outer_ids[i] for r, i in role_idx.items()}
-    else:
-        canvas, roles = canvas_roles
-        check_outer_hypothesis(ts)
+    check_outer_hypothesis([outer_tris[v] for v in outer_ids])
+    canvas, roles = canvas_roles
 
     inner_ids = sorted(v for v in piece.vertices() if v not in set(outer_ids))
     pairs = _pairs(piece)

@@ -19,7 +19,8 @@ The module imports nothing from the constructor modules (`solver`,
 `perturb`, `assemble`), and the intersection graph is built here alone:
 the constructor never builds one.  The face check is written here, but
 the gap candidates it tests come from `geometry.gap_candidates`, which
-the constructor uses too.
+the constructor uses too.  Simpleness has one scan, over the triangles of
+the intersection graph.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 from typing import Collection, Sequence
 
 import numpy as np
@@ -124,31 +124,16 @@ class DrawingError(RuntimeError):
 # Condition checks
 # ---------------------------------------------------------------------------
 
-def check_simple(rep: Representation, edges: set[tuple[int, int]] | None = None,
-                 audit: bool = False) -> tuple[bool, list[tuple[int, int, int]]]:
+def check_simple(rep: Representation, edges: set[tuple[int, int]]
+                 ) -> tuple[bool, list[tuple[int, int, int]]]:
     """No three triangles may share a point.
 
-    Scans the triangles of the intersection graph `edges`, built from `rep`
-    when None (a triple with a disjoint pair has an empty common
-    intersection); with audit=True additionally runs the full cubic scan,
-    which must agree.
+    Scans the triangles of `rep`'s intersection graph `edges`: a triple with
+    a disjoint pair has an empty common intersection.
     """
-    if edges is None:
-        edges = intersection_graph(rep)
     tris = rep.scaled[1]
-    vs = sorted(tris)
-    offending = []
-    for a, b, c in planar.triangles_of(planar.adjacency_of(vs, edges)):
-        if common_signed_height([tris[a], tris[b], tris[c]]) >= 0:
-            offending.append((a, b, c))
-    if audit:
-        brute = [
-            (a, b, c)
-            for a, b, c in combinations(vs, 3)
-            if common_signed_height([tris[a], tris[b], tris[c]]) >= 0
-        ]
-        if brute != offending:
-            raise AssertionError("graph-based and cubic triple scans disagree")
+    offending = [(a, b, c) for a, b, c in planar.triangles_of(planar.adjacency_of(tris, edges))
+                 if common_signed_height([tris[a], tris[b], tris[c]]) >= 0]
     return (not offending), offending
 
 
@@ -686,7 +671,7 @@ class VerificationReport:
 
 
 def full_report(rep: Representation, T: planar.Triangulation,
-                epsilon: Fraction | None = None, audit: bool = False,
+                epsilon: Fraction | None = None,
                 with_faces: bool = True, with_drawing: bool = False) -> VerificationReport:
     """Aggregate certification: graph equality, simpleness, boundary budget,
     corner condition, optionally the face-gap condition and a drawing (kept
@@ -696,7 +681,7 @@ def full_report(rep: Representation, T: planar.Triangulation,
     missing = sorted(want - found)
     extra = sorted(found - want)
 
-    simple, triples = check_simple(rep, found, audit=audit)
+    simple, triples = check_simple(rep, found)
     boundary_ok, bad_pairs, corner_ok, bad_corners = check_boundary(rep, epsilon)
 
     report = VerificationReport(

@@ -6,9 +6,9 @@ import pytest
 
 from tricontact import planar
 from tricontact.assemble import PipelineConfig, represent
-from tricontact.geometry import NegTri, Point, Tri, frac
+from tricontact.geometry import NegTri, Point, Tri, common_signed_height, frac
 from tricontact.core import Representation
-from tricontact.solver import canvas_with_roles
+from tricontact.solver import SolveResult, SolverParams, canvas_with_roles, solve_contacts
 from tricontact.verify import intersection_graph
 
 
@@ -28,6 +28,24 @@ def graph_triangles(rep: Representation) -> list[tuple[int, int, int]]:
     """Triangles of the intersection graph of `rep`, in lexicographic order:
     what triple removal scans, for representations not built by `represent`."""
     return planar.triangles_of(planar.adjacency_of(rep.triangles, intersection_graph(rep)))
+
+
+def triples_by_cubic_scan(rep: Representation) -> list[tuple[int, int, int]]:
+    """Reference for `verify.check_simple`: every vertex triple of `rep`, in
+    lexicographic order, whose triangles share a point, found by testing all
+    of them."""
+    tris = rep.scaled[1]
+    return [t for t in itertools.combinations(sorted(tris), 3)
+            if common_signed_height([tris[v] for v in t]) >= 0]
+
+
+def solve_in_canvas(piece: planar.Triangulation, outer_tris, params: SolverParams
+                    ) -> SolveResult:
+    """solve_contacts(piece, outer_tris, params) in the canvas of the piece's
+    boundary triangles, its roles named by vertex, as `represent` passes it."""
+    canvas, role_idx = canvas_with_roles([outer_tris[v] for v in piece.outer])
+    roles = {r: piece.outer[i] for r, i in role_idx.items()}
+    return solve_contacts(piece, outer_tris, params, (canvas, roles))
 
 
 # the arithmetic, comparison and conversion methods of Fraction that the

@@ -19,17 +19,24 @@ from tricontact.solver import (
     SolverParams,
     exactify,
     robustify,
-    solve_contacts,
 )
-from tricontact.verify import count_crossings, extract_drawing, full_report, intersection_graph
+from tricontact.verify import (
+    check_simple,
+    count_crossings,
+    extract_drawing,
+    full_report,
+    intersection_graph,
+)
 from conftest import (
     graph_triangles,
     grid_points,
     in_triangle,
     octahedron_graph,
     represent_in,
+    solve_in_canvas,
     stacked_by_peeling,
     tri,
+    triples_by_cubic_scan,
 )
 
 F = Fraction
@@ -225,8 +232,9 @@ def test_criterion_3_bad_point_removal(octahedron, k222_triple_rep):
     k_clean = remove_all(k222_triple_rep, graph_triangles(k222_triple_rep))
     assert find_bad_triples(k_clean, graph_triangles(k_clean)) == []
     assert intersection_graph(k_clean) == intersection_graph(k222_triple_rep)
-    r = full_report(k_clean, octahedron, audit=True)
+    r = full_report(k_clean, octahedron)
     assert r.passed
+    assert check_simple(k_clean, intersection_graph(k_clean))[1] == triples_by_cubic_scan(k_clean)
     _cache["k222_clean"] = (octahedron, k_clean)
     print("\n[criterion 3] PASS: fixture post-state matches the derived values "
           "exactly; K_{2,2,2} triple point removed with the graph intact")
@@ -244,7 +252,7 @@ def test_criterion_4_four_connected_pipeline():
         t0 = time.time()
         piece = T
         om = outer_for(T)
-        res = solve_contacts(piece, om, params)
+        res = solve_in_canvas(piece, om, params)
         assert res.restarts_used <= 10
         pre = exactify(res)
         adj = T.adjacency()
@@ -257,8 +265,10 @@ def test_criterion_4_four_connected_pipeline():
         assert worst <= delta_exact, f"{name}: pre-inflation residual {float(worst)}"
         robust = robustify(pre, piece, params, F(1))
         rep = remove_all(robust, graph_triangles(robust))
-        r = full_report(rep, T, audit=(T.n <= 10))
+        r = full_report(rep, T)
         assert r.passed, f"{name} failed: {r.to_json()}"
+        if T.n <= 10:
+            assert check_simple(rep, intersection_graph(rep))[1] == triples_by_cubic_scan(rep)
         elapsed = time.time() - t0
         assert elapsed < 120.0
         done.append((name, elapsed, res.restarts_used))
@@ -312,7 +322,7 @@ def _ensure_fourconn():
     reps = []
     for name, T, params in four_connected_corpus():
         piece = T
-        res = solve_contacts(piece, outer_for(T), params)
+        res = solve_in_canvas(piece, outer_for(T), params)
         robust = robustify(exactify(res), piece, params, F(1))
         reps.append((T, remove_all(robust, graph_triangles(robust))))
     _cache["fourconn_reps"] = reps

@@ -10,7 +10,7 @@ from tricontact.assemble import PipelineConfig, PipelineError, default_outer, re
 from tricontact.core import Representation
 from tricontact.geometry import Tri, common_signed_height, intersect, signed_height
 from tricontact.solver import SolverParams, canvas_with_roles
-from tricontact.verify import full_report
+from tricontact.verify import check_simple, full_report, intersection_graph
 from conftest import (
     chain,
     implant_double_wheel,
@@ -20,6 +20,7 @@ from conftest import (
     point,
     stacking_chain,
     tri,
+    triples_by_cubic_scan,
 )
 
 F = Fraction
@@ -61,8 +62,9 @@ class TestRepresent:
     def test_k4(self, k4):
         rep = represent(k4)
         assert len(rep.triangles) == 4
-        r = full_report(rep, k4, audit=True, with_drawing=True)
+        r = full_report(rep, k4, with_drawing=True)
         assert r.passed
+        assert check_simple(rep, intersection_graph(rep))[1] == triples_by_cubic_scan(rep)
         # exact contact values on the stacked path
         for u, v in itertools.combinations(range(4), 2):
             assert signed_height(rep.tri(u), rep.tri(v)) == 0
@@ -73,7 +75,8 @@ class TestRepresent:
         T = planar.implant_octahedron(planar.stack_vertex(k4, (0, 1, 3)), (0, 1, 4))
         trace = []
         rep = represent(T, trace=trace)
-        assert full_report(rep, T, audit=True, with_drawing=True).passed
+        assert full_report(rep, T, with_drawing=True).passed
+        assert check_simple(rep, intersection_graph(rep))[1] == triples_by_cubic_scan(rep)
         assert [e["path"] for e in trace] == ["stacked", "stacked", "octahedron"]
         eps = [e["epsilon"] for e in trace]
         assert eps[0] == F(1)
@@ -81,8 +84,9 @@ class TestRepresent:
 
     def test_octahedron(self, octahedron):
         rep = represent(octahedron)
-        r = full_report(rep, octahedron, audit=True, with_drawing=True)
+        r = full_report(rep, octahedron, with_drawing=True)
         assert r.passed
+        assert check_simple(rep, intersection_graph(rep))[1] == triples_by_cubic_scan(rep)
 
     def test_composed_stacked_into_four_connected(self, octahedron):
         T = planar.stack_vertex(octahedron, sorted(octahedron.inner_faces[0]))
@@ -91,7 +95,8 @@ class TestRepresent:
         assert len(planar.separating_triangles(T)) >= 2
         trace = []
         rep = represent(T, trace=trace)
-        assert full_report(rep, T, audit=True, with_drawing=True).passed
+        assert full_report(rep, T, with_drawing=True).passed
+        assert check_simple(rep, intersection_graph(rep))[1] == triples_by_cubic_scan(rep)
         assert trace[0]["path"] == "octahedron"
         assert all(e["epsilon"] > 0 for e in trace)
 
@@ -115,6 +120,20 @@ class TestRepresent:
         assert len({eps_of[child] for _, child, _ in tree.links}) > 1
         # pieces are numbered in preorder, and the trace keeps that order
         assert [e["piece"] for e in trace] == list(range(len(tree.pieces)))
+
+    @pytest.mark.parametrize("make", [lambda: chain(16, 9, 3), lambda: implanted(100, 3, 20),
+                                      lambda: chain(20, 5, 6)],
+                             ids=["chain16_9d3", "implanted100_3x20", "chain20_5d6"])
+    def test_child_budget_is_the_parents_capped_by_its_gap(self, make):
+        # each piece's budget is its parent's, capped by its gap's own budget,
+        # which on these inputs is half the gap's height
+        T, trace = make(), []
+        represent(T, trace=trace)
+        eps_of = {e["piece"]: e["epsilon"] for e in trace}
+        links = planar.decompose(planar.peel(T)[0]).links
+        assert len(links) >= 8
+        for parent, child, _ in links:
+            assert eps_of[child] == min(eps_of[parent], trace[child]["canvas"].h / 2)
 
     def test_stacking_chain_deeper_than_recursion_limit(self):
         # each new vertex goes into the first inner face holding the previous

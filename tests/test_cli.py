@@ -152,7 +152,7 @@ class TestVerify:
         g.write_text(json.dumps(k4.to_json()))
         r = tmp_path / "rep.json"
         r.write_text(json.dumps(rep.to_json()))
-        assert run(["verify", "--input", r, "--graph", g, "--audit", "--drawing"]) == 0
+        assert run(["verify", "--input", r, "--graph", g, "--drawing"]) == 0
 
     def test_invalid_graph_exit_code(self, tmp_path, k4, outer_map):
         r = tmp_path / "rep.json"

@@ -103,22 +103,23 @@ class TestFindBadTriples:
         assert len(bad) == 1
         t = bad[0]
         assert (t.u, t.v, t.w) == (0, 1, 2)      # roles survive uniform inflation
-        assert t.overlap.kind == "region"
+        tris = rep.scaled[1]
+        assert common_signed_height([tris[i] for i in sorted(t.ids)]) > 0   # a region
 
 
 class TestSelectBad:
     def test_higher_wins(self):
-        a = BadTriple(0, 1, 2, intersect(tri(0, 2, 2), tri(2, 2, 2)), point(2, 2))
-        b = BadTriple(3, 4, 5, intersect(tri(0, 2, 2), tri(2, 2, 2)), point(0, 5))
+        a = BadTriple(0, 1, 2, point(2, 2))
+        b = BadTriple(3, 4, 5, point(0, 5))
         assert select_bad([a, b]) is b
 
     def test_leftmost_tie(self):
-        a = BadTriple(0, 1, 2, intersect(tri(0, 2, 2), tri(2, 2, 2)), point(2, 2))
-        b = BadTriple(3, 4, 5, intersect(tri(0, 2, 2), tri(2, 2, 2)), point(0, 2))
+        a = BadTriple(0, 1, 2, point(2, 2))
+        b = BadTriple(3, 4, 5, point(0, 2))
         assert select_bad([a, b]) is b
 
     def test_single(self):
-        a = BadTriple(0, 1, 2, intersect(tri(0, 2, 2), tri(2, 2, 2)), point(2, 2))
+        a = BadTriple(0, 1, 2, point(2, 2))
         assert select_bad([a]) is a
 
     def test_empty(self):
@@ -560,28 +561,33 @@ class TestRemoveAll:
         # a failed recheck on the first attempt: the round is redone with
         # every step budget halved, and the result is clean
         rep, triangles = k222_triple_rep, graph_triangles(k222_triple_rep)
-        plain = []
-        remove_all(rep, triangles, budgets=plain)
-        real, calls = perturb.step3_separate, []
+        budgets = {}  # step name -> the budget of each call, in order
 
-        def fails_once(*a):
-            calls.append(1)
-            if len(calls) == 1:
-                raise ClaimViolation("injected")
-            return real(*a)
+        def record(name, fail_first=False):
+            real = getattr(perturb, name)
 
-        monkeypatch.setattr(perturb, "step3_separate", fails_once)
-        halved = []
-        out = remove_all(rep, triangles, budgets=halved)
-        assert len(calls) == 2 and len(halved) == len(plain) == 1
-        (b0,), (b1,) = plain, halved
-        assert b1.e1 == b0.e1 / 2 and b1.e2 == b0.e2 is None
+            def step(work, triple, e):
+                budgets.setdefault(name, []).append(e)
+                if fail_first and len(budgets[name]) == 1:
+                    raise ClaimViolation("injected")
+                return real(work, triple, e)
+            monkeypatch.setattr(perturb, name, step)
+
+        for name in ("step1_widen", "step2_clear"):
+            record(name)
+        record("step3_separate", fail_first=True)
+        out = remove_all(rep, triangles)
+        # one round of two attempts, the first with the plain budgets; no
+        # triangle sits on the slid triangle's hypotenuse, so no step 2
+        assert set(budgets) == {"step1_widen", "step3_separate"}
+        (e1_plain, e1), (_, e3) = budgets["step1_widen"], budgets["step3_separate"]
+        assert e1 == e1_plain / 2
         # the slide's budget is half the safe budget after the halved widening
         sel = select_bad(find_bad_triples(rep, triangles))
-        widened = step1_widen(rep, sel, b1.e1)
-        e3, _ = safe_epsilon(widened, {sel.u: TRANSLATE_DOWN, sel.v: PUSH_VERTICAL},
-                             triangles, exclude_triple=sel.ids)
-        assert b1.e3 == e3 / 2
+        widened = step1_widen(rep, sel, e1)
+        safe_e3, _ = safe_epsilon(widened, {sel.u: TRANSLATE_DOWN, sel.v: PUSH_VERTICAL},
+                                  triangles, exclude_triple=sel.ids)
+        assert e3 == safe_e3 / 2
         assert find_bad_triples(out, graph_triangles(out)) == []
         assert intersection_graph(out) == intersection_graph(rep)
 
@@ -596,14 +602,6 @@ class TestRemoveAll:
         with pytest.raises(PerturbError, match="could not clear triple"):
             remove_all(k222_triple_rep, graph_triangles(k222_triple_rep))
         assert len(calls) == STEP_RETRIES
-
-    def test_budget_trace(self, k222_triple_rep):
-        budgets = []
-        remove_all(k222_triple_rep, graph_triangles(k222_triple_rep), budgets=budgets)
-        assert len(budgets) == 1
-        b = budgets[0]
-        assert b.e1 > 0 and b.e3 > 0 and b.clearance > 0
-        assert b.epsilon == k222_triple_rep.epsilon
 
 
 class TestEventAnalysis:

@@ -25,7 +25,8 @@ from tricontact.solver import (
     solve_octahedron,
     solve_stacked,
 )
-from conftest import graph_triangles, ntri, point, represent_in, stacked_by_peeling, tri
+from conftest import (graph_triangles, ntri, point, represent_in, solve_in_canvas,
+                      stacked_by_peeling, tri)
 
 F = Fraction
 
@@ -355,13 +356,13 @@ class TestSolveOctahedron:
 class TestSolveContacts:
     def test_k4_matches_exact(self, k4, outer_map):
         params = SolverParams()
-        res = solve_contacts(k4, outer_map, params)
+        res = solve_in_canvas(k4, outer_map, params)
         x, y, h = res.inner[3]
         assert abs(x - 2) < 1e-6 and abs(y - 2) < 1e-6 and abs(h - 1) < 1e-6
 
     def test_octahedron(self, octahedron, outer_map):
         params = SolverParams()
-        res = solve_contacts(octahedron, outer_map, params)
+        res = solve_in_canvas(octahedron, outer_map, params)
         assert res.max_edge_residual <= params.delta
         rep = exactify(res)
         adj = octahedron.adjacency()
@@ -377,23 +378,24 @@ class TestSolveContacts:
     def test_monotone_objective(self, outer_map):
         T = planar.double_wheel(8)
         om = {T.outer[0]: outer_map[0], T.outer[1]: outer_map[1], T.outer[2]: outer_map[2]}
-        res = solve_contacts(T, om, SolverParams())
+        res = solve_in_canvas(T, om, SolverParams())
         tr = res.objective_trace
         assert all(tr[i + 1] <= tr[i] for i in range(len(tr) - 1))
 
     def test_bad_boundary_rejected(self, octahedron):
+        # a valid canvas does not excuse boundary triangles that bound none
         bad = {0: tri(0, 0, 1), 1: tri(5, 5, 1), 2: tri(0, 9, 1)}
         with pytest.raises(CanvasError):
-            solve_contacts(octahedron, bad, SolverParams())
+            solve_contacts(octahedron, bad, SolverParams(), canvas_with_roles(default_outer()))
 
     def test_separating_triangle_rejected(self, k4, outer_map):
         T = planar.stack_vertex(k4, (0, 1, 3))
         with pytest.raises(ValueError):
-            solve_contacts(T, outer_map, SolverParams())
+            solve_in_canvas(T, outer_map, SolverParams())
 
     def test_deterministic(self, octahedron, outer_map):
-        a = solve_contacts(octahedron, outer_map, SolverParams(seed=5))
-        b = solve_contacts(octahedron, outer_map, SolverParams(seed=5))
+        a = solve_in_canvas(octahedron, outer_map, SolverParams(seed=5))
+        b = solve_in_canvas(octahedron, outer_map, SolverParams(seed=5))
         assert a.inner == b.inner
 
     def test_nonconvergence_reports_diagnostics(self, outer_map):
@@ -402,7 +404,7 @@ class TestSolveContacts:
         T = planar.double_wheel(24)
         om = {T.outer[0]: outer_map[0], T.outer[1]: outer_map[1], T.outer[2]: outer_map[2]}
         with pytest.raises(SolveFailure) as exc:
-            solve_contacts(T, om, SolverParams(restarts=1, max_iters=120))
+            solve_in_canvas(T, om, SolverParams(restarts=1, max_iters=120))
         d = exc.value.diagnostics
         assert d["max_edge_residual"] > 0 and len(d["worst_pair"]) == 2
 
@@ -410,7 +412,7 @@ class TestSolveContacts:
         T = planar.gen_four_connected(14, 0)
         om = {v: outer_map[i] for i, v in enumerate(T.outer)}
         with pytest.raises(SolveFailure) as exc:
-            solve_contacts(T, om, SolverParams(restarts=0, max_iters=1))
+            solve_in_canvas(T, om, SolverParams(restarts=0, max_iters=1))
         d = exc.value.diagnostics
         assert str(exc.value) == ("no convergence after 1 attempts (best objective 2.575e+00, "
                                   "worst pair (0, 7), residual 5.818e-01)")
@@ -427,7 +429,7 @@ class TestSolveContacts:
         T = planar.double_wheel(24)
         om = {T.outer[0]: outer_map[0], T.outer[1]: outer_map[1], T.outer[2]: outer_map[2]}
         params = SolverParams(delta=1e-9, margin=1e-5, h_min=1e-6)
-        res = solve_contacts(T, om, params)
+        res = solve_in_canvas(T, om, params)
         robust = robustify(exactify(res), T, params, F(1))
         rep = remove_all(robust, graph_triangles(robust))
         assert full_report(rep, T).passed
@@ -515,9 +517,9 @@ class TestObjectiveOracle:
         piece = T
         om = {v: outer_map[i] for i, v in enumerate(piece.outer)}
         params = SolverParams(restarts=1)
-        new = solve_contacts(piece, om, params)
+        new = solve_in_canvas(piece, om, params)
         monkeypatch.setattr(solver, "_Objective", ReferenceObjective)
-        ref = solve_contacts(piece, om, params)
+        ref = solve_in_canvas(piece, om, params)
         assert new.inner == ref.inner
         assert (new.iterations, new.restarts_used) == (ref.iterations, ref.restarts_used)
         assert new.restarts_used == 1  # the run covers a restart
@@ -542,7 +544,7 @@ class TestObjectiveOracle:
         # floats, bit for bit; g4_14_0 takes one restart and dw12 six
         T = make()
         om = {v: outer_map[i] for i, v in enumerate(T.outer)}
-        res = solve_contacts(T, om, SolverParams())
+        res = solve_in_canvas(T, om, SolverParams())
         text = "\n".join([" ".join(float(e).hex() for e in res.objective_trace),
                           f"{res.iterations} {res.restarts_used}",
                           *(f"{v} " + " ".join(c.hex() for c in res.inner[v])
@@ -572,7 +574,7 @@ class TestExactify:
     def test_dyadic(self, k4, outer_map):
         assert F(0.5) == F(1, 2)
         assert F(0.1) == F(3602879701896397, 36028797018963968)
-        res = solve_contacts(k4, outer_map, SolverParams())
+        res = solve_in_canvas(k4, outer_map, SolverParams())
         rep = exactify(res)
         for v, (x, y, h) in res.inner.items():
             assert rep.tri(v) == Tri(F(x), F(y), F(h))
@@ -581,7 +583,7 @@ class TestExactify:
         # default triple scaled by the non-dyadic 1/3
         om = {0: tri(0, 0, F(4, 3)), 1: tri(F(1, 3), 1, F(2, 3)), 2: tri(1, F(1, 3), F(2, 3))}
         check_outer_hypothesis([om[0], om[1], om[2]])
-        res = solve_contacts(octahedron, om, SolverParams())
+        res = solve_in_canvas(octahedron, om, SolverParams())
         rep = exactify(res)
         assert rep.tri(1) == om[1]          # not round-tripped through floats
 
@@ -616,7 +618,7 @@ class TestRobustify:
 
     def test_postconditions_exact(self, octahedron, outer_map):
         params = SolverParams()
-        res = solve_contacts(octahedron, outer_map, params)
+        res = solve_in_canvas(octahedron, outer_map, params)
         rep = robustify(exactify(res), octahedron, params, F(1))
         adj = octahedron.adjacency()
         for u, v in itertools.combinations(range(6), 2):
@@ -631,7 +633,7 @@ class TestRobustify:
     def test_edge_sets_identical_pre_post(self, octahedron, outer_map):
         # robustify preserves non-edges and converts edges to strict overlaps
         params = SolverParams()
-        res = solve_contacts(octahedron, outer_map, params)
+        res = solve_in_canvas(octahedron, outer_map, params)
         pre = exactify(res)
         post = robustify(pre, octahedron, params, F(1))
         want = {tuple(sorted(e)) for e in octahedron.edges}

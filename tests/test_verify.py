@@ -15,7 +15,6 @@ from tricontact.solver import (
     SolverParams,
     exactify,
     robustify,
-    solve_contacts,
 )
 from tricontact.verify import (
     _err,
@@ -35,7 +34,9 @@ from conftest import (
     implanted,
     point,
     represent_in,
+    solve_in_canvas,
     tri,
+    triples_by_cubic_scan,
 )
 
 F = Fraction
@@ -311,7 +312,7 @@ def _depth_zero_rogue(gap):
 
 def octa_pipeline_rep(octahedron, outer_map):
     params = SolverParams()
-    res = solve_contacts(octahedron, outer_map, params)
+    res = solve_in_canvas(octahedron, outer_map, params)
     rep = robustify(exactify(res), octahedron, params, F(1))
     return remove_all(rep, graph_triangles(rep))
 
@@ -423,27 +424,30 @@ class TestIntersectionGraph:
     def test_robustify_realizes_target_graph(self, octahedron, outer_map):
         # float residuals may leave hairline gaps; inflation must close them
         params = SolverParams()
-        res = solve_contacts(octahedron, outer_map, params)
+        res = solve_in_canvas(octahedron, outer_map, params)
         post = robustify(exactify(res), octahedron, params, F(1))
         assert intersection_graph(post) == {tuple(sorted(e)) for e in octahedron.edges}
 
 
 class TestCheckSimple:
-    def test_triple_fixture_fails(self):
+    def test_triple_fixture_fails(self, k222_triple_rep):
         rep = Representation({0: tri(0, 2, 2), 1: tri(2, 2, 2), 2: tri(2, 0, 2)}, (), F(1))
-        ok, offending = check_simple(rep, audit=True)
-        assert not ok and offending == [(0, 1, 2)]
+        ok, offending = check_simple(rep, intersection_graph(rep))
+        assert not ok and offending == [(0, 1, 2)] == triples_by_cubic_scan(rep)
+        rep = k222_triple_rep
+        ok, offending = check_simple(rep, intersection_graph(rep))
+        assert not ok and offending == [(3, 4, 5)] == triples_by_cubic_scan(rep)
 
     def test_after_steps_passes(self):
         rep = Representation({0: tri(0, 2, 2), 1: tri(2, 2, 2), 2: tri(2, 0, 2)}, (), F(1))
         out = remove_all(rep, graph_triangles(rep))
-        ok, offending = check_simple(out, audit=True)
-        assert ok and offending == []
+        ok, offending = check_simple(out, intersection_graph(out))
+        assert ok and offending == [] == triples_by_cubic_scan(out)
 
     def test_k4_exact(self, k4, outer_map):
         rep = represent_in(k4, outer_map)
-        ok, _ = check_simple(rep, audit=True)
-        assert ok
+        ok, offending = check_simple(rep, intersection_graph(rep))
+        assert ok and offending == [] == triples_by_cubic_scan(rep)
 
 
 class TestCheckBoundary:
@@ -775,8 +779,9 @@ class TestDrawing:
 class TestFullReport:
     def test_pipeline_pass(self, octahedron, outer_map):
         rep = octa_pipeline_rep(octahedron, outer_map)
-        r = full_report(rep, octahedron, audit=True, with_drawing=True)
+        r = full_report(rep, octahedron, with_drawing=True)
         assert r.passed
+        assert check_simple(rep, intersection_graph(rep))[1] == triples_by_cubic_scan(rep)
         assert r.face_condition_ok and r.drawing_planar and r.crossings == 0
 
     def test_corrupted_edge_listed(self, k4, outer_map):
