@@ -53,13 +53,14 @@ class Representation:
     def scaled(self) -> tuple[int, dict[int, Tri]]:
         """(S, every triangle times S), the integer frame of triple removal,
         the face gaps and the verifier: S is `int_frame`'s D over every
-        coordinate and epsilon, times 2^7, so every point the drawing uses
-        (grid points down to 1/64 of a height, route midpoints) is integral.
+        coordinate and epsilon, times 2^6, so every grid point of the
+        drawing (down to 1/64 of a height) is integral and every coordinate
+        is even, as triple removal needs (`perturb._DELTAS`).
 
         Built once per representation; like `Tri.s`, the cache sits outside
         the dataclass fields."""
         den, frame, _ = int_frame(self, self.epsilon)
-        return den << 7, {v: Tri(x << 7, y << 7, (s - x - y) << 7)
+        return den << 6, {v: Tri(x << 6, y << 6, (s - x - y) << 6)
                           for v, (x, y, s) in frame.items()}
 
     def with_triangle(self, v: int, t: Tri) -> "Representation":
@@ -92,6 +93,8 @@ class Representation:
                 and len(outer) == 3):
             raise ValueError("malformed representation JSON: outer must name three "
                              f"distinct triangles, got {data['outer']!r}")
+        if epsilon <= 0:
+            raise ValueError("epsilon must be positive")
         return Representation(tris, outer, epsilon)
 
 

@@ -274,10 +274,9 @@ def _scaled_epsilon(rep: Representation) -> int:
 def safe_epsilon(rep: Representation, move: Move,
                  triangles: Sequence[tuple[int, int, int]],
                  exclude_triple: frozenset[int] | None = None
-                 ) -> tuple[Fraction, Fraction]:
-    """(step budget, clearance) for the move: the clearance is the earliest
-    forbidden-event time, capped by the moved heights, and the budget is
-    half of it.
+                 ) -> Fraction:
+    """Step budget for the move: half its clearance, the earliest
+    forbidden-event time, capped by the moved heights.
 
     Events: a currently-disjoint pair reaching contact, a currently-intersecting
     pair separating, a currently-empty triple of mutually intersecting
@@ -287,7 +286,7 @@ def safe_epsilon(rep: Representation, move: Move,
     event already sits at zero.
 
     The analysis runs in the integer frame `rep.scaled`, where every event
-    is an integer, and the clearance is divided by its S once at the end.
+    is an integer, and the budget is divided by 2S once at the end.
     Clearance = min(events and cap), so a scan may stop at the smallest
     event found so far.
     """
@@ -335,7 +334,7 @@ def safe_epsilon(rep: Representation, move: Move,
 
     if best <= 0:
         raise ZeroClearance(f"an event sits at zero clearance for move {dict(move)}")
-    return Fraction(best, 2 * S), Fraction(best, S)
+    return Fraction(best, 2 * S)
 
 
 # ---------------------------------------------------------------------------
@@ -497,18 +496,17 @@ def remove_all(rep: Representation, triangles: Sequence[tuple[int, int, int]]
         for _attempt in range(STEP_RETRIES):
             try:
                 work = rep
-                e1, _ = safe_epsilon(work, {sel.u: PUSH_VERTICAL}, triangles,
-                                     exclude_triple=sel.ids)
+                e1 = safe_epsilon(work, {sel.u: PUSH_VERTICAL}, triangles, exclude_triple=sel.ids)
                 e1 *= shrink
                 work = step1_widen(work, sel, e1)
                 zs = _translation_hazards(work, sel)
                 if zs:
                     move2 = {z: PUSH_HORIZONTAL for z in zs}
-                    e2, _ = safe_epsilon(work, move2, triangles, exclude_triple=sel.ids)
+                    e2 = safe_epsilon(work, move2, triangles, exclude_triple=sel.ids)
                     e2 *= shrink
                     work = step2_clear(work, sel, e2)
                 move3 = {sel.u: TRANSLATE_DOWN, sel.v: PUSH_VERTICAL}
-                e3, _ = safe_epsilon(work, move3, triangles, exclude_triple=sel.ids)
+                e3 = safe_epsilon(work, move3, triangles, exclude_triple=sel.ids)
                 e3 *= shrink
                 S, tris = work.scaled
                 sig = common_signed_height([tris[i] for i in sorted(sel.ids)])

@@ -145,9 +145,11 @@ def check_boundary(rep: Representation, epsilon: Fraction | None = None
 
     Returns (boundary_ok, offending pairs with heights, corner_ok, offenders).
     A height h in the frame fails iff h >= eps * S, that is iff h is at least
-    the ceiling of eps * S.
+    the ceiling of eps * S.  A nonpositive budget raises ValueError.
     """
     eps = frac(rep.epsilon if epsilon is None else epsilon)
+    if eps <= 0:
+        raise ValueError("epsilon must be positive")
     S, tris = rep.scaled
     least = -(-eps.numerator * S // eps.denominator)
     inner = rep.inner_ids()
@@ -275,9 +277,9 @@ def check_face_condition(rep: Representation, T: planar.Triangulation) -> tuple[
 @dataclass(eq=False)
 class Drawing:
     """A drawing in a representation's integer frame: point rows (xs[r],
-    ys[r]) over its S.  Row r < n is the point of vertices[r]; edge k has its
-    contact in row n + 3k and its route's midpoints toward u and v in rows
-    n + 3k + 1 and n + 3k + 2, and routes[k] lists the route's five rows.
+    ys[r]) over its S.  Row r < n is the point of vertices[r]; edge k = (u,
+    v) has its contact in row n + k, and routes[k] lists the route's three
+    rows (the point of u, the contact, the point of v).
     `points`, `polylines` and `to_json` map the rows back to `Fraction`s over
     S when first read, one `Point` per row, so shared endpoints stay shared.
     """
@@ -596,15 +598,14 @@ def count_crossings(polylines: Sequence[tuple[int, int, list[Point]]]) -> int:
 
 
 def extract_drawing(rep: Representation, T: planar.Triangulation) -> Drawing:
-    """Planar drawing witness: a free point per vertex, and one 4-segment
+    """Planar drawing witness: a free point per vertex, and one 2-segment
     polyline per edge through a point of the pairwise intersection.
 
     The drawing is built in `rep`'s integer frame, its point rows numbered
     by structure (`Drawing`), and returned only after one exact scan of all
     its segments (`_scan`) finds no forbidden meeting, so it is
     crossing-free; otherwise `DrawingError` names the first offending
-    routes.  Every vertex point and contact has even frame coordinates, so
-    the midpoints are exact.
+    routes.
     """
     S, tris = rep.scaled
     edges = sorted(T.edges)
@@ -618,15 +619,11 @@ def extract_drawing(rep: Representation, T: planar.Triangulation) -> Drawing:
         if ov.kind == "region":
             lenses[(u, v)] = ov.region
     points = _free_points(rep, T.adjacency(), contacts, lenses)
-    xs = [p.x for p in points.values()]
-    ys = [p.y for p in points.values()]
-    for (u, v), c in contacts.items():
-        xs += (c.x, (points[u].x + c.x) // 2, (c.x + points[v].x) // 2)
-        ys += (c.y, (points[u].y + c.y) // 2, (c.y + points[v].y) // 2)
+    xs = [p.x for p in points.values()] + [c.x for c in contacts.values()]
+    ys = [p.y for p in points.values()] + [c.y for c in contacts.values()]
     uv = np.array(edges).reshape(-1, 2)
-    k = len(points) + 3 * np.arange(len(edges))
     ru, rv = np.searchsorted(np.array(list(points)), uv).T  # the rows of the edges' ends
-    routes = np.column_stack((ru, k + 1, k, k + 2, rv))
+    routes = np.column_stack((ru, len(points) + np.arange(len(edges)), rv))
     bad = _scan(xs, ys, S, uv, routes)
     if bad:
         raise DrawingError("edge routes meet: " + ", ".join(

@@ -154,6 +154,25 @@ class TestVerify:
         r.write_text(json.dumps(rep.to_json()))
         assert run(["verify", "--input", r, "--graph", g, "--drawing"]) == 0
 
+    @pytest.mark.parametrize("flag, rep_epsilon", [(["--epsilon", 0], None),
+                                                   (["--epsilon", -1], None), ([], "-1/1")],
+                             ids=["flag_zero", "flag_negative", "json_negative"])
+    def test_nonpositive_epsilon_is_input_error(self, tmp_path, flag, rep_epsilon, capsys):
+        # as `run --epsilon 0` is: rejected before any check, not reported
+        # as a boundary contact over budget
+        T = planar.gen_stacked(8, 0)
+        g = tmp_path / "g.json"
+        g.write_text(json.dumps(T.to_json()))
+        rep = represent(T).to_json()
+        if rep_epsilon is not None:
+            rep["epsilon"] = rep_epsilon
+        r = tmp_path / "rep.json"
+        r.write_text(json.dumps(rep))
+        out = tmp_path / "report.json"
+        assert run(["verify", "--input", r, "--graph", g, "--output", out, *flag]) == 2
+        assert capsys.readouterr().err == "input error: epsilon must be positive\n"
+        assert not out.exists()
+
     def test_invalid_graph_exit_code(self, tmp_path, k4, outer_map):
         r = tmp_path / "rep.json"
         r.write_text(json.dumps(represent_in(k4, outer_map).to_json()))

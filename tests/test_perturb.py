@@ -134,14 +134,13 @@ class TestSafeEpsilon:
         rep = fixture_rep({9: tri(-4, 2, 3)})
         assert signed_height(rep.tri(0), rep.tri(9)) == -1
         sel = select_bad(find_bad_triples(rep, graph_triangles(rep)))
-        e, clearance = safe_epsilon(rep, {sel.u: PUSH_VERTICAL}, graph_triangles(rep),
-                                    exclude_triple=sel.ids)
-        assert 0 < e <= F(1, 2) and e == clearance / 2
+        e = safe_epsilon(rep, {sel.u: PUSH_VERTICAL}, graph_triangles(rep), exclude_triple=sel.ids)
+        assert 0 < 2 * e <= 1  # the clearance, at most the unit distance to t(9)
 
     def test_bare_fixture_positive(self):
         rep = fixture_rep()
         sel = select_bad(find_bad_triples(rep, graph_triangles(rep)))
-        e, _ = safe_epsilon(rep, {sel.u: PUSH_VERTICAL}, graph_triangles(rep), exclude_triple=sel.ids)
+        e = safe_epsilon(rep, {sel.u: PUSH_VERTICAL}, graph_triangles(rep), exclude_triple=sel.ids)
         assert e > 0
 
     def test_zero_clearance_before_step2(self):
@@ -283,8 +282,7 @@ def safe_epsilon_reference(rep, move, exclude_triple=None):
     bound = min(events) if events else cap
     if bound <= 0:
         raise ZeroClearance("an event sits at zero clearance")
-    clearance = min(bound, cap)
-    return clearance / 2, clearance
+    return min(bound, cap) / 2
 
 
 def _outcome(fn, *args):
@@ -359,7 +357,8 @@ class TestIntegerFrameMatchesReference:
         cases += [(rep, {7: PUSH_HORIZONTAL, 8: PUSH_VERTICAL}), (rep, {8: TRANSLATE_DOWN}),
                   (spent, {9: PUSH_VERTICAL})]
         results = [_outcome(safe_epsilon_reference, r, m) for r, m in cases]
-        assert results[0] == (F(3, 80), F(3, 40)) and results[4] == (F(1, 20), F(1, 10))
+        # the budget is half the clearance
+        assert 2 * results[0] == F(3, 40) and 2 * results[4] == F(1, 10)
         assert results[5] is ZeroClearance
         assert [_outcome(safe_epsilon, r, m, graph_triangles(r)) for r, m in cases] == results
 
@@ -585,8 +584,8 @@ class TestRemoveAll:
         # the slide's budget is half the safe budget after the halved widening
         sel = select_bad(find_bad_triples(rep, triangles))
         widened = step1_widen(rep, sel, e1)
-        safe_e3, _ = safe_epsilon(widened, {sel.u: TRANSLATE_DOWN, sel.v: PUSH_VERTICAL},
-                                  triangles, exclude_triple=sel.ids)
+        safe_e3 = safe_epsilon(widened, {sel.u: TRANSLATE_DOWN, sel.v: PUSH_VERTICAL},
+                               triangles, exclude_triple=sel.ids)
         assert e3 == safe_e3 / 2
         assert find_bad_triples(out, graph_triangles(out)) == []
         assert intersection_graph(out) == intersection_graph(rep)

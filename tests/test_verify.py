@@ -35,13 +35,14 @@ from conftest import (
     point,
     represent_in,
     solve_in_canvas,
+    stacking_chain,
     tri,
     triples_by_cubic_scan,
 )
 
 F = Fraction
 # sha256 of the drawing of gen_stacked(60, 1), as `extract_drawing` makes it
-STACKED60_DRAWING = "31cf323f0338fb1180e56e25452db275a0823e66f7c113cf006143c3b37122b1"
+STACKED60_DRAWING = "ef4b27597c002f398019a52df89e992463a3fc79537afab7f94cb1ca239184e5"
 
 
 def in_rep_frame(rep, p):
@@ -560,14 +561,19 @@ class TestDrawing:
 
     def test_free_point_on_finer_grids(self):
         # t(1) covers every point of t(0)'s grid of eighths, so vertex 0 moves
-        # on to the sixteenths; t(2) covers all of t(3), so no grid helps
+        # on to the sixteenths; t(2) covers all of t(3), so no grid helps;
+        # t(5) covers t(4)'s grids down to the 32nds, and the frame's D is 33,
+        # so only S's factor 2^6 makes the 64ths integral
         rep = Representation({0: tri(0, 0, 8), 1: tri(1, 1, 5), 2: tri(0, 20, 4),
-                              3: tri(1, 21, 1)}, (), F(1))
+                              3: tri(1, 21, 1), 4: tri(10, 0, 1),
+                              5: tri(10 + F(1, 33), F(1, 33), F(30, 33))}, (), F(1))
         table = _dict_table(rep)
         pad = float_pad(max(abs(c) for row in table.values() for c in row))
         p = free_point(rep, 0)
         assert p == free_point_reference(rep, 0, (), table, pad)
         assert p.x.denominator == 2 and not rep.tri(1).contains(p)  # eighths of 8 are whole
+        p = free_point(rep, 4)
+        assert p == free_point_reference(rep, 4, (), table, pad) == Point(10 + F(1, 64), F(1, 64))
         with pytest.raises(verify.DrawingError, match="vertex 3"):
             free_point(rep, 3)
 
@@ -647,14 +653,44 @@ class TestDrawing:
 
     @pytest.mark.parametrize("offset", [(0, 0), (3 << 62, 1 << 62)], ids=["unit", "tiny"])
     def test_collinear_route_legs_allowed(self, offset):
-        # a route as `extract_drawing` makes it in the integer frame: the
-        # point of u, the midpoint toward the contact, the contact, the
-        # midpoint toward v, the point of v; at the tiny scale (legs of a few
-        # units at 2^63) every point rounds to the same float
+        # a route in the integer frame: the point of u, the contact, the
+        # point of v, as `extract_drawing` makes it, and the same route with
+        # each leg split at its midpoint, since `count_crossings` takes any
+        # polyline; at the tiny scale (legs of a few units at 2^63) every
+        # point rounds to the same float
         P = self._mapped({"pu": Point(0, 0), "m1": Point(2, 2), "c": Point(4, 4),
                           "m2": Point(6, 3), "pv": Point(8, 2)}, offset, 1)
-        route = [P[k] for k in ("pu", "m1", "c", "m2", "pv")]
-        assert count_crossings([(0, 1, route)]) == 0
+        for names in (("pu", "c", "pv"), ("pu", "m1", "c", "m2", "pv")):
+            assert count_crossings([(0, 1, [P[k] for k in names])]) == 0
+
+    @pytest.mark.parametrize("make", [lambda: planar.gen_stacked(60, 1),
+                                      lambda: planar.double_wheel(8), _implanted],
+                             ids=["stacked60", "dw8", "implanted"])
+    def test_routes_are_two_legs_through_the_contact(self, make):
+        # each route runs from the point of u to the right corner of
+        # t(u) ∩ t(v) and on to the point of v, one object per shared point
+        T = make()
+        rep = represent(T)
+        d = extract_drawing(rep, T)
+        contacts, _lenses = _anchors(rep.triangles, T)
+        assert [(u, v) for u, v, _path in d.polylines] == sorted(contacts)
+        for u, v, path in d.polylines:
+            assert len(path) == 3 and path[0] is d.points[u] and path[2] is d.points[v]
+            assert path[1] == contacts[(u, v)]
+        assert all(len(pl["path"]) == 3 for pl in d.to_json()["polylines"])
+
+    def test_deep_chain_exact_tests_bounded(self, monkeypatch):
+        # on a deep stacking chain the float screens settle no pair, so the
+        # exact tests grow with the number of segment pairs: two per edge
+        # keep them under 45,000
+        T = stacking_chain(90)
+        rep = represent(T)
+        calls = []
+        exact = verify.segment_intersection_kind
+        monkeypatch.setattr(verify, "segment_intersection_kind",
+                            lambda *args: calls.append(1) or exact(*args))
+        extract_drawing(rep, T)
+        assert len(calls) < 45_000
 
     def test_few_exact_segment_tests(self, monkeypatch):
         # the float screens settle almost every segment pair of a stacked
@@ -765,8 +801,8 @@ class TestDrawing:
     @pytest.mark.parametrize("make, digest", [
         (lambda: planar.gen_stacked(60, 1), STACKED60_DRAWING),
         (lambda: planar.double_wheel(8),
-         "f166f8d8c82c1ab3509c9e7ab290ac9b54d788b4c62f9f1d340ae74833eacb6d"),
-        (_implanted, "85dfe665d1045d5f391e3f7858634e71de9f665c61185160d4fb82e4779d2de9"),
+         "a723372d01f07afd854547d3ab70873287e34d8a47428ed0666fbcab5970bae9"),
+        (_implanted, "ce2f1a3a63eec4214bc295208878d3dff8456e402b5148c81e3aa4871390bb36"),
     ], ids=["stacked60", "dw8", "implanted"])
     def test_drawing_digest_pinned(self, make, digest):
         # any change to the drawing witness changes these digests
@@ -848,4 +884,4 @@ class TestFullReport:
         # shared endpoints are one object: the vertex points, and one per route row
         points = {id(p) for _u, _v, path in r.drawing.polylines for p in path}
         assert {id(p) for p in r.drawing.points.values()} <= points
-        assert len(points) == len(T.vertices()) + 3 * len(T.edges)
+        assert len(points) == len(T.vertices()) + len(T.edges)
