@@ -8,12 +8,15 @@ triangles fixed.  Pieces have no separating triangle, so a stacked piece is
 a K4, which survives the peel only as an ancestor of a larger piece.  Its
 inner vertex, like every peeled vertex, goes to `solve_stacked`: the exact
 medial child of the gap, which leaves three sub-gaps with their budgets.
-Every larger piece is placed in its canvas's own frame, where a power-of-two
-scaling makes the canvas 2 to 4 tall: a 6-vertex piece is the octahedron and
-takes `solve_octahedron`'s exact layout, any other goes to the numeric
-solver and is exactified.  Either is inflated there and cleared of triple
-overlaps; each of its inner faces takes its gap and budget from
-`perturb.face_gap_with_roles` when asked.
+A 6-vertex piece is the octahedron: `solve_octahedron` places it in its
+final layout, exactly and in the global frame, from its gap and budget, and
+one exact post-check stands in for robustify and triple removal.  Any other
+piece goes to the numeric solver in its canvas's own frame, where a
+power-of-two scaling makes the canvas 2 to 4 tall (the solver tolerances
+`SolverParams.delta`, `margin` and `h_min` are lengths there, and govern
+these pieces alone); it is exactified, inflated and cleared of triple
+overlaps, and mapped back.  Each inner face of a larger piece takes its gap
+and budget from `perturb.face_gap_with_roles` when asked.
 
 One map holds the gap of every face still free, with its budget: the
 canvas, the medial sub-gaps and the larger pieces' inner faces.  It caps a
@@ -27,10 +30,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from itertools import combinations
 
 from tricontact import perturb, planar
 from tricontact.core import Representation
-from tricontact.geometry import NegTri, Tri, frac, inside_neg, intersect, pow2_floor
+from tricontact.geometry import NegTri, Tri, frac, inside_neg, intersect, pow2_floor, signed_height
 from tricontact.solver import (
     SolverParams,
     canvas_with_roles,
@@ -71,32 +75,51 @@ class PipelineConfig:
             raise ValueError("epsilon must be positive")
 
 
+def _check_octahedron(rep: Representation, piece: planar.Triangulation) -> None:
+    """The exact post-check of an octahedron's closed-form layout, on
+    integers in `rep.scaled`: every edge with an inner end overlaps by less
+    than the budget, every non-edge is apart, no face is a bad triple and no
+    boundary corner lies in an inner triangle."""
+    S, tris = rep.scaled
+    eps = rep.epsilon.numerator * (S // rep.epsilon.denominator)
+    for u, v in combinations(piece.vertices(), 2):
+        if {u, v} <= piece.outer_set:
+            continue
+        s = signed_height(tris[u], tris[v])
+        if not (0 < s < eps if piece.has_edge(u, v) else s < 0):
+            raise PipelineError(f"octahedron pair ({u},{v}) has signed height {s / S}")
+    inner = [v for v in piece.vertices() if v not in piece.outer_set]
+    if perturb.find_bad_triples(rep, [tuple(sorted(f)) for f in piece.faces]):
+        raise PipelineError(f"octahedron inside {piece.outer} has a bad triple")
+    if any(tris[v].contains(c) for o in piece.outer for c in tris[o].corners for v in inner):
+        raise PipelineError(f"a boundary corner of {piece.outer} enters an inner triangle")
+
+
 def _solve_piece(piece: planar.Triangulation, outer_map: dict[int, Tri],
                  canvas_roles, epsilon: Fraction, params: SolverParams,
                  trace_entry: dict) -> Representation:
-    """Place a piece larger than a K4 inside its gap: an octahedron in closed
-    form, any other piece numerically."""
+    """Place a piece larger than a K4 inside its gap: an octahedron in its
+    final closed-form layout, any other piece numerically."""
     canvas, roles = canvas_roles
-    # place in the frame t -> ((x - ox)/lam, (y - oy)/lam, h/lam), lam a power of two:
+    if len(piece.vertices()) == 6:
+        # with no separating triangle, a 6-vertex piece is the octahedron
+        trace_entry["path"] = "octahedron"
+        rep = Representation({**outer_map, **solve_octahedron(piece, canvas, roles, epsilon)},
+                             piece.outer, epsilon)
+        _check_octahedron(rep, piece)
+        return rep
+    # solve in the frame t -> ((x - ox)/lam, (y - oy)/lam, h/lam), lam a power of two:
     # the canvas becomes NegTri(3, 3, H), 2 <= H < 4, and a window 9H tall clips the boundary
     lam = pow2_floor(canvas.h / 2)
     ox, oy, H = canvas.x - 3 * lam, canvas.y - 3 * lam, canvas.h / lam
     window = Tri(3 - 3 * H, 3 - 3 * H, 9 * H)
     local = {v: intersect(Tri((t.x - ox) / lam, (t.y - oy) / lam, t.h / lam), window).region
              for v, t in outer_map.items()}
-    gap = NegTri(3, 3, H)
-    if len(piece.vertices()) == 6:
-        # with no separating triangle, a 6-vertex piece is the octahedron
-        local.update(solve_octahedron(piece, gap, roles, frac(params.delta)))
-        near = Representation(local, tuple(piece.outer), epsilon / lam)
-        trace_entry["path"] = "octahedron"
-    else:
-        result = solve_contacts(piece, local, params, (gap, roles))
-        near = exactify(result, epsilon / lam)
-        trace_entry["path"] = "solver"
-        trace_entry["restarts"] = result.restarts_used
-        trace_entry["max_edge_residual"] = result.max_edge_residual
-    local_rep = robustify(near, piece, params, epsilon / lam)
+    result = solve_contacts(piece, local, params, (NegTri(3, 3, H), roles))
+    trace_entry["path"] = "solver"
+    trace_entry["restarts"] = result.restarts_used
+    trace_entry["max_edge_residual"] = result.max_edge_residual
+    local_rep = robustify(exactify(result, epsilon / lam), piece, params, epsilon / lam)
     inner = {v: Tri(lam * t.x + ox, lam * t.y + oy, lam * t.h)
              for v, t in local_rep.triangles.items() if v not in outer_map}
     # robustify's pair checks make the intersection graph the piece's graph; a

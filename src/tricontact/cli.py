@@ -71,7 +71,8 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scale", default="1", help="scale of the default boundary triple")
     tol = p.add_argument_group("solver tolerances", "lengths in each numeric piece's own frame, "
                                "where a power-of-two scaling makes its canvas 2 to 4 tall")
-    tol.add_argument("--delta", type=float, default=1e-7, help="solver residual tolerance")
+    tol.add_argument("--delta", type=float, default=1e-7,
+                     help="numeric solver residual tolerance (K4 and octahedron pieces are exact)")
     tol.add_argument("--margin", type=float, default=1e-3, help="minimum non-adjacent separation")
     tol.add_argument("--h-min", dest="h_min", type=float, default=1e-3, help="minimum triangle height")
     p.add_argument("--max-iters", type=int, default=300)

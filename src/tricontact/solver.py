@@ -7,14 +7,16 @@ one (exactify + robustify).
 The numeric stage is the only part of the package whose floats reach the
 representation; the verifier screens with floats but decides exactly, and
 an input whose pieces are all K4s and octahedra is built without a float.
-The solver evaluates its objective once per point, and a line search's
-candidate steps as one stacked array.  Everything it outputs is converted to
-exact rationals (doubles are dyadic).  An octahedron's layout is exact and
-dyadic already, its inner contacts short of closing by less than delta.
-Either layout is then inflated by a single rational so that every adjacency
-becomes a strictly positive overlap while every non-adjacency stays strictly
-negative; the inflation is verified pair by pair on integers, in the
-representation's common-denominator frame (`core.int_frame`).
+An octahedron's layout is exact and final: its adjacencies overlap and its
+inner face leaves a gap, so it takes no inflation and no triple removal,
+and no solver tolerance enters it.  The solver evaluates its
+objective once per point, and a line search's candidate steps as one
+stacked array.  Everything it outputs is converted to exact rationals
+(doubles are dyadic), then inflated by a single rational so that every
+adjacency becomes a strictly positive overlap while every non-adjacency
+stays strictly negative; the inflation is verified pair by pair on
+integers, in the representation's common-denominator frame
+(`core.int_frame`).
 """
 
 from __future__ import annotations
@@ -60,7 +62,9 @@ class RobustifyError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverParams:
-    """Lengths are in the solve's frame; under `represent`, one where the canvas is 2 to 4 tall."""
+    """Tolerances of the numeric solver and of `robustify`, so of the pieces
+    that are neither K4s nor octahedra.  Lengths are in the solve's frame;
+    under `represent`, one where the canvas is 2 to 4 tall."""
     delta: float = 1e-7        # residual tolerance on adjacency signed heights
     margin: float = 1e-3       # minimum non-adjacent separation (signed-height units)
     h_min: float = 1e-3        # minimum triangle height
@@ -127,45 +131,53 @@ def solve_stacked(v: int, gap: NegTri, roles: Mapping[str, int]
 
 
 def solve_octahedron(piece: planar.Triangulation, gap: NegTri, roles: Mapping[str, int],
-                     delta: Fraction) -> dict[int, Tri]:
-    """Place the three inner vertices of an octahedron piece exactly in `gap`.
+                     epsilon: Fraction) -> dict[int, Tri]:
+    """Place the three inner vertices of an octahedron piece in `gap`, in
+    their final layout: every adjacency a positive overlap below `epsilon`,
+    every non-adjacency apart, and no point in three triangles.
 
-    Each inner vertex takes the corner of `gap` opposite its one boundary
-    non-neighbour: with gap = NegTri(X, Y, H) and a height a, the antipode of
-    roles["hyp"] gets Tri(X - a, Y - a, a), that of roles["vertical"]
-    Tri(X - H + a, Y - a, a) and that of roles["horizontal"]
-    Tri(X - a, Y - H + a, a).  a = floor(H / 3g) g, on the grid of g, the
-    largest power of two at most delta / 3.
+    With gap = NegTri(X, Y, H), every inner vertex v sits in the corner of
+    `gap` opposite its one boundary non-neighbour.  The layout is exact and
+    needs no inflation or triple removal.  With the boundary triangles
+    fixed, the octahedron's only contact layout (inner heights H/3) has its
+    three inner triangles meet in one point, so the final layout overlaps
+    instead.  g is the largest power of two at most min(epsilon, H/2)/16,
+    q = floor(H / 3g) >= 10, P = qg and r = H - 3P, in [0, 3g).  The
+    antipodes A of roles["hyp"], B of roles["vertical"] and C of
+    roles["horizontal"] are
 
-    Why robustify's preconditions hold.  The boundary triangles bound `gap`
-    (`gap_candidates`): the hypotenuse's has s = X + Y - H and x, y <= the
-    gap's, X - H and Y - H; the vertical one's has x = X, y <= Y - H and
-    s >= X + Y; the horizontal one's likewise with the axes swapped.  Since
-    H/3 - g < a <= H/3, each inner triangle lies on its two gap sides:
-    Tri(X - a, Y - a, a) against the vertical triangle gives
-    min(X + Y - a, s) - max(X - a, X) - max(Y - a, y) = (X + Y - a) - X - (Y - a) = 0,
-    and the other five such pairs give 0 the same way.  Every inner pair has
-    min s = X + Y - H + a (as 2a <= H) and max x + max y = X + Y - 2a, so
-    signed height 3a - H, in (-3g, 0], inside (-delta, 0].  Each inner
-    triangle against its non-neighbour has signed height at most 2a - H
-    <= -H/3, below -margin whenever H/3 > margin (H >= 2 in `represent`'s frame).
-    So every adjacency is within delta of contact and every non-adjacency
-    at least H/3 apart.  a = H/3 would give exact contacts meeting in one
-    point, at one more factor of 3 in the denominators per nesting level.
+        A = Tri(X - P,           Y - P + g,  P + g),       s = X + Y - P + 2g
+        B = Tri(X - H + P - 4g,  Y - P + 3g, P + 8g),      s = X + Y - H + P + 7g
+        C = Tri(X - H + 2P - 2g, Y - 2P + g, H - 2P + 3g), s = X + Y - 2P + 2g
+
+    P is a multiple of g, so the layout adds only the power of two g to the
+    gap's denominators, where H/3 would add a factor of 3 per nesting level;
+    the remainder r lands in C alone.  Why it holds.  The boundary triangles bound `gap`
+    (`gap_candidates`): the hypotenuse one Th has s = X + Y - H and x, y at
+    most X - H and Y - H; the vertical one Tv has x = X, y <= Y - H and
+    s >= X + Y; the horizontal one Tz has y = Y, x <= X - H and s >= X + Y.
+    Reading off min s - max x - max y with q >= 10, the signed heights are
+    A.B = 4g - r, A.C = g, B.C = g + r, all in [g, 4g]; A.Tv = g,
+    A.Tz = 2g, B.Th = g, B.Tz = 11g, C.Th = C.Tv = g, all below epsilon;
+    the non-edges A.Th <= -P - r - g, B.Tv <= 4g - P - r and
+    C.Tz <= 4g + r - P, all below -3g; and the inner face A.B.C = -g.  The
+    six faces with a boundary vertex are empty too (at most 7g - P), and so
+    is every triple holding a non-edge.  Every inner triangle has x > X - H,
+    y > Y - H and s < X + Y, while every boundary corner has x <= X - H,
+    y <= Y - H or x + y >= X + Y, so no boundary corner enters one; and each
+    lies in gap.expand(11g).  `assemble` re-checks all of this exactly.
     """
-    g = pow2_floor(delta / 3)
-    a = math.floor(gap.h / (3 * g)) * g
-    if a == 0:
-        raise RobustifyError(f"delta={float(delta):.3e} leaves no grid step below a third "
-                             f"of the gap height {float(gap.h):.3e}")
     X, Y, H = gap.x, gap.y, gap.h
-    corner = {"hyp": (X - a, Y - a), "vertical": (X - H + a, Y - a),
-              "horizontal": (X - a, Y - H + a)}
+    g = pow2_floor(min(epsilon, H / 2) / 16)
+    P = math.floor(H / (3 * g)) * g
+    place = {"hyp": Tri(X - P, Y - P + g, P + g),
+             "vertical": Tri(X - H + P - 4 * g, Y - P + 3 * g, P + 8 * g),
+             "horizontal": Tri(X - H + 2 * P - 2 * g, Y - 2 * P + g, H - 2 * P + 3 * g)}
     out = {}
     for v in piece.vertices():
         if v not in piece.outer_set:
             (role,) = [r for r, u in roles.items() if not piece.has_edge(u, v)]
-            out[v] = Tri(*corner[role], a)
+            out[v] = place[role]
     return out
 
 

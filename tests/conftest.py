@@ -76,10 +76,11 @@ def implant_faces(T: planar.Triangulation, indices) -> planar.Triangulation:
     return T
 
 
-def implant_double_wheel(T: planar.Triangulation, face) -> planar.Triangulation:
-    """T with the inner face `face` replaced by double_wheel(5), whose outer
-    face it becomes: a 7-vertex piece, which only the numeric solver places."""
-    D = planar.double_wheel(5)
+def implant_double_wheel(T: planar.Triangulation, face, k: int = 5) -> planar.Triangulation:
+    """T with the inner face `face` replaced by double_wheel(k), whose outer
+    face it becomes: a piece of k + 2 vertices, which for k >= 5 only the
+    numeric solver places."""
+    D = planar.double_wheel(k)
     name = dict(zip(D.outer, sorted(face)))
     name.update((v, T.n + i) for i, v in enumerate(sorted(set(D.vertices()) - D.outer_set)))
     new = [frozenset(name[v] for v in f) for f in D.faces if f != D.outer_set]

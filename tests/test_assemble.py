@@ -185,11 +185,41 @@ class TestRepresent:
         assert full_report(rep, T, with_faces=True, with_drawing=True).passed
         assert {e["path"] for e in trace} == {"stacked", "octahedron"}
 
+    @pytest.mark.parametrize("make", [lambda: implanted(100, 3, 20), lambda: chain(20, 5, 6)],
+                             ids=["implanted100_3x20", "chain20_5d6"])
+    def test_octahedra_take_no_inflation_or_triple_removal(self, make, monkeypatch):
+        # each octahedron is placed in its final layout: no numeric solve,
+        # no robustify and no triple removal
+        calls = []
+
+        def counted(module, name):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *a, **k: calls.append(name) or real(*a, **k))
+
+        for name in ("robustify", "solve_contacts"):
+            counted(assemble, name)
+        counted(perturb, "remove_all")
+        T, trace = make(), []
+        represent(T, trace=trace)
+        assert "octahedron" in {e["path"] for e in trace}
+        assert calls == []
+
+    def test_layout_failing_the_post_check_is_a_pipeline_error(self, octahedron, monkeypatch):
+        # an octahedron layout is returned only after its exact post-check:
+        # inner triangles grown past the budget, or shrunk off their contacts, raise
+        real = assemble.solve_octahedron
+        for grow in (F(3, 2), F(1, 2)):
+            monkeypatch.setattr(assemble, "solve_octahedron", lambda *a, grow=grow: {
+                v: Tri(t.x, t.y, t.h * grow) for v, t in real(*a).items()})
+            with pytest.raises(PipelineError, match="octahedron pair"):
+                represent(octahedron)
+
     @pytest.mark.parametrize("make, digest", [
         (lambda: implanted(100, 3, 20),
-         "a79a96c4d7d6ee521d94365e03d632e73ed523e7129e7dd9c266f114b9261394"),
+         "814d8cbdab2d25b74471d4cba12ca402ee55e1baa722fb2a245cab9fc80a4278"),
         (lambda: chain(20, 5, 6),
-         "1cfa9ddc60080707a04453301b86bed9fea79d418a42199184a26fec20d2e5bf"),
+         "9515ea7b13553d6a0a6153b6f7635bf67c45af53857e4551959af856b83aff4a"),
     ], ids=["implanted100_3x20", "chain20_5d6"])
     def test_representation_digest_pinned(self, make, digest):
         # peeled vertices and solved pieces together, byte for byte as the CLI writes them
@@ -278,12 +308,13 @@ class TestStackedPieces:
             return lambda rep, *a, **k: sizes.append(len(rep.triangles)) or f(rep, *a, **k)
 
         monkeypatch.setattr(assemble, "solve_stacked", recorded)
-        monkeypatch.setattr(perturb, "remove_all", sized(perturb.remove_all))
-        monkeypatch.setattr(perturb, "face_gap_with_roles", sized(perturb.face_gap_with_roles))
+        for name in ("remove_all", "find_bad_triples", "face_gap_with_roles"):
+            monkeypatch.setattr(perturb, name, sized(getattr(perturb, name)))
         T, trace = make(), []
         rep = represent(T, config, trace=trace)
         monkeypatch.undo()
-        # octahedron pieces take both; no K4 piece takes either
+        # octahedron pieces take a triple scan (their post-check) and, where
+        # an inner face holds a child, face gaps; no K4 piece takes any
         assert sizes and 4 not in sizes
         tree = planar.decompose(planar.peel(T)[0])
         k4s = [tree.pieces[e["piece"]] for e in trace if e["path"] == "stacked"]

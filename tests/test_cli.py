@@ -8,7 +8,7 @@ from tricontact import assemble, planar, verify
 from tricontact.assemble import represent
 from tricontact.cli import main
 from tricontact.core import Representation
-from conftest import represent_in, tri
+from conftest import chain, represent_in, tri
 
 
 def run(argv):
@@ -74,6 +74,19 @@ class TestRun:
         for name in ("a", "b"):
             rep_f = tmp_path / f"rep_{name}.json"
             assert run(["run", "--input", g, "--output", rep_f, "--seed", 7]) == 0
+            outs.append(rep_f.read_bytes())
+        assert outs[0] == outs[1]
+
+    def test_delta_leaves_octahedra_and_k4s_alone(self, tmp_path):
+        # the solver tolerances govern numeric pieces only: an input of K4
+        # and octahedron pieces is written byte for byte as by default
+        T = chain(20, 5, 2)
+        g = tmp_path / "g.json"
+        g.write_text(json.dumps(T.to_json()))
+        outs = []
+        for name, flags in (("default", []), ("delta", ["--delta", "1e-9"])):
+            rep_f = tmp_path / f"rep_{name}.json"
+            assert run(["run", "--input", g, "--output", rep_f, *flags]) == 0
             outs.append(rep_f.read_bytes())
         assert outs[0] == outs[1]
 

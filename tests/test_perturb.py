@@ -48,8 +48,10 @@ from conftest import (
     FRACTION_DUNDERS,
     chain,
     graph_triangles,
+    implant_double_wheel,
     implant_faces,
     implanted,
+    newest_face,
     ntri,
     point,
     represent_in,
@@ -297,14 +299,21 @@ _SHIFTED_OUTER = tuple(Tri(t.x + F(1, 3), t.y - F(2, 9), t.h)
                        for t in assemble.default_outer(F(5, 7)))
 
 
+def chain_with_wheel(n, seed, depth, k=6):
+    """chain(n, seed, depth) with double_wheel(k) in its newest face: octahedra
+    take no triple removal, so the wheel is the piece that reaches it."""
+    T = chain(n, seed, depth)
+    return implant_double_wheel(T, newest_face(T), k)
+
+
 class TestIntegerFrameMatchesReference:
     @pytest.mark.parametrize("outer", [None, _SHIFTED_OUTER], ids=["dyadic", "shifted"])
     @pytest.mark.parametrize("make", [
         lambda: planar.double_wheel(6),
         lambda: planar.gen_four_connected(12, 1),
         lambda: planar.gen_four_connected(8, 2),
-        lambda: chain(8, 0, 1),
-    ], ids=["dw6", "g4_12_1", "g4_8_2", "chain8_0d1"])
+        lambda: chain_with_wheel(8, 0, 1),
+    ], ids=["dw6", "g4_12_1", "g4_8_2", "chain8_0d1+dw6"])
     def test_every_call_of_represent(self, monkeypatch, make, outer):
         compared = []
         fast = perturb.safe_epsilon
@@ -323,12 +332,13 @@ class TestIntegerFrameMatchesReference:
 
     def test_calls_are_compared(self, monkeypatch):
         # the inputs above do reach the event analysis (dw6, g4_8_2 and the
-        # chain make 2, 3 and 4 calls), the clearing step's move included
+        # wheel in the chain make 2, 3 and 2 calls), the clearing step's move included
         moves = []
         fast = perturb.safe_epsilon
         monkeypatch.setattr(perturb, "safe_epsilon",
                             lambda *a, **k: moves[-1].append(a[1]) or fast(*a, **k))
-        for T in (planar.double_wheel(6), planar.gen_four_connected(8, 2), chain(8, 0, 1)):
+        for T in (planar.double_wheel(6), planar.gen_four_connected(8, 2),
+                  chain_with_wheel(8, 0, 1)):
             moves.append([])
             assemble.represent(T)
         assert all(moves)
@@ -539,17 +549,19 @@ class TestRemoveAll:
     ], ids=[*(f"dw{k}" for k in range(4, 9)), *(f"stacked40_{s}" for s in range(3)),
             "g4_12_0", "stacked30_1+2octa", "chain10_2d3"])
     def test_piece_faces_are_the_graph_triangles(self, monkeypatch, make, stacked):
-        # represent passes each piece's faces as the triangles of the piece's
-        # intersection graph: they must be exactly that graph's triangles.  A
-        # stacked input peels completely, so it has no piece to clear
+        # represent passes each piece's faces to the bad-triple scan (an
+        # octahedron's post-check, a numeric piece's triple removal) as the
+        # triangles of the piece's intersection graph: they must be exactly
+        # that graph's triangles.  A stacked input peels completely, so it
+        # has no piece to scan
         passed = []
-        real = perturb.remove_all
+        real = perturb.find_bad_triples
 
         def checked(rep, triangles, *a, **k):
             passed.append(triangles == graph_triangles(rep))
             return real(rep, triangles, *a, **k)
 
-        monkeypatch.setattr(perturb, "remove_all", checked)
+        monkeypatch.setattr(perturb, "find_bad_triples", checked)
         assemble.represent(make())
         if stacked:
             assert passed == []
@@ -831,30 +843,21 @@ def _agrees_with_reference(rep, face):
     return got
 
 
-def _nested_pieces(monkeypatch):
+def _nested_pieces():
     """(representation, faces) of every remainder piece of the benchmark's
-    `nested` corpus: each octahedron piece after its triple removal, and each K4
-    piece as its four triangles."""
+    `nested` corpus, as its triangles in the final representation: each
+    octahedron piece in its closed-form layout, each K4 piece as its four
+    triangles."""
     pieces = []
-    real = perturb.remove_all
-
-    def recorded(rep, triangles, *a, **k):
-        out = real(rep, triangles, *a, **k)
-        pieces.append((out, triangles))
-        return out
-
-    monkeypatch.setattr(perturb, "remove_all", recorded)
     for T in [implanted(100, 3, 20), *(chain(20, s, d) for s in (5, 6, 7) for d in (2, 4, 6))]:
         trace = []
         rep = assemble.represent(T, trace=trace)
         tree = planar.decompose(planar.peel(T)[0])
         for e in trace:
-            if e["path"] == "stacked":
-                piece = tree.pieces[e["piece"]]
-                pieces.append((Representation({v: rep.tri(v) for v in piece.vertices()},
-                                              piece.outer, e["epsilon"]),
-                               [tuple(sorted(f)) for f in piece.faces]))
-    monkeypatch.undo()
+            piece = tree.pieces[e["piece"]]
+            pieces.append((Representation({v: rep.tri(v) for v in piece.vertices()},
+                                          piece.outer, e["epsilon"]),
+                           [tuple(sorted(f)) for f in piece.faces]))
     return pieces
 
 
@@ -863,17 +866,17 @@ def _inner(rep, triangles):
 
 
 class TestFaceGapMatchesReference:
-    def test_nested_corpus(self, monkeypatch):
+    def test_nested_corpus(self):
         outcomes = [_agrees_with_reference(rep, f)
-                    for rep, triangles in _nested_pieces(monkeypatch)
+                    for rep, triangles in _nested_pieces()
                     for f in _inner(rep, triangles)]
         assert len(outcomes) > 700
         assert not any(isinstance(o, str) for o in outcomes)
 
-    def test_tiny_offset_piece(self, monkeypatch):
+    def test_tiny_offset_piece(self):
         # the largest piece scaled by 2^-60 and moved to (3, 1): every float
         # of the reference's screen is within its pad of every other
-        rep, triangles = max(_nested_pieces(monkeypatch), key=lambda p: len(p[0].triangles))
+        rep, triangles = max(_nested_pieces(), key=lambda p: len(p[0].triangles))
         k = F(1, 2 ** 60)
         tiny = Representation(
             {v: Tri(t.x * k + 3, t.y * k + 1, t.h * k) for v, t in rep.triangles.items()},
@@ -910,8 +913,9 @@ def test_fraction_work_follows_the_moves(monkeypatch):
     # frame: their Fraction arithmetic, comparisons and construction are
     # bounded by a few per moved triangle (`_moved` applies each move in
     # Fractions), per step, per bad triple found (its overlap) and per face
-    # gap (the map-back), not by the number of triangles.  With the scans in
-    # Fractions this count read 8,382 here, against a bound of 760.
+    # gap (the map-back), not by the number of triangles.  The wheel is the
+    # one piece that takes triple removal; the chain's octahedra give the
+    # face gaps.  The count reads 90 here, against a bound of 136.
     calls, inside = [], []
     moves, scans, gaps = [], [], []
 
@@ -938,7 +942,7 @@ def test_fraction_work_follows_the_moves(monkeypatch):
     real_moved = perturb._moved
     monkeypatch.setattr(perturb, "_moved",
                         lambda rep, move, e: moves.append(len(move)) or real_moved(rep, move, e))
-    T = chain(20, 5, 6)
+    T = chain_with_wheel(20, 5, 6)
     for name in FRACTION_DUNDERS:
         monkeypatch.setattr(F, name, counted(getattr(F, name)))
     monkeypatch.setattr(F, "__new__", staticmethod(counted(F.__new__)))

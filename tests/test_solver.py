@@ -6,10 +6,21 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tricontact import planar, solver
+from tricontact import assemble, planar, solver
 from tricontact.assemble import PipelineConfig, default_outer, represent
-from tricontact.geometry import Tri, inflate, intersect, signed_height
+from tricontact.geometry import (
+    NegTri,
+    Tri,
+    common_signed_height,
+    gap_candidates,
+    inflate,
+    inside_neg,
+    intersect,
+    pow2_floor,
+    signed_height,
+)
 from tricontact.core import Representation
 from tricontact.solver import (
     CanvasError,
@@ -25,8 +36,8 @@ from tricontact.solver import (
     solve_octahedron,
     solve_stacked,
 )
-from conftest import (graph_triangles, ntri, point, represent_in, solve_in_canvas,
-                      stacked_by_peeling, tri)
+from conftest import (graph_triangles, ntri, octahedron_graph, point, represent_in,
+                      solve_in_canvas, stacked_by_peeling, tri)
 
 F = Fraction
 
@@ -299,58 +310,89 @@ class TestSolveStacked:
 
 
 class TestSolveOctahedron:
-    """The closed-form layout of an octahedron piece (antipodal pairs (0, 3),
-    (1, 4), (2, 5)): exact contact with the gap sides, inner pairs short of
-    contact by less than delta, and a grid that follows delta."""
+    """The closed-form final layout of an octahedron piece (antipodal pairs
+    (0, 3), (1, 4), (2, 5)): on the dyadic grid g of the piece's budget, every
+    adjacency overlaps by g to 11g, below the budget, every non-adjacency is
+    at least 3g apart, and the inner face leaves a gap of g."""
 
     @staticmethod
-    def _layout(octahedron, outer, delta):
+    def _layout(octahedron, outer, epsilon):
         canvas, role_idx = canvas_with_roles([outer[v] for v in range(3)])
-        inner = solve_octahedron(octahedron, canvas, role_idx, delta)
-        return canvas, Representation({**outer, **inner}, (0, 1, 2), F(1))
+        inner = solve_octahedron(octahedron, canvas, role_idx, epsilon)
+        return canvas, Representation({**outer, **inner}, (0, 1, 2), epsilon)
 
     @pytest.mark.parametrize("scale", [F(1), F(5, 7), F(1, 2 ** 40)], ids=["unit", "skewed", "tiny"])
-    @pytest.mark.parametrize("delta", [F(1e-7), F(1, 10 ** 9), F(1, 10)], ids=["1e-7", "1e-9", "1e-1"])
-    def test_signed_heights(self, octahedron, scale, delta):
+    @pytest.mark.parametrize("epsilon", [F(1e-7), F(1, 10 ** 9), F(1, 10)],
+                             ids=["1e-7", "1e-9", "1e-1"])
+    def test_signed_heights(self, octahedron, scale, epsilon):
         outer = {v: Tri(t.x * scale, t.y * scale, t.h * scale)
                  for v, t in enumerate(default_outer())}
-        # delta is a length in the gap's frame, so it scales with the boundary
-        canvas, rep = self._layout(octahedron, outer, delta * scale)
-        a = rep.tri(3).h
-        assert {rep.tri(v).h for v in (3, 4, 5)} == {a}
-        assert 3 * a - canvas.h > -delta * scale
+        # the budget is a length, so it scales with the boundary
+        canvas, rep = self._layout(octahedron, outer, epsilon * scale)
+        g = pow2_floor(epsilon * scale / 16)
+        assert common_signed_height([rep.tri(v) for v in (3, 4, 5)]) == -g
         for u, v in itertools.combinations(range(6), 2):
             s = signed_height(rep.tri(u), rep.tri(v))
             if not octahedron.has_edge(u, v):
-                assert s <= -canvas.h / 3
+                assert s <= -3 * g
             elif u >= 3:
-                assert s == 3 * a - canvas.h
+                assert g <= s <= 4 * g
             elif v >= 3:
-                assert s == 0
+                assert g <= s <= 11 * g < epsilon * scale
+        for v in (3, 4, 5):
+            assert inside_neg(rep.tri(v), canvas.expand(11 * g))
+        assemble._check_octahedron(rep, octahedron)
 
     def test_dyadic_grid(self, octahedron, outer_map):
-        # the canvas is NegTri(3, 3, 2); 2^-25 <= 1e-7 / 3 < 2^-24
-        _, rep = self._layout(octahedron, outer_map, F(1e-7))
-        a = F(22369621, 2 ** 25)   # floor(2 / (3 * 2^-25)) * 2^-25
-        assert [rep.tri(v) for v in (3, 4, 5)] == [Tri(3 - a, 3 - a, a), Tri(3 - a, 1 + a, a),
-                                                   Tri(1 + a, 3 - a, a)]
+        # the canvas is NegTri(3, 3, 2) and the root's budget 1, so g = 1/16
+        # and P = floor(2 / (3/16)) / 16 = 5/8
+        _, rep = self._layout(octahedron, outer_map, F(1))
+        assert [rep.tri(v) for v in (3, 4, 5)] == [
+            tri("19/8", "39/16", "11/16"), tri("17/8", "29/16", "15/16"), tri("11/8", "41/16", "9/8")]
+        assert rep.tri(3) == represent(octahedron).tri(3)
 
-    def test_grid_follows_delta(self, octahedron, outer_map):
-        # a grid twice as coarse as delta = 1e-7 allows leaves the inner
-        # pairs 2^-23 short of contact, more than delta
-        params = SolverParams()
-        _, fine = self._layout(octahedron, outer_map, F(params.delta))
-        robustify(fine, octahedron, params, F(1))
-        _, coarse = self._layout(octahedron, outer_map, 2 * F(params.delta))
-        with pytest.raises(RobustifyError, match="exceeds delta"):
-            robustify(coarse, octahedron, params, F(1))
+    def test_grid_follows_the_budget(self, octahedron, outer_map):
+        # the inner pair (3, 4) overlaps by exactly g, the largest power of
+        # two at most min(epsilon, H/2)/16; a budget above H/2 = 1 is capped
+        for eps, g in ((F(1, 3), F(1, 64)), (F(1, 2 ** 30), F(1, 2 ** 34)), (F(7), F(1, 16))):
+            _, rep = self._layout(octahedron, outer_map, eps)
+            assert signed_height(rep.tri(3), rep.tri(4)) == g
+        assert self._layout(octahedron, outer_map, F(7))[1].triangles == \
+            self._layout(octahedron, outer_map, F(1))[1].triangles
 
     def test_delta_above_the_gap(self, octahedron):
-        # the canvas is 2 to 4 tall in the piece's frame: a grid step of 2
-        # leaves no height below a third of it
+        # delta governs numeric pieces only: a grid step of 2, above a third
+        # of any canvas in a numeric piece's frame, leaves the octahedron as it is
         cfg = PipelineConfig(solver=SolverParams(delta=6, margin=40))
-        with pytest.raises(RobustifyError, match="no grid step"):
-            represent(octahedron, cfg)
+        assert represent(octahedron, cfg) == represent(octahedron)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(gap=st.tuples(*[st.fractions(-10, 10, max_denominator=1000)] * 2,
+                         st.fractions(F(1, 1000), 10, max_denominator=1000)),
+           skews=st.lists(st.fractions(0, 5, max_denominator=97), min_size=6, max_size=6),
+           ratio=st.fractions(F(1, 100), 2, max_denominator=1000),
+           shift=st.integers(0, 60))
+    def test_layout_passes_the_post_check(self, gap, skews, ratio, shift):
+        # boundary triangles that bound NegTri(X, Y, H), each skewed outward
+        # along its side, and a budget epsilon in (0, 2H], down to 2^-60 H;
+        # above H/2 the grid is capped (uncapped, the horizontal side's
+        # antipode could reach that side's triangle)
+        X, Y, H = gap
+        a1, a2, b1, b2, c1, c2 = skews
+        outer = {0: Tri(X - H - a1, Y - H - a2, H + a1 + a2),   # hypotenuse side
+                 1: Tri(X - H - c1, Y, H + c1 + c2),            # horizontal side
+                 2: Tri(X, Y - H - b1, H + b1 + b2)}            # vertical side
+        canvas = NegTri(X, Y, H)
+        roles = {"hyp": 0, "vertical": 2, "horizontal": 1}
+        assert (canvas, roles) in gap_candidates([outer[v] for v in range(3)])
+        eps = H * ratio / 2 ** shift
+        octahedron = octahedron_graph()
+        inner = solve_octahedron(octahedron, canvas, roles, eps)
+        rep = Representation({**outer, **inner}, (0, 1, 2), eps)
+        assemble._check_octahedron(rep, octahedron)   # the 12 pairs with an inner end, 8 faces
+        assert all(signed_height(outer[u], outer[v]) >= 0
+                   for u, v in itertools.combinations(range(3), 2))
+        assert all(inside_neg(t, canvas.expand(eps)) for t in inner.values())
 
 
 class TestSolveContacts:
