@@ -8,6 +8,8 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
+import numpy as np
+
 from tricontact.geometry import Tri, frac, frac_str
 
 ROUNDOFF = 2.0 ** -53  # unit roundoff of IEEE doubles (round to nearest)
@@ -23,13 +25,14 @@ def float_pad(m: float) -> float:
     Let u = 2^-53.  Each screened quantity is built from at most six
     converted values, each within u*m of its exact value when the exact
     magnitude is at most m (2u*m for a gap height, which is at most 2m), and
-    at most five float additions or subtractions, each rounding by at most
-    u times a result of magnitude at most 3m.  The worst case, the strip test
-    in `verify._face_fault`, stays within 20u*m of its exact value; the
-    bounding-box comparisons within 3u*m.  So 2^7 u*m covers every screen
-    with room for the second-order terms, and `TINY` covers underflow.  The
-    pad scales with the coordinates, so a deep piece, whose coordinates are
-    tiny, is screened as sharply as a shallow one.
+    at most six float additions or subtractions, each rounding by at most
+    u times a result of magnitude at most 4m.  The worst case, the strip
+    screen of `verify.check_face_condition`, stays within 17u*m of its exact
+    value (7u*m from its inputs, where H can enter twice, and 10u*m from its
+    six roundings); the bounding-box comparisons within 3u*m.  So 2^7 u*m
+    covers every screen with room for the second-order terms, and `TINY`
+    covers underflow.  The pad scales with the coordinates, so a deep piece,
+    whose coordinates are tiny, is screened as sharply as a shallow one.
     """
     return 2.0 ** 7 * ROUNDOFF * m + TINY
 
@@ -62,6 +65,17 @@ class Representation:
         den, frame, _ = int_frame(self, self.epsilon)
         return den << 6, {v: Tri(x << 6, y << 6, (s - x - y) << 6)
                           for v, (x, y, s) in frame.items()}
+
+    @cached_property
+    def float_table(self) -> tuple[list[int], np.ndarray, float]:
+        """(the vertices, their triangles' rows (x, y, s, x + h, y + h) of
+        nearest doubles, the `float_pad` of linear screens over them), built
+        once from `scaled` for every float screen of the verifier; read-only."""
+        S, tris = self.scaled
+        table = np.array([(t.x / S, t.y / S, t.s / S, (t.x + t.h) / S, (t.y + t.h) / S)
+                          for t in tris.values()], dtype=float).reshape(-1, 5)
+        table.flags.writeable = False
+        return list(tris), table, float_pad(float(np.abs(table).max(initial=0.0)))
 
     def with_triangle(self, v: int, t: Tri) -> "Representation":
         d = dict(self.triangles)

@@ -12,9 +12,12 @@ conservative prefilters whose misses fall back to exact tests, and they
 rank the candidate points of the drawing's vertices; each winner is
 re-checked exactly.  A float is n / S for a frame integer n, which Python
 rounds correctly, so it is the nearest double to the rational coordinate.
-The float work runs as numpy array kernels, once per representation: one
-sort-and-sweep over boxes (`_box_pairs`) gives the near pairs of every
-check, and the screens run over blocks of a bounded number of kept pairs.
+The float work runs as numpy array kernels over one float table per
+representation (`Representation.float_table`), which the intersection
+graph, the face check and the drawing share: one sort-and-sweep over boxes
+(`_box_pairs`) gives the near pairs of every check, the face check screens
+all its (face, near triangle) pairs in one kernel per phase, and the other
+screens run over blocks of a bounded number of kept pairs.
 The module imports nothing from the constructor modules (`solver`,
 `perturb`, `assemble`), and the intersection graph is built here alone:
 the constructor never builds one.  The face check is written here, but
@@ -47,16 +50,6 @@ from tricontact.geometry import (
     segment_intersection_kind,
     signed_height,
 )
-
-def float_table(rep: Representation) -> tuple[list[int], np.ndarray, float]:
-    """The vertices of `rep`, their triangles' rows (x, y, s, x + h, y + h)
-    of nearest doubles, and the `float_pad` of linear screens over them (the
-    quadratic cross and dot products have their own bound, `_err`)."""
-    S, tris = rep.scaled
-    table = np.array([(t.x / S, t.y / S, t.s / S, (t.x + t.h) / S, (t.y + t.h) / S)
-                      for t in tris.values()], dtype=float).reshape(-1, 5)
-    return list(tris), table, float_pad(float(np.abs(table).max(initial=0.0)))
-
 
 # Most kept pairs in a kernel's block, and most x-run pairs y-tested at once
 BLOCK = 1 << 11
@@ -103,7 +96,7 @@ def intersection_graph(rep: Representation) -> set[tuple[int, int]]:
     float signed height min(s) - max(x) - max(y) drops the pairs below
     -pad, which certainly miss; every other pair is settled exactly.
     """
-    ids, table, _pad = float_table(rep)
+    ids, table, _pad = rep.float_table
     tris = list(rep.scaled[1].values())
     x, y, s = table[:, :3].T
     pad = float_pad(float(np.abs(table[:, :3]).max(initial=0.0)))
@@ -170,10 +163,15 @@ def check_boundary(rep: Representation, epsilon: Fraction | None = None
     return (not bad_pairs), bad_pairs, (not bad_corners), bad_corners
 
 
-def _face_fault(tris: dict[int, Tri], ids: tuple[int, int, int], cands: list[NegTri],
-                fc: list[tuple[float, float, float]], near: list[tuple[int, list[float]]],
-                pad: float) -> str | None:
-    """Why the face `ids` fails the gap condition, or None if it passes.
+def _runs(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The indices starts[k], ..., starts[k] + counts[k] - 1 for each k in
+    turn, as one array."""
+    return np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+
+
+def check_face_condition(rep: Representation, T: planar.Triangulation) -> tuple[bool, list]:
+    """Every inner face must have exactly one valid gap that no other
+    triangle reaches; returns (ok, [(face, reason)]) in `T`'s face order.
 
     A gap candidate is a negative homothet bounded by one side line of each
     face triangle (`gap_candidates`); it is valid when its interior meets no
@@ -181,75 +179,39 @@ def _face_fault(tris: dict[int, Tri], ids: tuple[int, int, int], cands: list[Neg
     every triangle outside the face that meets one of the gap's three strips
     (the positive homothets of the gap's height mirrored across its sides)
     stays strictly off that side's line, so that a probe of positive height
-    fits against every gap side.  `tris` and `cands` are in the integer
-    frame, `fc` holds the candidates' (X, Y, H) in floats, `near` the
-    triangles outside the face near its query box.
-    """
-    if not cands:
-        return f"no gap candidate for face {list(ids)}"
-
-    def blocked(gap: NegTri, gf: tuple[float, float, float]) -> bool:
-        gx, gy, gh = gf
-        level = gx + gy - gh
-        for v, (x, y, s, _xh, _yh) in near:
-            # interiors meet only if x < X, y < Y and s > X + Y - H
-            if x > gx + pad or y > gy + pad or s < level - pad:
-                continue
-            if neg_interior_hits(gap, tris[v]):
-                return True
-        return False
-
-    valid = [(g, gf) for g, gf in zip(cands, fc) if not blocked(g, gf)]
-    if not valid:
-        return f"no valid gap for face {list(ids)}"
-    if len(valid) > 1:
-        return f"gap for face {list(ids)} is not unique"
-    gap, (gx, gy, gh) = valid[0]
-    X, Y, H = gap.x, gap.y, gap.h
-    level = gx + gy - gh
-    # (strip, its floats (x, y, s), how far a triangle (x, y, s) stays beyond
-    # the gap side: exactly, and in floats)
-    strips = (
-        (Tri(X - H, Y - H, H), (gx - gh, gy - gh, level),
-         lambda x, y, s: gap.hyp_level - s, lambda x, y, s: level - s),
-        (Tri(X, Y - H, H), (gx, gy - gh, gx + gy),
-         lambda x, y, s: x - X, lambda x, y, s: x - gx),
-        (Tri(X - H, Y, H), (gx - gh, gy, gx + gy),
-         lambda x, y, s: y - Y, lambda x, y, s: y - gy),
-    )
-    for strip, (px, py, ps), depth, depth_f in strips:
-        for v, (x, y, s, _xh, _yh) in near:
-            if depth_f(x, y, s) > pad or min(ps, s) - max(px, x) - max(py, y) < -pad:
-                continue  # certainly beyond the side, or certainly off the strip
-            t = tris[v]
-            if signed_height(strip, t) >= 0 and depth(t.x, t.y, t.s) <= 0:
-                return f"triangle {v} touches a gap side of face {list(ids)}"
-    return None
-
-
-def check_face_condition(rep: Representation, T: planar.Triangulation) -> tuple[bool, list]:
-    """Every inner face must have exactly one valid gap that no other
-    triangle reaches (see `_face_fault`); returns (ok, [(face, reason)]).
+    fits against every gap side.
 
     One `_box_pairs` sweep over the triangles' boxes and the faces' query
-    boxes gives each face the triangles near it.  Float screens, padded by
-    `float_pad`, only skip triangles that certainly miss a gap or strip;
-    every other triangle is tested exactly.  Every gap coordinate (X, Y,
-    X - H, Y - H, X + Y - H) is a side of a face triangle, so the table's
-    largest magnitude bounds them too, and H is at most twice it.
+    boxes gives the (face, near triangle) pairs.  Two array kernels screen
+    them, padded by `float_pad`: every (candidate, near) pair for meeting
+    interiors, then every (face, near) pair of a face with one valid gap
+    against the gap's strips.  Pairs a screen cannot skip are tested
+    exactly, the strip pairs by strip (hypotenuse, vertical, horizontal
+    side), then near triangle, so a failing face names its first offender.
+    Every gap coordinate (X, Y, X - H, Y - H, X + Y - H) is a side of a face
+    triangle, so the table's largest magnitude bounds them too, and H is at
+    most twice it.
     """
-    ids, table, pad = float_table(rep)
+    ids, table, pad = rep.float_table
     S, tris = rep.scaled
-    rows = table.tolist()
+    rows = list(tris.values())
+    row = {v: r for r, v in enumerate(ids)}
     faces = [tuple(sorted(f)) for f in T.inner_faces]
     cands = [[g for g, _roles in gap_candidates([tris[v] for v in f])] for f in faces]
-    fcs = [[(g.x / S, g.y / S, g.h / S) for g in c] for c in cands]
-    queried = np.array([k for k, c in enumerate(cands) if c], dtype=np.intp)
+    gaps = [g for c in cands for g in c]
+    ncand = np.array([len(c) for c in cands], dtype=np.intp)
+    gface = np.repeat(np.arange(len(faces)), ncand)  # the face of each candidate
+    gx, gy, gh = np.array([(g.x / S, g.y / S, g.h / S) for g in gaps],
+                          dtype=float).reshape(-1, 3).T
+    level = gx + gy - gh
     # the candidate gaps and their strips lie in [X - H, X + H] x [Y - H, Y + H]
     # for their (X, Y, H): the union of these boxes, widened by `pad`
-    boxes = np.array([(min(x - h for x, _y, h in fc) - pad, max(x + h for x, _y, h in fc) + pad,
-                       min(y - h for _x, y, h in fc) - pad, max(y + h for _x, y, h in fc) + pad)
-                      for fc in fcs if fc]).reshape(-1, 4)
+    queried = np.flatnonzero(ncand)
+    first = (np.cumsum(ncand) - ncand)[queried]
+    boxes = np.stack((np.minimum.reduceat(gx - gh, first) - pad,
+                      np.maximum.reduceat(gx + gh, first) + pad,
+                      np.minimum.reduceat(gy - gh, first) - pad,
+                      np.maximum.reduceat(gy + gh, first) + pad), axis=1)
     n = len(ids)
     fq, rq = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]  # (face, row) pairs
     for i, j in _box_pairs(np.vstack((table[:, [0, 3, 1, 4]], boxes)), 0.0):
@@ -258,15 +220,60 @@ def check_face_condition(rep: Representation, T: planar.Triangulation) -> tuple[
         fq.append(queried[hi[keep] - n])
         rq.append(lo[keep])
     fq, rq = np.concatenate(fq), np.concatenate(rq)
+    own = np.array([[row[v] for v in f] for f in faces], dtype=np.intp).reshape(-1, 3)[fq]
+    keep = (rq != own[:, 0]) & (rq != own[:, 1]) & (rq != own[:, 2])
+    fq, rq = fq[keep], rq[keep]
     order = np.lexsort((rq, fq))
-    fq, rq = fq[order], rq[order].tolist()
-    cut = np.searchsorted(fq, np.arange(len(faces) + 1)).tolist()
-    failures = []
-    for k, f in enumerate(faces):
-        near = [(ids[r], rows[r]) for r in rq[cut[k]:cut[k + 1]] if ids[r] not in f]
-        why = _face_fault(tris, f, cands[k], fcs[k], near, pad)
-        if why is not None:
-            failures.append((f, why))
+    fq, rq = fq[order], rq[order]
+    cut = np.searchsorted(fq, np.arange(len(faces) + 1))
+    x, y, s = table[:, 0], table[:, 1], table[:, 2]
+
+    # (candidate, near row) pairs: interiors meet only if x < X, y < Y and
+    # s > X + Y - H
+    nnear = (cut[1:] - cut[:-1])[gface]
+    pg = np.repeat(np.arange(len(gaps)), nnear)
+    pr = rq[_runs(cut[gface], nnear)]
+    maybe = ~((x[pr] > gx[pg] + pad) | (y[pr] > gy[pg] + pad) | (s[pr] < level[pg] - pad))
+    blocked = [False] * len(gaps)
+    for g, r in zip(pg[maybe].tolist(), pr[maybe].tolist()):
+        if not blocked[g] and neg_interior_hits(gaps[g], rows[r]):
+            blocked[g] = True
+    valid = np.flatnonzero(~np.array(blocked, dtype=bool))
+    nvalid = np.bincount(gface[valid], minlength=len(faces))
+    why = {k: (f"no gap candidate for face {list(faces[k])}" if not cands[k] else
+               f"no valid gap for face {list(faces[k])}" if nvalid[k] == 0 else
+               f"gap for face {list(faces[k])} is not unique")
+           for k in np.flatnonzero(nvalid != 1).tolist()}
+
+    # (face, near row) pairs of the faces with one valid gap, against the
+    # gap's strips: (strip (x, y, s) in floats, how far a triangle (x, y, s)
+    # stays beyond the gap side, in floats)
+    one = valid[nvalid[gface[valid]] == 1]
+    pg, pr = np.repeat(one, nnear[one]), rq[_runs(cut[gface[one]], nnear[one])]
+    X, Y, H, L = gx[pg], gy[pg], gh[pg], level[pg]
+    x, y, s = x[pr], y[pr], s[pr]
+    strips = (((X - H, Y - H, L), L - s), ((X, Y - H, X + Y), x - X), ((X - H, Y, X + Y), y - Y))
+    # a pair is skipped when certainly beyond the side, or certainly off the strip
+    hits = [np.flatnonzero(~((depth > pad) | (np.minimum(qs, s) - np.maximum(qx, x)
+                                              - np.maximum(qy, y) < -pad)))
+            for (qx, qy, qs), depth in strips]
+    strip = np.repeat(np.arange(3), [len(h) for h in hits])
+    hit = np.concatenate(hits)
+    order = np.lexsort((hit, strip, pg[hit]))  # by face, strip, near triangle
+    sides: dict[int, tuple[Tri, Tri, Tri]] = {}  # the strips of a gap, exactly
+    face_of = gface.tolist()
+    for g, side, r in zip(pg[hit[order]].tolist(), strip[order].tolist(),
+                          pr[hit[order]].tolist()):
+        f, gap, t = face_of[g], gaps[g], rows[r]
+        if f in why:
+            continue
+        if g not in sides:
+            X, Y, H = gap.x, gap.y, gap.h
+            sides[g] = (Tri(X - H, Y - H, H), Tri(X, Y - H, H), Tri(X - H, Y, H))
+        depth = gap.hyp_level - t.s if side == 0 else t.x - gap.x if side == 1 else t.y - gap.y
+        if signed_height(sides[g][side], t) >= 0 and depth <= 0:
+            why[f] = f"triangle {ids[r]} touches a gap side of face {list(faces[f])}"
+    failures = [(faces[k], why[k]) for k in sorted(why)]
     return (not failures), failures
 
 
@@ -327,101 +334,110 @@ def _clip_hits(ax, ay, bx, by, rx, ry, rs) -> np.ndarray:
     return ok & (t0 <= t1)
 
 
-def _free_points(rep: Representation, nbrs: dict[int, Collection[int]],
+def _free_points(rep: Representation, vertices: Collection[int],
                  contacts: dict[tuple[int, int], Point],
                  lenses: dict[tuple[int, int], Tri]) -> dict[int, Point]:
-    """For each vertex u of `nbrs`, a point of t(u) covered by no other
+    """For each vertex u of `vertices`, a point of t(u) covered by no other
     triangle, chosen from an interior grid; each winner's non-membership in
     every other triangle is verified exactly.  The contacts, the lenses and
     the points returned are in `rep`'s integer frame (`Representation.scaled`).
 
     The candidates are ranked first by how many straight rays, from the
-    candidate to the contact anchors of u's edges, pass through the overlap
-    regions (lenses) of u's other edges (this keeps edge routes out of lenses
-    they do not own), then by clearance: the min, over the triangles whose
-    boxes meet t(u)'s padded by `float_pad`, of how far the candidate lies
-    outside each.  Each grid is scored for every pending vertex at once, in
-    blocks; a vertex whose 16 best candidates all fail moves on to the next,
-    finer grid.
+    candidate to the contacts of u's edges (the edges of `contacts`), pass
+    through the overlap regions (lenses) of u's other edges (this keeps edge
+    routes out of lenses they do not own), then by clearance: the min, over
+    the triangles whose boxes meet t(u)'s padded by `float_pad`, of how far
+    the candidate lies outside each.  Each grid is scored for every pending
+    vertex at once, in blocks, with sorted reductions over (vertex, near
+    triangle) and (ray, lens) pairs; a vertex whose 16 best candidates all
+    fail moves on to the next, finer grid.
     """
-    ids, table, pad = float_table(rep)
+    ids, table, pad = rep.float_table
     S, tris = rep.scaled
+    rows = list(tris.values())
     row = {v: r for r, v in enumerate(ids)}
-    hf = np.array([t.h / S for t in tris.values()])
-    # directed pairs (u, v) with v's box within `pad` of u's box; the sweep's
-    # 2 * pad covers this test in both directions despite their roundings
-    nu: list[int] = []
-    nv: list[int] = []
+    hf = np.array([t.h / S for t in rows])
+    # directed pairs (u, v) with v's box within `pad` of u's box, by u; the
+    # sweep's 2 * pad covers this test in both directions despite their roundings
+    nu, nv = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
     for i, j in _box_pairs(table[:, [0, 3, 1, 4]], 2 * pad):
         for u, v in ((i, j), (j, i)):
             keep = ~((table[v, 3] < table[u, 0] - pad) | (table[v, 0] > table[u, 3] + pad)
                      | (table[v, 4] < table[u, 1] - pad) | (table[v, 1] > table[u, 4] + pad))
-            nu += u[keep].tolist()
-            nv += v[keep].tolist()
-    near: dict[int, list[Tri]] = {v: [] for v in ids}
-    for u, v in zip(nu, nv):
-        near[ids[u]].append(tris[ids[v]])
-    nu_a, nv_a = np.array(nu, dtype=np.intp), np.array(nv, dtype=np.intp)
-    # a ray runs from a candidate of u to the contact of one of u's edges; its
-    # regions are the lenses of u's other edges; each is converted once
-    cf = {e: (c.x / S, c.y / S) for e, c in contacts.items()}
-    lf = {e: (t.x / S, t.y / S, t.s / S) for e, t in lenses.items()}
-    ray_row: list[int] = []  # per ray: the row of u
-    pair_ray, pair_geo = [], []  # per (ray, region): the ray, target (x, y) + region (x, y, s)
-    for u in sorted(nbrs):
-        nb = sorted(nbrs[u])
-        lensed = [(w, lf[e]) for w in nb if (e := (min(u, w), max(u, w))) in lf]
-        for v in nb:
-            g = cf[(min(u, v), max(u, v))]
-            geo_v = [g + r for w, r in lensed if w != v]
-            pair_ray += [len(ray_row)] * len(geo_v)
-            pair_geo += geo_v
-            ray_row.append(row[u])
-    pair_ray_a = np.array(pair_ray, dtype=np.intp)
-    pair_row = np.array(ray_row, dtype=np.intp)[pair_ray_a]
-    geo = np.array(pair_geo, dtype=float).reshape(-1, 5)
+            nu.append(u[keep])
+            nv.append(v[keep])
+    nu, nv = np.concatenate(nu), np.concatenate(nv)
+    order = np.argsort(nu, kind="stable")
+    nu, nv = nu[order], nv[order]
+    ncut = np.searchsorted(nu, np.arange(len(ids) + 1)).tolist()
+    near = nv.tolist()
+    # a ray runs from a candidate of u to the contact of an edge uv; rays come
+    # in the order of the directed edges (u, v), and the regions of each are
+    # the lenses of u's other edges, in the same order
+    edges = np.array(list(contacts), dtype=np.intp).reshape(-1, 2)
+    ends = np.concatenate((edges, edges[:, ::-1]))
+    order = np.lexsort((ends[:, 1], ends[:, 0]))
+    ray_u, ray_edge = ends[order, 0], np.tile(np.arange(len(edges)), 2)[order]
+    is_lens = np.array([e in lenses for e in contacts], dtype=bool)
+    lensed = np.flatnonzero(is_lens[ray_edge])
+    lo, hi = (np.searchsorted(ray_u[lensed], ray_u, side=side) for side in ("left", "right"))
+    pair_ray = np.repeat(np.arange(len(ray_u)), hi - lo)
+    region = lensed[_runs(lo, hi - lo)]
+    keep = region != pair_ray
+    pair_ray, region = pair_ray[keep], region[keep]
+    pair_row = np.array([row[u] for u in ray_u.tolist()], dtype=np.intp)[pair_ray]
+    cf = np.array([(c.x / S, c.y / S) for c in contacts.values()], dtype=float).reshape(-1, 2)
+    lf = np.array([(t.x / S, t.y / S, t.s / S) for e in contacts if (t := lenses.get(e))],
+                  dtype=float).reshape(-1, 3)
+    geo = np.concatenate((cf[ray_edge[pair_ray]],
+                          lf[(np.cumsum(is_lens) - 1)[ray_edge[region]]]), axis=1)
 
     points: dict[int, Point] = {}
-    pending = sorted(nbrs)
+    pending = sorted(vertices)
     for denom in (8, 16, 32, 64):
         if not pending:
             break
         grid = [(i, j) for i in range(1, denom - 1) for j in range(1, denom - i)]
         I, J = np.array(grid).T
-        rows = np.array([row[u] for u in pending], dtype=np.intp)
+        prow = np.array([row[u] for u in pending], dtype=np.intp)
         slot = np.full(len(ids), -1, dtype=np.intp)
-        slot[rows] = np.arange(len(rows))
-        pa = table[rows, 0][:, None] + hf[rows][:, None] * I / denom
-        pb = table[rows, 1][:, None] + hf[rows][:, None] * J / denom
+        slot[prow] = np.arange(len(prow))
+        pa = table[prow, 0][:, None] + hf[prow][:, None] * I / denom
+        pb = table[prow, 1][:, None] + hf[prow][:, None] * J / denom
         step = max(1, BLOCK // len(I))
-        clear = np.where(np.bincount(nu_a, minlength=len(ids))[rows, None] > 0, np.inf,
+        clear = np.where(np.bincount(nu, minlength=len(ids))[prow, None] > 0, np.inf,
                          np.ones_like(pa))
-        sel = np.flatnonzero(slot[nu_a] >= 0)
+        sel = np.flatnonzero(slot[nu] >= 0)
         for k in range(0, len(sel), step):
-            s, t = slot[nu_a[sel[k:k + step]]], table[nv_a[sel[k:k + step]]]
-            np.minimum.at(clear, s, np.maximum(
+            s, t = slot[nu[sel[k:k + step]]], table[nv[sel[k:k + step]]]
+            head = np.flatnonzero(np.diff(s, prepend=-1))  # pairs come sorted by u
+            clear[s[head]] = np.minimum(clear[s[head]], np.minimum.reduceat(np.maximum(
                 np.maximum(t[:, 0, None] - pa[s], t[:, 1, None] - pb[s]),
-                pa[s] + pb[s] - t[:, 2, None]))
+                pa[s] + pb[s] - t[:, 2, None]), head, axis=0))
         sel = np.flatnonzero(slot[pair_row] >= 0)
-        first = np.diff(pair_ray_a[sel], prepend=-1) != 0  # pairs come sorted by ray
+        first = np.diff(pair_ray[sel], prepend=-1) != 0  # pairs come sorted by ray
         local = np.cumsum(first) - 1
         hit = np.zeros((int(first.sum()), len(I)), dtype=bool)
         for k in range(0, len(sel), step):
             s, t = slot[pair_row[sel[k:k + step]]], geo[sel[k:k + step]]
-            np.logical_or.at(hit, local[k:k + step], _clip_hits(
+            head = np.flatnonzero(first[k:k + step] | (np.arange(len(s)) == 0))
+            hit[local[k:k + step][head]] |= np.logical_or.reduceat(_clip_hits(
                 pa[s], pb[s], t[:, 0, None], t[:, 1, None], t[:, 2, None], t[:, 3, None],
-                t[:, 4, None]))
+                t[:, 4, None]), head, axis=0)
+        # rays come sorted by u, so by slot
+        rslot = slot[pair_row[sel[first]]]
+        head = np.flatnonzero(np.diff(rslot, prepend=-1))
         blocked = np.zeros(pa.shape, dtype=np.intp)
-        np.add.at(blocked, slot[pair_row[sel[first]]], hit)
+        blocked[rslot[head]] = np.add.reduceat(hit, head, axis=0, dtype=np.intp)
         ranked = np.lexsort((np.broadcast_to(J, pa.shape), np.broadcast_to(I, pa.shape),
                              -clear, blocked))[:, :16]
         still = []
         for u, best in zip(pending, ranked.tolist()):
-            tu = tris[u]
+            tu, r = tris[u], row[u]
             for k in best:
                 i, j = grid[k]
                 p = Point(tu.x + tu.h * i // denom, tu.y + tu.h * j // denom)
-                if not any(t.contains(p) for t in near[u]):
+                if not any(rows[v].contains(p) for v in near[ncut[r]:ncut[r + 1]]):
                     points[u] = p
                     break
             else:
@@ -430,7 +446,7 @@ def _free_points(rep: Representation, nbrs: dict[int, Collection[int]],
     if pending:
         raise DrawingError(f"no free interior point in triangle of vertex {pending[0]} "
                            "(representation invalid)")
-    return {u: points[u] for u in sorted(nbrs)}
+    return {u: points[u] for u in sorted(vertices)}
 
 
 def _err(size: np.ndarray | float, delta: float) -> np.ndarray | float:
@@ -618,7 +634,7 @@ def extract_drawing(rep: Representation, T: planar.Triangulation) -> Drawing:
         contacts[(u, v)] = ov.right_corner
         if ov.kind == "region":
             lenses[(u, v)] = ov.region
-    points = _free_points(rep, T.adjacency(), contacts, lenses)
+    points = _free_points(rep, T.vertices(), contacts, lenses)
     xs = [p.x for p in points.values()] + [c.x for c in contacts.values()]
     ys = [p.y for p in points.values()] + [c.y for c in contacts.values()]
     uv = np.array(edges).reshape(-1, 2)

@@ -6,7 +6,16 @@ import pytest
 
 from tricontact import planar
 from tricontact.assemble import PipelineConfig, represent
-from tricontact.geometry import NegTri, Point, Tri, common_signed_height, frac
+from tricontact.geometry import (
+    NegTri,
+    Point,
+    Tri,
+    common_signed_height,
+    frac,
+    gap_candidates,
+    neg_interior_hits,
+    signed_height,
+)
 from tricontact.core import Representation
 from tricontact.solver import SolveResult, SolverParams, canvas_with_roles, solve_contacts
 from tricontact.verify import intersection_graph
@@ -37,6 +46,50 @@ def triples_by_cubic_scan(rep: Representation) -> list[tuple[int, int, int]]:
     tris = rep.scaled[1]
     return [t for t in itertools.combinations(sorted(tris), 3)
             if common_signed_height([tris[v] for v in t]) >= 0]
+
+
+def face_faults_by_loop(rep: Representation, T: planar.Triangulation
+                        ) -> tuple[bool, list[tuple[tuple[int, ...], str]]]:
+    """Reference for `verify.check_face_condition`: (ok, [(face, reason)])
+    from a loop over T's inner faces, in T's order, that tests each face
+    against every other triangle of `rep`, in `rep`'s order, exactly.
+
+    A gap candidate is a negative homothet bounded by one side line of each
+    face triangle (`gap_candidates`); it is valid when its interior meets no
+    other triangle.  The face passes iff exactly one candidate is valid and
+    every triangle outside the face that meets one of the gap's three strips
+    (the positive homothets of the gap's height mirrored across its sides)
+    stays strictly off that side's line, so that a probe of positive height
+    fits against every gap side.  A face failing on a strip names the first
+    offender, strips taken in the order hypotenuse, vertical, horizontal
+    side.
+    """
+    tris = rep.scaled[1]
+    failures = []
+    for face in (tuple(sorted(f)) for f in T.inner_faces):
+        others = [(v, t) for v, t in tris.items() if v not in face]
+        cands = [g for g, _roles in gap_candidates([tris[v] for v in face])]
+        valid = [g for g in cands if not any(neg_interior_hits(g, t) for _v, t in others)]
+        why = None
+        if not cands:
+            why = f"no gap candidate for face {list(face)}"
+        elif not valid:
+            why = f"no valid gap for face {list(face)}"
+        elif len(valid) > 1:
+            why = f"gap for face {list(face)} is not unique"
+        else:
+            gap = valid[0]
+            X, Y, H = gap.x, gap.y, gap.h
+            # (strip, how far a triangle stays beyond the gap side)
+            strips = ((Tri(X - H, Y - H, H), lambda t: gap.hyp_level - t.s),
+                      (Tri(X, Y - H, H), lambda t: t.x - X),
+                      (Tri(X - H, Y, H), lambda t: t.y - Y))
+            why = next((f"triangle {v} touches a gap side of face {list(face)}"
+                        for strip, depth in strips for v, t in others
+                        if signed_height(strip, t) >= 0 and depth(t) <= 0), None)
+        if why is not None:
+            failures.append((face, why))
+    return (not failures), failures
 
 
 def solve_in_canvas(piece: planar.Triangulation, outer_tris, params: SolverParams

@@ -9,7 +9,14 @@ import pytest
 from tricontact import planar, verify
 from tricontact.assemble import PipelineConfig, default_outer, represent
 from tricontact.core import ROUNDOFF, TINY, Representation, float_pad
-from tricontact.geometry import Point, Tri, intersect, segment_intersection_kind, signed_height
+from tricontact.geometry import (
+    Point,
+    Tri,
+    gap_candidates,
+    intersect,
+    segment_intersection_kind,
+    signed_height,
+)
 from tricontact.perturb import GapError, face_gap_with_roles, remove_all
 from tricontact.solver import (
     SolverParams,
@@ -26,9 +33,11 @@ from tricontact.verify import (
     full_report,
     intersection_graph,
 )
+import conftest
 from conftest import (
     FRACTION_DUNDERS,
     chain,
+    face_faults_by_loop,
     graph_triangles,
     implant_faces,
     implanted,
@@ -53,7 +62,7 @@ def in_rep_frame(rep, p):
 
 def free_point(rep, u):
     """`verify._free_points` for vertex u alone, with no ray targets."""
-    return in_rep_frame(rep, verify._free_points(rep, {u: ()}, {}, {})[u])
+    return in_rep_frame(rep, verify._free_points(rep, [u], {}, {})[u])
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +491,20 @@ class TestCheckBoundary:
         assert not r.passed and not r.boundary_ok and r.offending_pairs == [[3, 0, "1/1"]]
 
 
+def _corrupted(rep, vertices, shifts=(-2, -1, 1, 2), q=8):
+    """Copies of `rep` with the triangle (x, y, h) of one of `vertices`
+    changed: x or y shifted by k*h/q for each k of `shifts`, h grown or
+    shrunk by h/q, or the triangle moved to (x - h/3, y + h/5, 4h/3)."""
+    for v in vertices:
+        t = rep.tri(v)
+        x, y, h = t.x, t.y, t.h
+        d = h / q
+        moves = ([(x + k * d, y, h) for k in shifts] + [(x, y + k * d, h) for k in shifts]
+                 + [(x, y, h + d), (x, y, h - d), (x - h / 3, y + h / 5, h * 4 / 3)])
+        for m in moves:
+            yield rep.with_triangle(v, Tri(*m))
+
+
 class TestCheckFaces:
     def test_k4_all_faces(self, k4, outer_map):
         rep = represent_in(k4, outer_map)
@@ -543,6 +566,78 @@ class TestCheckFaces:
             assert {f for f, _ in fails} == want
             assert ok == (not want)
             assert expect_fail <= want
+
+    @pytest.mark.parametrize("side", ["hypotenuse", "vertical", "horizontal"])
+    def test_gap_reached_below_the_pad_fails(self, k4, outer_map, side):
+        # a triangle reaching across one gap side by far less than the float
+        # pad blocks the gap: the screens must pass it to the exact test
+        rep = represent_in(k4, outer_map)
+        gap, _, _ = face_gap_with_roles(rep, (0, 1, 3))
+        X, Y, H = gap.x, gap.y, gap.h
+        d = H / 2 ** 70
+        rogue = {"hypotenuse": Tri(X - H * 3 / 4, Y - H * 3 / 4, H / 2 + d),
+                 "vertical": Tri(X - d, Y - H * 3 / 4, H / 2),
+                 "horizontal": Tri(X - H * 3 / 4, Y - d, H / 2)}[side]
+        reached = Representation({**rep.triangles, 99: rogue}, rep.outer, rep.epsilon)
+        report = check_face_condition(reached, k4)
+        assert report == face_faults_by_loop(reached, k4)
+        assert ((0, 1, 3), "no valid gap for face [0, 1, 3]") in report[1]
+
+    @pytest.mark.parametrize("make, picks, shifts", [
+        (lambda: planar.gen_stacked(30, 0), 4, (-2, -1, 1, 2)),
+        (lambda: planar.gen_stacked(30, 1), 4, (-2, -1, 1, 2)),
+        (lambda: planar.gen_four_connected(12, 0), 3, (-2, -1, 1, 2)),
+        (lambda: planar.gen_four_connected(12, 1), 3, (-2, -1, 1, 2)),
+        (lambda: chain(20, 5, 6), 2, (-2, -1, 1, 2)),
+        (lambda: implanted(100, 3, 20), 1, (1,))],
+        ids=["stacked30_0", "stacked30_1", "g4_12_0", "g4_12_1", "chain20_5d6",
+             "implanted100_3x20"])
+    def test_matches_loop_oracle_on_corruption_sweep(self, make, picks, shifts):
+        # the array kernels must report exactly what a per-face loop of
+        # exact tests over every other triangle reports, reasons included
+        T = make()
+        rep = represent(T)
+        vertices = random.Random(0).sample(rep.inner_ids(), picks)
+        failing = 0
+        for r in _corrupted(rep, vertices, shifts):
+            want = face_faults_by_loop(r, T)
+            assert check_face_condition(r, T) == want
+            failing += not want[0]
+        assert face_faults_by_loop(rep, T) == (True, []) == check_face_condition(rep, T)
+        assert failing
+
+    def test_repeated_candidate_is_not_unique(self, monkeypatch):
+        # every candidate offered twice: a face whose gap is valid has two
+        T = planar.gen_stacked(30, 0)
+        rep = represent(T)
+        vertex = random.Random(0).choice(rep.inner_ids())
+
+        def twice(ts):
+            return 2 * gap_candidates(ts)
+
+        monkeypatch.setattr(conftest, "gap_candidates", twice)
+        monkeypatch.setattr(verify, "gap_candidates", twice)
+        for r in (rep, *_corrupted(rep, [vertex])):
+            want = face_faults_by_loop(r, T)
+            assert check_face_condition(r, T) == want
+            assert any(why.endswith("is not unique") for _f, why in want[1])
+
+    @pytest.mark.parametrize("make", [lambda: planar.gen_stacked(60, 1),
+                                      lambda: implanted(100, 3, 20)],
+                             ids=["stacked60_1", "implanted100_3x20"])
+    def test_screens_decide_every_face(self, make, monkeypatch):
+        # on certified outputs the padded float screens settle every pair:
+        # a screen dropped, or one testing the wrong side, would send pairs
+        # to the exact tests
+        T = make()
+        rep = represent(T)
+        calls = []
+        for name in ("neg_interior_hits", "signed_height"):
+            exact = getattr(verify, name)
+            monkeypatch.setattr(verify, name,
+                                lambda *a, exact=exact, name=name: calls.append(name) or exact(*a))
+        assert check_face_condition(rep, T) == (True, [])
+        assert calls == []
 
 
 @pytest.mark.filterwarnings("error")
@@ -770,10 +865,10 @@ class TestDrawing:
         rep = represent(T)
         contacts, _lenses = _anchors(rep.scaled[1], T)
         kernel = verify._free_points
-        points = kernel(rep, T.adjacency(), contacts, {})
+        points = kernel(rep, T.vertices(), contacts, {})
         assert ({u: in_rep_frame(rep, p) for u, p in points.items()}
                 == free_points_reference(rep, T, with_rays=False))
-        monkeypatch.setattr(verify, "_free_points", lambda rep, nbrs, contacts, lenses: points)
+        monkeypatch.setattr(verify, "_free_points", lambda rep, vertices, contacts, lenses: points)
         scans = self._checked_scans(monkeypatch)
         with pytest.raises(verify.DrawingError, match=r"edge routes meet: \(\d+, \d+\) and"):
             extract_drawing(rep, T)
