@@ -9,14 +9,13 @@ a K4, which survives the peel only as an ancestor of a larger piece.  Its
 inner vertex, like every peeled vertex, goes to `solve_stacked`: the exact
 medial child of the gap, which leaves three sub-gaps with their budgets.
 A 6-vertex piece is the octahedron: `solve_octahedron` places it in its
-final layout, exactly and in the global frame, from its gap and budget, and
-one exact post-check stands in for robustify and triple removal.  Any other
-piece goes to the numeric solver in its canvas's own frame, where a
-power-of-two scaling makes the canvas 2 to 4 tall (the solver tolerances
-`SolverParams.delta`, `margin` and `h_min` are lengths there, and govern
-these pieces alone); it is exactified, inflated and cleared of triple
-overlaps, and mapped back.  Each inner face of a larger piece takes its gap
-and budget from `perturb.face_gap_with_roles` when asked.
+final layout from its gap and budget, and one exact post-check stands in
+for robustify and triple removal.  Any other piece is 4-connected:
+`solve_wood` gives its exact contact layout in the gap, `robustify`
+inflates its inner triangles by one power of two, and triple removal
+clears the faces whose three triangles met in one point.  Every piece is
+placed in the global frame, exactly.  Each inner face of a larger piece
+takes its gap and budget from `perturb.face_gap_with_roles` when asked.
 
 One map holds the gap of every face still free, with its budget: the
 canvas, the medial sub-gaps and the larger pieces' inner faces.  It caps a
@@ -34,15 +33,13 @@ from itertools import combinations
 
 from tricontact import perturb, planar
 from tricontact.core import Representation
-from tricontact.geometry import NegTri, Tri, frac, inside_neg, intersect, pow2_floor, signed_height
+from tricontact.geometry import NegTri, Tri, frac, inside_neg, signed_height
 from tricontact.solver import (
-    SolverParams,
     canvas_with_roles,
-    exactify,
     robustify,
-    solve_contacts,
     solve_octahedron,
     solve_stacked,
+    solve_wood,
 )
 
 
@@ -67,7 +64,6 @@ def default_outer(scale: Fraction | int = 1) -> tuple[Tri, Tri, Tri]:
 class PipelineConfig:
     outer: tuple[Tri, Tri, Tri] = dc_field(default_factory=default_outer)
     epsilon: Fraction = Fraction(1)
-    solver: SolverParams = dc_field(default_factory=SolverParams)
 
     def __post_init__(self):
         object.__setattr__(self, "epsilon", frac(self.epsilon))
@@ -95,38 +91,35 @@ def _check_octahedron(rep: Representation, piece: planar.Triangulation) -> None:
         raise PipelineError(f"a boundary corner of {piece.outer} enters an inner triangle")
 
 
-def _solve_piece(piece: planar.Triangulation, outer_map: dict[int, Tri],
-                 canvas_roles, epsilon: Fraction, params: SolverParams,
-                 trace_entry: dict) -> Representation:
+def _solve_piece(piece: planar.Triangulation, outer_map: dict[int, Tri], gap: NegTri,
+                 roles: dict[str, int], epsilon: Fraction, trace_entry: dict) -> Representation:
     """Place a piece larger than a K4 inside its gap: an octahedron in its
-    final closed-form layout, any other piece numerically."""
-    canvas, roles = canvas_roles
+    final closed-form layout, any other piece from its exact contact layout."""
     if len(piece.vertices()) == 6:
         # with no separating triangle, a 6-vertex piece is the octahedron
         trace_entry["path"] = "octahedron"
-        rep = Representation({**outer_map, **solve_octahedron(piece, canvas, roles, epsilon)},
+        rep = Representation({**outer_map, **solve_octahedron(piece, gap, roles, epsilon)},
                              piece.outer, epsilon)
         _check_octahedron(rep, piece)
         return rep
-    # solve in the frame t -> ((x - ox)/lam, (y - oy)/lam, h/lam), lam a power of two:
-    # the canvas becomes NegTri(3, 3, H), 2 <= H < 4, and a window 9H tall clips the boundary
-    lam = pow2_floor(canvas.h / 2)
-    ox, oy, H = canvas.x - 3 * lam, canvas.y - 3 * lam, canvas.h / lam
-    window = Tri(3 - 3 * H, 3 - 3 * H, 9 * H)
-    local = {v: intersect(Tri((t.x - ox) / lam, (t.y - oy) / lam, t.h / lam), window).region
-             for v, t in outer_map.items()}
-    result = solve_contacts(piece, local, params, (NegTri(3, 3, H), roles))
-    trace_entry["path"] = "solver"
-    trace_entry["restarts"] = result.restarts_used
-    trace_entry["max_edge_residual"] = result.max_edge_residual
-    local_rep = robustify(exactify(result, epsilon / lam), piece, params, epsilon / lam)
-    inner = {v: Tri(lam * t.x + ox, lam * t.y + oy, lam * t.h)
-             for v, t in local_rep.triangles.items() if v not in outer_map}
+    trace_entry["path"] = "wood"
+    contact = Representation({**outer_map, **solve_wood(piece, gap, roles)}, piece.outer, epsilon)
     # robustify's pair checks make the intersection graph the piece's graph; a
     # piece has no separating triangle, so that graph's triangles are exactly
     # the piece's faces
-    return perturb.remove_all(Representation({**outer_map, **inner}, piece.outer, epsilon),
+    return perturb.remove_all(robustify(contact, piece),
                               [tuple(sorted(f)) for f in piece.faces])
+
+
+def _escapes(rep: Representation, roles: dict[str, int], vertices) -> int | None:
+    """The first of `vertices` whose triangle leaves the piece's gap expanded
+    by its budget, or None, decided on the integers of `rep.scaled`: the
+    gap's sides are sides of the boundary triangles that `roles` names."""
+    S, tris = rep.scaled
+    X, Y = tris[roles["vertical"]].x, tris[roles["horizontal"]].y
+    allowed = NegTri(X, Y, X + Y - tris[roles["hyp"]].s).expand(
+        rep.epsilon.numerator * (S // rep.epsilon.denominator))
+    return next((v for v in vertices if not inside_neg(tris[v], allowed)), None)
 
 
 def represent(T: planar.Triangulation, config: PipelineConfig | None = None,
@@ -134,8 +127,8 @@ def represent(T: planar.Triangulation, config: PipelineConfig | None = None,
     """Construct a representation of T bounded by the configured outer
     triangles, with every adjacency realized and no point in three triangles.
 
-    Deterministic given the config (incl. solver seed).  Raises on solver
-    non-convergence or hypothesis violations instead of returning a wrong
+    Deterministic given the config.  Raises when a piece finds no layout
+    (`SolveFailure`) or a hypothesis fails, instead of returning a wrong
     representation.  `trace` receives one entry per piece of the remainder
     that `planar.peel` leaves, in the order the pieces are solved.
     """
@@ -175,6 +168,7 @@ def represent(T: planar.Triangulation, config: PipelineConfig | None = None,
             gap, roles, epsilon = take(piece.outer_set)
             entry = {"piece": idx, "n": len(piece.vertices()), "epsilon": epsilon, "canvas": gap}
             inner = [v for v in piece.vertices() if v not in piece.outer_set]
+            rep = None
             if len(inner) == 1:
                 # a piece has no separating triangle, so a stacked piece is a
                 # K4; its faces' budgets are capped by its own
@@ -182,19 +176,20 @@ def represent(T: planar.Triangulation, config: PipelineConfig | None = None,
                             for f, (g, r, b) in stack(inner[0], gap, roles).items())
                 entry["path"] = "stacked"
             else:
-                rep = _solve_piece(piece, {v: triangles[v] for v in piece.outer}, (gap, roles),
-                                   epsilon, config.solver, entry)
+                rep = _solve_piece(piece, {v: triangles[v] for v in piece.outer}, gap, roles,
+                                   epsilon, entry)
                 for v in inner:
                     place(v, rep.tri(v))
                 gaps.update((f, rep) for f in piece.inner_faces)
             if trace is not None:
                 trace.append(entry)
             if idx:  # the root's gap is the canvas, which the boundary check judges
-                allowed = gap.expand(epsilon)
-                for v in inner:
-                    if not inside_neg(triangles[v], allowed):
-                        raise PipelineError(
-                            f"triangle of vertex {v} escapes the face gap of {piece.outer}")
+                v = (_escapes(rep, roles, inner) if rep is not None else
+                     next((v for v in inner if not inside_neg(triangles[v], gap.expand(epsilon))),
+                          None))
+                if v is not None:
+                    raise PipelineError(
+                        f"triangle of vertex {v} escapes the face gap of {piece.outer}")
 
     # peeled vertices come after every piece and read no budget
     for v, face in reversed(peeled):

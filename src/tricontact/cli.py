@@ -1,7 +1,8 @@
 """Batch front end: ingest graphs, run pipeline stages, emit JSON/SVG artifacts.
 
 Exit codes: 0 success, 2 input/schema problem, 3 graph validation failure,
-4 solver failure, 5 verification failure, 6 internal pipeline failure.
+4 solver failure (no contact layout for a piece), 5 verification failure,
+6 internal pipeline failure.
 """
 
 from __future__ import annotations
@@ -51,33 +52,11 @@ def _load_json(path: str) -> dict:
         return json.load(f)
 
 
-def _solver_params(args) -> solver.SolverParams:
-    return solver.SolverParams(
-        delta=args.delta, margin=args.margin, h_min=args.h_min,
-        max_iters=args.max_iters, restarts=args.restarts, seed=args.seed,
-    )
-
-
 def _config(args) -> assemble.PipelineConfig:
     return assemble.PipelineConfig(
         outer=assemble.default_outer(frac(args.scale)),
         epsilon=frac(args.epsilon),
-        solver=_solver_params(args),
     )
-
-
-def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--epsilon", default="1", help="boundary overlap budget (rational)")
-    p.add_argument("--scale", default="1", help="scale of the default boundary triple")
-    tol = p.add_argument_group("solver tolerances", "lengths in each numeric piece's own frame, "
-                               "where a power-of-two scaling makes its canvas 2 to 4 tall")
-    tol.add_argument("--delta", type=float, default=1e-7,
-                     help="numeric solver residual tolerance (K4 and octahedron pieces are exact)")
-    tol.add_argument("--margin", type=float, default=1e-3, help="minimum non-adjacent separation")
-    tol.add_argument("--h-min", dest="h_min", type=float, default=1e-3, help="minimum triangle height")
-    p.add_argument("--max-iters", type=int, default=300)
-    p.add_argument("--restarts", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
 
 
 def cmd_validate(args) -> int:
@@ -166,7 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--drawing-out", default=None, help="drawing JSON")
     pr.add_argument("--svg", default=None, help="render to SVG file")
     pr.add_argument("--drawing", action="store_true", help="extract and check a drawing")
-    _add_solver_flags(pr)
+    pr.add_argument("--epsilon", default="1", help="boundary overlap budget (rational)")
+    pr.add_argument("--scale", default="1", help="scale of the default boundary triple")
     pr.set_defaults(fn=cmd_run)
 
     pc = sub.add_parser("verify", help="verify a representation against a graph")

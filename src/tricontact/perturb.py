@@ -137,7 +137,7 @@ def find_bad_triples(rep: Representation,
                 continue
             if common_signed_height(ts + [tris[z]]) >= 0:
                 raise QuadrupleIntersection(
-                    f"triangles {a},{b},{c},{z} share a point; re-solve with smaller delta")
+                    f"triangles {a},{b},{c},{z} share a point")
         u, v, w = _assign_roles((a, b, c), ts)
         p = Point(Fraction(max(t.x for t in ts), S), Fraction(max(t.y for t in ts), S))
         out.append(BadTriple(u=u, v=v, w=w, p=p))
@@ -513,7 +513,7 @@ def remove_all(rep: Representation, triangles: Sequence[tuple[int, int, int]]
                 if e3 * S <= sig:
                     raise PerturbError(
                         f"safe budget {float(e3):.3e} cannot clear triple overlap "
-                        f"{sig / S:.3e}; re-solve with smaller delta")
+                        f"{sig / S:.3e}")
                 work = step3_separate(work, sel, e3)
                 new_bad = find_bad_triples(work, triangles)
                 new_ids = {t.ids for t in new_bad}

@@ -398,7 +398,8 @@ def gen_stacked(n: int, seed: int) -> Triangulation:
     return _from_faces(faces, (0, 1, 2))
 
 
-def _edge_faces(T: Triangulation) -> dict[Edge, set[frozenset[int]]]:
+def edge_faces(T: Triangulation) -> dict[Edge, set[frozenset[int]]]:
+    """Each edge (u, v), u < v, of T with the two faces on its sides."""
     out: dict[Edge, set[frozenset[int]]] = {}
     for f in T.faces:
         for side in combinations(sorted(f), 2):
@@ -434,7 +435,7 @@ def gen_triangulation(n: int, seed: int) -> Triangulation:
     """
     T = gen_stacked(n, seed)
     rng = random.Random(seed ^ 0x9E3779B97F4A7C15)
-    edges, faces = sorted(T.edges), _edge_faces(T)
+    edges, faces = sorted(T.edges), edge_faces(T)
     for _ in range(FLIPS_PER_VERTEX * n):
         e = rng.choice(edges)
         if e not in _OUTER_EDGES:
@@ -449,7 +450,7 @@ def gen_four_connected(n: int, seed: int) -> Triangulation:
     rng = random.Random(seed ^ 0xA5A5A5A5)
     for attempt in range(FOUR_CONNECTED_TRIES):
         T = gen_triangulation(n, seed + 1000 * attempt)
-        edges, faces = sorted(T.edges), _edge_faces(T)
+        edges, faces = sorted(T.edges), edge_faces(T)
         # flip-repair: flipping an edge of a separating triangle removes that cycle
         for _ in range(40 * n):
             T = _from_faces(set().union(*faces.values()), T.outer)

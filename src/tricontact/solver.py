@@ -1,42 +1,34 @@
 """Placement: the exact medial child for every stacked vertex (peeled, or
 the inner vertex of a K4 piece), an exact closed-form layout for every
-octahedron piece, the numeric contact solver for the other pieces without
-separating triangles, and the bridge from a near-contact layout to a robust
-one (exactify + robustify).
+octahedron piece, and for every larger piece the exact contact layout of a
+Schnyder wood (`solve_wood`), inflated into a robust one (`robustify`).
 
-The numeric stage is the only part of the package whose floats reach the
-representation; the verifier screens with floats but decides exactly, and
-an input whose pieces are all K4s and octahedra is built without a float.
-An octahedron's layout is exact and final: its adjacencies overlap and its
-inner face leaves a gap, so it takes no inflation and no triple removal,
-and no solver tolerance enters it.  The solver evaluates its
-objective once per point, and a line search's candidate steps as one
-stacked array.  Everything it outputs is converted to exact rationals
-(doubles are dyadic), then inflated by a single rational so that every
-adjacency becomes a strictly positive overlap while every non-adjacency
-stays strictly negative; the inflation is verified pair by pair on
-integers, in the representation's common-denominator frame
-(`core.int_frame`).
+No float enters a representation; the module imports no numpy.  An
+octahedron's layout is final: its adjacencies overlap and its inner face
+leaves a gap.  A larger piece has no separating triangle, so it is
+4-connected and has a unique contact representation in its gap (Gonçalves,
+Lévêque and Pinlou, DCG 2012), the solution of the linear system of some
+Schnyder wood (Schrezenmaier, WG 2017).  `solve_wood` finds that wood by
+face flips and cycle reversals, solving each wood's system exactly on
+integers; `robustify` checks its inflation pair by pair on the integers of
+`Representation.scaled`.
 """
 
 from __future__ import annotations
 
 import math
-import random
-from dataclasses import dataclass, field
+from collections import deque
 from fractions import Fraction
 from itertools import combinations
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from tricontact import planar
-from tricontact.core import Representation, int_frame
+from tricontact.core import Representation
 from tricontact.geometry import (
     NegTri,
     Tri,
     common_intersection,
-    frac,
+    common_signed_height,
     gap_candidates,
     inflate,
     pow2_floor,
@@ -49,7 +41,8 @@ class CanvasError(ValueError):
 
 
 class SolveFailure(RuntimeError):
-    """Numeric solver did not converge; carries best-effort diagnostics."""
+    """The wood loop found no contact layout; `diagnostics` names the
+    vertices of nonpositive height in its last solve."""
 
     def __init__(self, message: str, diagnostics: dict | None = None):
         super().__init__(message)
@@ -57,26 +50,7 @@ class SolveFailure(RuntimeError):
 
 
 class RobustifyError(RuntimeError):
-    """No feasible inflation exists for the given delta/margin/epsilon."""
-
-
-@dataclass(frozen=True)
-class SolverParams:
-    """Tolerances of the numeric solver and of `robustify`, so of the pieces
-    that are neither K4s nor octahedra.  Lengths are in the solve's frame;
-    under `represent`, one where the canvas is 2 to 4 tall."""
-    delta: float = 1e-7        # residual tolerance on adjacency signed heights
-    margin: float = 1e-3       # minimum non-adjacent separation (signed-height units)
-    h_min: float = 1e-3        # minimum triangle height
-    max_iters: int = 300
-    restarts: int = 10
-    seed: int = 0
-
-    def __post_init__(self):
-        if not (0 < self.delta < self.margin / 6):
-            raise ValueError(f"need 0 < delta < margin/6, got delta={self.delta}, margin={self.margin}")
-        if self.h_min <= 0:
-            raise ValueError("h_min must be positive")
+    """A layout that `robustify` cannot inflate into a robust one."""
 
 
 def check_outer_hypothesis(ts: Sequence[Tri]) -> None:
@@ -182,396 +156,343 @@ def solve_octahedron(piece: planar.Triangulation, gap: NegTri, roles: Mapping[st
 
 
 # ---------------------------------------------------------------------------
-# Numeric contact solver
+# Exact contact layouts from Schnyder woods
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SolveResult:
-    piece: planar.Triangulation
-    outer_tris: dict[int, Tri]          # exact boundary triangles
-    inner: dict[int, tuple[float, float, float]]
-    iterations: int
-    restarts_used: int
-    max_edge_residual: float
-    objective_trace: list[float] = field(default_factory=list)
+# A wood maps each inner vertex v to its three out-neighbours [r, g, b], by
+# colour.  In the contact layout, v's right-angle corner lies on the
+# hypotenuse of t(r), its top corner on the horizontal side of t(g) and its
+# east corner on the vertical side of t(b); the boundary vertices
+# roles["hyp"], roles["horizontal"] and roles["vertical"] take every red,
+# green and blue edge, and supply the gap's sides instead.
+RED, GREEN, BLUE = 0, 1, 2
+# Counter-clockwise around an inner vertex come out red, in green, out blue,
+# in red, out green, in blue: each out-edge's successor among the out-edges,
+# and the colour of the in-edges that follow it.
+NEXT_OUT = {RED: BLUE, BLUE: GREEN, GREEN: RED}
+IN_AFTER = {RED: GREEN, BLUE: RED, GREEN: BLUE}
+MAX_ROUNDS = 200  # exact solves before the wood loop gives up
 
 
-def _pairs(piece: planar.Triangulation) -> list[tuple[int, int, bool]]:
-    """All vertex pairs except boundary-boundary, flagged with adjacency."""
-    outer = set(piece.outer)
-    vs = sorted(piece.vertices())
-    out = []
-    for i, u in enumerate(vs):
-        for v in vs[i + 1:]:
-            if u in outer and v in outer:
-                continue
-            out.append((u, v, piece.has_edge(u, v)))
+def _orient(piece: planar.Triangulation, a: int, b: int) -> dict[tuple[int, int], int]:
+    """nxt[(u, v)] = w for each inner face (u, v, w) in counter-clockwise
+    order, where the outer face runs a, b and its third vertex
+    counter-clockwise: around u, w comes right after v."""
+    sides = planar.edge_faces(piece)
+    nxt: dict[tuple[int, int], int] = {}
+    stack = [(a, b, *(f - {a, b})) for f in sides[min(a, b), max(a, b)] if f != piece.outer_set]
+    while stack:
+        p, q, r = stack.pop()
+        if (p, q) in nxt:
+            continue
+        nxt[(p, q)], nxt[(q, r)], nxt[(r, p)] = r, p, q
+        # the face across an edge runs it the other way
+        for u, v in ((p, q), (q, r), (r, p)):
+            for f in sides[min(u, v), max(u, v)] - {piece.outer_set, frozenset((p, q, r))}:
+                stack.append((v, u, *(f - {u, v})))
+    return nxt
+
+
+def _ring(nxt: Mapping[tuple[int, int], int], v: int, start: int) -> list[int]:
+    """v's neighbours counter-clockwise from `start`: all of them round an
+    inner vertex, up to the other boundary neighbour round a boundary one."""
+    ring = [start]
+    while (v, ring[-1]) in nxt and nxt[(v, ring[-1])] != start:
+        ring.append(nxt[(v, ring[-1])])
+    return ring
+
+
+def _canonical_wood(piece: planar.Triangulation, nxt, roles: Mapping[str, int]
+                    ) -> dict[int, list[int]]:
+    """The wood of a canonical order (de Fraysseix, Pach and Pollack, 1990)
+    with v1 = roles["hyp"], v2 = roles["vertical"] and vn =
+    roles["horizontal"], built from vn down: each vertex is one of the
+    outer cycle's vertices with no chord, and its lower neighbours run from
+    the leftmost, its red target, to the rightmost, its blue target; those
+    in between send it their green edges."""
+    A, B, C = roles["hyp"], roles["vertical"], roles["horizontal"]
+    adj = piece.adjacency()
+    wood = {v: [0, 0, 0] for v in piece.vertices() if v not in piece.outer_set}
+    cycle, removed = {A, B, C}, set()
+    v: int | None = C
+    while v is not None:
+        removed.add(v)
+        # v's removed neighbours are one run of its ring, so a ring that
+        # starts in that run lists the lower neighbours left to right
+        lower = [u for u in _ring(nxt, v, A if v == C else min(adj[v] & removed))
+                 if u not in removed]
+        if v != C:
+            wood[v][RED], wood[v][BLUE] = lower[0], lower[-1]
+        for u in lower[1:-1]:
+            wood[u][GREEN] = v
+        cycle.discard(v)
+        cycle.update(lower)
+        v = min((w for w in cycle if w != A and w != B and len(adj[w] & cycle) == 2),
+                default=None)
+    return wood
+
+
+def _cyclic(wood: Mapping[int, list[int]], face: frozenset[int]
+            ) -> dict[int, tuple[int, int]] | None:
+    """colour -> (tail, head) of the edges of `face` if they form a directed
+    cycle, whose three colours then differ, else None."""
+    edges = {}
+    for u in face:
+        out = [c for c, t in enumerate(wood.get(u, ())) if t in face]
+        if len(out) != 1:
+            return None
+        edges[out[0]] = (u, wood[u][out[0]])
+    return edges
+
+
+def _flip(wood: dict[int, list[int]], face: frozenset[int], edges) -> None:
+    """Reverse a cyclic face: each of its vertices keeps the colour of its
+    out-edge, which moves to the face's third vertex."""
+    for c, (u, t) in edges.items():
+        (wood[u][c],) = face - {u, t}
+
+
+def _flip_to_maximal(wood: dict[int, list[int]], faces) -> None:
+    """Flip cyclic faces until in each the green edge leaves the blue edge's
+    head (a counter-clockwise cycle): the maximal wood of the flip lattice
+    (Felsner, 2004), the same whatever the canonical order."""
+    flipped = True
+    while flipped:
+        flipped = False
+        for f in faces:
+            edges = _cyclic(wood, f)
+            if edges is not None and edges[GREEN][0] != edges[BLUE][1]:
+                _flip(wood, f, edges)
+                flipped = True
+
+
+def _solve_unit(wood: Mapping[int, list[int]], roles: Mapping[str, int]
+                ) -> dict[int, tuple[Fraction, Fraction, Fraction]]:
+    """The wood's layout in the unit gap NegTri(0, 0, 1), v -> (x, y, s) for
+    every vertex; the boundary vertices stand for the unit triangles that
+    bound the gap along their sides.
+
+    The 3(n - 3) equations of the inner vertices are x + y = s_r,
+    s - x = y_g and s - y = x_b.  They are solved by sparse elimination on
+    integer rows, each divided by the gcd of its entries after every step,
+    then by back substitution on `Fraction`s."""
+    fixed = {roles["hyp"]: (-1, -1, -1), roles["vertical"]: (0, -1, 0),
+             roles["horizontal"]: (-1, 0, 0)}
+    out = {v: tuple(map(Fraction, t)) for v, t in fixed.items()}
+    inner = sorted(wood)
+    col = {v: 3 * i for i, v in enumerate(inner)}
+    pivots: dict[int, tuple[dict[int, int], int]] = {}
+    rank: dict[int, int] = {}
+    for v in inner:
+        i = col[v]
+        for row, t, k in zip(({i: 1, i + 1: 1}, {i + 2: 1, i: -1}, {i + 2: 1, i + 1: -1}),
+                             wood[v], (2, 1, 0)):
+            if t in fixed:
+                rhs = fixed[t][k]
+            else:
+                rhs, row[col[t] + k] = 0, -1
+            while done := [c for c in row if c in pivots]:
+                c = min(done, key=rank.__getitem__)
+                prow, prhs = pivots[c]
+                a, p = row[c], prow[c]
+                new = {j: p * e for j, e in row.items()}
+                for j, e in prow.items():
+                    e = new.get(j, 0) - a * e
+                    if e:
+                        new[j] = e
+                    else:
+                        del new[j]
+                rhs = p * rhs - a * prhs
+                d = math.gcd(rhs, *new.values())
+                row, rhs = ({j: e // d for j, e in new.items()}, rhs // d) if d > 1 else (new, rhs)
+            c = min(row)
+            pivots[c], rank[c] = (row, rhs), len(rank)
+    val: dict[int, Fraction] = {}
+    for c in sorted(rank, key=rank.__getitem__, reverse=True):
+        row, rhs = pivots[c]
+        val[c] = (rhs - sum(e * val[j] for j, e in row.items() if j != c)) / Fraction(row[c])
+    out.update((v, (val[i], val[i + 1], val[i + 2])) for v, i in col.items())
     return out
 
 
-def _tutte_positions(piece: planar.Triangulation, anchors: dict[int, tuple[float, float]]) -> dict[int, tuple[float, float]]:
-    adj = piece.adjacency()
-    inner = sorted(v for v in piece.vertices() if v not in anchors)
-    if not inner:
-        return dict(anchors)
-    idx = {v: i for i, v in enumerate(inner)}
-    m = len(inner)
-    A = np.zeros((m, m))
-    bx = np.zeros(m)
-    by = np.zeros(m)
-    for v in inner:
-        i = idx[v]
-        deg = len(adj[v])
-        A[i, i] = deg
-        for u in adj[v]:
-            if u in anchors:
-                bx[i] += anchors[u][0]
-                by[i] += anchors[u][1]
-            else:
-                A[i, idx[u]] -= 1.0
-    xs = np.linalg.solve(A, bx)
-    ys = np.linalg.solve(A, by)
-    pos = dict(anchors)
-    for v in inner:
-        pos[v] = (float(xs[idx[v]]), float(ys[idx[v]]))
-    return pos
+def _is_layout(wood: Mapping[int, list[int]], P: Mapping[int, tuple[Fraction, ...]]) -> bool:
+    """Every height positive and every corner on its target's side segment."""
+    for v, (r, g, b) in wood.items():
+        x, y, s = P[v]
+        xr, yr, _ = P[r]
+        xg, yg, sg = P[g]
+        xb, yb, sb = P[b]
+        if not (s - x - y > 0 and x >= xr and y >= yr
+                and xg <= x <= sg - yg and yb <= y <= sb - xb):
+            return False
+    return True
 
 
-class _Objective:
-    """Piecewise-linear least-squares residual with selector freezing.
-
-    Every term is evaluated for all pairs, vertices and inner edges at once
-    through index arrays built here, with the float operations of a
-    term-by-term loop in the same order, so the values are reproducible bit
-    for bit, at one point or at each row of a stack of points alike.  The
-    coordinate table stacks the inner triangles (row i holds z[3i:3i+3],
-    vertex inner_ids[i]) above the three boundary triangles.  `system` and
-    `check_success` read the evaluation of the current point.
-    """
-
-    def __init__(self, outer_f, inner_ids, pairs, canvas_f, params):
-        m = len(inner_ids)
-        self.m = m
-        self.p = params
-        self.Xc, self.Yc, self.hyp = canvas_f   # canvas: a <= Xc, b <= Yc, a+b >= hyp
-        row = {v: i for i, v in enumerate(inner_ids)}
-        row.update((v, m + j) for j, v in enumerate(outer_f))
-        self.outer = np.array(list(outer_f.values()), dtype=float).reshape(-1, 3)
-        # per table row: its first column in the linear system (the boundary
-        # rows share a spare block past the last one), and what it adds to a
-        # pair row's constant as the pair's a_s, a_x or a_y: for a boundary
-        # row ((0 + x) + y) + h, x and y, for an inner row 0.0
-        self.col = 3 * np.minimum(np.arange(m + 3), m)
-        self.const = np.zeros((m + 3, 3))
-        self.const[m:] = [(sum(t), t[0], t[1]) for t in outer_f.values()]
-        self.pair_ids = [(u, v) for u, v, _ in pairs]
-        self.pu = np.array([row[u] for u, _, _ in pairs], dtype=np.intp)
-        self.pv = np.array([row[v] for _, v, _ in pairs], dtype=np.intp)
-        self.edge = np.array([e for _, _, e in pairs], dtype=bool)
-        inner_edge = self.edge & (self.pu < m) & (self.pv < m)
-        self.eu, self.ev = self.pu[inner_edge], self.pv[inner_edge]
-        # the per-vertex hinge rows (x, y, hyp, h_min), flattened vertex by
-        # vertex: two unit columns (the spare one for none) and the
-        # right-hand side
-        i3 = 3 * np.arange(m, dtype=np.intp)[:, None]
-        self.vcol1 = (i3 + [0, 1, 0, 2]).ravel()
-        self.vcol2 = (i3 + [2, 2, 1, 0]).ravel()
-        self.vcol2[3::4] = 3 * m
-        # right-hand sides of the inner-edge corner hinges (x, y, hyp), and
-        # of all hinge rows in order
-        mg = params.margin
-        self.erhs = np.array([self.Xc - mg, self.Yc - mg, self.hyp + mg])
-        self.hinge_rhs = np.concatenate(([self.Xc, self.Yc, self.hyp, params.h_min] * m,
-                                         np.tile(self.erhs, len(self.eu))))
-
-    def _coords(self, z):
-        lead = z.shape[:-1]
-        T = np.empty((*lead, self.m + 3, 3))
-        T[..., :self.m, :] = z.reshape(*lead, self.m, 3)
-        T[..., self.m:, :] = self.outer
-        X, Y, H = T[..., 0], T[..., 1], T[..., 2]
-        return X, Y, H, (X + Y) + H
-
-    def evaluate(self, z):
-        """(X, Y, H, S, signed heights, vertex hinges, edge hinges, E) at the
-        point z, or at each row of a (k, 3m) stack z, with a leading axis of
-        length k on every entry.  The vertex hinges are each inner vertex's
-        x, y, hyp and h_min residuals, the edge hinges each inner edge's
-        corner residuals; both are views of one row of hinge terms."""
-        X, Y, H, S = self._coords(z)
-        pu, pv, u, v, m = self.pu, self.pv, self.eu, self.ev, self.m
-        # a.take(i, -1) is a[..., i], at a third of its call cost on small arrays
-        s = np.minimum(S.take(pu, -1), S.take(pv, -1)) - np.maximum(X.take(pu, -1), X.take(pv, -1))
-        s -= np.maximum(Y.take(pu, -1), Y.take(pv, -1))
-        lead = s.shape[:-1]
-        g = np.empty((*lead, 4 * m + 3 * len(u)))
-        vh, eh = g[..., :4 * m].reshape(*lead, m, 4), g[..., 4 * m:].reshape(*lead, len(u), 3)
-        x, y, h = X[..., :m], Y[..., :m], H[..., :m]
-        vh[..., 0] = (x + h) - self.Xc
-        vh[..., 1] = (y + h) - self.Yc
-        vh[..., 2] = (self.hyp - x) - y
-        vh[..., 3] = self.p.h_min - h
-        ca = np.maximum(X.take(u, -1), X.take(v, -1))
-        cb = np.maximum(Y.take(u, -1), Y.take(v, -1))
-        eh[..., 0] = ca - self.erhs[0]
-        eh[..., 1] = cb - self.erhs[1]
-        eh[..., 2] = (self.erhs[2] - ca) - cb
-        r = np.where(self.edge, s, s + self.p.margin)
-        terms = np.concatenate((np.zeros((*lead, 1)), np.where(self.edge | (r > 0), r * r, 0.0),
-                                np.where(g > 0, g * g, 0.0)), axis=-1)
-        # summed one term after the other; an inactive term is 0.0 and changes nothing
-        return X, Y, H, S, s, vh, eh, np.add.accumulate(terms, axis=-1)[..., -1]
-
-    def system(self, ev):
-        """The active linear system (M, b) at an evaluated point: a row per
-        adjacent pair and per non-adjacent pair inside its margin, then the
-        active hinge rows of each inner vertex, then those of each inner edge."""
-        m = self.m
-        X, Y, _, S, s, vh, eh, _ = ev
-        keep = self.edge | (s + self.p.margin > 0)
-        ku, kv = self.pu[keep], self.pv[keep]
-        a_s = np.where(S[ku] <= S[kv], ku, kv)
-        a_x = np.where(X[ku] >= X[kv], ku, kv)
-        a_y = np.where(Y[ku] >= Y[kv], ku, kv)
-        const = (self.const[a_s, 0] - self.const[a_x, 1]) - self.const[a_y, 2]
-        b_pair = np.where(self.edge[keep], -const, -self.p.margin - const)
-
-        u, v = self.eu, self.ev
-        ix = self.col[np.where(X[u] >= X[v], u, v)]
-        iy = self.col[np.where(Y[u] >= Y[v], u, v)] + 1
-        spare = np.full_like(ix, 3 * m)
-        active = np.concatenate((vh.ravel() > 0, eh.ravel() > 0))
-        col1 = np.concatenate((self.vcol1, np.stack([ix, iy, ix], axis=1).ravel()))[active]
-        col2 = np.concatenate((self.vcol2, np.stack([spare, spare, iy], axis=1).ravel()))[active]
-
-        # boundary coefficients and absent second columns land in a spare
-        # block past the last column, which is cut off
-        M = np.zeros((len(ku) + len(col1), 3 * m + 3))
-        rows = np.arange(len(ku))
-        c = self.col[a_s]
-        M[rows, c] = M[rows, c + 1] = M[rows, c + 2] = 1.0
-        M[rows, self.col[a_x]] -= 1.0
-        M[rows, self.col[a_y] + 1] -= 1.0
-        hrows = np.arange(len(ku), len(M))
-        M[hrows, col1] = 1.0
-        M[hrows, col2] = 1.0
-        return np.ascontiguousarray(M[:, :3 * m]), np.concatenate((b_pair, self.hinge_rhs[active]))
-
-    def check_success(self, ev):
-        """(ok, max |edge residual|, worst pair) at an evaluated point."""
-        p = self.p
-        H, s, vh = ev[2], ev[4], ev[5]
-        res = np.abs(s[self.edge])
-        worst, worst_pair = 0.0, (-1, -1)
-        if res.size and res.max() > 0:
-            k = int(np.argmax(res))
-            worst = float(res[k])
-            worst_pair = self.pair_ids[int(np.flatnonzero(self.edge)[k])]
-        ok = not (np.any(res > 0.5 * p.delta)
-                  or np.any(s[~self.edge] > -(p.margin + p.delta))
-                  or np.any(vh[:, :3] > 0.5 * p.delta)
-                  or np.any(H[:self.m] < p.h_min - p.delta))
-        return ok, worst, worst_pair
+def _key(wood: Mapping[int, list[int]]) -> tuple:
+    return tuple(tuple(wood[v]) for v in sorted(wood))
 
 
-def _anchor_points(canvas: NegTri, roles: dict[str, int]) -> dict[int, tuple[float, float]]:
-    """Each boundary vertex sits at the midpoint of its canvas side."""
-    X, Y, H = float(canvas.x), float(canvas.y), float(canvas.h)
-    return {
-        roles["hyp"]: (X - H / 2, Y - H / 2),
-        roles["vertical"]: (X, Y - H / 2),
-        roles["horizontal"]: (X - H / 2, Y),
-    }
+def _recolour(out: Mapping[int, set[int]], nxt, roles: Mapping[str, int]) -> dict[int, list[int]]:
+    """The wood of a 3-orientation: the in-edges of a boundary vertex take
+    its colour, and each vertex's colours follow, round it, from one
+    out-edge whose colour is known (`NEXT_OUT`, `IN_AFTER`)."""
+    sink = {roles["hyp"]: RED, roles["horizontal"]: GREEN, roles["vertical"]: BLUE}
+    known = {u: (t, sink[t]) for u in sorted(out) for t in sorted(out[u]) if t in sink}
+    queue, wood = list(known), {}
+    while queue:
+        u = queue.pop()
+        if u in wood:
+            continue
+        start, colour = known[u]
+        wood[u] = [0, 0, 0]
+        for w in _ring(nxt, u, start)[1:]:
+            if w in out[u]:
+                colour = NEXT_OUT[colour]
+                wood[u][colour] = w
+            elif w not in known:
+                known[w] = (u, IN_AFTER[colour])
+                queue.append(w)
+        wood[u][known[u][1]] = start
+    return wood
 
 
-ALPHAS = 0.5 ** np.arange(21)  # the line search's steps 1, 1/2, ..., 2^-20, each exact
-
-
-def _first_descent(obj: _Objective, E: float, cands):
-    """(point, evaluation) of the first row of the stack `cands` whose
-    objective falls below E, or None.  The first row is evaluated alone, the
-    rest as one stack, so an accepted full step costs one evaluation."""
-    bar = E * (1 - 1e-14) - 1e-300
-    if len(cands):
-        ev = obj.evaluate(cands[0])
-        if ev[-1] < bar:
-            return cands[0], ev
-        ev = obj.evaluate(cands[1:])
-        hit = np.flatnonzero(ev[-1] < bar)
-        if hit.size:
-            k = int(hit[0])
-            return cands[k + 1], tuple(a[k] for a in ev)
+def _reverse_cycle(wood: Mapping[int, list[int]], v: int, nxt, roles: Mapping[str, int]
+                   ) -> dict[int, list[int]] | None:
+    """The wood after reversing the shortest directed cycle through v
+    (breadth first, out-edges in colour order), or None if v lies on no
+    directed cycle.  Reversing a directed cycle keeps every out-degree, so
+    the result is again a 3-orientation, which `_recolour` colours."""
+    parent = {v: v}
+    queue = deque([v])
+    while queue:
+        u = queue.popleft()
+        for t in wood.get(u, ()):
+            if t == v:
+                out = {w: set(ts) for w, ts in wood.items()}
+                while True:
+                    out[u].discard(t)
+                    out[t].add(u)
+                    if u == v:
+                        return _recolour(out, nxt, roles)
+                    u, t = parent[u], u
+            if t not in parent:
+                parent[t] = u
+                queue.append(t)
     return None
 
 
-def solve_contacts(piece: planar.Triangulation, outer_tris: Mapping[int, Tri],
-                   params: SolverParams,
-                   canvas_roles: tuple[NegTri, dict[str, int]]) -> SolveResult:
-    """Near-contact representation of a piece with no separating triangle,
-    inside the canvas `canvas_roles` gives with its side roles.
+def _moves(wood: Mapping[int, list[int]], P, faces, nxt, roles: Mapping[str, int]):
+    """The woods to try after `wood`, whose layout P is not one, in turn:
+    `wood` with an edge-disjoint set of its cyclic faces of negative hole
+    x_b + y_g - s_r flipped (r, g and b the face's red, green and blue
+    heads), most negative first, if it has any; then, or else, `wood` with
+    the shortest directed cycle through each vertex of nonpositive height
+    reversed, most negative first (None where there is none)."""
+    holes = []
+    for f in faces:
+        e = _cyclic(wood, f)
+        if e is not None:
+            hole = P[e[BLUE][1]][0] + P[e[GREEN][1]][1] - P[e[RED][1]][2]
+            if hole < 0:
+                holes.append((hole, sorted(f), f, e))
+    if holes:
+        flipped, used = {v: list(ts) for v, ts in wood.items()}, set()
+        for _hole, _order, f, e in sorted(holes):
+            sides = {frozenset(pair) for pair in combinations(f, 2)}
+            if not sides & used:
+                used |= sides
+                _flip(flipped, f, e)
+        yield flipped
+    for _h, v in _nonpositive(P):
+        yield _reverse_cycle(wood, v, nxt, roles)
 
-    Minimizes the sum of squared adjacency signed heights plus hinge penalties
-    for non-adjacent margins, canvas containment, and minimum heights, by
-    selector-freezing iterated least squares with monotone accepted descent.
-    Deterministic given params.seed.
+
+def _nonpositive(P) -> list[tuple[Fraction, int]]:
+    """(h, v) for each vertex v of nonpositive height h in the layout P,
+    most negative first; the boundary's unit triangles have height 1."""
+    return sorted((s - x - y, v) for v, (x, y, s) in P.items() if s - x - y <= 0)
+
+
+def solve_wood(piece: planar.Triangulation, gap: NegTri, roles: Mapping[str, int]
+               ) -> dict[int, Tri]:
+    """The exact contact layout of a piece's inner vertices in `gap`: every
+    adjacency at signed height 0, every non-adjacency apart.
+
+    `roles` names the boundary vertex that supplies each gap side.  The loop
+    starts from the maximal wood (`_canonical_wood`, `_flip_to_maximal`) and
+    solves each wood's system exactly in the unit gap (`_solve_unit`).  A
+    layout with every height positive and every corner on its side segment
+    is the answer, mapped into `gap` by the homothety that takes the unit
+    gap there.  Otherwise the loop goes on with the first wood of `_moves`
+    that it has not solved yet, and raises SolveFailure, naming the vertices
+    of nonpositive height, when there is none or after MAX_ROUNDS solves.
+    Schrezenmaier (WG 2017) shows that flips reach the right wood; this
+    move rule is only measured.
     """
-    if planar.separating_triangles(piece):
-        raise ValueError("solve_contacts requires a piece with no separating triangle")
-    outer_ids = tuple(piece.outer)
-    if set(outer_tris) != set(outer_ids):
-        raise ValueError("outer triangle keys must match the piece's outer vertices")
-    check_outer_hypothesis([outer_tris[v] for v in outer_ids])
-    canvas, roles = canvas_roles
-
-    inner_ids = sorted(v for v in piece.vertices() if v not in set(outer_ids))
-    pairs = _pairs(piece)
-    outer_f = {v: (float(t.x), float(t.y), float(t.h)) for v, t in outer_tris.items()}
-    canvas_f = (float(canvas.x), float(canvas.y), float(canvas.hyp_level))
-    obj = _Objective(outer_f, inner_ids, pairs, canvas_f, params)
-
-    anchors = _anchor_points(canvas, roles)
-    base_pos = _tutte_positions(piece, anchors)
-    Hf = float(canvas.h)
-    n_all = len(list(piece.vertices()))
-
-    best_diag = None
-    for attempt in range(params.restarts + 1):
-        rng = random.Random((params.seed << 8) ^ attempt)
-        h0 = Hf / (2 * n_all)
-        z = np.zeros(3 * len(inner_ids))
-        for k, v in enumerate(inner_ids):
-            px, py = base_pos[v]
-            if attempt > 0:
-                px += rng.uniform(-Hf / 20, Hf / 20)
-                py += rng.uniform(-Hf / 20, Hf / 20)
-            hv = h0 * (1.0 if attempt == 0 else rng.uniform(0.6, 1.6))
-            i = 3 * k
-            z[i] = px - hv / 3
-            z[i + 1] = py - hv / 3
-            z[i + 2] = hv
-
-        ev = obj.evaluate(z)
-        E = float(ev[-1])
-        trace = [E]
-        ok = False
-        iters = 0
-        for it in range(params.max_iters):
-            iters = it + 1
-            ok, worst, worst_pair = obj.check_success(ev)
-            if ok:
-                break
-            M, b = obj.system(ev)
-            z_ls = np.linalg.lstsq(M, b, rcond=None)[0]
-            step = _first_descent(obj, E, z + ALPHAS[:, None] * (z_ls - z))
-            if step is None:
-                # subgradient fallback with the frozen pattern
-                g = 2.0 * M.T.dot(M.dot(z) - b)
-                gn = float(np.dot(g, g))
-                if gn == 0.0:
-                    break
-                betas = []
-                beta = E / gn
-                while beta >= 1e-18:
-                    betas.append(beta)
-                    beta *= 0.5
-                step = _first_descent(obj, E, z - np.array(betas)[:, None] * g)
-            if step is None:
-                break
-            z, ev = step
-            E = float(ev[-1])
-            trace.append(E)
-        if not ok:
-            ok, worst, worst_pair = obj.check_success(ev)
-        if ok:
-            inner = {v: (float(z[3 * k]), float(z[3 * k + 1]), float(z[3 * k + 2]))
-                     for k, v in enumerate(inner_ids)}
-            return SolveResult(piece=piece, outer_tris=dict(outer_tris), inner=inner,
-                               iterations=iters, restarts_used=attempt,
-                               max_edge_residual=worst, objective_trace=trace)
-        diag = {"attempt": attempt, "objective": E, "max_edge_residual": worst,
-                "worst_pair": worst_pair, "iterations": iters}
-        if best_diag is None or diag["objective"] < best_diag["objective"]:
-            best_diag = diag
+    nxt = _orient(piece, roles["hyp"], roles["vertical"])
+    faces = sorted(piece.inner_faces, key=sorted)
+    wood = _canonical_wood(piece, nxt, roles)
+    _flip_to_maximal(wood, faces)
+    seen = set()
+    for rounds in range(1, MAX_ROUNDS + 1):
+        seen.add(_key(wood))
+        P = _solve_unit(wood, roles)
+        if _is_layout(wood, P):
+            return {v: Tri(gap.x + gap.h * x, gap.y + gap.h * y, gap.h * (s - x - y))
+                    for v, (x, y, s) in sorted(P.items()) if v in wood}
+        wood = next((w for w in _moves(wood, P, faces, nxt, roles)
+                     if w is not None and _key(w) not in seen), None)
+        if wood is None:
+            break
+    nonpositive = [v for _h, v in _nonpositive(P)]
     raise SolveFailure(
-        f"no convergence after {params.restarts + 1} attempts "
-        f"(best objective {best_diag['objective']:.3e}, worst pair {best_diag['worst_pair']}, "
-        f"residual {best_diag['max_edge_residual']:.3e})",
-        best_diag,
-    )
+        f"no contact layout for the piece inside {piece.outer} after {rounds} exact solves; "
+        f"vertices with h <= 0: {nonpositive}", {"rounds": rounds, "nonpositive": nonpositive})
 
 
 # ---------------------------------------------------------------------------
-# Float -> exact
+# Contact layout -> robust layout
 # ---------------------------------------------------------------------------
 
-def exactify(result: SolveResult, epsilon: Fraction = Fraction(1)) -> Representation:
-    """Convert solver floats to exact rationals (no rounding; doubles are
-    dyadic).  Boundary triangles keep their exact values."""
-    tris: dict[int, Tri] = dict(result.outer_tris)
-    for v, (x, y, h) in result.inner.items():
-        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(h)):
-            raise ValueError(f"non-finite solver output for vertex {v}")
-        tris[v] = Tri(Fraction(x), Fraction(y), Fraction(h))
-    return Representation(tris, tuple(result.piece.outer), epsilon)
+def robustify(rep: Representation, piece: planar.Triangulation) -> Representation:
+    """Inflate every inner triangle of an exact contact layout by one power
+    of two, iota, so that every adjacent pair overlaps strictly, below the
+    budget `rep.epsilon`, and every non-adjacent pair stays strictly apart.
 
-
-def choose_iota(delta: Fraction, margin: Fraction, epsilon: Fraction) -> Fraction:
-    """A rational inflation with 2*iota > delta and delta + 3*iota < min(margin, epsilon).
-
-    The lower end uses 2*iota (not 3) because a boundary-adjacent pair gains
-    only 2*iota when just the inner triangle inflates.  Picks a dyadic near
-    the geometric midpoint of the feasible interval.
-    """
-    cap = min(margin, epsilon)
-    lo = delta / 2
-    hi = (cap - delta) / 3
-    if lo >= hi:
-        raise RobustifyError(
-            f"no feasible inflation: delta={float(delta):.3e} vs min(margin, eps)={float(cap):.3e}")
-    mid = math.sqrt(float(lo) * float(hi))
-    iota = Fraction(mid) if math.isfinite(mid) and mid > 0 else (lo + hi) / 2
-    if not (lo < iota < hi):
-        iota = (lo + hi) / 2
-    return iota
-
-
-def robustify(rep: Representation, piece: planar.Triangulation,
-              params: SolverParams, epsilon: Fraction) -> Representation:
-    """Inflate every inner triangle by one rational so that every adjacent
-    pair overlaps strictly and every non-adjacent pair stays strictly
-    separated.  Every pre- and postcondition is checked exactly, on integers
-    in `int_frame`, where the inflated triangle is (x - I, y - I, s + I)."""
-    delta = frac(params.delta)
-    margin = frac(params.margin)
-    pairs = _pairs(piece)
-
-    def signed(frame, u, v):
-        (xu, yu, su), (xv, yv, sv) = frame[u], frame[v]
-        return min(su, sv) - max(xu, xv) - max(yu, yv)
-
-    # preconditions from the solver contract
-    den, frame, (d, mg) = int_frame(rep, delta, margin)
+    iota is the largest power of two at most 1/8 of the smallest of the
+    budget, the smallest positive face hole (minus the common signed height
+    of a face's three triangles) and the smallest non-adjacent separation.
+    Inflating moves every side out by iota, so a signed height grows by at
+    most 3 iota: every separation and positive hole stays open, and every
+    contact becomes an overlap below the budget.  A face of hole 0 (three
+    triangles through one point) becomes a bad triple, which triple removal
+    clears.  The pairs are checked exactly on the integers of
+    `Representation.scaled`: the non-adjacent ones before, all of them after."""
+    outer = piece.outer_set
+    vs = piece.vertices()
+    pairs = [(u, v, piece.has_edge(u, v)) for i, u in enumerate(vs) for v in vs[i + 1:]
+             if not (u in outer and v in outer)]
+    S, tris = rep.scaled
+    least = [rep.epsilon * S]
     for u, v, edge in pairs:
-        s = signed(frame, u, v)
-        if edge and abs(s) > d:
-            raise RobustifyError(f"adjacency residual for ({u},{v}) exceeds delta: {s / den:.3e}")
-        if not edge and s > -mg:
-            raise RobustifyError(f"non-adjacent pair ({u},{v}) closer than margin: {s / den:.3e}")
+        if not edge:
+            s = signed_height(tris[u], tris[v])
+            if s >= 0:
+                raise RobustifyError(f"non-adjacent pair ({u},{v}) meets in the contact layout")
+            least.append(-s)
+    least += [-common_signed_height([tris[v] for v in f]) for f in piece.inner_faces]
+    iota = pow2_floor(Fraction(min(h for h in least if h > 0), 8 * S))
 
-    iota = choose_iota(delta, margin, epsilon)
-    _, frame, (eps, i) = int_frame(rep, epsilon, iota)
-    tris = dict(rep.triangles)
-    for v in rep.inner_ids():
-        tris[v] = inflate(tris[v], iota)
-        x, y, s = frame[v]
-        frame[v] = (x - i, y - i, s + i)
-
+    out = Representation({v: t if v in outer else inflate(t, iota)
+                          for v, t in rep.triangles.items()}, rep.outer, rep.epsilon)
+    S, tris = out.scaled
+    eps = rep.epsilon * S
     for u, v, edge in pairs:
-        s = signed(frame, u, v)
+        s = signed_height(tris[u], tris[v])
         if edge and s <= 0:
             raise RobustifyError(f"inflation failed to open overlap for edge ({u},{v})")
         if not edge and s >= 0:
             raise RobustifyError(f"inflation created a spurious intersection ({u},{v})")
         if s >= 0 and s >= eps:
             raise RobustifyError(f"overlap for ({u},{v}) reached the epsilon budget")
-    return Representation(tris, rep.outer, epsilon)
+    return out

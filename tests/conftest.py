@@ -17,7 +17,7 @@ from tricontact.geometry import (
     signed_height,
 )
 from tricontact.core import Representation
-from tricontact.solver import SolveResult, SolverParams, canvas_with_roles, solve_contacts
+from tricontact.solver import canvas_with_roles, solve_wood
 from tricontact.verify import intersection_graph
 
 
@@ -92,13 +92,15 @@ def face_faults_by_loop(rep: Representation, T: planar.Triangulation
     return (not failures), failures
 
 
-def solve_in_canvas(piece: planar.Triangulation, outer_tris, params: SolverParams
-                    ) -> SolveResult:
-    """solve_contacts(piece, outer_tris, params) in the canvas of the piece's
-    boundary triangles, its roles named by vertex, as `represent` passes it."""
+def solve_in_canvas(piece: planar.Triangulation, outer_tris, epsilon=Fraction(1)
+                    ) -> Representation:
+    """The contact layout `solve_wood` gives `piece` in the canvas of its
+    boundary triangles, its roles named by vertex, as `represent` passes
+    them, with the boundary triangles and the budget `epsilon`."""
     canvas, role_idx = canvas_with_roles([outer_tris[v] for v in piece.outer])
     roles = {r: piece.outer[i] for r, i in role_idx.items()}
-    return solve_contacts(piece, outer_tris, params, (canvas, roles))
+    return Representation({**outer_tris, **solve_wood(piece, canvas, roles)}, piece.outer,
+                          epsilon)
 
 
 # the arithmetic, comparison and conversion methods of Fraction that the
@@ -131,8 +133,8 @@ def implant_faces(T: planar.Triangulation, indices) -> planar.Triangulation:
 
 def implant_double_wheel(T: planar.Triangulation, face, k: int = 5) -> planar.Triangulation:
     """T with the inner face `face` replaced by double_wheel(k), whose outer
-    face it becomes: a piece of k + 2 vertices, which for k >= 5 only the
-    numeric solver places."""
+    face it becomes: a piece of k + 2 vertices, which for k >= 5
+    `solve_wood` places."""
     D = planar.double_wheel(k)
     name = dict(zip(D.outer, sorted(face)))
     name.update((v, T.n + i) for i, v in enumerate(sorted(set(D.vertices()) - D.outer_set)))

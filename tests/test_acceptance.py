@@ -15,11 +15,7 @@ from tricontact.assemble import represent
 from tricontact.geometry import Tri, intersect, signed_height
 from tricontact.core import Representation
 from tricontact.perturb import find_bad_triples, remove_all, select_bad, step1_widen, step3_separate
-from tricontact.solver import (
-    SolverParams,
-    exactify,
-    robustify,
-)
+from tricontact.solver import robustify
 from tricontact.verify import (
     check_simple,
     count_crossings,
@@ -65,23 +61,14 @@ def stacked_corpus():
 
 
 def four_connected_corpus():
-    """Octahedron plus generated 4-connected triangulations, n <= 30.
-
-    Each instance carries solver params: larger double wheels need smaller
-    height floors (their rim triangles are genuinely tiny), with delta still
-    at or below the criterion's 1e-7.
-    """
+    """Octahedron plus generated 4-connected triangulations, n <= 30: double
+    wheels, whose rim triangles shrink geometrically, and random ones."""
     if "fourconn" not in _cache:
-        default = SolverParams(delta=1e-7, restarts=10)
-        instances = [("octahedron", octahedron_graph(), default)]
-        for k in range(5, 13):
-            instances.append((f"double_wheel_{k}", planar.double_wheel(k), default))
+        instances = [("octahedron", octahedron_graph())]
+        for k in (*range(5, 13), 24, 28):
+            instances.append((f"double_wheel_{k}", planar.double_wheel(k)))
         for n, seed in [(8, 1), (9, 2), (10, 3), (11, 4), (12, 5)]:
-            instances.append((f"random_{n}_{seed}", planar.gen_four_connected(n, seed), default))
-        instances.append(("double_wheel_24", planar.double_wheel(24),
-                          SolverParams(delta=1e-9, margin=1e-5, h_min=1e-6, restarts=10)))
-        instances.append(("double_wheel_28", planar.double_wheel(28),
-                          SolverParams(delta=1e-11, margin=1e-7, h_min=1e-8, restarts=10)))
+            instances.append((f"random_{n}_{seed}", planar.gen_four_connected(n, seed)))
         _cache["fourconn"] = instances
     return _cache["fourconn"]
 
@@ -243,18 +230,13 @@ def test_criterion_3_bad_point_removal(octahedron, k222_triple_rep):
 def test_criterion_4_four_connected_pipeline():
     """Octahedron plus >= 10 generated 4-connected triangulations (n <= 30):
     representations pass the full report with pre-inflation edge residuals
-    <= 1e-7, <= 10 restarts, < 120 s per instance."""
-    delta_exact = F(1e-7)
+    exactly 0, < 120 s per instance."""
     done = []
     reps = []
-    for name, T, params in four_connected_corpus():
+    for name, T in four_connected_corpus():
         assert T.n <= 30
         t0 = time.time()
-        piece = T
-        om = outer_for(T)
-        res = solve_in_canvas(piece, om, params)
-        assert res.restarts_used <= 10
-        pre = exactify(res)
+        pre = solve_in_canvas(T, outer_for(T))
         adj = T.adjacency()
         worst = F(0)
         for u, v in itertools.combinations(range(T.n), 2):
@@ -262,8 +244,8 @@ def test_criterion_4_four_connected_pipeline():
                 continue
             if v in adj[u]:
                 worst = max(worst, abs(signed_height(pre.tri(u), pre.tri(v))))
-        assert worst <= delta_exact, f"{name}: pre-inflation residual {float(worst)}"
-        robust = robustify(pre, piece, params, F(1))
+        assert worst == 0, f"{name}: pre-inflation residual {float(worst)}"
+        robust = robustify(pre, T)
         rep = remove_all(robust, graph_triangles(robust))
         r = full_report(rep, T)
         assert r.passed, f"{name} failed: {r.to_json()}"
@@ -271,14 +253,14 @@ def test_criterion_4_four_connected_pipeline():
             assert check_simple(rep, intersection_graph(rep))[1] == triples_by_cubic_scan(rep)
         elapsed = time.time() - t0
         assert elapsed < 120.0
-        done.append((name, elapsed, res.restarts_used))
+        done.append((name, elapsed))
         reps.append((T, rep))
     assert len(done) >= 11
-    assert max(T.n for _, T, _ in four_connected_corpus()) == 30
+    assert max(T.n for _, T in four_connected_corpus()) == 30
     _cache["fourconn_reps"] = reps
     slowest = max(done, key=lambda d: d[1])
     print(f"\n[criterion 4] PASS: {len(done)} four-connected instances certified "
-          f"(slowest {slowest[0]}: {slowest[1]:.1f}s, restarts <= 10)")
+          f"(slowest {slowest[0]}: {slowest[1]:.1f}s, contact residuals exactly 0)")
 
 
 def test_criterion_5_recursion():
@@ -320,10 +302,8 @@ def test_criterion_6_drawings():
 
 def _ensure_fourconn():
     reps = []
-    for name, T, params in four_connected_corpus():
-        piece = T
-        res = solve_in_canvas(piece, outer_for(T), params)
-        robust = robustify(exactify(res), piece, params, F(1))
+    for name, T in four_connected_corpus():
+        robust = robustify(solve_in_canvas(T, outer_for(T)), T)
         reps.append((T, remove_all(robust, graph_triangles(robust))))
     _cache["fourconn_reps"] = reps
     return reps

@@ -8,8 +8,9 @@ import pytest
 from tricontact import assemble, perturb, planar
 from tricontact.assemble import PipelineConfig, PipelineError, default_outer, represent
 from tricontact.core import Representation
-from tricontact.geometry import Tri, common_signed_height, intersect, signed_height
-from tricontact.solver import SolverParams, canvas_with_roles
+from tricontact.geometry import (NegTri, Tri, common_signed_height, inside_neg, intersect,
+                                 signed_height)
+from tricontact.solver import canvas_with_roles
 from tricontact.verify import check_simple, full_report, intersection_graph
 from conftest import (
     chain,
@@ -29,7 +30,7 @@ F = Fraction
 def deep_double_wheel() -> planar.Triangulation:
     """chain(20, 5, 2), a vertex stacked into its newest face, and
     double_wheel(5) implanted into the first face holding that vertex: a
-    numeric piece nine levels down the separation tree."""
+    piece for `solve_wood` nine levels down the separation tree."""
     T = chain(20, 5, 2)
     T = planar.stack_vertex(T, newest_face(T))
     return implant_double_wheel(T, newest_face(T))
@@ -170,7 +171,7 @@ class TestRepresent:
         T, trace = planar.double_wheel(5), []
         rep = represent(T, trace=trace)
         assert full_report(rep, T, with_drawing=True).passed
-        assert [e["path"] for e in trace] == ["solver"] and "restarts" in trace[0]
+        assert [e["path"] for e in trace] == ["wood"]
 
     @pytest.mark.parametrize("make", [lambda: implanted(100, 3, 20), lambda: chain(20, 5, 6)],
                              ids=["implanted100_3x20", "chain20_5d6"])
@@ -178,8 +179,7 @@ class TestRepresent:
         def forbidden(*a, **k):
             raise AssertionError("an octahedron piece is placed in closed form")
 
-        monkeypatch.setattr(assemble, "solve_contacts", forbidden)
-        monkeypatch.setattr(assemble, "exactify", forbidden)
+        monkeypatch.setattr(assemble, "solve_wood", forbidden)
         T, trace = make(), []
         rep = represent(T, trace=trace)
         assert full_report(rep, T, with_faces=True, with_drawing=True).passed
@@ -188,7 +188,7 @@ class TestRepresent:
     @pytest.mark.parametrize("make", [lambda: implanted(100, 3, 20), lambda: chain(20, 5, 6)],
                              ids=["implanted100_3x20", "chain20_5d6"])
     def test_octahedra_take_no_inflation_or_triple_removal(self, make, monkeypatch):
-        # each octahedron is placed in its final layout: no numeric solve,
+        # each octahedron is placed in its final layout: no wood solve,
         # no robustify and no triple removal
         calls = []
 
@@ -197,13 +197,43 @@ class TestRepresent:
             monkeypatch.setattr(module, name,
                                 lambda *a, **k: calls.append(name) or real(*a, **k))
 
-        for name in ("robustify", "solve_contacts"):
+        for name in ("robustify", "solve_wood"):
             counted(assemble, name)
         counted(perturb, "remove_all")
         T, trace = make(), []
         represent(T, trace=trace)
         assert "octahedron" in {e["path"] for e in trace}
         assert calls == []
+
+    @pytest.mark.parametrize("make, sizes", [(lambda: chain(20, 5, 6), {3}),
+                                             (deep_double_wheel, {3, 4})],
+                             ids=["chain20_5d6", "deep_dw5"])
+    def test_escape_check_on_frame_integers(self, make, sizes, monkeypatch):
+        # every non-root octahedron (3 inner vertices) and wood piece (dw5's
+        # 4) is checked against its gap, widened by its budget, on its
+        # representation's frame integers, as the same test on Fractions
+        # decides; a triangle moved past the vertical side is named, and
+        # named in the pipeline's error
+        checked = []
+        real = assemble._escapes
+
+        def compared(rep, roles, vertices):
+            X, Y = rep.tri(roles["vertical"]).x, rep.tri(roles["horizontal"]).y
+            allowed = NegTri(X, Y, X + Y - rep.tri(roles["hyp"]).s).expand(rep.epsilon)
+            assert real(rep, roles, vertices) is None
+            assert all(inside_neg(rep.tri(v), allowed) for v in vertices)
+            t = rep.tri(vertices[-1])
+            moved = rep.with_triangle(vertices[-1], Tri(X + rep.epsilon - t.h / 2, t.y, t.h))
+            assert not inside_neg(moved.tri(vertices[-1]), allowed)
+            assert real(moved, roles, vertices) == vertices[-1]
+            checked.append(len(vertices))
+
+        monkeypatch.setattr(assemble, "_escapes", compared)
+        represent(make())
+        assert set(checked) == sizes
+        monkeypatch.setattr(assemble, "_escapes", lambda rep, roles, vertices: vertices[-1])
+        with pytest.raises(PipelineError, match="triangle of vertex .* escapes the face gap"):
+            represent(make())
 
     def test_layout_failing_the_post_check_is_a_pipeline_error(self, octahedron, monkeypatch):
         # an octahedron layout is returned only after its exact post-check:
@@ -232,7 +262,7 @@ class TestRepresent:
 
         monkeypatch.setattr(perturb, "remove_all", forbidden)
         monkeypatch.setattr(perturb, "face_gap_with_roles", forbidden)
-        monkeypatch.setattr(assemble, "solve_contacts", forbidden)
+        monkeypatch.setattr(assemble, "solve_wood", forbidden)
         monkeypatch.setattr(planar, "decompose", forbidden)
         placed = []
         real = assemble.solve_stacked
@@ -255,10 +285,8 @@ class TestRepresent:
             represent(planar.gen_stacked(10, 0))
 
     def test_deterministic(self, octahedron):
-        cfg = PipelineConfig(solver=SolverParams(seed=11))
-        a = represent(octahedron, cfg)
-        b = represent(octahedron, cfg)
-        assert a.to_json() == b.to_json()
+        for T in (octahedron, planar.gen_four_connected(16, 1)):
+            assert represent(T).to_json() == represent(T).to_json()
 
     def test_scaled_config(self, k4):
         cfg = PipelineConfig(outer=default_outer(F(5)), epsilon=F(2))
@@ -328,8 +356,10 @@ class TestStackedPieces:
 
 
 class TestLocalFrame:
-    """Each larger piece is placed in its canvas's own dyadic frame, so the
-    construction commutes with dyadic homotheties of the boundary."""
+    """Each larger piece is placed from its gap alone, exactly, in the global
+    frame, and every inflation and budget is a power of two times a length
+    of the layout, so the construction commutes with dyadic homotheties of
+    the boundary."""
 
     @pytest.mark.parametrize("make", [
         lambda: planar.double_wheel(6),
@@ -353,7 +383,7 @@ class TestLocalFrame:
     def test_numeric_piece_deep_in_the_tree(self):
         T, trace = deep_double_wheel(), []
         represent(T, trace=trace)
-        (idx,) = [e["piece"] for e in trace if e["path"] == "solver"]
+        (idx,) = [e["piece"] for e in trace if e["path"] == "wood"]
         parent = {child: up for up, child, _ in planar.decompose(planar.peel(T)[0]).links}
         depth = 0
         while idx in parent:
@@ -364,8 +394,8 @@ class TestLocalFrame:
                                       lambda: stacking_chain(90), deep_double_wheel],
                              ids=["5-7", "7-12", "stacking90", "deep_dw5"])
     def test_deep_chain_certifies(self, make):
-        # near (1, 3), absolute floats cannot resolve the innermost canvases'
-        # tolerances, nor the verifier's screens separate the deepest triangles
+        # near (1, 3), absolute floats cannot separate the deepest triangles,
+        # so the verifier's screens must scale with the coordinates
         T = make()
         rep = represent(T)
         assert full_report(rep, T, with_faces=True, with_drawing=True).passed

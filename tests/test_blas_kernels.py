@@ -1,8 +1,9 @@
-"""Outputs built from K4 and octahedron pieces alone take no float from the
-numeric solver, so they are the same bytes under every BLAS kernel.
+"""No float reaches a representation, so every output is the same bytes
+under every BLAS kernel; only the verifier's screens run on numpy, and they
+decide nothing alone.
 
-The `stacked` and `nested` benchmark corpora and the pinned digests of such
-inputs are computed in child processes that force OpenBLAS's kernel with
+The three benchmark corpora and the pinned representation and drawing
+digests are computed in child processes that force OpenBLAS's kernel with
 OPENBLAS_CORETYPE, set in the child's environment only, and compared with
 this process's.  Run as a script, this file prints those digests as JSON.
 """
@@ -47,9 +48,9 @@ def digests() -> dict[str, str]:
     """Per corpus, sha256 over each instance's representation, report and
     drawing texts as `tricontact run` writes them, in name order; and the
     digests that `test_representation_digest_pinned` and
-    `test_drawing_digest_pinned[implanted]` pin."""
+    `test_drawing_digest_pinned[dw8]` and `[implanted]` pin."""
     out = {}
-    for workload in ("stacked", "nested"):
+    for workload in ("stacked", "fourconn", "nested"):
         h = hashlib.sha256()
         for _name, T in _corpus(workload):
             rep = represent(T)
@@ -59,15 +60,28 @@ def digests() -> dict[str, str]:
         out[workload] = h.hexdigest()
     out["implanted100_3x20"] = _sha(_dump(represent(implanted(100, 3, 20)).to_json()))
     out["chain20_5d6"] = _sha(_dump(represent(chain(20, 5, 6)).to_json()))
-    T = implant_faces(planar.gen_stacked(30, 1), (0, 7))
-    out["drawing_implanted"] = _sha(json.dumps(extract_drawing(represent(T), T).to_json(),
-                                               sort_keys=True))
+    for name, T in (("dw8", planar.double_wheel(8)),
+                    ("implanted", implant_faces(planar.gen_stacked(30, 1), (0, 7)))):
+        out[f"drawing_{name}"] = _sha(json.dumps(extract_drawing(represent(T), T).to_json(),
+                                                 sort_keys=True))
     return out
 
 
 @pytest.fixture(scope="module")
 def default_digests():
     return digests()
+
+
+# sha256 of each corpus's texts, as `digests` takes them
+CORPUS_DIGESTS = {
+    "stacked": "e71d643481e2f93adceceefee6505c482f7dc932567986dc8bb254f622d4702c",
+    "fourconn": "cb5dddb4562655941cd9ab5d6f76b6c13c590d6c8df902de0e711be7856ef283",
+    "nested": "10d8b8d4b7df9d8bcdef79cd74bcc6f5af7d2e230578adc9d075fa9094b4bd90",
+}
+
+
+def test_corpus_digests_pinned(default_digests):
+    assert {k: default_digests[k] for k in CORPUS_DIGESTS} == CORPUS_DIGESTS
 
 
 @pytest.mark.parametrize("kernel", KERNELS)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from tricontact import assemble, planar, verify
+from tricontact import assemble, planar, solver, verify
 from tricontact.assemble import represent
 from tricontact.cli import main
 from tricontact.core import Representation
@@ -73,22 +73,23 @@ class TestRun:
         outs = []
         for name in ("a", "b"):
             rep_f = tmp_path / f"rep_{name}.json"
-            assert run(["run", "--input", g, "--output", rep_f, "--seed", 7]) == 0
+            assert run(["run", "--input", g, "--output", rep_f]) == 0
             outs.append(rep_f.read_bytes())
         assert outs[0] == outs[1]
 
-    def test_delta_leaves_octahedra_and_k4s_alone(self, tmp_path):
-        # the solver tolerances govern numeric pieces only: an input of K4
-        # and octahedron pieces is written byte for byte as by default
-        T = chain(20, 5, 2)
+    @pytest.mark.parametrize("flag, value", [("--delta", "1e-9"), ("--margin", "1e-3"),
+                                             ("--h-min", "1e-3"), ("--max-iters", "80"),
+                                             ("--restarts", "0"), ("--seed", "7")])
+    def test_solver_tolerance_flags_are_rejected(self, tmp_path, flag, value, capsys):
+        # every piece is placed exactly, so `run` takes no solver tolerance,
+        # iteration count or seed: such a flag is a usage error
         g = tmp_path / "g.json"
-        g.write_text(json.dumps(T.to_json()))
-        outs = []
-        for name, flags in (("default", []), ("delta", ["--delta", "1e-9"])):
-            rep_f = tmp_path / f"rep_{name}.json"
-            assert run(["run", "--input", g, "--output", rep_f, *flags]) == 0
-            outs.append(rep_f.read_bytes())
-        assert outs[0] == outs[1]
+        g.write_text(json.dumps(chain(20, 5, 2).to_json()))
+        rep_f = tmp_path / "rep.json"
+        with pytest.raises(SystemExit) as exc:
+            run(["run", "--input", g, "--output", rep_f, flag, value])
+        assert exc.value.code == 2 and not rep_f.exists()
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
     def test_svg(self, tmp_path, k4):
         g = tmp_path / "g.json"
@@ -197,14 +198,18 @@ class TestVerify:
 
 
 class TestSolveCommand:
-    def test_solver_failure_exit_code(self, tmp_path):
-        # honest non-convergence must surface as the solver exit code
-        T = planar.double_wheel(24)
+    def test_solver_failure_exit_code(self, tmp_path, monkeypatch, capsys):
+        # a wood loop that stops without a layout surfaces as the solver
+        # exit code, naming the vertices of nonpositive height; capped at one
+        # solve, g4_22_0 stops at its maximal wood
+        monkeypatch.setattr(solver, "MAX_ROUNDS", 1)
         g = tmp_path / "g.json"
-        g.write_text(json.dumps(T.to_json()))
-        code = run(["run", "--input", g, "--output", tmp_path / "r.json",
-                    "--restarts", 0, "--max-iters", 80])
-        assert code == 4
+        g.write_text(json.dumps(planar.gen_four_connected(22, 0).to_json()))
+        code = run(["run", "--input", g, "--output", tmp_path / "r.json"])
+        assert code == 4 and not (tmp_path / "r.json").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure: no contact layout for the piece inside ")
+        assert "after 1 exact solves; vertices with h <= 0: [" in err
 
 
 class TestRender:

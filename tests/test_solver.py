@@ -1,10 +1,7 @@
-import hashlib
 import itertools
-import random
-from collections import Counter
 from fractions import Fraction
 
-import numpy as np
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -26,193 +23,17 @@ from tricontact.solver import (
     CanvasError,
     RobustifyError,
     SolveFailure,
-    SolverParams,
     canvas_with_roles,
-    check_outer_hypothesis,
-    choose_iota,
-    exactify,
     robustify,
-    solve_contacts,
     solve_octahedron,
     solve_stacked,
+    solve_wood,
 )
-from conftest import (graph_triangles, ntri, octahedron_graph, point, represent_in,
-                      solve_in_canvas, stacked_by_peeling, tri)
+from tricontact.verify import full_report
+from conftest import (ntri, octahedron_graph, point, represent_in, solve_in_canvas,
+                      stacked_by_peeling, tri)
 
 F = Fraction
-
-
-class ReferenceObjective:
-    """Reference objective: the solver's terms evaluated one pair, vertex and
-    inner edge at a time, in plain Python floats, and a stack of points one
-    row at a time.  The vectorised `solver._Objective` must agree with it bit
-    for bit.  Its evaluation is (point, E); the solver reads only E, the last
-    entry, and passes the evaluation back to `system` and `check_success`."""
-
-    def __init__(self, outer_f, inner_ids, pairs, canvas_f, params):
-        self.outer_f = outer_f                  # vertex -> (x, y, h) floats, boundary
-        self.inner_ids = inner_ids
-        self.index = {v: 3 * i for i, v in enumerate(inner_ids)}
-        self.pairs = pairs
-        self.Xc, self.Yc, self.hyp = canvas_f   # canvas: a <= Xc, b <= Yc, a+b >= hyp
-        self.p = params
-        self.inner_edges = [(u, v) for u, v, e in pairs if e
-                            and u in self.index and v in self.index]
-
-    def vals(self, z, v):
-        if v in self.index:
-            i = self.index[v]
-            return z[i], z[i + 1], z[i + 2]
-        return self.outer_f[v]
-
-    def signed(self, z, u, v):
-        xu, yu, hu = self.vals(z, u)
-        xv, yv, hv = self.vals(z, v)
-        return min(xu + yu + hu, xv + yv + hv) - max(xu, xv) - max(yu, yv)
-
-    def evaluate(self, z):
-        if z.ndim == 2:
-            return z, np.array([self.value(row) for row in z])
-        return z, self.value(z)
-
-    def value(self, z) -> float:
-        E = 0.0
-        for u, v, edge in self.pairs:
-            s = self.signed(z, u, v)
-            if edge:
-                E += s * s
-            else:
-                r = s + self.p.margin
-                if r > 0:
-                    E += r * r
-        for v in self.inner_ids:
-            x, y, h = self.vals(z, v)
-            for g in (x + h - self.Xc, y + h - self.Yc, self.hyp - x - y):
-                if g > 0:
-                    E += g * g
-            r = self.p.h_min - h
-            if r > 0:
-                E += r * r
-        for u, v in self.inner_edges:
-            xu, yu, _ = self.vals(z, u)
-            xv, yv, _ = self.vals(z, v)
-            ca, cb = max(xu, xv), max(yu, yv)
-            for g in (ca - (self.Xc - self.p.margin),
-                      cb - (self.Yc - self.p.margin),
-                      (self.hyp + self.p.margin) - ca - cb):
-                if g > 0:
-                    E += g * g
-        return E
-
-    def _pair_row(self, z, u, v):
-        """Linear row for the frozen signed height of pair (u, v): coef, const."""
-        xu, yu, hu = self.vals(z, u)
-        xv, yv, hv = self.vals(z, v)
-        coef = {}
-        const = 0.0
-        a_s = u if xu + yu + hu <= xv + yv + hv else v
-        a_x = u if xu >= xv else v
-        a_y = u if yu >= yv else v
-        if a_s in self.index:
-            i = self.index[a_s]
-            coef[i] = coef.get(i, 0.0) + 1.0
-            coef[i + 1] = coef.get(i + 1, 0.0) + 1.0
-            coef[i + 2] = coef.get(i + 2, 0.0) + 1.0
-        else:
-            const += sum(self.vals(z, a_s))
-        if a_x in self.index:
-            i = self.index[a_x]
-            coef[i] = coef.get(i, 0.0) - 1.0
-        else:
-            const -= self.vals(z, a_x)[0]
-        if a_y in self.index:
-            i = self.index[a_y] + 1
-            coef[i] = coef.get(i, 0.0) - 1.0
-        else:
-            const -= self.vals(z, a_y)[1]
-        return coef, const
-
-    def rows(self, z):
-        """Active linear system rows (coef dict, rhs) at the current point."""
-        rows = []
-        for u, v, edge in self.pairs:
-            coef, const = self._pair_row(z, u, v)
-            if edge:
-                rows.append((coef, -const))
-            else:
-                s = self.signed(z, u, v)
-                if s + self.p.margin > 0:
-                    rows.append((coef, -self.p.margin - const))
-        for v in self.inner_ids:
-            x, y, h = self.vals(z, v)
-            i = self.index[v]
-            if x + h - self.Xc > 0:
-                rows.append(({i: 1.0, i + 2: 1.0}, self.Xc))
-            if y + h - self.Yc > 0:
-                rows.append(({i + 1: 1.0, i + 2: 1.0}, self.Yc))
-            if self.hyp - x - y > 0:
-                rows.append(({i: 1.0, i + 1: 1.0}, self.hyp))
-            if self.p.h_min - h > 0:
-                rows.append(({i + 2: 1.0}, self.p.h_min))
-        for u, v in self.inner_edges:
-            xu, yu, _ = self.vals(z, u)
-            xv, yv, _ = self.vals(z, v)
-            ax = u if xu >= xv else v
-            ay = u if yu >= yv else v
-            ca, cb = max(xu, xv), max(yu, yv)
-            ix, iy = self.index[ax], self.index[ay] + 1
-            if ca - (self.Xc - self.p.margin) > 0:
-                rows.append(({ix: 1.0}, self.Xc - self.p.margin))
-            if cb - (self.Yc - self.p.margin) > 0:
-                rows.append(({iy: 1.0}, self.Yc - self.p.margin))
-            if (self.hyp + self.p.margin) - ca - cb > 0:
-                rows.append(({ix: 1.0, iy: 1.0}, self.hyp + self.p.margin))
-        return rows
-
-    def system(self, ev):
-        z = ev[0]
-        rows = self.rows(z)
-        M = np.zeros((len(rows), len(z)))
-        b = np.zeros(len(rows))
-        for r, (coef, rhs) in enumerate(rows):
-            for i, c in coef.items():
-                M[r, i] = c
-            b[r] = rhs
-        return M, b
-
-    def check_success(self, ev):
-        """(ok, max |edge residual|, worst pair)."""
-        z = ev[0]
-        worst = 0.0
-        worst_pair = (-1, -1)
-        ok = True
-        for u, v, edge in self.pairs:
-            s = self.signed(z, u, v)
-            if edge:
-                if abs(s) > worst:
-                    worst, worst_pair = abs(s), (u, v)
-                if abs(s) > 0.5 * self.p.delta:
-                    ok = False
-            else:
-                if s > -(self.p.margin + self.p.delta):
-                    ok = False
-        for v in self.inner_ids:
-            x, y, h = self.vals(z, v)
-            if (x + h - self.Xc > 0.5 * self.p.delta
-                    or y + h - self.Yc > 0.5 * self.p.delta
-                    or self.hyp - x - y > 0.5 * self.p.delta
-                    or h < self.p.h_min - self.p.delta):
-                ok = False
-        return ok, worst, worst_pair
-
-
-class TestParams:
-    def test_invariants(self):
-        SolverParams()
-        with pytest.raises(ValueError):
-            SolverParams(delta=1e-3, margin=1e-3)
-        with pytest.raises(ValueError):
-            SolverParams(h_min=0)
 
 
 class TestCanvas:
@@ -360,12 +181,6 @@ class TestSolveOctahedron:
         assert self._layout(octahedron, outer_map, F(7))[1].triangles == \
             self._layout(octahedron, outer_map, F(1))[1].triangles
 
-    def test_delta_above_the_gap(self, octahedron):
-        # delta governs numeric pieces only: a grid step of 2, above a third
-        # of any canvas in a numeric piece's frame, leaves the octahedron as it is
-        cfg = PipelineConfig(solver=SolverParams(delta=6, margin=40))
-        assert represent(octahedron, cfg) == represent(octahedron)
-
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(gap=st.tuples(*[st.fractions(-10, 10, max_denominator=1000)] * 2,
                          st.fractions(F(1, 1000), 10, max_denominator=1000)),
@@ -395,261 +210,230 @@ class TestSolveOctahedron:
         assert all(inside_neg(t, canvas.expand(eps)) for t in inner.values())
 
 
-class TestSolveContacts:
-    def test_k4_matches_exact(self, k4, outer_map):
-        params = SolverParams()
-        res = solve_in_canvas(k4, outer_map, params)
-        x, y, h = res.inner[3]
-        assert abs(x - 2) < 1e-6 and abs(y - 2) < 1e-6 and abs(h - 1) < 1e-6
+def _roles(T, outer):
+    """(canvas, roles by vertex) of T's boundary triangles `outer`."""
+    canvas, role_idx = canvas_with_roles([outer[v] for v in T.outer])
+    return canvas, {r: T.outer[i] for r, i in role_idx.items()}
 
-    def test_octahedron(self, octahedron, outer_map):
-        params = SolverParams()
-        res = solve_in_canvas(octahedron, outer_map, params)
-        assert res.max_edge_residual <= params.delta
-        rep = exactify(res)
-        adj = octahedron.adjacency()
-        for u, v in itertools.combinations(range(6), 2):
-            if u in (0, 1, 2) and v in (0, 1, 2):
-                continue
-            s = signed_height(rep.tri(u), rep.tri(v))
-            if v in adj[u]:
-                assert abs(s) <= F(params.delta)
+
+def _outer_for(T, outer_map):
+    """The default boundary triangles, by T's boundary vertices in order."""
+    return {v: outer_map[i] for i, v in enumerate(T.outer)}
+
+
+def _wood_solves(monkeypatch):
+    """The log, in order, of `solve_wood`'s exact solves ("solve") and of its
+    cycle reversals tried ("reverse")."""
+    log = []
+    solve, reverse = solver._solve_unit, solver._reverse_cycle
+    monkeypatch.setattr(solver, "_solve_unit", lambda *a: log.append("solve") or solve(*a))
+    monkeypatch.setattr(solver, "_reverse_cycle",
+                        lambda *a: log.append("reverse") or reverse(*a))
+    return log
+
+
+def _dense_solve(wood, roles):
+    """Reference for `solver._solve_unit`: the same 3(n - 3) equations, one
+    dense row each, by Gauss-Jordan elimination on `Fraction`s."""
+    fixed = {roles["hyp"]: (-1, -1, -1), roles["vertical"]: (0, -1, 0),
+             roles["horizontal"]: (-1, 0, 0)}
+    inner = sorted(wood)
+    col = {v: 3 * i for i, v in enumerate(inner)}
+    n = 3 * len(inner)
+    rows = []
+    for v in inner:
+        x, y, s = col[v], col[v] + 1, col[v] + 2
+        r, g, b = wood[v]
+        # x + y - s_r = 0, s - x - y_g = 0 and s - y - x_b = 0
+        for plus, minus, t, k in (((x, y), (), r, 2), ((s,), (x,), g, 1), ((s,), (y,), b, 0)):
+            row = [F(0)] * (n + 1)
+            for c in plus:
+                row[c] += 1
+            for c in minus:
+                row[c] -= 1
+            if t in fixed:
+                row[n] = F(fixed[t][k])
             else:
-                assert s <= -F(params.margin)
-
-    def test_monotone_objective(self, outer_map):
-        T = planar.double_wheel(8)
-        om = {T.outer[0]: outer_map[0], T.outer[1]: outer_map[1], T.outer[2]: outer_map[2]}
-        res = solve_in_canvas(T, om, SolverParams())
-        tr = res.objective_trace
-        assert all(tr[i + 1] <= tr[i] for i in range(len(tr) - 1))
-
-    def test_bad_boundary_rejected(self, octahedron):
-        # a valid canvas does not excuse boundary triangles that bound none
-        bad = {0: tri(0, 0, 1), 1: tri(5, 5, 1), 2: tri(0, 9, 1)}
-        with pytest.raises(CanvasError):
-            solve_contacts(octahedron, bad, SolverParams(), canvas_with_roles(default_outer()))
-
-    def test_separating_triangle_rejected(self, k4, outer_map):
-        T = planar.stack_vertex(k4, (0, 1, 3))
-        with pytest.raises(ValueError):
-            solve_in_canvas(T, outer_map, SolverParams())
-
-    def test_deterministic(self, octahedron, outer_map):
-        a = solve_in_canvas(octahedron, outer_map, SolverParams(seed=5))
-        b = solve_in_canvas(octahedron, outer_map, SolverParams(seed=5))
-        assert a.inner == b.inner
-
-    def test_nonconvergence_reports_diagnostics(self, outer_map):
-        # the rim triangles of a large double wheel need heights below the
-        # default floor, so this must fail loudly, never silently
-        T = planar.double_wheel(24)
-        om = {T.outer[0]: outer_map[0], T.outer[1]: outer_map[1], T.outer[2]: outer_map[2]}
-        with pytest.raises(SolveFailure) as exc:
-            solve_in_canvas(T, om, SolverParams(restarts=1, max_iters=120))
-        d = exc.value.diagnostics
-        assert d["max_edge_residual"] > 0 and len(d["worst_pair"]) == 2
-
-    def test_failure_diagnostics_are_python_values(self, outer_map):
-        T = planar.gen_four_connected(14, 0)
-        om = {v: outer_map[i] for i, v in enumerate(T.outer)}
-        with pytest.raises(SolveFailure) as exc:
-            solve_in_canvas(T, om, SolverParams(restarts=0, max_iters=1))
-        d = exc.value.diagnostics
-        assert str(exc.value) == ("no convergence after 1 attempts (best objective 2.575e+00, "
-                                  "worst pair (0, 7), residual 5.818e-01)")
-        assert {k: type(v) for k, v in d.items()} == {
-            "attempt": int, "objective": float, "max_edge_residual": float,
-            "worst_pair": tuple, "iterations": int}
-        assert [type(v) for v in d["worst_pair"]] == [int, int]
-        assert d["iterations"] == 1 and d["max_edge_residual"] > 0
-
-    def test_tight_instance_with_smaller_floor(self, outer_map):
-        # the same instance certifies once the floors scale with the geometry
-        from tricontact.perturb import remove_all
-        from tricontact.verify import full_report
-        T = planar.double_wheel(24)
-        om = {T.outer[0]: outer_map[0], T.outer[1]: outer_map[1], T.outer[2]: outer_map[2]}
-        params = SolverParams(delta=1e-9, margin=1e-5, h_min=1e-6)
-        res = solve_in_canvas(T, om, params)
-        robust = robustify(exactify(res), T, params, F(1))
-        rep = remove_all(robust, graph_triangles(robust))
-        assert full_report(rep, T).passed
-        assert min(t.h for t in rep.triangles.values()) < F(1e-3)
+                row[col[t] + k] -= 1
+            rows.append(row)
+    for c in range(n):
+        p = next(r for r in range(c, n) if rows[r][c] != 0)
+        rows[c], rows[p] = rows[p], rows[c]
+        rows[c] = [e / rows[c][c] for e in rows[c]]
+        for r in range(n):
+            if r != c and rows[r][c] != 0:
+                rows[r] = [e - rows[r][c] * f for e, f in zip(rows[r], rows[c])]
+    return {v: tuple(rows[col[v] + k][n] for k in range(3)) for v in inner}
 
 
-def _objective_setup(T, outer_map, params):
-    """The objective's arguments for T as `solve_contacts` builds them, and
-    its first (Tutte) start point."""
-    piece = T
-    om = {v: outer_map[i] for i, v in enumerate(piece.outer)}
-    canvas, role_idx = canvas_with_roles([om[v] for v in piece.outer])
-    roles = {r: piece.outer[i] for r, i in role_idx.items()}
-    inner_ids = sorted(set(piece.vertices()) - set(piece.outer))
-    args = ({v: (float(t.x), float(t.y), float(t.h)) for v, t in om.items()}, inner_ids,
-            solver._pairs(piece), (float(canvas.x), float(canvas.y), float(canvas.hyp_level)),
-            params)
-    pos = solver._tutte_positions(piece, solver._anchor_points(canvas, roles))
-    h0 = float(canvas.h) / (2 * T.n)
-    z0 = np.array([c for v in inner_ids for c in (pos[v][0] - h0 / 3, pos[v][1] - h0 / 3, h0)])
-    return args, z0, float(canvas.h)
+def _start(T, outer_map):
+    """(canvas, roles, rotation, maximal wood) of T in the canvas of `outer_map`."""
+    canvas, roles = _roles(T, _outer_for(T, outer_map))
+    nxt = solver._orient(T, roles["hyp"], roles["vertical"])
+    wood = solver._canonical_wood(T, nxt, roles)
+    solver._flip_to_maximal(wood, sorted(T.inner_faces, key=sorted))
+    return canvas, roles, nxt, wood
 
 
-class TestObjectiveOracle:
-    """The vectorised objective against the term-by-term reference."""
-
-    @staticmethod
-    def _points(z0, H):
-        """The Tutte start, seeded random points around it at four spreads,
-        and a point where all inner triangles coincide (ties everywhere)."""
-        rng = np.random.default_rng(20261018)
-        points = [z0, np.tile(z0[:3], len(z0) // 3)]
-        for spread in (H / 200, H / 20, H / 4, 2 * H):
-            points += [z0 + rng.normal(scale=spread, size=z0.shape) for _ in range(25)]
-        return points
-
-    @pytest.mark.parametrize("T", [planar.double_wheel(8), planar.gen_four_connected(14, 0)],
-                             ids=["dw8", "g4_14_0"])
-    @pytest.mark.parametrize("scale, offset", [(F(1), (0, 0)), (F(5, 7), (F(1, 3), F(-2, 9)))],
-                             ids=["unit", "skewed"])
-    def test_bit_identical_to_reference(self, T, scale, offset, outer_map):
-        # the skewed boundary has coordinates that are not dyadic, so
-        # reassociated float expressions round differently
-        om = {v: tri(t.x * scale + offset[0], t.y * scale + offset[1], t.h * scale)
-              for v, t in outer_map.items()}
-        args, z0, H = _objective_setup(T, om, SolverParams())
-        new, ref = solver._Objective(*args), ReferenceObjective(*args)
-        points = self._points(z0, H)
-        evs = [new.evaluate(z) for z in points]
-        for z, ev in zip(points, evs):
-            assert float(ev[-1]).hex() == float(ref.value(z)).hex()
-            (M, b), (M_ref, b_ref) = new.system(ev), ref.system(ref.evaluate(z))
-            assert M.shape == M_ref.shape and M.tobytes() == M_ref.tobytes()
-            assert b.shape == b_ref.shape and b.tobytes() == b_ref.tobytes()
-            ok, worst, pair = new.check_success(ev)
-            ok_ref, worst_ref, pair_ref = ref.check_success(ref.evaluate(z))
-            assert (ok, pair) == (ok_ref, pair_ref)
-            assert type(worst) is float and worst.hex() == float(worst_ref).hex()
-        # a stack evaluates each row exactly as that point alone
-        assert new.evaluate(np.empty((0, len(z0))))[-1].shape == (0,)
-        for k in (1, 2, 21):
-            for start in (0, len(points) - k):
-                stack = np.stack(points[start:start + k])
-                ev = new.evaluate(stack)
-                assert ev[-1].tobytes() == ref.evaluate(stack)[-1].tobytes()
-                for j in range(k):
-                    for a, b in zip(ev, evs[start + j]):
-                        assert a[j].shape == np.shape(b) and a[j].tobytes() == np.asarray(b).tobytes()
-
-    def test_points_reach_every_hinge_row(self, outer_map):
-        T = planar.double_wheel(8)
-        params = SolverParams()
-        args, z0, H = _objective_setup(T, outer_map, params)
-        ref = ReferenceObjective(*args)
-        Xc, Yc, hyp = args[3]
-        mg = params.margin
-        hinge_rhs = {Xc, Yc, hyp, params.h_min, Xc - mg, Yc - mg, hyp + mg}
-        seen = set()
-        for z in self._points(z0, H):
-            seen |= {rhs for _, rhs in ref.rows(z)} & hinge_rhs
-        assert seen == hinge_rhs
-
-    def test_solver_run_matches_reference(self, outer_map, monkeypatch):
-        T = planar.gen_four_connected(14, 0)
-        piece = T
-        om = {v: outer_map[i] for i, v in enumerate(piece.outer)}
-        params = SolverParams(restarts=1)
-        new = solve_in_canvas(piece, om, params)
-        monkeypatch.setattr(solver, "_Objective", ReferenceObjective)
-        ref = solve_in_canvas(piece, om, params)
-        assert new.inner == ref.inner
-        assert (new.iterations, new.restarts_used) == (ref.iterations, ref.restarts_used)
-        assert new.restarts_used == 1  # the run covers a restart
-        assert [float(e).hex() for e in new.objective_trace] == \
-            [float(e).hex() for e in ref.objective_trace]
+WOOD_PIECES = [
+    ("dw5", lambda: planar.double_wheel(5)), ("dw12", lambda: planar.double_wheel(12)),
+    ("g4_14_0", lambda: planar.gen_four_connected(14, 0)),
+    ("g4_16_0", lambda: planar.gen_four_connected(16, 0)),
+    ("g4_22_0", lambda: planar.gen_four_connected(22, 0)),
+    ("g4_26_3", lambda: planar.gen_four_connected(26, 3)),
+]
 
 
-    def test_alphas_halve_exactly(self):
-        steps = [1.0]
-        while steps[-1] / 2 >= 2.0 ** -20:
-            steps.append(steps[-1] / 2)
-        assert solver.ALPHAS.tolist() == steps
+class TestSolveWood:
+    """The exact contact layout of a 4-connected piece from a Schnyder wood."""
 
-    @pytest.mark.parametrize("make, digest", [
-        (lambda: planar.gen_four_connected(14, 0),
-         "f76df89af6f6b1937420e1a326736dd4b3bb06ed59a199fd09b365fa5f333cf2"),
-        (lambda: planar.double_wheel(12),
-         "1e0b7265c4a4306f8f0d5b1f37e80a001d2f928496cfaf6459ff35fab2f74c16"),
-    ], ids=["g4_14_0", "dw12"])
-    def test_solver_run_digest_pinned(self, make, digest, outer_map):
-        # the objective trace, the iteration and restart counts and the inner
-        # floats, bit for bit; g4_14_0 takes one restart and dw12 six
+    def test_k4_is_the_medial_child(self, k4, outer_map):
+        canvas, roles = _roles(k4, outer_map)
+        assert solve_wood(k4, canvas, roles) == {3: solve_stacked(3, canvas, roles)[0]}
+
+    def test_octahedron_meets_in_one_point(self, octahedron, outer_map, k222_triple_rep):
+        # the octahedron's only contact layout has its inner triangles meet
+        # in one point: the hand-built fixture
+        assert solve_in_canvas(octahedron, outer_map) == k222_triple_rep
+
+    @pytest.mark.parametrize("make", [m for _n, m in WOOD_PIECES], ids=[n for n, _m in WOOD_PIECES])
+    def test_exact_contacts(self, make, outer_map):
+        # every adjacency at signed height exactly 0, every non-adjacency apart,
+        # every inner triangle inside the canvas
         T = make()
-        om = {v: outer_map[i] for i, v in enumerate(T.outer)}
-        res = solve_in_canvas(T, om, SolverParams())
-        text = "\n".join([" ".join(float(e).hex() for e in res.objective_trace),
-                          f"{res.iterations} {res.restarts_used}",
-                          *(f"{v} " + " ".join(c.hex() for c in res.inner[v])
-                            for v in sorted(res.inner))])
-        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        rep = solve_in_canvas(T, _outer_for(T, outer_map))
+        canvas = _roles(T, _outer_for(T, outer_map))[0]
+        for u, v in itertools.combinations(T.vertices(), 2):
+            if not {u, v} <= T.outer_set:
+                s = signed_height(rep.tri(u), rep.tri(v))
+                assert (s == 0) if T.has_edge(u, v) else (s < 0), (u, v, s)
+        assert all(inside_neg(rep.tri(v), canvas) for v in rep.inner_ids())
 
-    def test_one_evaluation_per_point(self, monkeypatch):
-        # each least-squares iteration evaluates its point once, where the
-        # line search accepted it, and its candidates in at most two batches
-        calls = Counter()
-        coords, system = solver._Objective._coords, solver._Objective.system
+    def test_homothety_equivariance(self, outer_map):
+        # the layout in a moved and scaled gap is the unit one moved and scaled
+        T = planar.gen_four_connected(16, 1)
+        k, dx, dy = F(5, 7), F(1, 3), F(-2, 9)
+        om = _outer_for(T, outer_map)
+        moved = {v: Tri(t.x * k + dx, t.y * k + dy, t.h * k) for v, t in om.items()}
+        a, b = solve_in_canvas(T, om), solve_in_canvas(T, moved)
+        for v in a.inner_ids():
+            t = a.tri(v)
+            assert b.tri(v) == Tri(t.x * k + dx, t.y * k + dy, t.h * k)
 
-        def counted(name, fn):
-            def wrapper(self, arg):
-                calls[name] += 1
-                return fn(self, arg)
-            return wrapper
+    @pytest.mark.parametrize("make, reversals", [
+        (lambda: planar.gen_four_connected(14, 0), 0),
+        (lambda: planar.gen_four_connected(22, 0), 1),
+        (lambda: planar.gen_four_connected(26, 3), 1),
+    ], ids=["g4_14_0", "g4_22_0", "g4_26_3"])
+    def test_cycle_reversals(self, make, reversals, outer_map, monkeypatch):
+        # face flips alone stall on g4_22_0 and g4_26_3: their maximal woods
+        # have no cyclic face of negative hole, but vertices of negative height
+        log = _wood_solves(monkeypatch)
+        T = make()
+        solve_in_canvas(T, _outer_for(T, outer_map))
+        assert log.count("reverse") == reversals and log[-1] == "solve"
 
-        monkeypatch.setattr(solver._Objective, "_coords", counted("coords", coords))
-        monkeypatch.setattr(solver._Objective, "system", counted("system", system))
-        represent(planar.gen_four_connected(14, 0))
-        assert calls["system"] > 50
-        assert calls["coords"] <= 3 * calls["system"]
+    @pytest.mark.parametrize("make", [m for _n, m in WOOD_PIECES], ids=[n for n, _m in WOOD_PIECES])
+    def test_unit_solve_matches_dense_reference(self, make, outer_map):
+        # the sparse integer elimination against dense Gauss-Jordan on Fractions
+        T = make()
+        _canvas, roles, _nxt, wood = _start(T, outer_map)
+        P = solver._solve_unit(wood, roles)
+        assert {v: P[v] for v in wood} == _dense_solve(wood, roles)
+
+    @pytest.mark.parametrize("make", [m for _n, m in WOOD_PIECES], ids=[n for n, _m in WOOD_PIECES])
+    def test_maximal_wood(self, make, outer_map):
+        # a Schnyder wood: out-edges red, blue, green counter-clockwise round
+        # every inner vertex, no clockwise cyclic face, and its colours are
+        # the ones its orientation alone gives
+        T = make()
+        _canvas, roles, nxt, wood = _start(T, outer_map)
+        for v, out in wood.items():
+            ring = solver._ring(nxt, v, out[solver.RED])
+            assert [w for w in ring if w in out] == [out[c] for c in (solver.RED, solver.BLUE,
+                                                                      solver.GREEN)]
+        for f in T.inner_faces:
+            edges = solver._cyclic(wood, f)
+            if edges is not None:
+                assert edges[solver.GREEN][0] == edges[solver.BLUE][1]
+        assert solver._recolour({v: set(out) for v, out in wood.items()}, nxt, roles) == wood
+
+    @pytest.mark.parametrize("make", [
+        lambda: planar.gen_four_connected(22, 0), lambda: planar.gen_four_connected(26, 3),
+        lambda: planar.augment_to_triangulation(*_grid(3, 4)),
+    ], ids=["g4_22_0", "g4_26_3", "grid3x4"])
+    def test_former_solver_failures_certify(self, make):
+        # inputs the float solver failed on construct and certify with the
+        # face condition and the drawing
+        T = make()
+        rep = represent(T)
+        assert full_report(rep, T, with_faces=True, with_drawing=True).passed
+
+    def test_grid_represented_as_planar_graph(self):
+        n, edges = _grid(3, 4)
+        tris, rep, T = assemble.represent_planar(n, edges)
+        assert full_report(rep, T, with_faces=True, with_drawing=True).passed
+        assert {(u, v) for u, v in itertools.combinations(range(n), 2)
+                if signed_height(tris[u], tris[v]) >= 0} == {tuple(sorted(e)) for e in edges}
+
+    def test_stall_names_the_vertices_of_nonpositive_height(self, outer_map, monkeypatch):
+        # capped at one solve, g4_22_0 stops at its maximal wood, whose
+        # layout has vertices of negative height
+        T = planar.gen_four_connected(22, 0)
+        _canvas, roles, _nxt, wood = _start(T, outer_map)
+        P = solver._solve_unit(wood, roles)
+        nonpositive = sorted((s - x - y, v) for v, (x, y, s) in P.items() if v in wood
+                             and s - x - y <= 0)
+        monkeypatch.setattr(solver, "MAX_ROUNDS", 1)
+        with pytest.raises(SolveFailure) as exc:
+            solve_in_canvas(T, _outer_for(T, outer_map))
+        d = exc.value.diagnostics
+        assert nonpositive and d == {"rounds": 1, "nonpositive": [v for _h, v in nonpositive]}
+        assert {type(v) for v in d["nonpositive"]} == {int}
+        assert str(exc.value) == (f"no contact layout for the piece inside {T.outer} after 1 "
+                                  f"exact solves; vertices with h <= 0: {d['nonpositive']}")
+        # the cap reaches `represent` too
+        with pytest.raises(SolveFailure):
+            represent(T)
+
+    def test_deterministic(self, outer_map):
+        T = planar.gen_four_connected(16, 2)
+        om = _outer_for(T, outer_map)
+        assert solve_in_canvas(T, om) == solve_in_canvas(T, om)
 
 
-class TestExactify:
-    def test_dyadic(self, k4, outer_map):
-        assert F(0.5) == F(1, 2)
-        assert F(0.1) == F(3602879701896397, 36028797018963968)
-        res = solve_in_canvas(k4, outer_map, SolverParams())
-        rep = exactify(res)
-        for v, (x, y, h) in res.inner.items():
-            assert rep.tri(v) == Tri(F(x), F(y), F(h))
-
-    def test_outer_triangles_stay_exact(self, octahedron):
-        # default triple scaled by the non-dyadic 1/3
-        om = {0: tri(0, 0, F(4, 3)), 1: tri(F(1, 3), 1, F(2, 3)), 2: tri(1, F(1, 3), F(2, 3))}
-        check_outer_hypothesis([om[0], om[1], om[2]])
-        res = solve_in_canvas(octahedron, om, SolverParams())
-        rep = exactify(res)
-        assert rep.tri(1) == om[1]          # not round-tripped through floats
+def _grid(a, b):
+    """grid_2d_graph(a, b) on vertices 0..ab-1, as (n, edges)."""
+    G = nx.grid_2d_graph(a, b)
+    idx = {v: i for i, v in enumerate(sorted(G))}
+    return len(idx), sorted(tuple(sorted((idx[u], idx[v]))) for u, v in G.edges())
 
 
 class TestRobustify:
-    def test_choose_iota_window(self):
-        iota = choose_iota(F(1e-7), F(1e-3), F(1, 2))
-        assert F(1e-7) / 2 < iota < (min(F(1e-3), F(1, 2)) - F(1e-7)) / 3
-        # the documented candidate 1e-4 satisfies the same inequalities
-        assert 3 * F(1e-4) > F(1e-7) and F(1e-7) + 3 * F(1e-4) < F(1e-3)
-
-    def test_choose_iota_infeasible(self):
-        with pytest.raises(RobustifyError):
-            choose_iota(F(1e-3), F(1e-3), F(1))
+    @staticmethod
+    def _iota(rep, piece):
+        """The inflation robustify must choose: the largest power of two at
+        most 1/8 of the smallest of the budget, the positive face holes and
+        the non-adjacent separations."""
+        least = [rep.epsilon]
+        for u, v in itertools.combinations(piece.vertices(), 2):
+            if not {u, v} <= piece.outer_set and not piece.has_edge(u, v):
+                least.append(-signed_height(rep.tri(u), rep.tri(v)))
+        for f in piece.inner_faces:
+            hole = -common_signed_height([rep.tri(v) for v in f])
+            if hole > 0:
+                least.append(hole)
+        return pow2_floor(min(least) / 8)
 
     def test_exact_contact_input(self, k4, outer_map):
         # stacked K5: one inner-inner adjacency (3,4), residuals all exactly 0
         T = planar.stack_vertex(k4, (0, 1, 3))
         rep = represent(T)
-        params = SolverParams()
-        out = robustify(rep, T, params, F(1))
+        out = robustify(rep, T)
         iota = out.tri(3).x - rep.tri(3).x
         assert iota < 0
         iota = -iota
+        assert iota == self._iota(rep, T)
         # both endpoints inflated: overlap height exactly 3*iota
         assert signed_height(out.tri(3), out.tri(4)) == 3 * iota
         # inner-outer adjacency: at most 3*iota
@@ -659,9 +443,7 @@ class TestRobustify:
                 assert 0 < s <= 3 * iota
 
     def test_postconditions_exact(self, octahedron, outer_map):
-        params = SolverParams()
-        res = solve_in_canvas(octahedron, outer_map, params)
-        rep = robustify(exactify(res), octahedron, params, F(1))
+        rep = robustify(solve_in_canvas(octahedron, outer_map), octahedron)
         adj = octahedron.adjacency()
         for u, v in itertools.combinations(range(6), 2):
             if u in (0, 1, 2) and v in (0, 1, 2):
@@ -674,22 +456,30 @@ class TestRobustify:
 
     def test_edge_sets_identical_pre_post(self, octahedron, outer_map):
         # robustify preserves non-edges and converts edges to strict overlaps
-        params = SolverParams()
-        res = solve_in_canvas(octahedron, outer_map, params)
-        pre = exactify(res)
-        post = robustify(pre, octahedron, params, F(1))
+        pre = solve_in_canvas(octahedron, outer_map)
+        post = robustify(pre, octahedron)
         want = {tuple(sorted(e)) for e in octahedron.edges}
-        got = set()
-        for u, v in itertools.combinations(range(6), 2):
-            if signed_height(post.tri(u), post.tri(v)) >= 0:
-                got.add((u, v))
-        assert got == want
+        for rep in (pre, post):
+            got = set()
+            for u, v in itertools.combinations(range(6), 2):
+                if signed_height(rep.tri(u), rep.tri(v)) >= 0:
+                    got.add((u, v))
+            assert got == want
 
     def test_precondition_rejected(self, k4, outer_map):
         rep = represent_in(k4, outer_map)
         bad = rep.with_triangle(3, tri(2, 2, F(1, 2)))   # broken contacts
         with pytest.raises(RobustifyError):
-            robustify(bad, k4, SolverParams(), F(1))
+            robustify(bad, k4)
+
+    def test_zero_hole_face_becomes_the_only_bad_triple(self, octahedron, outer_map):
+        # the octahedron's inner face has hole 0; inflated, it is the one bad
+        # triple, which triple removal clears
+        from tricontact.perturb import find_bad_triples, remove_all
+        rep = robustify(solve_in_canvas(octahedron, outer_map), octahedron)
+        faces = [tuple(sorted(f)) for f in octahedron.faces]
+        assert [sorted(b.ids) for b in find_bad_triples(rep, faces)] == [[3, 4, 5]]
+        assert full_report(remove_all(rep, faces), octahedron, with_drawing=True).passed
 
 
 def _skew(t: Tri) -> Tri:
@@ -713,59 +503,33 @@ class TestRobustifyFaults:
         return rep.with_triangle(v, Tri(t.x + dx, t.y + dy, t.h))
 
     def test_inflates_by_chosen_iota(self, skewed, octahedron):
-        params = SolverParams()
-        out = robustify(skewed, octahedron, params, F(1, 3))
-        iota = choose_iota(F(params.delta), F(params.margin), F(1, 3))
+        out = robustify(skewed, octahedron)
+        iota = TestRobustify._iota(skewed, octahedron)
+        assert iota == F(1, 32)    # 1/8 of the budget 1/3, floored to a power of two
         assert out.epsilon == F(1, 3)
         for v, t in skewed.triangles.items():
             assert out.tri(v) == (t if v in skewed.outer else inflate(t, iota))
-        for u, v, edge in solver._pairs(octahedron):
-            s = signed_height(out.tri(u), out.tri(v))
-            assert (0 < s < F(1, 3)) if edge else s < 0
-
-    def test_residual_beyond_delta(self, skewed, octahedron):
-        # 4's right-angle corner leaves 0's hypotenuse: by delta it passes,
-        # by a trillionth more it does not
-        delta = F(1e-7)
-        robustify(self._moved(skewed, 4, dx=delta), octahedron, SolverParams(), F(1, 3))
-        bad = self._moved(skewed, 4, dx=delta + F(1, 10 ** 12))
-        with pytest.raises(RobustifyError) as exc:
-            robustify(bad, octahedron, SolverParams(), F(1, 3))
-        assert str(exc.value) == "adjacency residual for (0,4) exceeds delta: -1.000e-07"
-
-    def test_non_adjacent_inside_margin(self, k222_triple_rep, octahedron):
-        # scaled by 3/4 instead, the antipodal pairs are 1/2 apart: a margin
-        # of 1/2 passes, 5/8 does not
-        rep = Representation({v: Tri(t.x * F(3, 4) + F(1, 3), t.y * F(3, 4) - F(2, 9),
-                                     t.h * F(3, 4))
-                              for v, t in k222_triple_rep.triangles.items()}, (0, 1, 2), F(1, 3))
-        robustify(rep, octahedron, SolverParams(margin=0.5), F(1, 3))
-        with pytest.raises(RobustifyError) as exc:
-            robustify(rep, octahedron, SolverParams(margin=0.625), F(1, 3))
-        assert str(exc.value) == "non-adjacent pair (0,3) closer than margin: -5.000e-01"
+        for u, v in itertools.combinations(range(6), 2):
+            if not {u, v} <= {0, 1, 2}:
+                s = signed_height(out.tri(u), out.tri(v))
+                assert (0 < s < F(1, 3)) if octahedron.has_edge(u, v) else s < 0
 
     def test_preconditions_before_iota(self, skewed, octahedron):
+        # 3 slid left by the antipodal gap 10/21 touches boundary triangle 0:
+        # refused before any inflation
         with pytest.raises(RobustifyError) as exc:
-            robustify(skewed, octahedron, SolverParams(), F(1, 10 ** 8))
-        assert str(exc.value) == \
-            "no feasible inflation: delta=1.000e-07 vs min(margin, eps)=1.000e-08"
-        bad = self._moved(skewed, 4, dx=2 * F(1e-7))
-        with pytest.raises(RobustifyError, match="adjacency residual for \\(0,4\\)"):
-            robustify(bad, octahedron, SolverParams(), F(1, 10 ** 8))
+            robustify(self._moved(skewed, 3, dx=-F(10, 21)), octahedron)
+        assert str(exc.value) == "non-adjacent pair (0,3) meets in the contact layout"
 
     def test_overlap_not_opened(self, k4):
-        # 0's right-angle corner sits delta beyond 3's hypotenuse, so
-        # inflating 3 alone gains only iota, which a window of delta < 7/6 of
-        # the margin puts below delta
-        params = SolverParams(delta=1e-4, margin=6.5e-4)
-        delta = F(params.delta)
-        assert choose_iota(delta, F(params.margin), F(1, 3)) < delta
-        tris = {0: tri(F(1, 2), F(1, 2) + delta * F(7, 5), 5), 1: tri(1, 0, 1),
+        # 0's right-angle corner sits 1/10 beyond 3's hypotenuse, more than
+        # the inflation, at most 1/8 of the budget 1/3, can close
+        tris = {0: tri(F(1, 2), F(1, 2) + F(7, 50), 5), 1: tri(1, 0, 1),
                 2: tri(0, 1, 1), 3: tri(0, 0, 1)}
         rep = Representation({v: _skew(t) for v, t in tris.items()}, (0, 1, 2), F(1, 3))
-        assert signed_height(rep.tri(0), rep.tri(3)) == -delta
+        assert signed_height(rep.tri(0), rep.tri(3)) == -F(1, 10)
         with pytest.raises(RobustifyError) as exc:
-            robustify(rep, k4, params, F(1, 3))
+            robustify(rep, k4)
         assert str(exc.value) == "inflation failed to open overlap for edge (0,3)"
 
     @pytest.mark.parametrize("iota, message", [
@@ -774,14 +538,13 @@ class TestRobustifyFaults:
     ], ids=["spurious", "budget"])
     def test_postconditions_catch_a_bad_iota(self, skewed, octahedron, monkeypatch,
                                              iota, message):
-        # choose_iota's window rules both out; an iota outside it must not pass:
-        # 2/3 closes the antipodal gap 10/21, and 3/9 is the inner pair (3, 4)'s
+        # the rule rules both out; an iota outside it must not pass: 2/3
+        # closes the antipodal gap 10/21, and 3/9 is the inner pair (3, 4)'s
         # overlap, exactly the budget 1/3
-        monkeypatch.setattr(solver, "choose_iota", lambda delta, margin, epsilon: iota)
+        monkeypatch.setattr(solver, "pow2_floor", lambda q: iota)
         with pytest.raises(RobustifyError) as exc:
-            robustify(skewed, octahedron, SolverParams(), F(1, 3))
+            robustify(skewed, octahedron)
         assert str(exc.value) == message
-
 
 class TestRepresentationJson:
     def test_roundtrip(self, k4, outer_map):

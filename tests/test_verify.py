@@ -18,11 +18,7 @@ from tricontact.geometry import (
     signed_height,
 )
 from tricontact.perturb import GapError, face_gap_with_roles, remove_all
-from tricontact.solver import (
-    SolverParams,
-    exactify,
-    robustify,
-)
+from tricontact.solver import robustify
 from tricontact.verify import (
     _err,
     check_boundary,
@@ -321,9 +317,7 @@ def _depth_zero_rogue(gap):
 
 
 def octa_pipeline_rep(octahedron, outer_map):
-    params = SolverParams()
-    res = solve_in_canvas(octahedron, outer_map, params)
-    rep = robustify(exactify(res), octahedron, params, F(1))
+    rep = robustify(solve_in_canvas(octahedron, outer_map), octahedron)
     return remove_all(rep, graph_triangles(rep))
 
 
@@ -428,15 +422,25 @@ class TestIntersectionGraph:
         # exact contact input: all adjacencies at signed height 0
         T = planar.stack_vertex(k4, (0, 1, 3))
         pre = represent(T)
-        post = robustify(pre, T, SolverParams(), F(1))
+        post = robustify(pre, T)
         assert intersection_graph(pre) == intersection_graph(post)
 
+    @staticmethod
+    def _assert_robustify_realizes(T, outer_map):
+        # the contact layout's graph is the piece's, and so is the inflated one's
+        pre = solve_in_canvas(T, {v: outer_map[i] for i, v in enumerate(T.outer)})
+        post = robustify(pre, T)
+        assert intersection_graph(pre) == intersection_graph(post) == \
+            {tuple(sorted(e)) for e in T.edges}
+
     def test_robustify_realizes_target_graph(self, octahedron, outer_map):
-        # float residuals may leave hairline gaps; inflation must close them
-        params = SolverParams()
-        res = solve_in_canvas(octahedron, outer_map, params)
-        post = robustify(exactify(res), octahedron, params, F(1))
-        assert intersection_graph(post) == {tuple(sorted(e)) for e in octahedron.edges}
+        self._assert_robustify_realizes(octahedron, outer_map)
+
+    @pytest.mark.parametrize("make", [lambda: planar.double_wheel(7),
+                                      lambda: planar.gen_four_connected(14, 1)],
+                             ids=["dw7", "g4_14_1"])
+    def test_robustify_realizes_target_graph_of_piece(self, make, outer_map):
+        self._assert_robustify_realizes(make(), outer_map)
 
 
 class TestCheckSimple:
@@ -874,19 +878,19 @@ class TestDrawing:
             extract_drawing(rep, T)
         assert len(scans) == 1 and scans[0]
 
-    @pytest.mark.parametrize("make, v, note", [
-        (lambda: planar.gen_four_connected(14, 1), 7, "(7, 11) and (7, 12)"),
-        (lambda: planar.gen_stacked(300, 1), 151, "(66, 151) and (21, 66)"),
+    @pytest.mark.parametrize("make, v, move, note", [
+        (lambda: planar.gen_four_connected(14, 1), 5, (0, F(-1, 8)), "(5, 9) and (9, 11)"),
+        (lambda: planar.gen_stacked(300, 1), 151, (F(-1, 3), F(1, 5)), "(66, 151) and (21, 66)"),
     ], ids=["g4_14_1", "stacked300_1"])
-    def test_routes_meet_after_passing_checks(self, make, v, note, monkeypatch):
-        # with t(v) moved to (x - h/3, y + h/5) and grown to 4h/3, every
-        # other check passes, but routes of the drawing meet (an open fault
-        # of the vertex points' placement): the one scan finds them as the
-        # scalar sweep does
+    def test_routes_meet_after_passing_checks(self, make, v, move, note, monkeypatch):
+        # with t(v) moved by (dx h, dy h) and grown to 4h/3, every other
+        # check passes, but routes of the drawing meet (an open fault of the
+        # vertex points' placement): the one scan finds them as the scalar
+        # sweep does
         T = make()
         rep = represent(T)
         t = rep.tri(v)
-        bad = rep.with_triangle(v, Tri(t.x - t.h / 3, t.y + t.h / 5, 4 * t.h / 3))
+        bad = rep.with_triangle(v, Tri(t.x + move[0] * t.h, t.y + move[1] * t.h, 4 * t.h / 3))
         scans = self._checked_scans(monkeypatch)
         r = full_report(bad, T, with_faces=True, with_drawing=True)
         assert r.graph_match and r.simple and r.boundary_ok and r.corner_ok
@@ -897,7 +901,7 @@ class TestDrawing:
     @pytest.mark.parametrize("make, digest", [
         (lambda: planar.gen_stacked(60, 1), STACKED60_DRAWING),
         (lambda: planar.double_wheel(8),
-         "a723372d01f07afd854547d3ab70873287e34d8a47428ed0666fbcab5970bae9"),
+         "b58f7dac86ce75070424c81a9d9ce91f9b7d49a4387e216063d1262f12903677"),
         (_implanted, "d32219e30407975550af9bbb88c69c81f3cfd04b0ea3199f0016a8a7fd6eed55"),
     ], ids=["stacked60", "dw8", "implanted"])
     def test_drawing_digest_pinned(self, make, digest):
