@@ -9,12 +9,12 @@ a K4, which survives the peel only as an ancestor of a larger piece.  Its
 inner vertex, like every peeled vertex, goes to `solve_stacked`: the exact
 medial child of the gap, which leaves three sub-gaps with their budgets.
 A 6-vertex piece is the octahedron: `solve_octahedron` places it in its
-final layout from its gap and budget, and one exact post-check stands in
-for robustify and triple removal.  Any other piece is 4-connected:
-`solve_wood` gives its exact contact layout in the gap, `robustify`
-inflates its inner triangles by one power of two, and triple removal
-clears the faces whose three triangles met in one point.  Every piece is
-placed in the global frame, exactly.  Each inner face of a larger piece
+final layout from its gap and budget.  Any other piece is 4-connected:
+`solve_wood` solves the system of its Schnyder wood for the exact contact
+layout and once more for overlapping contacts, and steps from the first
+towards the second so that every face opens.  Either layout is returned
+after one exact post-check.  Every piece is placed in the global frame,
+exactly.  Each inner face of a larger piece
 takes its gap and budget from `perturb.face_gap_with_roles` when asked.
 
 One map holds the gap of every face still free, with its budget: the
@@ -33,10 +33,10 @@ from itertools import combinations
 
 from tricontact import perturb, planar
 from tricontact.core import Representation
-from tricontact.geometry import NegTri, Tri, frac, inside_neg, signed_height
+from tricontact.geometry import NegTri, Tri, common_signed_height, frac, inside_neg, signed_height
 from tricontact.solver import (
+    SolveFailure,
     canvas_with_roles,
-    robustify,
     solve_octahedron,
     solve_stacked,
     solve_wood,
@@ -71,11 +71,14 @@ class PipelineConfig:
             raise ValueError("epsilon must be positive")
 
 
-def _check_octahedron(rep: Representation, piece: planar.Triangulation) -> None:
-    """The exact post-check of an octahedron's closed-form layout, on
-    integers in `rep.scaled`: every edge with an inner end overlaps by less
-    than the budget, every non-edge is apart, no face is a bad triple and no
-    boundary corner lies in an inner triangle."""
+def _fault(rep: Representation, piece: planar.Triangulation
+           ) -> tuple[str, list[int], str] | None:
+    """The first fault of a piece's final layout, as (kind, vertices,
+    description), or None, decided on the integers of `rep.scaled`: every
+    edge with an inner end must overlap by less than the budget, every
+    non-edge stay apart, no face have a common point and no boundary corner
+    lie in an inner triangle.  A piece has no separating triangle, so its
+    faces are all the triples whose three triangles can meet."""
     S, tris = rep.scaled
     eps = rep.epsilon.numerator * (S // rep.epsilon.denominator)
     for u, v in combinations(piece.vertices(), 2):
@@ -83,32 +86,36 @@ def _check_octahedron(rep: Representation, piece: planar.Triangulation) -> None:
             continue
         s = signed_height(tris[u], tris[v])
         if not (0 < s < eps if piece.has_edge(u, v) else s < 0):
-            raise PipelineError(f"octahedron pair ({u},{v}) has signed height {s / S}")
-    inner = [v for v in piece.vertices() if v not in piece.outer_set]
-    if perturb.find_bad_triples(rep, [tuple(sorted(f)) for f in piece.faces]):
-        raise PipelineError(f"octahedron inside {piece.outer} has a bad triple")
-    if any(tris[v].contains(c) for o in piece.outer for c in tris[o].corners for v in inner):
-        raise PipelineError(f"a boundary corner of {piece.outer} enters an inner triangle")
+            return "pair", [u, v], f"pair ({u},{v}) has signed height {s / S}"
+    for f in piece.faces:
+        if common_signed_height([tris[v] for v in f]) >= 0:
+            return "face", sorted(f), f"face {sorted(f)} has a common point"
+    corners = [c for o in piece.outer for c in tris[o].corners]
+    for v in piece.vertices():
+        if v not in piece.outer_set and any(tris[v].contains(c) for c in corners):
+            return "corner", [v], f"a boundary corner enters triangle {v}"
+    return None
 
 
 def _solve_piece(piece: planar.Triangulation, outer_map: dict[int, Tri], gap: NegTri,
                  roles: dict[str, int], epsilon: Fraction, trace_entry: dict) -> Representation:
-    """Place a piece larger than a K4 inside its gap: an octahedron in its
-    final closed-form layout, any other piece from its exact contact layout."""
-    if len(piece.vertices()) == 6:
-        # with no separating triangle, a 6-vertex piece is the octahedron
-        trace_entry["path"] = "octahedron"
-        rep = Representation({**outer_map, **solve_octahedron(piece, gap, roles, epsilon)},
-                             piece.outer, epsilon)
-        _check_octahedron(rep, piece)
-        return rep
-    trace_entry["path"] = "wood"
-    contact = Representation({**outer_map, **solve_wood(piece, gap, roles)}, piece.outer, epsilon)
-    # robustify's pair checks make the intersection graph the piece's graph; a
-    # piece has no separating triangle, so that graph's triangles are exactly
-    # the piece's faces
-    return perturb.remove_all(robustify(contact, piece),
-                              [tuple(sorted(f)) for f in piece.faces])
+    """Place a piece larger than a K4 inside its gap, in its final layout:
+    an octahedron in closed form, any other piece from its wood, and return
+    it after one exact post-check (`_fault`)."""
+    # with no separating triangle, a 6-vertex piece is the octahedron
+    octahedron = len(piece.vertices()) == 6
+    trace_entry["path"] = "octahedron" if octahedron else "wood"
+    inner = (solve_octahedron(piece, gap, roles, epsilon) if octahedron
+             else solve_wood(piece, outer_map, gap, roles, epsilon))
+    rep = Representation({**outer_map, **inner}, piece.outer, epsilon)
+    fault = _fault(rep, piece)
+    if fault is not None:
+        kind, ids, text = fault
+        if octahedron:  # the closed form is proved, so this is a fault of the program
+            raise PipelineError(f"octahedron {text} inside {piece.outer}")
+        raise SolveFailure(f"the overlaps of the piece inside {piece.outer} fail: {text}",
+                           {kind: ids})
+    return rep
 
 
 def _escapes(rep: Representation, roles: dict[str, int], vertices) -> int | None:

@@ -26,9 +26,9 @@ EXIT_PIPELINE = 6
 # and CanvasError subclass ValueError, so they precede the input-error row.
 EXIT_CODES = (
     ((planar.GraphError,), EXIT_VALIDATE, "invalid graph"),
-    ((solver.SolveFailure, solver.RobustifyError), EXIT_SOLVER, "solver failure"),
+    ((solver.SolveFailure,), EXIT_SOLVER, "solver failure"),
     ((verify.DrawingError,), EXIT_VERIFY, "drawing failure"),
-    ((assemble.PipelineError, perturb.PerturbError, perturb.GapError, solver.CanvasError),
+    ((assemble.PipelineError, perturb.GapError, solver.CanvasError),
      EXIT_PIPELINE, "pipeline failure"),
     ((OSError, json.JSONDecodeError, KeyError, ValueError), EXIT_INPUT, "input error"),
 )

@@ -54,11 +54,10 @@ class Representation:
 
     @cached_property
     def scaled(self) -> tuple[int, dict[int, Tri]]:
-        """(S, every triangle times S), the integer frame of triple removal,
-        the face gaps and the verifier: S is `int_frame`'s D over every
-        coordinate and epsilon, times 2^6, so every grid point of the
-        drawing (down to 1/64 of a height) is integral and every coordinate
-        is even, as triple removal needs (`perturb._DELTAS`).
+        """(S, every triangle times S), the integer frame of the pieces'
+        post-check, the face gaps and the verifier: S is `int_frame`'s D
+        over every coordinate and epsilon, times 2^6, so every grid point
+        of the drawing (down to 1/64 of a height) is integral.
 
         Built once per representation; like `Tri.s`, the cache sits outside
         the dataclass fields."""
@@ -76,11 +75,6 @@ class Representation:
                           for t in tris.values()], dtype=float).reshape(-1, 5)
         table.flags.writeable = False
         return list(tris), table, float_pad(float(np.abs(table).max(initial=0.0)))
-
-    def with_triangle(self, v: int, t: Tri) -> "Representation":
-        d = dict(self.triangles)
-        d[v] = t
-        return Representation(d, self.outer, self.epsilon)
 
     def to_json(self) -> dict:
         return {

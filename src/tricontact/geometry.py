@@ -8,7 +8,7 @@ ones) is stored as its top corner plus height.
 Everything here is decided exactly: the predicates are plain arithmetic and
 comparisons on the coordinates, so they serve ints and `fractions.Fraction`s
 alike, and no tolerance appears anywhere in this module.  The constructor
-builds triangles in `Fraction`s; triple removal, the face gaps and the
+builds triangles in `Fraction`s; its post-check, the face gaps and the
 verifier decide in one integer frame (`core.Representation.scaled`).
 """
 
@@ -217,21 +217,6 @@ def common_intersection(ts: Sequence[Tri]) -> Overlap:
 
 def common_signed_height(ts: Sequence[Tri]) -> Fraction:
     return min(t.s for t in ts) - max(t.x for t in ts) - max(t.y for t in ts)
-
-
-# ---------------------------------------------------------------------------
-# Growth
-# ---------------------------------------------------------------------------
-
-def inflate(t: Tri, iota: Fraction) -> Tri:
-    """Push all three sides outward by iota: (x-i, y-i, h+3i).
-
-    For a pair both inflated by iota the signed height increases by exactly
-    3*iota.
-    """
-    if iota <= 0:
-        raise ValueError("inflate requires iota > 0")
-    return Tri(t.x - iota, t.y - iota, t.h + 3 * iota)
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,20 @@
 """Placement: the exact medial child for every stacked vertex (peeled, or
 the inner vertex of a K4 piece), an exact closed-form layout for every
 octahedron piece, and for every larger piece the exact contact layout of a
-Schnyder wood (`solve_wood`), inflated into a robust one (`robustify`).
+Schnyder wood, opened into overlaps by one more exact solve of the same
+wood (`solve_wood`).
 
 No float enters a representation; the module imports no numpy.  An
 octahedron's layout is final: its adjacencies overlap and its inner face
 leaves a gap.  A larger piece has no separating triangle, so it is
 4-connected and has a unique contact representation in its gap (Gonçalves,
 Lévêque and Pinlou, DCG 2012), the solution of the linear system of some
-Schnyder wood (Schrezenmaier, WG 2017).  `solve_wood` finds that wood by
-face flips and cycle reversals, solving each wood's system exactly on
-integers; `robustify` checks its inflation pair by pair on the integers of
-`Representation.scaled`.
+Schnyder wood (Schrezenmaier, WG 2017).  The wood loop (`_final_wood`)
+finds that wood by face flips and cycle reversals, solving each wood's
+system exactly on integers.  `solve_wood` solves that wood's system once
+more with every contact overlapping by a prescribed weight, and steps from
+the contact layout along that solution by one power of two, chosen on
+integers so that no non-adjacent pair meets and no face stays shut.
 """
 
 from __future__ import annotations
@@ -23,14 +26,11 @@ from itertools import combinations
 from typing import Mapping, Sequence
 
 from tricontact import planar
-from tricontact.core import Representation
 from tricontact.geometry import (
     NegTri,
     Tri,
     common_intersection,
-    common_signed_height,
     gap_candidates,
-    inflate,
     pow2_floor,
     signed_height,
 )
@@ -41,16 +41,13 @@ class CanvasError(ValueError):
 
 
 class SolveFailure(RuntimeError):
-    """The wood loop found no contact layout; `diagnostics` names the
-    vertices of nonpositive height in its last solve."""
+    """No layout for a larger piece.  `diagnostics` names the vertices of
+    nonpositive height in the wood loop's last solve, or the face that the
+    overlaps leave shut."""
 
     def __init__(self, message: str, diagnostics: dict | None = None):
         super().__init__(message)
         self.diagnostics = diagnostics or {}
-
-
-class RobustifyError(RuntimeError):
-    """A layout that `robustify` cannot inflate into a robust one."""
 
 
 def check_outer_hypothesis(ts: Sequence[Tri]) -> None:
@@ -112,7 +109,7 @@ def solve_octahedron(piece: planar.Triangulation, gap: NegTri, roles: Mapping[st
 
     With gap = NegTri(X, Y, H), every inner vertex v sits in the corner of
     `gap` opposite its one boundary non-neighbour.  The layout is exact and
-    needs no inflation or triple removal.  With the boundary triangles
+    final, and skips the wood solve.  With the boundary triangles
     fixed, the octahedron's only contact layout (inner heights H/3) has its
     three inner triangles meet in one point, so the final layout overlaps
     instead.  g is the largest power of two at most min(epsilon, H/2)/16,
@@ -172,6 +169,8 @@ RED, GREEN, BLUE = 0, 1, 2
 NEXT_OUT = {RED: BLUE, BLUE: GREEN, GREEN: RED}
 IN_AFTER = {RED: GREEN, BLUE: RED, GREEN: BLUE}
 MAX_ROUNDS = 200  # exact solves before the wood loop gives up
+OPEN_WEIGHT = 8    # first overlap weight of the contacts that open a zero-hole face
+MAX_WEIGHT = 1024  # the weight at which `solve_wood` gives up a face that stays shut
 
 
 def _orient(piece: planar.Triangulation, a: int, b: int) -> dict[tuple[int, int], int]:
@@ -266,7 +265,8 @@ def _flip_to_maximal(wood: dict[int, list[int]], faces) -> None:
                 flipped = True
 
 
-def _solve_unit(wood: Mapping[int, list[int]], roles: Mapping[str, int]
+def _solve_unit(wood: Mapping[int, list[int]], roles: Mapping[str, int],
+                weights: Mapping[tuple[int, int], int] | None = None
                 ) -> dict[int, tuple[Fraction, Fraction, Fraction]]:
     """The wood's layout in the unit gap NegTri(0, 0, 1), v -> (x, y, s) for
     every vertex; the boundary vertices stand for the unit triangles that
@@ -275,9 +275,14 @@ def _solve_unit(wood: Mapping[int, list[int]], roles: Mapping[str, int]
     The 3(n - 3) equations of the inner vertices are x + y = s_r,
     s - x = y_g and s - y = x_b.  They are solved by sparse elimination on
     integer rows, each divided by the gcd of its entries after every step,
-    then by back substitution on `Fraction`s."""
-    fixed = {roles["hyp"]: (-1, -1, -1), roles["vertical"]: (0, -1, 0),
-             roles["horizontal"]: (-1, 0, 0)}
+    then by back substitution on integer numerators and denominators.
+    Given `weights` by (vertex, colour) contact, it solves instead for the
+    layout's rate of change when every contact overlaps by t times its
+    weight (1 where `weights` has none) and the boundary stays: the
+    right-hand sides are -w, w and w."""
+    fixed = ({roles["hyp"]: (-1, -1, -1), roles["vertical"]: (0, -1, 0),
+              roles["horizontal"]: (-1, 0, 0)} if weights is None
+             else dict.fromkeys(roles.values(), (0, 0, 0)))
     out = {v: tuple(map(Fraction, t)) for v, t in fixed.items()}
     inner = sorted(wood)
     col = {v: 3 * i for i, v in enumerate(inner)}
@@ -285,12 +290,14 @@ def _solve_unit(wood: Mapping[int, list[int]], roles: Mapping[str, int]
     rank: dict[int, int] = {}
     for v in inner:
         i = col[v]
-        for row, t, k in zip(({i: 1, i + 1: 1}, {i + 2: 1, i: -1}, {i + 2: 1, i + 1: -1}),
-                             wood[v], (2, 1, 0)):
+        for colour, (row, t, sign) in enumerate(zip(
+                ({i: 1, i + 1: 1}, {i + 2: 1, i: -1}, {i + 2: 1, i + 1: -1}), wood[v], (-1, 1, 1))):
+            k = 2 - colour  # the target's s, y or x
+            rhs = 0 if weights is None else sign * weights.get((v, colour), 1)
             if t in fixed:
-                rhs = fixed[t][k]
+                rhs += fixed[t][k]
             else:
-                rhs, row[col[t] + k] = 0, -1
+                row[col[t] + k] = -1
             while done := [c for c in row if c in pivots]:
                 c = min(done, key=rank.__getitem__)
                 prow, prhs = pivots[c]
@@ -307,11 +314,16 @@ def _solve_unit(wood: Mapping[int, list[int]], roles: Mapping[str, int]
                 row, rhs = ({j: e // d for j, e in new.items()}, rhs // d) if d > 1 else (new, rhs)
             c = min(row)
             pivots[c], rank[c] = (row, rhs), len(rank)
-    val: dict[int, Fraction] = {}
+    val: dict[int, tuple[int, int]] = {}  # column -> (numerator, denominator > 0)
     for c in sorted(rank, key=rank.__getitem__, reverse=True):
         row, rhs = pivots[c]
-        val[c] = (rhs - sum(e * val[j] for j, e in row.items() if j != c)) / Fraction(row[c])
-    out.update((v, (val[i], val[i + 1], val[i + 2])) for v, i in col.items())
+        terms = [(e, *val[j]) for j, e in row.items() if j != c]
+        den = math.lcm(*(d for _e, _n, d in terms))
+        num = rhs * den - sum(e * n * (den // d) for e, n, d in terms)
+        den *= row[c]
+        g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+        val[c] = (num // g, den // g)
+    out.update((v, tuple(Fraction(*val[i + k]) for k in range(3))) for v, i in col.items())
     return out
 
 
@@ -413,21 +425,18 @@ def _nonpositive(P) -> list[tuple[Fraction, int]]:
     return sorted((s - x - y, v) for v, (x, y, s) in P.items() if s - x - y <= 0)
 
 
-def solve_wood(piece: planar.Triangulation, gap: NegTri, roles: Mapping[str, int]
-               ) -> dict[int, Tri]:
-    """The exact contact layout of a piece's inner vertices in `gap`: every
-    adjacency at signed height 0, every non-adjacency apart.
+def _final_wood(piece: planar.Triangulation, roles: Mapping[str, int]
+                ) -> tuple[dict[int, list[int]], dict[int, tuple[Fraction, Fraction, Fraction]]]:
+    """(wood, P): the first wood the loop meets whose layout P in the unit
+    gap (`_solve_unit`) has every height positive and every corner on its
+    side segment.
 
-    `roles` names the boundary vertex that supplies each gap side.  The loop
-    starts from the maximal wood (`_canonical_wood`, `_flip_to_maximal`) and
-    solves each wood's system exactly in the unit gap (`_solve_unit`).  A
-    layout with every height positive and every corner on its side segment
-    is the answer, mapped into `gap` by the homothety that takes the unit
-    gap there.  Otherwise the loop goes on with the first wood of `_moves`
-    that it has not solved yet, and raises SolveFailure, naming the vertices
-    of nonpositive height, when there is none or after MAX_ROUNDS solves.
-    Schrezenmaier (WG 2017) shows that flips reach the right wood; this
-    move rule is only measured.
+    The loop starts from the maximal wood (`_canonical_wood`,
+    `_flip_to_maximal`).  Otherwise it goes on with the first wood of
+    `_moves` that it has not solved yet, and raises SolveFailure, naming
+    the vertices of nonpositive height, when there is none or after
+    MAX_ROUNDS solves.  Schrezenmaier (WG 2017) shows that flips reach the
+    right wood; this move rule is only measured.
     """
     nxt = _orient(piece, roles["hyp"], roles["vertical"])
     faces = sorted(piece.inner_faces, key=sorted)
@@ -438,8 +447,7 @@ def solve_wood(piece: planar.Triangulation, gap: NegTri, roles: Mapping[str, int
         seen.add(_key(wood))
         P = _solve_unit(wood, roles)
         if _is_layout(wood, P):
-            return {v: Tri(gap.x + gap.h * x, gap.y + gap.h * y, gap.h * (s - x - y))
-                    for v, (x, y, s) in sorted(P.items()) if v in wood}
+            return wood, P
         wood = next((w for w in _moves(wood, P, faces, nxt, roles)
                      if w is not None and _key(w) not in seen), None)
         if wood is None:
@@ -450,49 +458,127 @@ def solve_wood(piece: planar.Triangulation, gap: NegTri, roles: Mapping[str, int
         f"vertices with h <= 0: {nonpositive}", {"rounds": rounds, "nonpositive": nonpositive})
 
 
-# ---------------------------------------------------------------------------
-# Contact layout -> robust layout
-# ---------------------------------------------------------------------------
+def _integers(coords: Mapping[int, Sequence[Fraction]]) -> tuple[int, dict[int, tuple[int, ...]]]:
+    """(D, every coordinate times D), D the least common denominator."""
+    den = math.lcm(*(c.denominator for t in coords.values() for c in t))
+    return den, {v: tuple(c.numerator * (den // c.denominator) for c in t)
+                 for v, t in coords.items()}
 
-def robustify(rep: Representation, piece: planar.Triangulation) -> Representation:
-    """Inflate every inner triangle of an exact contact layout by one power
-    of two, iota, so that every adjacent pair overlaps strictly, below the
-    budget `rep.epsilon`, and every non-adjacent pair stays strictly apart.
 
-    iota is the largest power of two at most 1/8 of the smallest of the
-    budget, the smallest positive face hole (minus the common signed height
-    of a face's three triangles) and the smallest non-adjacent separation.
-    Inflating moves every side out by iota, so a signed height grows by at
-    most 3 iota: every separation and positive hole stays open, and every
-    contact becomes an overlap below the budget.  A face of hole 0 (three
-    triangles through one point) becomes a bad triple, which triple removal
-    clears.  The pairs are checked exactly on the integers of
-    `Representation.scaled`: the non-adjacent ones before, all of them after."""
-    outer = piece.outer_set
-    vs = piece.vertices()
-    pairs = [(u, v, piece.has_edge(u, v)) for i, u in enumerate(vs) for v in vs[i + 1:]
-             if not (u in outer and v in outer)]
-    S, tris = rep.scaled
-    least = [rep.epsilon * S]
-    for u, v, edge in pairs:
-        if not edge:
-            s = signed_height(tris[u], tris[v])
-            if s >= 0:
-                raise RobustifyError(f"non-adjacent pair ({u},{v}) meets in the contact layout")
-            least.append(-s)
-    least += [-common_signed_height([tris[v] for v in f]) for f in piece.inner_faces]
-    iota = pow2_floor(Fraction(min(h for h in least if h > 0), 8 * S))
+def _slope(d: Sequence[tuple[int, ...]]) -> int:
+    """The most a signed height over triangles moving at rates d = (dx, dy,
+    ds) changes per unit step: it is min s - max x - max y."""
+    return sum(max(abs(r[k]) for r in d) for k in range(3))
 
-    out = Representation({v: t if v in outer else inflate(t, iota)
-                          for v, t in rep.triangles.items()}, rep.outer, rep.epsilon)
-    S, tris = out.scaled
-    eps = rep.epsilon * S
-    for u, v, edge in pairs:
-        s = signed_height(tris[u], tris[v])
-        if edge and s <= 0:
-            raise RobustifyError(f"inflation failed to open overlap for edge ({u},{v})")
-        if not edge and s >= 0:
-            raise RobustifyError(f"inflation created a spurious intersection ({u},{v})")
-        if s >= 0 and s >= eps:
-            raise RobustifyError(f"overlap for ({u},{v}) reached the epsilon budget")
+
+def _opening(A: Mapping[int, tuple[int, ...]], B: Mapping[int, tuple[int, ...]],
+             face: frozenset[int]) -> int:
+    """The rate at which the common signed height of `face` changes as t
+    leaves 0, for coordinates A + t B: the min s, max x and max y move with
+    the fastest-falling s and the fastest-rising x and y among the
+    triangles that attain them at t = 0."""
+    ms, mx, my = (f(A[v][k] for v in face) for f, k in ((min, 2), (max, 0), (max, 1)))
+    return (min(B[v][2] for v in face if A[v][2] == ms)
+            - max(B[v][0] for v in face if A[v][0] == mx)
+            - max(B[v][1] for v in face if A[v][1] == my))
+
+
+def solve_wood(piece: planar.Triangulation, boundary: Mapping[int, Tri], gap: NegTri,
+               roles: Mapping[str, int], epsilon: Fraction) -> dict[int, Tri]:
+    """The final layout of a piece's inner vertices in `gap`, bounded by the
+    triangles `boundary`: its wood's contact layout with every contact
+    opened into an overlap below `epsilon`, and every face open.
+
+    The layout is P0 + t P1 in the unit gap, mapped into `gap`.  P0 is the
+    contact layout of `_final_wood`'s wood.  P1 solves the same wood's
+    system with every contact overlapping by its weight w (`_solve_unit`
+    with weights): x + y = s_r - t w, s - x = y_g + t w and s - y = x_b + t w.
+    The system is linear, so P0 + t P1 solves it for the overlaps t w.
+
+    Weights.  A zero-hole face is an inner face whose three triangles meet
+    in one point in P0; with every weight 1, their common signed height is
+    exactly t.  Each of its vertices u takes weight W on its out-contact of
+    the colour of the face edge that enters u, and every other contact
+    weight 1.  W starts at OPEN_WEIGHT and doubles while some zero-hole face
+    stays shut, that is, while its common signed height does not fall as t
+    leaves 0 (`_opening`).  That height is concave in t (a min of linear
+    functions minus two maxes), so a face that falls there stays open at
+    every t > 0.  On the pieces measured W = 8 opens every face but the
+    cube graph's three, which need 16; weights of 4 or less leave a face
+    shut.  A zero-hole face that is not a cyclic face of the wood, or that
+    is still shut at MAX_WEIGHT, raises SolveFailure naming it.
+
+    Step.  t is the largest power of two at most half the smallest of
+      - e / W, where e = epsilon / gap.h is the budget in the unit gap;
+      - each non-adjacent pair's separation over its slope;
+      - each face's positive hole over its slope;
+      - h0 / -h1 for each inner triangle whose height h0 + t h1 shrinks.
+    Why it holds.  Every coordinate is linear in t, and a signed height,
+    min s - max x - max y over its triangles, moves by at most t times its
+    slope: the largest |ds|, |dx| and |dy| of P1 among them, summed
+    (`_slope`).  So each non-adjacent pair stays half its separation apart,
+    each face of positive hole keeps half its hole, and each height keeps
+    half its value in P0.  Every adjacency with an inner end is one contact
+    of the wood, and its signed height is at most the overlap t w that its
+    equation sets (a min is at most s_r, a max at least x and y; likewise
+    for green and blue), so at most W t <= e / 2, below the budget.  That
+    each contact does overlap and that no boundary corner enters an inner
+    triangle, the bounds do not give: `assemble` decides them, and all of
+    the above, in its exact post-check.  All of it runs on the integers of
+    two frames, P0 with the boundary triangles in the unit gap, and P1.
+    """
+    wood, P0 = _final_wood(piece, roles)
+    unit = {**P0, **{o: ((t.x - gap.x) / gap.h, (t.y - gap.y) / gap.h,
+                         (t.s - gap.x - gap.y) / gap.h) for o, t in boundary.items()}}
+    D0, A = _integers(unit)
+    holes = {f: min(A[v][2] for v in f) - max(A[v][0] for v in f) - max(A[v][1] for v in f)
+             for f in sorted(piece.inner_faces, key=sorted)}
+    zero = [f for f, hole in holes.items() if hole == 0]
+    heavy = []
+    for f in zero:
+        edges = _cyclic(wood, f)
+        if edges is None:
+            raise SolveFailure(f"zero-hole face {sorted(f)} of the piece inside {piece.outer} "
+                               "is not a cyclic face of its wood", {"face": sorted(f)})
+        heavy += [(u, c) for c, (_tail, u) in edges.items()]
+    weight = OPEN_WEIGHT
+    while True:
+        P1 = _solve_unit(wood, roles, dict.fromkeys(heavy, weight))
+        D1, B = _integers({v: P1[v] for v in wood})
+        B.update(dict.fromkeys(boundary, (0, 0, 0)))
+        shut = next((f for f in zero if _opening(A, B, f) >= 0), None)
+        if shut is None:
+            break
+        if weight >= MAX_WEIGHT:
+            raise SolveFailure(f"zero-hole face {sorted(shut)} of the piece inside {piece.outer} "
+                               f"stays shut at weight {weight}", {"face": sorted(shut)})
+        weight *= 2
+
+    least: tuple[int, int] | None = None
+
+    def bound(num: int, den: int) -> None:
+        nonlocal least
+        if num > 0 and den > 0 and (least is None or num * least[1] < least[0] * den):
+            least = (num, den)
+
+    for v in wood:
+        (x, y, s), (dx, dy, ds) = A[v], B[v]
+        bound(s - x - y, dx + dy - ds)
+    for f, hole in holes.items():
+        if hole < 0:
+            bound(-hole, _slope([B[v] for v in f]))
+    adj = piece.adjacency()
+    for u, v in combinations(sorted(A), 2):
+        if v not in adj[u] and not (u in boundary and v in boundary):
+            (xu, yu, su), (xv, yv, sv) = A[u], A[v]
+            bound(max(xu, xv) + max(yu, yv) - min(su, sv), _slope([B[u], B[v]]))
+    step = epsilon / gap.h / weight
+    if least is not None:
+        step = min(step, Fraction(least[0] * D1, least[1] * D0))
+    t = pow2_floor(step / 2)
+    out = {}
+    for v in sorted(wood):
+        (x0, y0, s0), (x1, y1, s1) = P0[v], P1[v]
+        x, y, s = x0 + t * x1, y0 + t * y1, s0 + t * s1
+        out[v] = Tri(gap.x + gap.h * x, gap.y + gap.h * y, gap.h * (s - x - y))
     return out

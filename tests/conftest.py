@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from tricontact import planar
+from tricontact import planar, solver
 from tricontact.assemble import PipelineConfig, represent
 from tricontact.geometry import (
     NegTri,
@@ -18,7 +18,6 @@ from tricontact.geometry import (
 )
 from tricontact.core import Representation
 from tricontact.solver import canvas_with_roles, solve_wood
-from tricontact.verify import intersection_graph
 
 
 def tri(x, y, h) -> Tri:
@@ -33,10 +32,9 @@ def point(x, y) -> Point:
     return Point(frac(x), frac(y))
 
 
-def graph_triangles(rep: Representation) -> list[tuple[int, int, int]]:
-    """Triangles of the intersection graph of `rep`, in lexicographic order:
-    what triple removal scans, for representations not built by `represent`."""
-    return planar.triangles_of(planar.adjacency_of(rep.triangles, intersection_graph(rep)))
+def with_triangle(rep: Representation, v: int, t: Tri) -> Representation:
+    """`rep` with vertex v's triangle replaced by t."""
+    return Representation({**rep.triangles, v: t}, rep.outer, rep.epsilon)
 
 
 def triples_by_cubic_scan(rep: Representation) -> list[tuple[int, int, int]]:
@@ -92,15 +90,36 @@ def face_faults_by_loop(rep: Representation, T: planar.Triangulation
     return (not failures), failures
 
 
+def contact_layout(piece: planar.Triangulation, gap: NegTri, roles) -> dict[int, Tri]:
+    """The exact contact layout of the wood `solve_wood` settles on: every
+    adjacency at signed height 0, mapped from the unit gap into `gap`."""
+    wood, P = solver._final_wood(piece, roles)
+    return {v: Tri(gap.x + gap.h * x, gap.y + gap.h * y, gap.h * (s - x - y))
+            for v, (x, y, s) in sorted(P.items()) if v in wood}
+
+
+def _canvas(piece: planar.Triangulation, outer_tris):
+    canvas, role_idx = canvas_with_roles([outer_tris[v] for v in piece.outer])
+    return canvas, {r: piece.outer[i] for r, i in role_idx.items()}
+
+
 def solve_in_canvas(piece: planar.Triangulation, outer_tris, epsilon=Fraction(1)
                     ) -> Representation:
-    """The contact layout `solve_wood` gives `piece` in the canvas of its
-    boundary triangles, its roles named by vertex, as `represent` passes
-    them, with the boundary triangles and the budget `epsilon`."""
-    canvas, role_idx = canvas_with_roles([outer_tris[v] for v in piece.outer])
-    roles = {r: piece.outer[i] for r, i in role_idx.items()}
-    return Representation({**outer_tris, **solve_wood(piece, canvas, roles)}, piece.outer,
-                          epsilon)
+    """The contact layout of `piece` in the canvas of its boundary triangles,
+    its roles named by vertex, as `represent` passes them, with the
+    boundary triangles and the budget `epsilon`."""
+    return Representation({**outer_tris, **contact_layout(piece, *_canvas(piece, outer_tris))},
+                          piece.outer, epsilon)
+
+
+def open_in_canvas(piece: planar.Triangulation, outer_tris, epsilon=Fraction(1)
+                   ) -> Representation:
+    """As `solve_in_canvas`, with the overlapping layout `solve_wood` gives
+    the piece in place of its contact layout: the wood path of `represent`,
+    also for an octahedron, without the post-check."""
+    canvas, roles = _canvas(piece, outer_tris)
+    return Representation({**outer_tris, **solve_wood(piece, outer_tris, canvas, roles, epsilon)},
+                          piece.outer, epsilon)
 
 
 # the arithmetic, comparison and conversion methods of Fraction that the

@@ -13,9 +13,6 @@ from fractions import Fraction
 from tricontact import planar
 from tricontact.assemble import represent
 from tricontact.geometry import Tri, intersect, signed_height
-from tricontact.core import Representation
-from tricontact.perturb import find_bad_triples, remove_all, select_bad, step1_widen, step3_separate
-from tricontact.solver import robustify
 from tricontact.verify import (
     check_simple,
     count_crossings,
@@ -24,15 +21,16 @@ from tricontact.verify import (
     intersection_graph,
 )
 from conftest import (
-    graph_triangles,
     grid_points,
     in_triangle,
     octahedron_graph,
+    open_in_canvas,
     represent_in,
     solve_in_canvas,
     stacked_by_peeling,
     tri,
     triples_by_cubic_scan,
+    with_triangle,
 )
 
 F = Fraction
@@ -195,41 +193,27 @@ def test_stacked_pipeline_matches_peeling_oracle():
 
 
 def test_criterion_3_bad_point_removal(octahedron, k222_triple_rep):
-    """Triple-point removal on the hand-built fixture (with the derived exact
-    post-state at eps1 = eps3 = 1/4) and on a K_{2,2,2} contact representation
-    with a triple point."""
-    fixture = Representation({0: tri(0, 2, 2), 1: tri(2, 2, 2), 2: tri(2, 0, 2)}, (), F(1))
-    bad = find_bad_triples(fixture, graph_triangles(fixture))
-    assert len(bad) == 1
-    sel = select_bad(bad)
-    stepped = step3_separate(step1_widen(fixture, sel, F(1, 4)), sel, F(1, 4))
-    assert stepped.tri(sel.u) == tri("-1/4", "7/4", "9/4")
-    assert stepped.tri(sel.v) == tri("7/4", 2, "9/4")
-    assert stepped.tri(sel.w) == tri(2, 0, 2)
-    assert find_bad_triples(stepped, graph_triangles(stepped)) == []
-    assert intersection_graph(stepped) == intersection_graph(fixture)
-
-    cleaned = remove_all(fixture, graph_triangles(fixture))
-    assert find_bad_triples(cleaned, graph_triangles(cleaned)) == []
-    assert intersection_graph(cleaned) == intersection_graph(fixture)
-
+    """Triple-point removal: the K_{2,2,2} contact layout's point in three
+    triangles is removed with the graph intact, by the overlap solve of its
+    wood."""
     # K_{2,2,2}: every contact representation has a point in three triangles;
-    # this hand-built one has it at (7/3, 7/3)
-    assert len(find_bad_triples(k222_triple_rep, graph_triangles(k222_triple_rep))) == 1
-    k_clean = remove_all(k222_triple_rep, graph_triangles(k222_triple_rep))
-    assert find_bad_triples(k_clean, graph_triangles(k_clean)) == []
+    # its wood's contact layout is the hand-built one, with it at (7/3, 7/3)
+    assert solve_in_canvas(octahedron, OUTER) == k222_triple_rep
+    assert triples_by_cubic_scan(k222_triple_rep) == [(3, 4, 5)]
+    k_clean = open_in_canvas(octahedron, OUTER)
+    assert triples_by_cubic_scan(k_clean) == []
     assert intersection_graph(k_clean) == intersection_graph(k222_triple_rep)
     r = full_report(k_clean, octahedron)
     assert r.passed
     assert check_simple(k_clean, intersection_graph(k_clean))[1] == triples_by_cubic_scan(k_clean)
     _cache["k222_clean"] = (octahedron, k_clean)
-    print("\n[criterion 3] PASS: fixture post-state matches the derived values "
-          "exactly; K_{2,2,2} triple point removed with the graph intact")
+    print("\n[criterion 3] PASS: K_{2,2,2} triple point removed with the graph intact "
+          "by the overlap solve of its wood")
 
 
 def test_criterion_4_four_connected_pipeline():
     """Octahedron plus >= 10 generated 4-connected triangulations (n <= 30):
-    representations pass the full report with pre-inflation edge residuals
+    representations pass the full report with pre-overlap edge residuals
     exactly 0, < 120 s per instance."""
     done = []
     reps = []
@@ -244,9 +228,8 @@ def test_criterion_4_four_connected_pipeline():
                 continue
             if v in adj[u]:
                 worst = max(worst, abs(signed_height(pre.tri(u), pre.tri(v))))
-        assert worst == 0, f"{name}: pre-inflation residual {float(worst)}"
-        robust = robustify(pre, T)
-        rep = remove_all(robust, graph_triangles(robust))
+        assert worst == 0, f"{name}: pre-overlap residual {float(worst)}"
+        rep = open_in_canvas(T, outer_for(T))
         r = full_report(rep, T)
         assert r.passed, f"{name} failed: {r.to_json()}"
         if T.n <= 10:
@@ -303,8 +286,7 @@ def test_criterion_6_drawings():
 def _ensure_fourconn():
     reps = []
     for name, T in four_connected_corpus():
-        robust = robustify(solve_in_canvas(T, outer_for(T)), T)
-        reps.append((T, remove_all(robust, graph_triangles(robust))))
+        reps.append((T, open_in_canvas(T, outer_for(T))))
     _cache["fourconn_reps"] = reps
     return reps
 
@@ -327,7 +309,7 @@ def test_criterion_7_negative_controls(k4, octahedron, k222_triple_rep):
 
     # (ii) missing adjacency
     rep = represent_in(k4, OUTER)
-    bad = rep.with_triangle(3, tri(F(19, 10), 2, 1))
+    bad = with_triangle(rep, 3, tri(F(19, 10), 2, 1))
     r = full_report(bad, k4, with_faces=False)
     assert not r.passed and not r.graph_match
     assert r.missing_edges == [[2, 3]] and r.extra_edges == []
@@ -335,7 +317,7 @@ def test_criterion_7_negative_controls(k4, octahedron, k222_triple_rep):
     # (iii) boundary corner swallowed by an inner triangle
     T5 = planar.stack_vertex(k4, (0, 1, 3))
     rep5 = represent(T5)
-    cover = rep5.with_triangle(4, tri(F(3, 4), F(11, 4), F(1, 2)))
+    cover = with_triangle(rep5, 4, tri(F(3, 4), F(11, 4), F(1, 2)))
     r = full_report(cover, T5, with_faces=False)
     assert not r.passed and not r.corner_ok
     assert any(o == 1 and v == 4 for o, _, v in
@@ -344,8 +326,8 @@ def test_criterion_7_negative_controls(k4, octahedron, k222_triple_rep):
     # (iv) thirds and fifths: triangle 5 swallows a corner of boundary
     # triangle 1, and triangle 4 overlaps boundary triangle 2 by exactly the
     # epsilon override; pinned as the Fraction-based verifier reported it
-    thirds = k222_triple_rep.with_triangle(4, tri(F(7, 3), F(5, 3), 1))
-    thirds = thirds.with_triangle(5, tri(F(4, 5), F(13, 5), F(6, 5)))
+    thirds = with_triangle(k222_triple_rep, 4, tri(F(7, 3), F(5, 3), 1))
+    thirds = with_triangle(thirds, 5, tri(F(4, 5), F(13, 5), F(6, 5)))
     r = full_report(thirds, octahedron, epsilon=F(1, 3), with_drawing=True)
     assert json.loads(json.dumps(r.to_json())) == {
         "passed": False, "graph_match": False, "missing_edges": [[3, 5], [4, 5]],

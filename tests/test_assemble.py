@@ -22,6 +22,7 @@ from conftest import (
     stacking_chain,
     tri,
     triples_by_cubic_scan,
+    with_triangle,
 )
 
 F = Fraction
@@ -185,26 +186,6 @@ class TestRepresent:
         assert full_report(rep, T, with_faces=True, with_drawing=True).passed
         assert {e["path"] for e in trace} == {"stacked", "octahedron"}
 
-    @pytest.mark.parametrize("make", [lambda: implanted(100, 3, 20), lambda: chain(20, 5, 6)],
-                             ids=["implanted100_3x20", "chain20_5d6"])
-    def test_octahedra_take_no_inflation_or_triple_removal(self, make, monkeypatch):
-        # each octahedron is placed in its final layout: no wood solve,
-        # no robustify and no triple removal
-        calls = []
-
-        def counted(module, name):
-            real = getattr(module, name)
-            monkeypatch.setattr(module, name,
-                                lambda *a, **k: calls.append(name) or real(*a, **k))
-
-        for name in ("robustify", "solve_wood"):
-            counted(assemble, name)
-        counted(perturb, "remove_all")
-        T, trace = make(), []
-        represent(T, trace=trace)
-        assert "octahedron" in {e["path"] for e in trace}
-        assert calls == []
-
     @pytest.mark.parametrize("make, sizes", [(lambda: chain(20, 5, 6), {3}),
                                              (deep_double_wheel, {3, 4})],
                              ids=["chain20_5d6", "deep_dw5"])
@@ -223,7 +204,7 @@ class TestRepresent:
             assert real(rep, roles, vertices) is None
             assert all(inside_neg(rep.tri(v), allowed) for v in vertices)
             t = rep.tri(vertices[-1])
-            moved = rep.with_triangle(vertices[-1], Tri(X + rep.epsilon - t.h / 2, t.y, t.h))
+            moved = with_triangle(rep, vertices[-1], Tri(X + rep.epsilon - t.h / 2, t.y, t.h))
             assert not inside_neg(moved.tri(vertices[-1]), allowed)
             assert real(moved, roles, vertices) == vertices[-1]
             checked.append(len(vertices))
@@ -260,7 +241,6 @@ class TestRepresent:
         def forbidden(*a, **k):
             raise AssertionError("a stacked input peels completely")
 
-        monkeypatch.setattr(perturb, "remove_all", forbidden)
         monkeypatch.setattr(perturb, "face_gap_with_roles", forbidden)
         monkeypatch.setattr(assemble, "solve_wood", forbidden)
         monkeypatch.setattr(planar, "decompose", forbidden)
@@ -336,13 +316,13 @@ class TestStackedPieces:
             return lambda rep, *a, **k: sizes.append(len(rep.triangles)) or f(rep, *a, **k)
 
         monkeypatch.setattr(assemble, "solve_stacked", recorded)
-        for name in ("remove_all", "find_bad_triples", "face_gap_with_roles"):
-            monkeypatch.setattr(perturb, name, sized(getattr(perturb, name)))
+        monkeypatch.setattr(assemble, "_fault", sized(assemble._fault))
+        monkeypatch.setattr(perturb, "face_gap_with_roles", sized(perturb.face_gap_with_roles))
         T, trace = make(), []
         rep = represent(T, config, trace=trace)
         monkeypatch.undo()
-        # octahedron pieces take a triple scan (their post-check) and, where
-        # an inner face holds a child, face gaps; no K4 piece takes any
+        # octahedron pieces take a post-check and, where an inner face holds
+        # a child, face gaps; no K4 piece takes any
         assert sizes and 4 not in sizes
         tree = planar.decompose(planar.peel(T)[0])
         k4s = [tree.pieces[e["piece"]] for e in trace if e["path"] == "stacked"]
@@ -357,9 +337,10 @@ class TestStackedPieces:
 
 class TestLocalFrame:
     """Each larger piece is placed from its gap alone, exactly, in the global
-    frame, and every inflation and budget is a power of two times a length
-    of the layout, so the construction commutes with dyadic homotheties of
-    the boundary."""
+    frame; every budget and octahedron grid step is a power of two times a
+    length of the layout, and every wood piece's overlap step a ratio of
+    lengths, so the construction commutes with dyadic homotheties of the
+    boundary."""
 
     @pytest.mark.parametrize("make", [
         lambda: planar.double_wheel(6),

@@ -75,7 +75,7 @@ def default_digests():
 # sha256 of each corpus's texts, as `digests` takes them
 CORPUS_DIGESTS = {
     "stacked": "e71d643481e2f93adceceefee6505c482f7dc932567986dc8bb254f622d4702c",
-    "fourconn": "cb5dddb4562655941cd9ab5d6f76b6c13c590d6c8df902de0e711be7856ef283",
+    "fourconn": "8572a25266bd2578fa93c8180106a53731d7cc44f1a98f6f1d7906157ec56c99",
     "nested": "10d8b8d4b7df9d8bcdef79cd74bcc6f5af7d2e230578adc9d075fa9094b4bd90",
 }
 

@@ -8,7 +8,7 @@ from tricontact import assemble, planar, solver, verify
 from tricontact.assemble import represent
 from tricontact.cli import main
 from tricontact.core import Representation
-from conftest import chain, represent_in, tri
+from conftest import chain, represent_in, tri, with_triangle
 
 
 def run(argv):
@@ -130,7 +130,7 @@ class TestRun:
         assert svg.read_text().count("<polyline") == len(polylines) == 18
 
     def test_failed_verification_exit_code(self, tmp_path, k4, outer_map, monkeypatch):
-        bad = represent_in(k4, outer_map).with_triangle(3, tri(Fraction(19, 10), 2, 1))
+        bad = with_triangle(represent_in(k4, outer_map), 3, tri(Fraction(19, 10), 2, 1))
         monkeypatch.setattr(assemble, "represent", lambda T, config: bad)
         g = tmp_path / "g.json"
         g.write_text(json.dumps(k4.to_json()))
@@ -149,7 +149,7 @@ class TestRun:
 class TestVerify:
     def test_corrupted_rep_nonzero_exit(self, tmp_path, k4, outer_map):
         rep = represent_in(k4, outer_map)
-        bad = rep.with_triangle(3, tri(Fraction(19, 10), 2, 1))
+        bad = with_triangle(rep, 3, tri(Fraction(19, 10), 2, 1))
         g = tmp_path / "g.json"
         g.write_text(json.dumps(k4.to_json()))
         r = tmp_path / "rep.json"
@@ -210,6 +210,18 @@ class TestSolveCommand:
         err = capsys.readouterr().err
         assert err.startswith("solver failure: no contact layout for the piece inside ")
         assert "after 1 exact solves; vertices with h <= 0: [" in err
+
+    def test_shut_face_exit_code(self, tmp_path, monkeypatch, capsys):
+        # a zero-hole face the overlaps cannot open is a solver failure too,
+        # naming the face: at weight 1 and no doubling, dw8's [1, 6, 7]
+        monkeypatch.setattr(solver, "OPEN_WEIGHT", 1)
+        monkeypatch.setattr(solver, "MAX_WEIGHT", 1)
+        g = tmp_path / "g.json"
+        g.write_text(json.dumps(planar.double_wheel(8).to_json()))
+        code = run(["run", "--input", g, "--output", tmp_path / "r.json"])
+        assert code == 4 and not (tmp_path / "r.json").exists()
+        assert capsys.readouterr().err == ("solver failure: zero-hole face [1, 6, 7] of the piece "
+                                           "inside (0, 2, 3) stays shut at weight 1\n")
 
 
 class TestRender:

@@ -14,7 +14,6 @@ from tricontact.geometry import (
     frac,
     frac_str,
     gap_candidates,
-    inflate,
     inside_neg,
     intersect,
     orientation,
@@ -119,40 +118,6 @@ class TestCommonIntersection:
             full = common_signed_height(ts)
             for a, b in combinations(ts, 2):
                 assert signed_height(a, b) >= full
-
-
-class TestInflate:
-    def test_formula(self):
-        assert inflate(tri(0, 0, 1), F(1)) == tri(-1, -1, 4)
-
-    def test_gap_to_overlap(self):
-        a, b = tri(0, 0, 2), tri("101/100", "101/100", 2)
-        assert signed_height(a, b) == F(-2, 100)
-        ai, bi = inflate(a, F(1, 100)), inflate(b, F(1, 100))
-        assert signed_height(ai, bi) == F(1, 100)
-
-    def test_plus_three_iota_law(self):
-        a, b = tri(0, 0, 2), tri(1, 1, 2)
-        assert signed_height(a, b) == 0
-        assert signed_height(inflate(a, F(1, 3)), inflate(b, F(1, 3))) == 1
-        rng = random.Random(9)
-        for _ in range(100):
-            t1, t2 = rand_tri(rng), rand_tri(rng)
-            iota = F(rng.randint(1, 32), 32)
-            s0 = signed_height(t1, t2)
-            assert signed_height(inflate(t1, iota), inflate(t2, iota)) == s0 + 3 * iota
-
-    def test_grows_point_set(self):
-        # the corners of t stay covered, and with them its convex point set
-        rng = random.Random(5)
-        for _ in range(80):
-            t = rand_tri(rng)
-            grown = inflate(t, F(rng.randint(1, 16), 16))
-            assert all(grown.contains(c) for c in t.corners)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            inflate(tri(0, 0, 1), F(0))
 
 
 class TestNegTri:

@@ -12,7 +12,6 @@ from tricontact.geometry import (
     Tri,
     common_signed_height,
     gap_candidates,
-    inflate,
     inside_neg,
     intersect,
     pow2_floor,
@@ -21,17 +20,14 @@ from tricontact.geometry import (
 from tricontact.core import Representation
 from tricontact.solver import (
     CanvasError,
-    RobustifyError,
     SolveFailure,
     canvas_with_roles,
-    robustify,
     solve_octahedron,
     solve_stacked,
-    solve_wood,
 )
 from tricontact.verify import full_report
-from conftest import (ntri, octahedron_graph, point, represent_in, solve_in_canvas,
-                      stacked_by_peeling, tri)
+from conftest import (FRACTION_DUNDERS, contact_layout, ntri, octahedron_graph, open_in_canvas,
+                      point, represent_in, solve_in_canvas, stacked_by_peeling, tri)
 
 F = Fraction
 
@@ -162,7 +158,7 @@ class TestSolveOctahedron:
                 assert g <= s <= 11 * g < epsilon * scale
         for v in (3, 4, 5):
             assert inside_neg(rep.tri(v), canvas.expand(11 * g))
-        assemble._check_octahedron(rep, octahedron)
+        assert assemble._fault(rep, octahedron) is None
 
     def test_dyadic_grid(self, octahedron, outer_map):
         # the canvas is NegTri(3, 3, 2) and the root's budget 1, so g = 1/16
@@ -204,7 +200,8 @@ class TestSolveOctahedron:
         octahedron = octahedron_graph()
         inner = solve_octahedron(octahedron, canvas, roles, eps)
         rep = Representation({**outer, **inner}, (0, 1, 2), eps)
-        assemble._check_octahedron(rep, octahedron)   # the 12 pairs with an inner end, 8 faces
+        # the 12 pairs with an inner end, 8 faces
+        assert assemble._fault(rep, octahedron) is None
         assert all(signed_height(outer[u], outer[v]) >= 0
                    for u, v in itertools.combinations(range(3), 2))
         assert all(inside_neg(t, canvas.expand(eps)) for t in inner.values())
@@ -232,11 +229,13 @@ def _wood_solves(monkeypatch):
     return log
 
 
-def _dense_solve(wood, roles):
+def _dense_solve(wood, roles, weights=None):
     """Reference for `solver._solve_unit`: the same 3(n - 3) equations, one
-    dense row each, by Gauss-Jordan elimination on `Fraction`s."""
-    fixed = {roles["hyp"]: (-1, -1, -1), roles["vertical"]: (0, -1, 0),
-             roles["horizontal"]: (-1, 0, 0)}
+    dense row each, by Gauss-Jordan elimination on `Fraction`s; given
+    `weights`, the rates of the overlap solve."""
+    fixed = ({roles["hyp"]: (-1, -1, -1), roles["vertical"]: (0, -1, 0),
+              roles["horizontal"]: (-1, 0, 0)} if weights is None
+             else dict.fromkeys(roles.values(), (0, 0, 0)))
     inner = sorted(wood)
     col = {v: 3 * i for i, v in enumerate(inner)}
     n = 3 * len(inner)
@@ -245,14 +244,19 @@ def _dense_solve(wood, roles):
         x, y, s = col[v], col[v] + 1, col[v] + 2
         r, g, b = wood[v]
         # x + y - s_r = 0, s - x - y_g = 0 and s - y - x_b = 0
-        for plus, minus, t, k in (((x, y), (), r, 2), ((s,), (x,), g, 1), ((s,), (y,), b, 0)):
+        # with overlaps t w: x + y - s_r = -w, s - x - y_g = w and s - y - x_b = w
+        for colour, (plus, minus, t, k, sign) in enumerate((((x, y), (), r, 2, -1),
+                                                            ((s,), (x,), g, 1, 1),
+                                                            ((s,), (y,), b, 0, 1))):
             row = [F(0)] * (n + 1)
             for c in plus:
                 row[c] += 1
             for c in minus:
                 row[c] -= 1
+            if weights is not None:
+                row[n] = F(sign * weights.get((v, colour), 1))
             if t in fixed:
-                row[n] = F(fixed[t][k])
+                row[n] += fixed[t][k]
             else:
                 row[col[t] + k] -= 1
             rows.append(row)
@@ -289,7 +293,7 @@ class TestSolveWood:
 
     def test_k4_is_the_medial_child(self, k4, outer_map):
         canvas, roles = _roles(k4, outer_map)
-        assert solve_wood(k4, canvas, roles) == {3: solve_stacked(3, canvas, roles)[0]}
+        assert contact_layout(k4, canvas, roles) == {3: solve_stacked(3, canvas, roles)[0]}
 
     def test_octahedron_meets_in_one_point(self, octahedron, outer_map, k222_triple_rep):
         # the octahedron's only contact layout has its inner triangles meet
@@ -409,142 +413,232 @@ def _grid(a, b):
     return len(idx), sorted(tuple(sorted((idx[u], idx[v]))) for u, v in G.edges())
 
 
-class TestRobustify:
-    @staticmethod
-    def _iota(rep, piece):
-        """The inflation robustify must choose: the largest power of two at
-        most 1/8 of the smallest of the budget, the positive face holes and
-        the non-adjacent separations."""
-        least = [rep.epsilon]
-        for u, v in itertools.combinations(piece.vertices(), 2):
-            if not {u, v} <= piece.outer_set and not piece.has_edge(u, v):
-                least.append(-signed_height(rep.tri(u), rep.tri(v)))
-        for f in piece.inner_faces:
-            hole = -common_signed_height([rep.tri(v) for v in f])
-            if hole > 0:
-                least.append(hole)
-        return pow2_floor(min(least) / 8)
-
-    def test_exact_contact_input(self, k4, outer_map):
-        # stacked K5: one inner-inner adjacency (3,4), residuals all exactly 0
-        T = planar.stack_vertex(k4, (0, 1, 3))
-        rep = represent(T)
-        out = robustify(rep, T)
-        iota = out.tri(3).x - rep.tri(3).x
-        assert iota < 0
-        iota = -iota
-        assert iota == self._iota(rep, T)
-        # both endpoints inflated: overlap height exactly 3*iota
-        assert signed_height(out.tri(3), out.tri(4)) == 3 * iota
-        # inner-outer adjacency: at most 3*iota
-        for v, o in ((3, 0), (3, 1), (4, 0), (4, 1)):
-            if T.has_edge(v, o):
-                s = signed_height(out.tri(v), out.tri(o))
-                assert 0 < s <= 3 * iota
-
-    def test_postconditions_exact(self, octahedron, outer_map):
-        rep = robustify(solve_in_canvas(octahedron, outer_map), octahedron)
-        adj = octahedron.adjacency()
-        for u, v in itertools.combinations(range(6), 2):
-            if u in (0, 1, 2) and v in (0, 1, 2):
-                continue
-            s = signed_height(rep.tri(u), rep.tri(v))
-            if v in adj[u]:
-                assert 0 < s < F(1)
-            else:
-                assert s < 0
-
-    def test_edge_sets_identical_pre_post(self, octahedron, outer_map):
-        # robustify preserves non-edges and converts edges to strict overlaps
-        pre = solve_in_canvas(octahedron, outer_map)
-        post = robustify(pre, octahedron)
-        want = {tuple(sorted(e)) for e in octahedron.edges}
-        for rep in (pre, post):
-            got = set()
-            for u, v in itertools.combinations(range(6), 2):
-                if signed_height(rep.tri(u), rep.tri(v)) >= 0:
-                    got.add((u, v))
-            assert got == want
-
-    def test_precondition_rejected(self, k4, outer_map):
-        rep = represent_in(k4, outer_map)
-        bad = rep.with_triangle(3, tri(2, 2, F(1, 2)))   # broken contacts
-        with pytest.raises(RobustifyError):
-            robustify(bad, k4)
-
-    def test_zero_hole_face_becomes_the_only_bad_triple(self, octahedron, outer_map):
-        # the octahedron's inner face has hole 0; inflated, it is the one bad
-        # triple, which triple removal clears
-        from tricontact.perturb import find_bad_triples, remove_all
-        rep = robustify(solve_in_canvas(octahedron, outer_map), octahedron)
-        faces = [tuple(sorted(f)) for f in octahedron.faces]
-        assert [sorted(b.ids) for b in find_bad_triples(rep, faces)] == [[3, 4, 5]]
-        assert full_report(remove_all(rep, faces), octahedron, with_drawing=True).passed
+# the pieces whose contact layout has zero-hole faces, with those faces
+ZERO_HOLE_PIECES = [
+    ("g4_14_2", lambda: planar.gen_four_connected(14, 2), [[4, 6, 8]]),
+    ("g4_16_2", lambda: planar.gen_four_connected(16, 2), [[6, 12, 13]]),
+    ("g4_16_3", lambda: planar.gen_four_connected(16, 3), [[3, 12, 13], [4, 6, 11]]),
+    ("dw6", lambda: planar.double_wheel(6), [[1, 5, 6]]),
+    ("dw8", lambda: planar.double_wheel(8), [[1, 6, 7]]),
+    ("dw10", lambda: planar.double_wheel(10), [[1, 7, 8]]),
+    ("dw12", lambda: planar.double_wheel(12), [[1, 8, 9]]),
+]
+ZERO_HOLE_IDS = [name for name, _m, _f in ZERO_HOLE_PIECES]
+CUBE = [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4),
+        (0, 4), (1, 5), (2, 6), (3, 7)]
 
 
-def _skew(t: Tri) -> Tri:
-    """The skewed boundary's map: scale by 5/7, shift by (1/3, -2/9)."""
-    return Tri(t.x * F(5, 7) + F(1, 3), t.y * F(5, 7) - F(2, 9), t.h * F(5, 7))
+def _zero_hole_faces(rep, T):
+    return sorted(sorted(f) for f in T.inner_faces
+                  if common_signed_height([rep.tri(v) for v in f]) == 0)
 
 
-class TestRobustifyFaults:
-    """Every refusal of `robustify`, on a skewed (non-dyadic) octahedron whose
-    12 adjacencies are exact contacts and whose three antipodal pairs are
-    10/21 apart, with epsilon = 1/3, so that no frame is a power of two."""
+def _opened_by_reference(T, om, epsilon):
+    """Reference for `solve_wood`, on `Fraction`s in the global frame: the
+    contact layout plus t times the rates of the overlap solve (`_dense_solve`
+    with the contacts of the zero-hole faces at the first weight W from
+    OPEN_WEIGHT up, by doubling, that opens them all), t the largest power
+    of two at most half the smallest of epsilon / (W gap.h), each
+    non-adjacent separation and positive face hole over its slope, and each
+    shrinking height over its rate."""
+    canvas, roles = _roles(T, om)
+    wood, _P = solver._final_wood(T, roles)
+    contact = solve_in_canvas(T, om, epsilon)
+    zero = _zero_hole_faces(contact, T)
+    heavy = [(u, c) for f in zero for c, (_t, u) in solver._cyclic(wood, frozenset(f)).items()]
 
-    @pytest.fixture
-    def skewed(self, k222_triple_rep):
-        tris = {v: _skew(t) for v, t in k222_triple_rep.triangles.items()}
-        return Representation(tris, k222_triple_rep.outer, F(1, 3))
+    def falls(f):
+        # the face's common signed height falls as t leaves 0
+        ts = [contact.tri(v) for v in f]
+        ms, mx, my = min(t.s for t in ts), max(t.x for t in ts), max(t.y for t in ts)
+        return (min(rate[v][2] for v, t in zip(f, ts) if t.s == ms)
+                - max(rate[v][0] for v, t in zip(f, ts) if t.x == mx)
+                - max(rate[v][1] for v, t in zip(f, ts) if t.y == my)) < 0
 
-    @staticmethod
-    def _moved(rep, v, dx=0, dy=0):
-        t = rep.tri(v)
-        return rep.with_triangle(v, Tri(t.x + dx, t.y + dy, t.h))
+    weight = solver.OPEN_WEIGHT // 2
+    while True:
+        weight *= 2
+        assert weight <= solver.MAX_WEIGHT
+        unit = _dense_solve(wood, roles, dict.fromkeys(heavy, weight))
+        rate = {v: tuple(canvas.h * d for d in unit[v]) if v in wood else (0, 0, 0)
+                for v in T.vertices()}
+        if all(falls(f) for f in zero):
+            break
 
-    def test_inflates_by_chosen_iota(self, skewed, octahedron):
-        out = robustify(skewed, octahedron)
-        iota = TestRobustify._iota(skewed, octahedron)
-        assert iota == F(1, 32)    # 1/8 of the budget 1/3, floored to a power of two
-        assert out.epsilon == F(1, 3)
-        for v, t in skewed.triangles.items():
-            assert out.tri(v) == (t if v in skewed.outer else inflate(t, iota))
-        for u, v in itertools.combinations(range(6), 2):
-            if not {u, v} <= {0, 1, 2}:
-                s = signed_height(out.tri(u), out.tri(v))
-                assert (0 < s < F(1, 3)) if octahedron.has_edge(u, v) else s < 0
+    def slope(vs):
+        return sum(max(abs(rate[v][k]) for v in vs) for k in range(3))
 
-    def test_preconditions_before_iota(self, skewed, octahedron):
-        # 3 slid left by the antipodal gap 10/21 touches boundary triangle 0:
-        # refused before any inflation
-        with pytest.raises(RobustifyError) as exc:
-            robustify(self._moved(skewed, 3, dx=-F(10, 21)), octahedron)
-        assert str(exc.value) == "non-adjacent pair (0,3) meets in the contact layout"
+    bounds = [epsilon / weight / canvas.h]
+    for vs in itertools.chain(([u, v] for u, v in itertools.combinations(T.vertices(), 2)
+                               if not T.has_edge(u, v) and not {u, v} <= T.outer_set),
+                              map(list, T.inner_faces)):
+        apart = -common_signed_height([contact.tri(v) for v in vs])
+        if apart > 0 and slope(vs) > 0:
+            bounds.append(apart / slope(vs))
+    for v in wood:
+        dx, dy, ds = rate[v]
+        if ds - dx - dy < 0:
+            bounds.append(contact.tri(v).h / (dx + dy - ds))
+    t = pow2_floor(min(bounds) / 2)
+    return {v: Tri(c.x + t * rate[v][0], c.y + t * rate[v][1],
+                   c.h + t * (rate[v][2] - rate[v][0] - rate[v][1]))
+            for v, c in contact.triangles.items()}
 
-    def test_overlap_not_opened(self, k4):
-        # 0's right-angle corner sits 1/10 beyond 3's hypotenuse, more than
-        # the inflation, at most 1/8 of the budget 1/3, can close
-        tris = {0: tri(F(1, 2), F(1, 2) + F(7, 50), 5), 1: tri(1, 0, 1),
-                2: tri(0, 1, 1), 3: tri(0, 0, 1)}
-        rep = Representation({v: _skew(t) for v, t in tris.items()}, (0, 1, 2), F(1, 3))
-        assert signed_height(rep.tri(0), rep.tri(3)) == -F(1, 10)
-        with pytest.raises(RobustifyError) as exc:
-            robustify(rep, k4)
-        assert str(exc.value) == "inflation failed to open overlap for edge (0,3)"
 
-    @pytest.mark.parametrize("iota, message", [
-        (F(1, 3), "inflation created a spurious intersection (0,3)"),
-        (F(1, 9), "overlap for (3,4) reached the epsilon budget"),
-    ], ids=["spurious", "budget"])
-    def test_postconditions_catch_a_bad_iota(self, skewed, octahedron, monkeypatch,
-                                             iota, message):
-        # the rule rules both out; an iota outside it must not pass: 2/3
-        # closes the antipodal gap 10/21, and 3/9 is the inner pair (3, 4)'s
-        # overlap, exactly the budget 1/3
-        monkeypatch.setattr(solver, "pow2_floor", lambda q: iota)
-        with pytest.raises(RobustifyError) as exc:
-            robustify(skewed, octahedron)
-        assert str(exc.value) == message
+class TestOpenWood:
+    """The final layout of a larger piece: its wood's contact layout opened
+    by one more exact solve with prescribed overlaps."""
+
+    @pytest.mark.parametrize("make, faces", [(m, f) for _n, m, f in ZERO_HOLE_PIECES],
+                             ids=ZERO_HOLE_IDS)
+    def test_zero_hole_faces_open(self, make, faces, outer_map):
+        # each zero-hole face of the contact layout opens, every edge with an
+        # inner end overlaps below the budget, and the result certifies
+        T = make()
+        om = _outer_for(T, outer_map)
+        assert _zero_hole_faces(solve_in_canvas(T, om), T) == faces
+        rep = open_in_canvas(T, om)
+        for f in faces:
+            assert common_signed_height([rep.tri(v) for v in f]) < 0
+        for u, v in itertools.combinations(T.vertices(), 2):
+            if not {u, v} <= T.outer_set:
+                s = signed_height(rep.tri(u), rep.tri(v))
+                assert (0 < s < rep.epsilon) if T.has_edge(u, v) else s < 0, (u, v, s)
+        assert assemble._fault(rep, T) is None
+        assert full_report(rep, T, with_faces=True, with_drawing=True).passed
+
+    @pytest.mark.parametrize("make", [m for _n, m, _f in ZERO_HOLE_PIECES] + [
+        octahedron_graph, lambda: planar.gen_four_connected(14, 0),
+        lambda: planar.gen_four_connected(22, 0),
+        lambda: planar.augment_to_triangulation(8, CUBE)],
+        ids=ZERO_HOLE_IDS + ["octahedron", "g4_14_0", "g4_22_0", "cube"])
+    @pytest.mark.parametrize("epsilon", [F(1), F(1, 3), F(1, 10 ** 6)], ids=["1", "1/3", "1e-6"])
+    def test_step_matches_reference(self, make, epsilon, outer_map):
+        # the step and the rates, found on frame integers, are the ones a
+        # Fraction computation in the global frame finds
+        T = make()
+        om = _outer_for(T, outer_map)
+        assert open_in_canvas(T, om, epsilon).triangles == _opened_by_reference(T, om, epsilon)
+
+    @pytest.mark.parametrize("make, faces", [(m, f) for _n, m, f in ZERO_HOLE_PIECES],
+                             ids=ZERO_HOLE_IDS)
+    def test_unit_weights_leave_the_face_shut(self, make, faces, monkeypatch):
+        # with every weight 1 a zero-hole face keeps a common point; the
+        # failure names it, and so does the post-check's
+        monkeypatch.setattr(solver, "OPEN_WEIGHT", 1)
+        monkeypatch.setattr(solver, "MAX_WEIGHT", 1)
+        T = make()
+        with pytest.raises(SolveFailure) as exc:
+            represent(T)
+        assert exc.value.diagnostics == {"face": faces[0]}
+        assert str(exc.value) == (f"zero-hole face {faces[0]} of the piece inside {T.outer} "
+                                  "stays shut at weight 1")
+        monkeypatch.setattr(solver, "_opening", lambda A, B, face: -1)
+        with pytest.raises(SolveFailure) as exc:
+            represent(T)
+        assert exc.value.diagnostics == {"face": faces[0]}
+        assert str(exc.value) == (f"the overlaps of the piece inside {T.outer} fail: "
+                                  f"face {faces[0]} has a common point")
+
+    def test_weight_doubles_until_every_face_opens(self, monkeypatch, outer_map):
+        # the cube graph's piece has three zero-hole faces; at weight 8 the
+        # other two faces' weights keep [6, 7, 12] shut, at 16 all open
+        weights = []
+        real = solver._solve_unit
+        monkeypatch.setattr(solver, "_solve_unit", lambda wood, roles, w=None: (
+            weights.append(set((w or {}).values())) or real(wood, roles, w)))
+        _tris, rep, T = assemble.represent_planar(8, CUBE)
+        assert [w for w in weights if w] == [{8}, {16}]
+        assert _zero_hole_faces(solve_in_canvas(T, _outer_for(T, outer_map)), T) == [
+            [2, 3, 9], [4, 5, 13], [6, 7, 12]]
+        assert full_report(rep, T, with_faces=True, with_drawing=True).passed
+
+    def test_face_shut_at_the_last_weight_is_named(self, monkeypatch):
+        monkeypatch.setattr(solver, "MAX_WEIGHT", 8)
+        with pytest.raises(SolveFailure) as exc:
+            assemble.represent_planar(8, CUBE)
+        assert exc.value.diagnostics == {"face": [6, 7, 12]}
+        assert "zero-hole face [6, 7, 12]" in str(exc.value)
+        assert str(exc.value).endswith("stays shut at weight 8")
+
+    def test_acyclic_zero_hole_face_is_named(self, monkeypatch):
+        # a zero-hole face that the final wood does not run as a cycle has no
+        # contacts to weigh: the failure names it
+        real = solver._final_wood
+
+        def final_wood(*a):
+            out = real(*a)
+            monkeypatch.setattr(solver, "_cyclic", lambda wood, face: None)
+            return out
+
+        monkeypatch.setattr(solver, "_final_wood", final_wood)
+        T = planar.double_wheel(8)
+        with pytest.raises(SolveFailure) as exc:
+            represent(T)
+        assert exc.value.diagnostics == {"face": [1, 6, 7]}
+        assert "zero-hole face [1, 6, 7]" in str(exc.value)
+
+    def test_post_check_names_the_pair(self, monkeypatch):
+        # a wood piece's layout is returned only after its exact post-check:
+        # inner triangles grown fourfold fail it, as a solver failure
+        real = assemble.solve_wood
+        monkeypatch.setattr(assemble, "solve_wood", lambda *a: {
+            v: Tri(t.x, t.y, t.h * 4) for v, t in real(*a).items()})
+        T = planar.double_wheel(8)
+        with pytest.raises(SolveFailure) as exc:
+            represent(T)
+        (kind, ids), = exc.value.diagnostics.items()
+        assert kind == "pair"
+        assert str(exc.value).startswith(f"the overlaps of the piece inside {T.outer} fail: "
+                                         f"pair ({ids[0]},{ids[1]}) has signed height ")
+
+    def test_fraction_work_is_per_vertex(self, monkeypatch):
+        # the step's bounds run on frame integers: outside the two kinds of
+        # exact solve, `solve_wood` does a few Fraction operations per
+        # coordinate (the frames, the step, the layout), none per pair
+        T = planar.gen_four_connected(30, 1)
+        calls, paused = [], []
+
+        def counted(f):
+            def wrapper(*args, **kwargs):
+                if not paused:
+                    calls.append(f.__name__)
+                return f(*args, **kwargs)
+            return wrapper
+
+        def pausing(f):
+            def wrapper(*args, **kwargs):
+                paused.append(1)
+                try:
+                    return f(*args, **kwargs)
+                finally:
+                    paused.pop()
+            return wrapper
+
+        om = _outer_for(T, {v: t for v, t in enumerate(default_outer())})
+        canvas, roles = _roles(T, om)
+        for name in ("_final_wood", "_solve_unit"):
+            monkeypatch.setattr(solver, name, pausing(getattr(solver, name)))
+        for name in FRACTION_DUNDERS:
+            monkeypatch.setattr(F, name, counted(getattr(F, name)))
+        monkeypatch.setattr(F, "__new__", staticmethod(counted(F.__new__)))
+        solver.solve_wood(T, om, canvas, roles, F(1))
+        monkeypatch.undo()
+        # it reads 786 here; a signed height on Fractions takes at least 5
+        # operations, and the piece has 435 pairs
+        assert len(calls) <= 30 * T.n < 5 * T.n * (T.n - 1) // 2
+
+    def test_homothety_equivariance(self, outer_map):
+        # in a moved and scaled canvas, with the budget scaled alike, the
+        # layout is the unit one moved and scaled
+        T = planar.gen_four_connected(16, 3)
+        k, dx, dy = F(5, 7), F(1, 3), F(-2, 9)
+        om = _outer_for(T, outer_map)
+        moved = {v: Tri(t.x * k + dx, t.y * k + dy, t.h * k) for v, t in om.items()}
+        a, b = open_in_canvas(T, om), open_in_canvas(T, moved, k)
+        for v in a.inner_ids():
+            t = a.tri(v)
+            assert b.tri(v) == Tri(t.x * k + dx, t.y * k + dy, t.h * k)
 
 class TestRepresentationJson:
     def test_roundtrip(self, k4, outer_map):

@@ -17,8 +17,7 @@ from tricontact.geometry import (
     segment_intersection_kind,
     signed_height,
 )
-from tricontact.perturb import GapError, face_gap_with_roles, remove_all
-from tricontact.solver import robustify
+from tricontact.perturb import GapError, face_gap_with_roles
 from tricontact.verify import (
     _err,
     check_boundary,
@@ -34,15 +33,17 @@ from conftest import (
     FRACTION_DUNDERS,
     chain,
     face_faults_by_loop,
-    graph_triangles,
     implant_faces,
     implanted,
+    octahedron_graph,
+    open_in_canvas,
     point,
     represent_in,
     solve_in_canvas,
     stacking_chain,
     tri,
     triples_by_cubic_scan,
+    with_triangle,
 )
 
 F = Fraction
@@ -317,8 +318,8 @@ def _depth_zero_rogue(gap):
 
 
 def octa_pipeline_rep(octahedron, outer_map):
-    rep = robustify(solve_in_canvas(octahedron, outer_map), octahedron)
-    return remove_all(rep, graph_triangles(rep))
+    """The octahedron through the wood path: its contact layout, opened."""
+    return open_in_canvas(octahedron, outer_map)
 
 
 def intersection_graph_by_pairs(rep):
@@ -418,29 +419,16 @@ class TestIntersectionGraph:
         rep = Representation({0: tri(0, 0, 1), 1: tri(5, 5, 1), 2: tri(0, 9, 1)}, (), F(1))
         assert intersection_graph(rep) == set()
 
-    def test_robustify_preserves_graph_of_exact_contacts(self, k4, outer_map):
-        # exact contact input: all adjacencies at signed height 0
-        T = planar.stack_vertex(k4, (0, 1, 3))
-        pre = represent(T)
-        post = robustify(pre, T)
-        assert intersection_graph(pre) == intersection_graph(post)
-
-    @staticmethod
-    def _assert_robustify_realizes(T, outer_map):
-        # the contact layout's graph is the piece's, and so is the inflated one's
-        pre = solve_in_canvas(T, {v: outer_map[i] for i, v in enumerate(T.outer)})
-        post = robustify(pre, T)
+    @pytest.mark.parametrize("make", [octahedron_graph, lambda: planar.double_wheel(7),
+                                      lambda: planar.gen_four_connected(14, 1)],
+                             ids=["octahedron", "dw7", "g4_14_1"])
+    def test_open_layout_realizes_target_graph(self, make, outer_map):
+        # the contact layout's graph is the piece's, and so is the opened one's
+        T = make()
+        om = {v: outer_map[i] for i, v in enumerate(T.outer)}
+        pre, post = solve_in_canvas(T, om), open_in_canvas(T, om)
         assert intersection_graph(pre) == intersection_graph(post) == \
             {tuple(sorted(e)) for e in T.edges}
-
-    def test_robustify_realizes_target_graph(self, octahedron, outer_map):
-        self._assert_robustify_realizes(octahedron, outer_map)
-
-    @pytest.mark.parametrize("make", [lambda: planar.double_wheel(7),
-                                      lambda: planar.gen_four_connected(14, 1)],
-                             ids=["dw7", "g4_14_1"])
-    def test_robustify_realizes_target_graph_of_piece(self, make, outer_map):
-        self._assert_robustify_realizes(make(), outer_map)
 
 
 class TestCheckSimple:
@@ -452,9 +440,9 @@ class TestCheckSimple:
         ok, offending = check_simple(rep, intersection_graph(rep))
         assert not ok and offending == [(3, 4, 5)] == triples_by_cubic_scan(rep)
 
-    def test_after_steps_passes(self):
-        rep = Representation({0: tri(0, 2, 2), 1: tri(2, 2, 2), 2: tri(2, 0, 2)}, (), F(1))
-        out = remove_all(rep, graph_triangles(rep))
+    def test_after_steps_passes(self, octahedron, outer_map):
+        # the octahedron's contact layout fails (above); opened, it passes
+        out = open_in_canvas(octahedron, outer_map)
         ok, offending = check_simple(out, intersection_graph(out))
         assert ok and offending == [] == triples_by_cubic_scan(out)
 
@@ -478,7 +466,7 @@ class TestCheckBoundary:
     def test_corner_violation_reported(self, k4, outer_map):
         T = planar.stack_vertex(k4, (0, 1, 3))
         rep = represent(T)
-        bad = rep.with_triangle(4, tri(F(3, 4), F(11, 4), F(1, 2)))
+        bad = with_triangle(rep, 4, tri(F(3, 4), F(11, 4), F(1, 2)))
         ok, _, cok, offenders = check_boundary(bad)
         assert not cok
         assert any(o == 1 and v == 4 for o, _, v in offenders)
@@ -486,7 +474,7 @@ class TestCheckBoundary:
     def test_overlap_violation_reported(self, k4, outer_map):
         # an inner triangle overlapping boundary triangle 0 by exactly epsilon
         rep = represent_in(k4, outer_map)
-        bad = rep.with_triangle(3, tri(1, 1, 1))
+        bad = with_triangle(rep, 3, tri(1, 1, 1))
         assert signed_height(bad.tri(3), bad.tri(0)) == bad.epsilon == 1
         ok, pairs, cok, _ = check_boundary(bad)
         assert not ok and cok
@@ -506,7 +494,7 @@ def _corrupted(rep, vertices, shifts=(-2, -1, 1, 2), q=8):
         moves = ([(x + k * d, y, h) for k in shifts] + [(x, y + k * d, h) for k in shifts]
                  + [(x, y, h + d), (x, y, h - d), (x - h / 3, y + h / 5, h * 4 / 3)])
         for m in moves:
-            yield rep.with_triangle(v, Tri(*m))
+            yield with_triangle(rep, v, Tri(*m))
 
 
 class TestCheckFaces:
@@ -890,7 +878,7 @@ class TestDrawing:
         T = make()
         rep = represent(T)
         t = rep.tri(v)
-        bad = rep.with_triangle(v, Tri(t.x + move[0] * t.h, t.y + move[1] * t.h, 4 * t.h / 3))
+        bad = with_triangle(rep, v, Tri(t.x + move[0] * t.h, t.y + move[1] * t.h, 4 * t.h / 3))
         scans = self._checked_scans(monkeypatch)
         r = full_report(bad, T, with_faces=True, with_drawing=True)
         assert r.graph_match and r.simple and r.boundary_ok and r.corner_ok
@@ -901,7 +889,7 @@ class TestDrawing:
     @pytest.mark.parametrize("make, digest", [
         (lambda: planar.gen_stacked(60, 1), STACKED60_DRAWING),
         (lambda: planar.double_wheel(8),
-         "b58f7dac86ce75070424c81a9d9ce91f9b7d49a4387e216063d1262f12903677"),
+         "d3413520fe9b7e69fae3f83aa73a97b0c41197813a5b02fa101cfc520745c8f1"),
         (_implanted, "d32219e30407975550af9bbb88c69c81f3cfd04b0ea3199f0016a8a7fd6eed55"),
     ], ids=["stacked60", "dw8", "implanted"])
     def test_drawing_digest_pinned(self, make, digest):
@@ -922,7 +910,7 @@ class TestFullReport:
 
     def test_corrupted_edge_listed(self, k4, outer_map):
         rep = represent_in(k4, outer_map)
-        bad = rep.with_triangle(3, tri(F(19, 10), 2, 1))   # slides off one contact
+        bad = with_triangle(rep, 3, tri(F(19, 10), 2, 1))   # slides off one contact
         r = full_report(bad, k4, with_faces=False)
         assert not r.passed and not r.graph_match
         assert r.missing_edges == [[2, 3]] and r.extra_edges == []
@@ -949,7 +937,7 @@ class TestFullReport:
         # the face condition and the drawing need the graph: both report
         # the skip and fail
         rep = represent_in(k4, outer_map)
-        bad = rep.with_triangle(3, tri(F(19, 10), 2, 1))
+        bad = with_triangle(rep, 3, tri(F(19, 10), 2, 1))
         r = full_report(bad, k4, with_faces=True, with_drawing=True)
         assert not r.passed and not r.graph_match
         assert r.face_condition_ok is False
