@@ -14,6 +14,7 @@ from tricontact.geometry import (
     frac,
     gap_candidates,
     neg_interior_hits,
+    pow2_floor,
     signed_height,
 )
 from tricontact.core import Representation
@@ -120,6 +121,108 @@ def open_in_canvas(piece: planar.Triangulation, outer_tris, epsilon=Fraction(1)
     canvas, roles = _canvas(piece, outer_tris)
     return Representation({**outer_tris, **solve_wood(piece, outer_tris, canvas, roles, epsilon)},
                           piece.outer, epsilon)
+
+
+def dense_solve(wood, roles, weights=None):
+    """Reference for `solver._solve_unit`: the same 3(n - 3) equations, one
+    dense row each, by Gauss-Jordan elimination on `Fraction`s; given
+    `weights`, the rates of the overlap solve."""
+    fixed = ({roles["hyp"]: (-1, -1, -1), roles["vertical"]: (0, -1, 0),
+              roles["horizontal"]: (-1, 0, 0)} if weights is None
+             else dict.fromkeys(roles.values(), (0, 0, 0)))
+    inner = sorted(wood)
+    col = {v: 3 * i for i, v in enumerate(inner)}
+    n = 3 * len(inner)
+    rows = []
+    for v in inner:
+        x, y, s = col[v], col[v] + 1, col[v] + 2
+        r, g, b = wood[v]
+        # x + y - s_r = 0, s - x - y_g = 0 and s - y - x_b = 0
+        # with overlaps t w: x + y - s_r = -w, s - x - y_g = w and s - y - x_b = w
+        for colour, (plus, minus, t, k, sign) in enumerate((((x, y), (), r, 2, -1),
+                                                            ((s,), (x,), g, 1, 1),
+                                                            ((s,), (y,), b, 0, 1))):
+            row = [Fraction(0)] * (n + 1)
+            for c in plus:
+                row[c] += 1
+            for c in minus:
+                row[c] -= 1
+            if weights is not None:
+                row[n] = Fraction(sign * weights.get((v, colour), 1))
+            if t in fixed:
+                row[n] += fixed[t][k]
+            else:
+                row[col[t] + k] -= 1
+            rows.append(row)
+    for c in range(n):
+        p = next(r for r in range(c, n) if rows[r][c] != 0)
+        rows[c], rows[p] = rows[p], rows[c]
+        rows[c] = [e / rows[c][c] for e in rows[c]]
+        for r in range(n):
+            if r != c and rows[r][c] != 0:
+                rows[r] = [e - rows[r][c] * f for e, f in zip(rows[r], rows[c])]
+    return {v: tuple(rows[col[v] + k][n] for k in range(3)) for v in inner}
+
+
+def zero_hole_faces(rep: Representation, piece: planar.Triangulation) -> list[list[int]]:
+    """The inner faces of `piece` whose three triangles in `rep` meet in one
+    point, each as its sorted vertices, in order."""
+    return sorted(sorted(f) for f in piece.inner_faces
+                  if common_signed_height([rep.tri(v) for v in f]) == 0)
+
+
+def opened_by_reference(piece: planar.Triangulation, boundary, gap: NegTri, roles, epsilon
+                        ) -> dict[int, Tri]:
+    """Reference for `solve_wood(piece, boundary, gap, roles, epsilon)`, on
+    `Fraction`s in the global frame, with the boundary triangles: the
+    contact layout plus t times the rates of the overlap solve
+    (`dense_solve` with the contacts of the zero-hole faces at the first
+    weight W from OPEN_WEIGHT up, by doubling, that opens them all), t the
+    largest power of two at most half the smallest of epsilon / (W gap.h),
+    each non-adjacent separation and positive face hole over its slope, and
+    each shrinking height over its rate."""
+    T = piece
+    wood, _P = solver._final_wood(T, roles)
+    contact = Representation({**boundary, **contact_layout(T, gap, roles)}, T.outer, epsilon)
+    zero = zero_hole_faces(contact, T)
+    heavy = [(u, c) for f in zero for c, (_t, u) in solver._cyclic(wood, frozenset(f)).items()]
+
+    def falls(f):
+        # the face's common signed height falls as t leaves 0
+        ts = [contact.tri(v) for v in f]
+        ms, mx, my = min(t.s for t in ts), max(t.x for t in ts), max(t.y for t in ts)
+        return (min(rate[v][2] for v, t in zip(f, ts) if t.s == ms)
+                - max(rate[v][0] for v, t in zip(f, ts) if t.x == mx)
+                - max(rate[v][1] for v, t in zip(f, ts) if t.y == my)) < 0
+
+    weight = solver.OPEN_WEIGHT // 2
+    while True:
+        weight *= 2
+        assert weight <= solver.MAX_WEIGHT
+        unit = dense_solve(wood, roles, dict.fromkeys(heavy, weight))
+        rate = {v: tuple(gap.h * d for d in unit[v]) if v in wood else (0, 0, 0)
+                for v in T.vertices()}
+        if all(falls(f) for f in zero):
+            break
+
+    def slope(vs):
+        return sum(max(abs(rate[v][k]) for v in vs) for k in range(3))
+
+    bounds = [epsilon / weight / gap.h]
+    for vs in itertools.chain(([u, v] for u, v in itertools.combinations(T.vertices(), 2)
+                               if not T.has_edge(u, v) and not {u, v} <= T.outer_set),
+                              map(list, T.inner_faces)):
+        apart = -common_signed_height([contact.tri(v) for v in vs])
+        if apart > 0 and slope(vs) > 0:
+            bounds.append(apart / slope(vs))
+    for v in wood:
+        dx, dy, ds = rate[v]
+        if ds - dx - dy < 0:
+            bounds.append(contact.tri(v).h / (dx + dy - ds))
+    t = pow2_floor(min(bounds) / 2)
+    return {v: Tri(c.x + t * rate[v][0], c.y + t * rate[v][1],
+                   c.h + t * (rate[v][2] - rate[v][0] - rate[v][1]))
+            for v, c in contact.triangles.items()}
 
 
 # the arithmetic, comparison and conversion methods of Fraction that the

@@ -186,6 +186,33 @@ class TestRepresent:
         assert full_report(rep, T, with_faces=True, with_drawing=True).passed
         assert {e["path"] for e in trace} == {"stacked", "octahedron"}
 
+    @pytest.mark.parametrize("make", [lambda: implanted(100, 3, 20), lambda: chain(20, 5, 6)],
+                             ids=["implanted100_3x20", "chain20_5d6"])
+    def test_octahedra_take_no_inflation_or_triple_removal(self, make, monkeypatch):
+        # each octahedron's closed form is its final layout: every contact
+        # already overlaps below the budget and no face has a common point,
+        # so nothing inflates it or removes a triple from it afterwards
+        placed = []
+        real = assemble.solve_octahedron
+
+        def recorded(piece, gap, roles, epsilon):
+            inner = real(piece, gap, roles, epsilon)
+            placed.append((piece, inner, epsilon))
+            return inner
+
+        monkeypatch.setattr(assemble, "solve_octahedron", recorded)
+        T = make()
+        rep = represent(T)
+        assert placed
+        for piece, inner, epsilon in placed:
+            assert all(rep.tri(v) == t for v, t in inner.items())
+            tris = {v: rep.tri(v) for v in piece.vertices()}
+            for u, v in itertools.combinations(piece.vertices(), 2):
+                if not {u, v} <= piece.outer_set:
+                    s = signed_height(tris[u], tris[v])
+                    assert (0 < s < epsilon) if piece.has_edge(u, v) else s < 0
+            assert all(common_signed_height([tris[v] for v in f]) < 0 for f in piece.faces)
+
     @pytest.mark.parametrize("make, sizes", [(lambda: chain(20, 5, 6), {3}),
                                              (deep_double_wheel, {3, 4})],
                              ids=["chain20_5d6", "deep_dw5"])

@@ -26,8 +26,9 @@ from tricontact.solver import (
     solve_stacked,
 )
 from tricontact.verify import full_report
-from conftest import (FRACTION_DUNDERS, contact_layout, ntri, octahedron_graph, open_in_canvas,
-                      point, represent_in, solve_in_canvas, stacked_by_peeling, tri)
+from conftest import (FRACTION_DUNDERS, contact_layout, dense_solve, ntri, octahedron_graph,
+                      open_in_canvas, opened_by_reference, point, represent_in, solve_in_canvas,
+                      stacked_by_peeling, tri, triples_by_cubic_scan, zero_hole_faces)
 
 F = Fraction
 
@@ -229,47 +230,6 @@ def _wood_solves(monkeypatch):
     return log
 
 
-def _dense_solve(wood, roles, weights=None):
-    """Reference for `solver._solve_unit`: the same 3(n - 3) equations, one
-    dense row each, by Gauss-Jordan elimination on `Fraction`s; given
-    `weights`, the rates of the overlap solve."""
-    fixed = ({roles["hyp"]: (-1, -1, -1), roles["vertical"]: (0, -1, 0),
-              roles["horizontal"]: (-1, 0, 0)} if weights is None
-             else dict.fromkeys(roles.values(), (0, 0, 0)))
-    inner = sorted(wood)
-    col = {v: 3 * i for i, v in enumerate(inner)}
-    n = 3 * len(inner)
-    rows = []
-    for v in inner:
-        x, y, s = col[v], col[v] + 1, col[v] + 2
-        r, g, b = wood[v]
-        # x + y - s_r = 0, s - x - y_g = 0 and s - y - x_b = 0
-        # with overlaps t w: x + y - s_r = -w, s - x - y_g = w and s - y - x_b = w
-        for colour, (plus, minus, t, k, sign) in enumerate((((x, y), (), r, 2, -1),
-                                                            ((s,), (x,), g, 1, 1),
-                                                            ((s,), (y,), b, 0, 1))):
-            row = [F(0)] * (n + 1)
-            for c in plus:
-                row[c] += 1
-            for c in minus:
-                row[c] -= 1
-            if weights is not None:
-                row[n] = F(sign * weights.get((v, colour), 1))
-            if t in fixed:
-                row[n] += fixed[t][k]
-            else:
-                row[col[t] + k] -= 1
-            rows.append(row)
-    for c in range(n):
-        p = next(r for r in range(c, n) if rows[r][c] != 0)
-        rows[c], rows[p] = rows[p], rows[c]
-        rows[c] = [e / rows[c][c] for e in rows[c]]
-        for r in range(n):
-            if r != c and rows[r][c] != 0:
-                rows[r] = [e - rows[r][c] * f for e, f in zip(rows[r], rows[c])]
-    return {v: tuple(rows[col[v] + k][n] for k in range(3)) for v in inner}
-
-
 def _start(T, outer_map):
     """(canvas, roles, rotation, maximal wood) of T in the canvas of `outer_map`."""
     canvas, roles = _roles(T, _outer_for(T, outer_map))
@@ -343,7 +303,7 @@ class TestSolveWood:
         T = make()
         _canvas, roles, _nxt, wood = _start(T, outer_map)
         P = solver._solve_unit(wood, roles)
-        assert {v: P[v] for v in wood} == _dense_solve(wood, roles)
+        assert {v: P[v] for v in wood} == dense_solve(wood, roles)
 
     @pytest.mark.parametrize("make", [m for _n, m in WOOD_PIECES], ids=[n for n, _m in WOOD_PIECES])
     def test_maximal_wood(self, make, outer_map):
@@ -428,61 +388,9 @@ CUBE = [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4),
         (0, 4), (1, 5), (2, 6), (3, 7)]
 
 
-def _zero_hole_faces(rep, T):
-    return sorted(sorted(f) for f in T.inner_faces
-                  if common_signed_height([rep.tri(v) for v in f]) == 0)
-
-
 def _opened_by_reference(T, om, epsilon):
-    """Reference for `solve_wood`, on `Fraction`s in the global frame: the
-    contact layout plus t times the rates of the overlap solve (`_dense_solve`
-    with the contacts of the zero-hole faces at the first weight W from
-    OPEN_WEIGHT up, by doubling, that opens them all), t the largest power
-    of two at most half the smallest of epsilon / (W gap.h), each
-    non-adjacent separation and positive face hole over its slope, and each
-    shrinking height over its rate."""
-    canvas, roles = _roles(T, om)
-    wood, _P = solver._final_wood(T, roles)
-    contact = solve_in_canvas(T, om, epsilon)
-    zero = _zero_hole_faces(contact, T)
-    heavy = [(u, c) for f in zero for c, (_t, u) in solver._cyclic(wood, frozenset(f)).items()]
-
-    def falls(f):
-        # the face's common signed height falls as t leaves 0
-        ts = [contact.tri(v) for v in f]
-        ms, mx, my = min(t.s for t in ts), max(t.x for t in ts), max(t.y for t in ts)
-        return (min(rate[v][2] for v, t in zip(f, ts) if t.s == ms)
-                - max(rate[v][0] for v, t in zip(f, ts) if t.x == mx)
-                - max(rate[v][1] for v, t in zip(f, ts) if t.y == my)) < 0
-
-    weight = solver.OPEN_WEIGHT // 2
-    while True:
-        weight *= 2
-        assert weight <= solver.MAX_WEIGHT
-        unit = _dense_solve(wood, roles, dict.fromkeys(heavy, weight))
-        rate = {v: tuple(canvas.h * d for d in unit[v]) if v in wood else (0, 0, 0)
-                for v in T.vertices()}
-        if all(falls(f) for f in zero):
-            break
-
-    def slope(vs):
-        return sum(max(abs(rate[v][k]) for v in vs) for k in range(3))
-
-    bounds = [epsilon / weight / canvas.h]
-    for vs in itertools.chain(([u, v] for u, v in itertools.combinations(T.vertices(), 2)
-                               if not T.has_edge(u, v) and not {u, v} <= T.outer_set),
-                              map(list, T.inner_faces)):
-        apart = -common_signed_height([contact.tri(v) for v in vs])
-        if apart > 0 and slope(vs) > 0:
-            bounds.append(apart / slope(vs))
-    for v in wood:
-        dx, dy, ds = rate[v]
-        if ds - dx - dy < 0:
-            bounds.append(contact.tri(v).h / (dx + dy - ds))
-    t = pow2_floor(min(bounds) / 2)
-    return {v: Tri(c.x + t * rate[v][0], c.y + t * rate[v][1],
-                   c.h + t * (rate[v][2] - rate[v][0] - rate[v][1]))
-            for v, c in contact.triangles.items()}
+    """`conftest.opened_by_reference` in the canvas of the boundary triangles `om`."""
+    return opened_by_reference(T, om, *_roles(T, om), epsilon)
 
 
 class TestOpenWood:
@@ -496,7 +404,7 @@ class TestOpenWood:
         # inner end overlaps below the budget, and the result certifies
         T = make()
         om = _outer_for(T, outer_map)
-        assert _zero_hole_faces(solve_in_canvas(T, om), T) == faces
+        assert zero_hole_faces(solve_in_canvas(T, om), T) == faces
         rep = open_in_canvas(T, om)
         for f in faces:
             assert common_signed_height([rep.tri(v) for v in f]) < 0
@@ -549,7 +457,7 @@ class TestOpenWood:
             weights.append(set((w or {}).values())) or real(wood, roles, w)))
         _tris, rep, T = assemble.represent_planar(8, CUBE)
         assert [w for w in weights if w] == [{8}, {16}]
-        assert _zero_hole_faces(solve_in_canvas(T, _outer_for(T, outer_map)), T) == [
+        assert zero_hole_faces(solve_in_canvas(T, _outer_for(T, outer_map)), T) == [
             [2, 3, 9], [4, 5, 13], [6, 7, 12]]
         assert full_report(rep, T, with_faces=True, with_drawing=True).passed
 
@@ -639,6 +547,70 @@ class TestOpenWood:
         for v in a.inner_ids():
             t = a.tri(v)
             assert b.tri(v) == Tri(t.x * k + dx, t.y * k + dy, t.h * k)
+
+
+class TestRobustify:
+    """The post-conditions of turning a contact layout into overlaps, which
+    `robustify` and the triple removal once did in two stages and the wood
+    path's overlap solve now does in one: the octahedron, forced through
+    the wood path, from its contact layout, the hand-built fixture."""
+
+    def test_postconditions_exact(self, octahedron, outer_map):
+        rep = open_in_canvas(octahedron, outer_map)
+        adj = octahedron.adjacency()
+        for u, v in itertools.combinations(range(6), 2):
+            if u in (0, 1, 2) and v in (0, 1, 2):
+                continue
+            s = signed_height(rep.tri(u), rep.tri(v))
+            if v in adj[u]:
+                assert 0 < s < F(1)
+            else:
+                assert s < 0
+
+    def test_edge_sets_identical_pre_post(self, octahedron, outer_map):
+        # the opening keeps the non-edges apart and turns the contacts into
+        # strict overlaps
+        pre = solve_in_canvas(octahedron, outer_map)
+        post = open_in_canvas(octahedron, outer_map)
+        want = {tuple(sorted(e)) for e in octahedron.edges}
+        for rep in (pre, post):
+            got = set()
+            for u, v in itertools.combinations(range(6), 2):
+                if signed_height(rep.tri(u), rep.tri(v)) >= 0:
+                    got.add((u, v))
+            assert got == want
+        assert all(signed_height(pre.tri(u), pre.tri(v)) == 0 for u, v in want
+                   if not {u, v} <= {0, 1, 2})
+
+    def test_zero_hole_face_becomes_the_only_bad_triple(self, octahedron, outer_map):
+        # the octahedron's inner face [3, 4, 5] has hole 0 in the contact
+        # layout, the one triple with a common point; opened, none is left
+        pre = solve_in_canvas(octahedron, outer_map)
+        assert zero_hole_faces(pre, octahedron) == [[3, 4, 5]]
+        assert triples_by_cubic_scan(pre) == [(3, 4, 5)]
+        post = open_in_canvas(octahedron, outer_map)
+        assert triples_by_cubic_scan(post) == []
+        assert full_report(post, octahedron, with_drawing=True).passed
+
+
+class TestRobustifyFaults:
+    """A step outside the rule must not pass: the post-check refuses it."""
+
+    @pytest.mark.parametrize("step, pair, height", [
+        (F(1, 4), [0, 3], F(2, 3)),
+        (F(1, 16), [0, 5], F(1)),
+    ], ids=["spurious", "budget"])
+    def test_postconditions_catch_a_bad_iota(self, octahedron, outer_map, monkeypatch,
+                                             step, pair, height):
+        # the rule takes 1/128 here; 1/4 makes the antipodal pair (0, 3)
+        # meet, and 1/16 has the edge (0, 5) overlap by exactly the budget 1
+        monkeypatch.setattr(solver, "pow2_floor", lambda q: step)
+        rep = open_in_canvas(octahedron, outer_map)
+        assert signed_height(rep.tri(pair[0]), rep.tri(pair[1])) == height
+        kind, ids, text = assemble._fault(rep, octahedron)
+        assert (kind, ids) == ("pair", pair)
+        assert text.startswith(f"pair ({pair[0]},{pair[1]}) has signed height ")
+
 
 class TestRepresentationJson:
     def test_roundtrip(self, k4, outer_map):
