@@ -10,11 +10,12 @@ leaves a gap.  A larger piece has no separating triangle, so it is
 4-connected and has a unique contact representation in its gap (Gonçalves,
 Lévêque and Pinlou, DCG 2012), the solution of the linear system of some
 Schnyder wood (Schrezenmaier, WG 2017).  The wood loop (`_final_wood`)
-finds that wood by face flips and cycle reversals, solving each wood's
-system exactly on integers.  `solve_wood` solves that wood's system once
-more with every contact overlapping by a prescribed weight, and steps from
-the contact layout along that solution by one power of two, chosen on
-integers so that no non-adjacent pair meets and no face stays shut.
+finds that wood by face flips and cycle reversals from the wood of a
+canonical order, solving each wood's system exactly on integers.
+`solve_wood` solves that wood's system once more with every contact
+overlapping by a prescribed weight, and steps from the contact layout
+along that solution by one power of two, chosen on integers so that no
+non-adjacent pair meets and no face stays shut.
 """
 
 from __future__ import annotations
@@ -29,10 +30,8 @@ from tricontact import planar
 from tricontact.geometry import (
     NegTri,
     Tri,
-    common_intersection,
     gap_candidates,
     pow2_floor,
-    signed_height,
 )
 
 
@@ -50,19 +49,19 @@ class SolveFailure(RuntimeError):
         self.diagnostics = diagnostics or {}
 
 
-def check_outer_hypothesis(ts: Sequence[Tri]) -> None:
-    """Boundary triangles must pairwise intersect with empty common intersection."""
-    if len(ts) != 3:
-        raise CanvasError("need exactly three boundary triangles")
-    for a, b in combinations(ts, 2):
-        if signed_height(a, b) < 0:
-            raise CanvasError("boundary triangles must pairwise intersect")
-    if not common_intersection(list(ts)).is_empty:
-        raise CanvasError("boundary triangles must not have a common point")
-
-
 def canvas_with_roles(ts: Sequence[Tri]) -> tuple[NegTri, dict[str, int]]:
-    check_outer_hypothesis(ts)
+    """The gap that the three boundary triangles `ts` bound, and the index
+    in `ts` of the triangle supplying each of its sides (`gap_candidates`),
+    which must be unique.
+
+    A candidate also proves the boundary hypothesis, that the three
+    triangles meet pairwise but have no common point.  With gap =
+    NegTri(X, Y, H) and Th, Tv and Tz supplying its hypotenuse, vertical
+    and horizontal sides, each corner of the gap lies on two of those
+    sides: (X, Y) in Tv and Tz, (X, Y - H) in Th and Tv, (X - H, Y) in Th
+    and Tz.  And a common point would have x >= X (in Tv), y >= Y (in Tz)
+    and x + y <= X + Y - H (in Th), which H > 0 forbids.
+    """
     cands = gap_candidates(ts)
     if not cands:
         raise CanvasError("no valid side assignment bounds a gap (boundary overlaps too large)")
@@ -251,20 +250,6 @@ def _flip(wood: dict[int, list[int]], face: frozenset[int], edges) -> None:
         (wood[u][c],) = face - {u, t}
 
 
-def _flip_to_maximal(wood: dict[int, list[int]], faces) -> None:
-    """Flip cyclic faces until in each the green edge leaves the blue edge's
-    head (a counter-clockwise cycle): the maximal wood of the flip lattice
-    (Felsner, 2004), the same whatever the canonical order."""
-    flipped = True
-    while flipped:
-        flipped = False
-        for f in faces:
-            edges = _cyclic(wood, f)
-            if edges is not None and edges[GREEN][0] != edges[BLUE][1]:
-                _flip(wood, f, edges)
-                flipped = True
-
-
 def _solve_unit(wood: Mapping[int, list[int]], roles: Mapping[str, int],
                 weights: Mapping[tuple[int, int], int] | None = None
                 ) -> dict[int, tuple[Fraction, Fraction, Fraction]]:
@@ -431,17 +416,19 @@ def _final_wood(piece: planar.Triangulation, roles: Mapping[str, int]
     gap (`_solve_unit`) has every height positive and every corner on its
     side segment.
 
-    The loop starts from the maximal wood (`_canonical_wood`,
-    `_flip_to_maximal`).  Otherwise it goes on with the first wood of
-    `_moves` that it has not solved yet, and raises SolveFailure, naming
-    the vertices of nonpositive height, when there is none or after
-    MAX_ROUNDS solves.  Schrezenmaier (WG 2017) shows that flips reach the
-    right wood; this move rule is only measured.
+    The loop starts from the wood of a canonical order (`_canonical_wood`).
+    Otherwise it goes on with the first wood of `_moves` that it has not
+    solved yet, and raises SolveFailure, naming the vertices of nonpositive
+    height, when there is none or after MAX_ROUNDS solves.  Schrezenmaier
+    (WG 2017) shows that flips reach the right wood from any wood; this move
+    rule and its start are only measured.  Starting from the maximal wood of
+    the flip lattice (Felsner, 2004) instead took 109 solves where this takes
+    77 on the benchmark's fourconn corpus, and ran out of solves on the
+    8x8 grid.
     """
     nxt = _orient(piece, roles["hyp"], roles["vertical"])
     faces = sorted(piece.inner_faces, key=sorted)
     wood = _canonical_wood(piece, nxt, roles)
-    _flip_to_maximal(wood, faces)
     seen = set()
     for rounds in range(1, MAX_ROUNDS + 1):
         seen.add(_key(wood))
@@ -504,9 +491,10 @@ def solve_wood(piece: planar.Triangulation, boundary: Mapping[int, Tri], gap: Ne
     leaves 0 (`_opening`).  That height is concave in t (a min of linear
     functions minus two maxes), so a face that falls there stays open at
     every t > 0.  On the pieces measured W = 8 opens every face but the
-    cube graph's three, which need 16; weights of 4 or less leave a face
-    shut.  A zero-hole face that is not a cyclic face of the wood, or that
-    is still shut at MAX_WEIGHT, raises SolveFailure naming it.
+    three of one embedding of the cube graph, which need 16; weights of 4
+    or less leave a face shut.  A zero-hole face that is not a cyclic face
+    of the wood, or that is still shut at MAX_WEIGHT, raises SolveFailure
+    naming it.
 
     Step.  t is the largest power of two at most half the smallest of
       - e / W, where e = epsilon / gap.h is the budget in the unit gap;

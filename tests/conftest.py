@@ -1,6 +1,8 @@
+import importlib.util
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -243,6 +245,15 @@ def octahedron_graph() -> planar.Triangulation:
         (3, 4), (3, 5), (4, 5),
     ]
     return planar.validate(6, edges, (0, 1, 2))
+
+
+def bench_corpus(workload: str) -> list[tuple[str, planar.Triangulation]]:
+    """The benchmark's corpus `workload` (perfbench/corpus.py), in name order."""
+    path = Path(__file__).parents[1] / "perfbench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    return sorted(corpus.WORKLOADS[workload](), key=lambda item: item[0])
 
 
 def implant_faces(T: planar.Triangulation, indices) -> planar.Triangulation:

@@ -9,7 +9,6 @@ this process's.  Run as a script, this file prints those digests as JSON.
 """
 
 import hashlib
-import importlib.util
 import json
 import os
 import subprocess
@@ -22,10 +21,9 @@ import tricontact
 from tricontact import planar
 from tricontact.assemble import represent
 from tricontact.verify import extract_drawing, full_report
-from conftest import chain, implant_faces, implanted
+from conftest import bench_corpus, chain, implant_faces, implanted
 
 SRC = Path(tricontact.__file__).parent
-BENCH = SRC.parents[1] / "perfbench"
 KERNELS = ("Haswell", "Sandybridge", "Nehalem")
 
 
@@ -37,13 +35,6 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _corpus(workload: str):
-    spec = importlib.util.spec_from_file_location("perfbench_corpus", BENCH / "corpus.py")
-    corpus = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(corpus)
-    return sorted(corpus.WORKLOADS[workload](), key=lambda item: item[0])
-
-
 def digests() -> dict[str, str]:
     """Per corpus, sha256 over each instance's representation, report and
     drawing texts as `tricontact run` writes them, in name order; and the
@@ -52,7 +43,7 @@ def digests() -> dict[str, str]:
     out = {}
     for workload in ("stacked", "fourconn", "nested"):
         h = hashlib.sha256()
-        for _name, T in _corpus(workload):
+        for _name, T in bench_corpus(workload):
             rep = represent(T)
             report = full_report(rep, T, with_faces=True, with_drawing=True)
             for obj in (rep.to_json(), report.to_json(), report.drawing.to_json()):
@@ -75,7 +66,7 @@ def default_digests():
 # sha256 of each corpus's texts, as `digests` takes them
 CORPUS_DIGESTS = {
     "stacked": "e71d643481e2f93adceceefee6505c482f7dc932567986dc8bb254f622d4702c",
-    "fourconn": "8572a25266bd2578fa93c8180106a53731d7cc44f1a98f6f1d7906157ec56c99",
+    "fourconn": "2709d44f01cde24e31c68b95825d4be7673ee0676be05743431ddcf0852e4c48",
     "nested": "10d8b8d4b7df9d8bcdef79cd74bcc6f5af7d2e230578adc9d075fa9094b4bd90",
 }
 

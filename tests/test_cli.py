@@ -201,7 +201,7 @@ class TestSolveCommand:
     def test_solver_failure_exit_code(self, tmp_path, monkeypatch, capsys):
         # a wood loop that stops without a layout surfaces as the solver
         # exit code, naming the vertices of nonpositive height; capped at one
-        # solve, g4_22_0 stops at its maximal wood
+        # solve, g4_22_0 stops at its canonical wood
         monkeypatch.setattr(solver, "MAX_ROUNDS", 1)
         g = tmp_path / "g.json"
         g.write_text(json.dumps(planar.gen_four_connected(22, 0).to_json()))
