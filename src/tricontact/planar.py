@@ -5,7 +5,8 @@ outer face.  For maximal planar graphs with n >= 4 the face set is unique
 (they are 3-connected), so faces are stored as plain vertex sets.  The
 generators and the decomposition know their faces and build from them
 (`_from_faces`); only `validate`, for graphs from outside the program, reads
-the faces off a planarity-test embedding.
+the faces off a planarity-test embedding.  So networkx is imported only inside
+`validate` and `augment_to_triangulation`, on their first call.
 """
 
 from __future__ import annotations
@@ -16,9 +17,10 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, cmp_to_key
 from itertools import combinations, product
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-import networkx as nx
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class GraphError(ValueError):
@@ -136,6 +138,8 @@ def validate(n: int, edges: Iterable[Sequence[int]], outer: Sequence[int]) -> Tr
 
     if len(eset) != 3 * n - 6:
         raise GraphError(f"not maximal planar: {len(eset)} edges, expected {3 * n - 6}")
+
+    import networkx as nx
 
     g = nx.Graph(sorted(eset))
     g.add_nodes_from(range(n))
@@ -507,6 +511,8 @@ def augment_to_triangulation(n: int, edges: Iterable[Sequence[int]]) -> Triangul
     """
     if n < 3:
         raise GraphError("augmentation needs at least 3 vertices")
+    import networkx as nx
+
     g = nx.Graph()
     g.add_nodes_from(range(n))
     for e in edges:

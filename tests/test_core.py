@@ -1,6 +1,9 @@
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -178,16 +181,85 @@ def test_tracer_bindings_resolve():
     assert sorted(missing) == DELETED_LAYERS
 
 
+def _imported(node):
+    """Top-level names of the modules `node` imports."""
+    if isinstance(node, ast.Import):
+        return {a.name.split(".")[0] for a in node.names}
+    if isinstance(node, ast.ImportFrom):
+        return {(node.module or "").split(".")[0]}
+    return set()
+
+
 def test_solver_imports_no_numpy():
     # no float reaches a representation: the placement module does exact
     # arithmetic only, so it has no use for numpy
-    imported = set()
-    for node in ast.walk(_tree("solver")):
-        if isinstance(node, ast.Import):
-            imported |= {a.name.split(".")[0] for a in node.names}
-        elif isinstance(node, ast.ImportFrom):
-            imported.add((node.module or "").split(".")[0])
+    imported = set().union(*map(_imported, ast.walk(_tree("solver"))))
     assert "numpy" not in imported and {"fractions", "tricontact"} <= imported
+
+
+def _load_time_imports(node):
+    """What importing the module runs: everything but function bodies and
+    `if TYPE_CHECKING:` blocks."""
+    found = _imported(node)
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(child, ast.If) and ast.unparse(child.test).endswith("TYPE_CHECKING"):
+            continue
+        found |= _load_time_imports(child)
+    return found
+
+
+def test_no_module_imports_networkx_at_load():
+    # networkx embeds graphs from outside the program; the generators and
+    # the decomposition build their faces directly, so only the two
+    # functions that embed import it
+    at_load = [p.stem for p in sorted(SRC.glob("*.py"))
+               if "networkx" in _load_time_imports(ast.parse(p.read_text()))]
+    assert at_load == []
+    embedders = sorted(f.name for f in ast.walk(_tree("planar"))
+                       if isinstance(f, ast.FunctionDef)
+                       and any("networkx" in _imported(n) for n in ast.walk(f)))
+    assert embedders == ["augment_to_triangulation", "validate"]
+
+
+GENERATED_RUN = """
+import sys, tempfile, os
+from tricontact import assemble, cli, planar, verify
+
+def newest_face(T):
+    return sorted(sorted(f) for f in T.inner_faces if T.n - 1 in f)[0]
+
+T = planar.gen_stacked(8, 1)
+for _ in range(2):  # an octahedron chain, as the benchmark's nested corpus builds it
+    T = planar.implant_octahedron(T, newest_face(T))
+    T = planar.stack_vertex(T, newest_face(T))
+for G in (planar.gen_stacked(12, 0), planar.double_wheel(5), T):
+    rep = assemble.represent(G)
+    assert verify.full_report(rep, G, with_faces=True, with_drawing=True).passed
+with tempfile.TemporaryDirectory() as d:
+    out = os.path.join(d, "g.json")
+    assert cli.main(["gen", "stacked", "--n", "10", "--output", out]) == 0
+    assert os.path.getsize(out) > 0
+assert "networkx" not in sys.modules, "networkx loaded"
+K4 = planar.validate(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], (0, 1, 2))
+assert "networkx" in sys.modules
+faces = [frozenset(f) for f in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))]
+assert K4 == planar._from_faces(faces, (0, 1, 2))
+print("ok")
+"""
+
+
+def test_generated_graphs_never_load_networkx():
+    # constructing and certifying generated graphs, and `tricontact gen`,
+    # take their faces from the generators, so networkx stays unloaded
+    # until `validate` embeds a graph from outside
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH")))))
+    child = subprocess.run([sys.executable, "-c", GENERATED_RUN], env=env,
+                           capture_output=True, text=True, timeout=300)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.split() == ["ok"]
 
 
 def _counted(monkeypatch, module, name):

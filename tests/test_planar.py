@@ -562,7 +562,8 @@ class TestFromFaces:
     def test_generators_skip_the_planarity_test(self, monkeypatch):
         def refuse(*_args, **_kwargs):
             raise AssertionError("planarity test run on a generated graph")
-        monkeypatch.setattr(planar.nx, "check_planarity", refuse)
+        # networkx is imported inside `validate`, so patch it at its source
+        monkeypatch.setattr("networkx.check_planarity", refuse)
         implanted(100, 3, 20)
         chain(20, 5, 6)
         gen_four_connected(12, 0)
